@@ -19,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from hypercurv import (
+    Evaluator,
     all_pairs_distances,
     build,
     check_bonnet_myers,
@@ -84,31 +85,32 @@ def random_oriented(rng, n_max=5):
 
 def sweep_instance(hg, tally):
     oracle = all_pairs_distances(hg)
+    ev = Evaluator(hg, oracle)
     verdicts = []
     if hg.flavor == "undirected":
         for a in ALPHAS:
             for u in range(hg.n_vertices):
                 for v in range(u + 1, hg.n_vertices):
-                    verdicts.extend(check_pair_upper_bound(hg, oracle, u, v, a))
+                    verdicts.extend(check_pair_upper_bound(hg, oracle, u, v, a, ev=ev))
             for e in range(hg.n_edges):
                 for variant in ("min", "sum", "max"):
-                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, variant))
-        verdicts.extend(check_bonnet_myers(hg, oracle))
+                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, variant, ev=ev))
+        verdicts.extend(check_bonnet_myers(hg, oracle, ev=ev))
     else:
         for a in ALPHAS:
             for e in range(hg.n_edges):
-                verdict, _ = check_directed_edge_bound(hg, oracle, e, a)
+                verdict, _ = check_directed_edge_bound(hg, oracle, e, a, ev=ev)
                 verdicts.append(verdict)
                 if hg.flavor == "oriented":
-                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, "min"))
+                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, "min", ev=ev))
             if hg.flavor == "oriented":
                 for u in range(hg.n_vertices):
                     for v in range(hg.n_vertices):
                         if u != v:
-                            verdicts.extend(check_pair_bound_oriented(hg, oracle, u, v, a))
+                            verdicts.extend(check_pair_bound_oriented(hg, oracle, u, v, a, ev=ev))
         if hg.flavor == "oriented":
-            verdicts.append(check_vertex_count(hg, oracle))
-            verdicts.extend(check_bonnet_myers(hg, oracle))
+            verdicts.append(check_vertex_count(hg, oracle, ev=ev))
+            verdicts.extend(check_bonnet_myers(hg, oracle, ev=ev))
 
     bad = []
     for v in verdicts:

@@ -21,6 +21,9 @@ from .bounds import (
 from .curvature import (
     AlphaCurve,
     CurvatureReport,
+    EvalStats,
+    Evaluator,
+    Limit,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
     kappa_alpha_pair,

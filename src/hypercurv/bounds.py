@@ -5,6 +5,11 @@ Every check compares two exactly computed rationals and returns a
 emitted even when a hypothesis fails. ``holds is None`` marks a verdict
 whose hypothesis is not met (not applicable), which is distinct from a
 violated inequality.
+
+Each check takes ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the
+instance, so a ledger of many checks shares measures, transports and
+limits; by default a check evaluates with a fresh one of its own. Limits
+are read without sampling any alpha curve.
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .curvature import (
+# The kappa_alpha_* and lly_limit names stay importable from this module,
+# where perfbench/tracer.py wraps them; the checks evaluate through ``ev``.
+from .curvature import (  # noqa: F401
+    Evaluator,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
     kappa_alpha_pair,
@@ -105,7 +113,13 @@ DEFAULT_LABELS = Labels()
 
 
 def check_pair_upper_bound(
-    hg: Hypergraph, oracle: DistanceOracle, u: int, v: int, alpha, labels: Labels = DEFAULT_LABELS
+    hg: Hypergraph,
+    oracle: DistanceOracle,
+    u: int,
+    v: int,
+    alpha,
+    labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
 ) -> list[BoundVerdict]:
     """Upper bounds on pair curvature from edge weights.
 
@@ -115,7 +129,7 @@ def check_pair_upper_bound(
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("pair upper bounds here are undirected; see the oriented check")
     a = as_alpha(alpha)
-    kappa = kappa_alpha_pair(hg, oracle, u, v, a)
+    kappa = (ev or Evaluator(hg, oracle)).kappa(("pair", u, v), a)
     d = oracle.d(u, v)
     target = f"{labels.pair(u, v)} alpha={a}"
     local = max(hg.edges[e].weight for e in hg.edges_containing(u)) + max(
@@ -134,6 +148,7 @@ def check_edge_upper_bound(
     alpha,
     variant: str = "sum",
     labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
 ) -> BoundVerdict:
     """Variant-matched upper bound on hyperedge curvature.
 
@@ -143,9 +158,10 @@ def check_edge_upper_bound(
     ``2 * max w`` over the tail-to-head length.
     """
     a = as_alpha(alpha)
+    ev = ev or Evaluator(hg, oracle)
     target = f"{labels.edge(edge_index)} alpha={a} variant={variant}"
     if hg.flavor == UNDIRECTED:
-        kappa = kappa_alpha_edge_undirected(hg, oracle, edge_index, a, variant=variant)
+        kappa = ev.kappa(("edge", edge_index), a, variant)
         edge = hg.edges[edge_index]
         k = len(edge)
         length = edge_length(hg, oracle, edge_index, variant).value
@@ -161,7 +177,7 @@ def check_edge_upper_bound(
     if hg.flavor == ORIENTED or oracle.symmetric:
         if variant != "min":
             raise errors.UnsupportedVariant("directed hyperedges support the min length only")
-        kappa = kappa_alpha_edge_directed(hg, oracle, edge_index, a)
+        kappa = ev.kappa(("edge", edge_index), a)
         length = edge_length(hg, oracle, edge_index, "min").value
         return _verdict(
             "edge-upper", kappa, (1 - a) * 2 * hg.max_weight() / length, target
@@ -185,7 +201,12 @@ def _head_spread(hg: Hypergraph, y: int, z: int) -> Fraction:
 
 
 def check_directed_edge_bound(
-    hg: Hypergraph, oracle: DistanceOracle, edge_index: int, alpha, labels: Labels = DEFAULT_LABELS
+    hg: Hypergraph,
+    oracle: DistanceOracle,
+    edge_index: int,
+    alpha,
+    labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
 ) -> tuple[BoundVerdict, DirectedBoundData]:
     """Partition-based upper bound on directed hyperedge curvature.
 
@@ -228,7 +249,7 @@ def check_directed_edge_bound(
         c_total += c_exact
 
     length = edge_length(hg, oracle, edge_index, "min").value
-    kappa = kappa_alpha_edge_directed(hg, oracle, edge_index, a)
+    kappa = (ev or Evaluator(hg, oracle)).kappa(("edge", edge_index), a)
     lhs = kappa * length
     rhs = (1 - a) * (c_total / m + diam)
     verdict = _verdict("directed-edge-upper", lhs, rhs, f"{labels.edge(edge_index)} alpha={a}")
@@ -248,7 +269,11 @@ def _in_edge_pairs(hg: Hypergraph) -> list[tuple[int, int]]:
 
 
 def check_bonnet_myers(
-    hg: Hypergraph, oracle: DistanceOracle, variant: str = "sum", labels: Labels = DEFAULT_LABELS
+    hg: Hypergraph,
+    oracle: DistanceOracle,
+    variant: str = "sum",
+    labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
 ) -> list[BoundVerdict]:
     """Distance and diameter bounds implied by positive limit curvature.
 
@@ -259,12 +284,13 @@ def check_bonnet_myers(
     hyperedge length takes the pair role, and the diameter clause uses the
     floor over tail-to-head vertex pairs.
     """
+    ev = ev or Evaluator(hg, oracle)
     verdicts: list[BoundVerdict] = []
     two_max = 2 * hg.max_weight()
     if hg.flavor == UNDIRECTED:
         for u in range(hg.n_vertices):
             for v in range(u + 1, hg.n_vertices):
-                kappa = lly_limit(hg, oracle, ("pair", u, v), variant=variant).lly
+                kappa = ev.limit(("pair", u, v), variant).lly
                 target = labels.pair(u, v)
                 if kappa > 0:
                     verdicts.append(_verdict("bm-pair", oracle.d(u, v), two_max / kappa, target))
@@ -272,7 +298,7 @@ def check_bonnet_myers(
                     verdicts.append(_skip("bm-pair", target, f"kappa={kappa} not positive"))
         floor = None
         for (u, v, _e) in well_transported_pairs(hg, oracle):
-            kappa = lly_limit(hg, oracle, ("pair", u, v), variant=variant).lly
+            kappa = ev.limit(("pair", u, v), variant).lly
             floor = kappa if floor is None else min(floor, kappa)
         if floor is not None and floor > 0:
             verdicts.append(
@@ -288,7 +314,7 @@ def check_bonnet_myers(
     for e in range(hg.n_edges):
         target = labels.edge(e)
         try:
-            kappa = lly_limit(hg, oracle, ("edge", e)).lly
+            kappa = ev.limit(("edge", e)).lly
         except errors.NoStabilization:
             verdicts.append(_skip("bm-edge", target, "normalized curvature diverges"))
             continue
@@ -300,7 +326,7 @@ def check_bonnet_myers(
 
     floor = None
     for (u, v) in _in_edge_pairs(hg):
-        kappa = lly_limit(hg, oracle, ("pair", u, v)).lly
+        kappa = ev.limit(("pair", u, v)).lly
         floor = kappa if floor is None else min(floor, kappa)
     if floor is not None and floor > 0:
         verdicts.append(
@@ -319,6 +345,7 @@ def check_pair_bound_oriented(
     alpha,
     form: str = "both",
     labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
 ) -> list[BoundVerdict]:
     """Upper bounds on oriented pair curvature.
 
@@ -331,8 +358,9 @@ def check_pair_bound_oriented(
     if form not in ("both", "sym", "weighted"):
         raise ValueError(f"unknown form {form!r}")
     a = as_alpha(alpha)
+    ev = ev or Evaluator(hg, oracle)
     d = oracle.d(u, v)
-    kappa_a = kappa_alpha_pair(hg, oracle, u, v, a)
+    kappa_a = ev.kappa(("pair", u, v), a)
     target = f"{labels.pair(u, v)} alpha={a}"
     verdicts = []
 
@@ -361,7 +389,7 @@ def check_pair_bound_oriented(
                 verdicts.append(
                     _verdict("oriented-pair-upper-unit", kappa_a, (1 - a) * bound, target)
                 )
-                kappa_lim = lly_limit(hg, oracle, ("pair", u, v)).lly
+                kappa_lim = ev.limit(("pair", u, v)).lly
                 verdicts.append(
                     _verdict("oriented-pair-upper-unit-lly", kappa_lim, bound, labels.pair(u, v))
                 )
@@ -375,23 +403,37 @@ def check_pair_bound_oriented(
     return verdicts
 
 
+# Terms of the vertex-count sum evaluated at most. The sum has floor(2/kappa0)
+# terms over ever longer integers, so a tiny floor would take seconds to
+# minutes; above the cap the bound is reported not applicable instead.
+VERTEX_COUNT_MAX_TERMS = 64
+
+
 def vertex_count_bound(delta: int, b_h: int, kappa0: Fraction) -> Fraction:
     """Size bound ``1 + sum_k Delta^k prod_i (B/(1+B)) (1+B-i*kappa0)``.
 
-    The sum runs to ``floor(2/kappa0)``; the k=1 product is empty.
+    The sum runs to ``floor(2/kappa0)``; the k=1 product is empty. Raises
+    HypothesisNotMet when that is more than ``VERTEX_COUNT_MAX_TERMS`` terms.
     """
     k_max = math.floor(Fraction(2) / kappa0)
+    if k_max > VERTEX_COUNT_MAX_TERMS:
+        raise errors.HypothesisNotMet(
+            f"{k_max} terms for floor {kappa0} exceed the cap of {VERTEX_COUNT_MAX_TERMS}"
+        )
     total = Fraction(1)
+    prod = Fraction(1)
     for k in range(1, k_max + 1):
-        prod = Fraction(1)
-        for i in range(1, k):
-            prod *= Fraction(b_h, 1 + b_h) * (1 + b_h - i * kappa0)
+        if k > 1:
+            prod *= Fraction(b_h, 1 + b_h) * (1 + b_h - (k - 1) * kappa0)
         total += Fraction(delta) ** k * prod
     return total
 
 
 def check_vertex_count(
-    hg: Hypergraph, oracle: DistanceOracle, kappa0: Fraction | None = None
+    hg: Hypergraph,
+    oracle: DistanceOracle,
+    kappa0: Fraction | None = None,
+    ev: Evaluator | None = None,
 ) -> BoundVerdict:
     """Vertex-count bound for unit-weight oriented instances with a curvature floor.
 
@@ -404,8 +446,8 @@ def check_vertex_count(
         raise errors.UnsupportedFlavor("the vertex-count bound needs the oriented flavor")
     if not hg.is_unit_weight():
         raise errors.NonUnitWeights("the vertex-count bound needs unit weights")
-    pairs = _in_edge_pairs(hg)
-    observed = min(lly_limit(hg, oracle, ("pair", u, v)).lly for (u, v) in pairs)
+    ev = ev or Evaluator(hg, oracle)
+    observed = min(ev.limit(("pair", u, v)).lly for (u, v) in _in_edge_pairs(hg))
     if kappa0 is None:
         kappa0 = observed
     elif observed < kappa0:
@@ -414,7 +456,10 @@ def check_vertex_count(
         )
     if kappa0 <= 0:
         return _skip("vertex-count", "instance", f"curvature floor {kappa0} not positive")
-    bound = vertex_count_bound(hg.max_degree(), hg.max_head_size(), kappa0)
+    try:
+        bound = vertex_count_bound(hg.max_degree(), hg.max_head_size(), kappa0)
+    except errors.HypothesisNotMet as exc:
+        return _skip("vertex-count", "instance", str(exc))
     return _verdict("vertex-count", Fraction(hg.n_vertices), bound, f"floor {kappa0}")
 
 

@@ -2,8 +2,10 @@
 
 Exit codes: 0 ok, 1 violated verdict, 2 invalid input, 3 internal limit
 (no stabilization). Output is byte-identical for identical (document,
-config) pairs across runs and parallelism degrees: independent targets may
-be evaluated concurrently but results are merged in sorted target order.
+config) pairs across runs and parallelism degrees. Targets are evaluated
+one after another, in sorted target order, by one Evaluator per run, so
+each measure, transport and limit is computed once; ``--parallel`` is
+accepted and validated but does not change how a run is evaluated.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from . import curvature as curvature_mod
 from . import errors, walk
-from .curvature import DEFAULT_ALPHA_GRID
+from .curvature import DEFAULT_ALPHA_GRID, EvalStats, Evaluator
 from .document import ParsedDocument, load_document
 from .hypergraph import DIRECTED, ORIENTED, UNDIRECTED
 from .metric import all_pairs_distances
@@ -36,7 +37,6 @@ class RunConfig:
     exact: bool = True
     tol: float = 1e-9
     fmt: str = "table"
-    parallel: int = 1
     strict: bool = False
 
     @property
@@ -47,12 +47,20 @@ class RunConfig:
         return format_number(x, exact=self.exact)
 
 
+def _cli_alpha(flag: str, text: str) -> Fraction:
+    try:
+        return as_alpha(text)
+    except (ValueError, ZeroDivisionError):
+        raise errors.ParseError(f"{flag}: cannot read {text!r} as a rational") from None
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "alpha", None) is not None:
-        cfg.alpha = as_alpha(args.alpha)
+        cfg.alpha = _cli_alpha("--alpha", args.alpha)
     if getattr(args, "alpha_grid", None):
-        cfg.alpha_grid = tuple(as_alpha(tok) for tok in args.alpha_grid.split(","))
+        tokens = args.alpha_grid.split(",")
+        cfg.alpha_grid = tuple(_cli_alpha("--alpha-grid", tok) for tok in tokens)
     if getattr(args, "variant", None):
         cfg.variant = args.variant
     if getattr(args, "float", False):
@@ -72,16 +80,8 @@ def _config_from_args(args) -> RunConfig:
             raise errors.ParseError(f"HYPERCURV_THREADS: expected an integer, got {raw!r}") from None
     if parallel < 1:
         raise errors.ParseError("parallelism degree must be >= 1")
-    cfg.parallel = parallel
     cfg.strict = bool(getattr(args, "strict", False))
     return cfg
-
-
-def _map_targets(fn, items, parallel: int):
-    if parallel > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # -- subcommands -----------------------------------------------------------
@@ -203,25 +203,11 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
     return targets
 
 
-def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
-    hg = doc.hypergraph
-    oracle = all_pairs_distances(hg)
-    targets = _resolve_targets(doc, args)
-
-    def evaluate(item):
-        name, target = item
-        report = curvature_mod.lly_limit(
-            hg,
-            oracle,
-            target,
-            variant=cfg.variant,
-            alpha_grid=cfg.alpha_grid,
-            exact=cfg.exact,
-            tol=cfg.tol,
-        )
-        return name, report
-
-    results = _map_targets(evaluate, targets, cfg.parallel)
+def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
+    results = [
+        (name, ev.report(target, cfg.variant, cfg.alpha_grid))
+        for name, target in _resolve_targets(doc, args)
+    ]
 
     if cfg.fmt == "json":
         payload = {
@@ -263,9 +249,12 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _bounds_ledger(doc: ParsedDocument, cfg: RunConfig) -> list[bounds_mod.BoundVerdict]:
+def _bounds_ledger(
+    doc: ParsedDocument, cfg: RunConfig, ev: Evaluator | None = None
+) -> list[bounds_mod.BoundVerdict]:
+    """Every applicable verdict; each check evaluates with ``ev``, or a fresh Evaluator if None."""
     hg = doc.hypergraph
-    oracle = all_pairs_distances(hg)
+    oracle = ev.oracle if ev else all_pairs_distances(hg)
     a = cfg.alpha
     labels = bounds_mod.Labels(vertex=doc.vertex_names, edge=doc.edge_names)
     ledger: list[bounds_mod.BoundVerdict] = []
@@ -273,30 +262,38 @@ def _bounds_ledger(doc: ParsedDocument, cfg: RunConfig) -> list[bounds_mod.Bound
         for u in range(hg.n_vertices):
             for v in range(u + 1, hg.n_vertices):
                 ledger.extend(
-                    bounds_mod.check_pair_upper_bound(hg, oracle, u, v, a, labels=labels)
+                    bounds_mod.check_pair_upper_bound(hg, oracle, u, v, a, labels=labels, ev=ev)
                 )
         for e in range(hg.n_edges):
             ledger.append(
-                bounds_mod.check_edge_upper_bound(hg, oracle, e, a, cfg.variant, labels=labels)
+                bounds_mod.check_edge_upper_bound(
+                    hg, oracle, e, a, cfg.variant, labels=labels, ev=ev
+                )
             )
-        ledger.extend(bounds_mod.check_bonnet_myers(hg, oracle, variant=cfg.variant, labels=labels))
+        ledger.extend(
+            bounds_mod.check_bonnet_myers(hg, oracle, variant=cfg.variant, labels=labels, ev=ev)
+        )
         return ledger
     for e in range(hg.n_edges):
-        verdict, _data = bounds_mod.check_directed_edge_bound(hg, oracle, e, a, labels=labels)
+        verdict, _data = bounds_mod.check_directed_edge_bound(
+            hg, oracle, e, a, labels=labels, ev=ev
+        )
         ledger.append(verdict)
         if hg.flavor == ORIENTED or oracle.symmetric:
             ledger.append(
-                bounds_mod.check_edge_upper_bound(hg, oracle, e, a, "min", labels=labels)
+                bounds_mod.check_edge_upper_bound(hg, oracle, e, a, "min", labels=labels, ev=ev)
             )
     if hg.flavor == ORIENTED:
         for u in range(hg.n_vertices):
             for v in range(hg.n_vertices):
                 if u != v:
                     ledger.extend(
-                        bounds_mod.check_pair_bound_oriented(hg, oracle, u, v, a, labels=labels)
+                        bounds_mod.check_pair_bound_oriented(
+                            hg, oracle, u, v, a, labels=labels, ev=ev
+                        )
                     )
         if hg.is_unit_weight():
-            ledger.append(bounds_mod.check_vertex_count(hg, oracle))
+            ledger.append(bounds_mod.check_vertex_count(hg, oracle, ev=ev))
         else:
             ledger.append(
                 bounds_mod.BoundVerdict(
@@ -308,7 +305,7 @@ def _bounds_ledger(doc: ParsedDocument, cfg: RunConfig) -> list[bounds_mod.Bound
                     witness="NonUnitWeights",
                 )
             )
-    ledger.extend(bounds_mod.check_bonnet_myers(hg, oracle, labels=labels))
+    ledger.extend(bounds_mod.check_bonnet_myers(hg, oracle, labels=labels, ev=ev))
     return ledger
 
 
@@ -318,8 +315,8 @@ def _status(v: bounds_mod.BoundVerdict) -> str:
     return "holds" if v.holds else "violated"
 
 
-def cmd_bounds(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
-    ledger = _bounds_ledger(doc, cfg)
+def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
+    ledger = _bounds_ledger(doc, cfg, ev)
     violated = [v for v in ledger if v.holds is False]
     skipped = [v for v in ledger if v.holds is None]
     code = 1 if violated or (cfg.strict and skipped) else 0
@@ -359,27 +356,17 @@ def cmd_bounds(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
-    hg = doc.hypergraph
-    oracle = all_pairs_distances(hg)
+def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
     targets = _resolve_targets(doc, args)
     if len(targets) != 1:
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
-    report = curvature_mod.lly_limit(
-        hg,
-        oracle,
-        target,
-        variant=cfg.variant,
-        alpha_grid=cfg.alpha_grid,
-        exact=cfg.exact,
-        tol=cfg.tol,
-    )
+    report = ev.report(target, cfg.variant, cfg.alpha_grid)
     lines = [f"# mode={cfg.mode} target={name}", "alpha,kappa,normalized"]
     for (a, k) in report.curve.samples:
         lines.append(f"{cfg.fmt_num(a)},{cfg.fmt_num(k)},{_norm_str(report, a, cfg)}")
     stab = report.stabilization_alpha
-    kappa_stab = curvature_mod._kappa_at(hg, oracle, target, stab, cfg.variant, cfg.exact)
+    kappa_stab = ev.kappa(target, stab, cfg.variant)
     lines.append(f"{cfg.fmt_num(stab)},{cfg.fmt_num(kappa_stab)},{cfg.fmt_num(report.lly)}")
     return 0, "\n".join(lines)
 
@@ -396,8 +383,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--float", action="store_true", help="float arithmetic with tolerance")
     p.add_argument("--tol", type=float, help="float-mode tolerance (default 1e-9)")
     p.add_argument("--format", choices=["json", "csv", "table"], help="output format")
-    p.add_argument("--parallel", type=int, help="worker threads (env HYPERCURV_THREADS)")
+    p.add_argument(
+        "--parallel",
+        type=int,
+        help="accepted for compatibility (env HYPERCURV_THREADS); targets always run serially",
+    )
     p.add_argument("--strict", action="store_true", help="not-applicable verdicts also fail")
+    p.add_argument(
+        "--stats", action="store_true", help="print evaluation counters as JSON on stderr"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
+    ev = None
     try:
         cfg = _config_from_args(args)
         if args.command == "validate":
@@ -450,18 +446,28 @@ def main(argv=None) -> int:
                 code, text = cmd_distances(doc, cfg)
             elif args.command == "measure":
                 code, text = cmd_measure(doc, args, cfg)
-            elif args.command == "curvature":
-                code, text = cmd_curvature(doc, args, cfg)
-            elif args.command == "bounds":
-                code, text = cmd_bounds(doc, cfg)
             else:
-                code, text = cmd_sweep(doc, args, cfg)
+                hg = doc.hypergraph
+                # The bounds ledger compares exact rationals in every output mode.
+                exact = cfg.exact or args.command == "bounds"
+                ev = Evaluator(hg, all_pairs_distances(hg), exact=exact, tol=cfg.tol)
+                if args.command == "curvature":
+                    code, text = cmd_curvature(doc, args, cfg, ev)
+                elif args.command == "bounds":
+                    code, text = cmd_bounds(doc, cfg, ev)
+                else:
+                    code, text = cmd_sweep(doc, args, cfg, ev)
     except errors.NoStabilization as exc:
         print(f"NoStabilization: {exc}", file=sys.stderr)
         return 3
     except errors.HypercurvError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.stats:
+            counters = asdict(ev.stats if ev else EvalStats())
+            counters["seconds"] = round(time.perf_counter() - start, 6)
+            print(json.dumps(counters), file=sys.stderr)
     print(text)
     return code
 

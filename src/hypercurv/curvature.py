@@ -12,12 +12,17 @@ in alpha and kappa vanishes at alpha=1, g is constant near 1; sampling at
 values certifies the limit exactly in rational mode. A directed hyperedge
 whose curvature at alpha=1 is strictly negative has no finite limit, and
 the limit search reports that instead of truncating silently.
+
+:class:`Evaluator` does all of this for one hypergraph and remembers every
+measure, transport value and limit it computes; the module-level
+functions are one-shot wrappers over a fresh Evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
@@ -54,16 +59,6 @@ class CurvatureReport:
     stabilization_alpha: Fraction
 
 
-def _pair_transport(hg, oracle, u, v, alpha, exact):
-    if hg.flavor == UNDIRECTED:
-        mu = measure_undirected(hg, u, alpha)
-        nu = measure_undirected(hg, v, alpha)
-    else:
-        mu = _pair_measure(hg, u, "in", alpha)
-        nu = _pair_measure(hg, v, "out", alpha)
-    return wasserstein(mu, nu, oracle, exact=exact).value
-
-
 def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
     if hg.flavor == UNDIRECTED or hg.flavor == ORIENTED:
         return
@@ -77,17 +72,214 @@ def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
         )
 
 
+@dataclass
+class EvalStats:
+    """Work counters of one Evaluator: computations done and memo hits."""
+
+    solves: int = 0
+    solve_hits: int = 0
+    measures: int = 0
+    measure_hits: int = 0
+    limits: int = 0
+    limit_hits: int = 0
+
+
+class Limit(NamedTuple):
+    """LLY limit of one target and the alpha at which it was certified."""
+
+    lly: Fraction
+    stabilization_alpha: Fraction
+
+
+class Evaluator:
+    """Curvature of one hypergraph, each measure, transport and limit computed once.
+
+    Walk measures are memoised by (constructor, vertex or edge, direction
+    or side, alpha), transport values by (pair or directed edge, alpha), and
+    limits by (target, variant where it matters, k_max). A one-to-one
+    directed hyperedge shares the transport entry of the pair of its ends.
+    A limit that does not stabilize is remembered and raised again. Only
+    transport values are kept, never couplings. Build one per hypergraph
+    and oracle and drop it with them: the memo is never shared between
+    runs.
+    """
+
+    def __init__(
+        self, hg: Hypergraph, oracle: DistanceOracle, exact: bool = True, tol: float = FLOAT_TOL
+    ):
+        self.hg = hg
+        self.oracle = oracle
+        self.exact = exact
+        self.tol = tol
+        self.stats = EvalStats()
+        self._measures: dict[tuple, object] = {}
+        self._transports: dict[tuple, object] = {}
+        self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
+
+    def _measure(self, kind: str, where: int, side: str | None, alpha: Fraction):
+        key = (kind, where, side, alpha)
+        mu = self._measures.get(key)
+        if mu is not None:
+            self.stats.measure_hits += 1
+            return mu
+        self.stats.measures += 1
+        if kind == "undirected":
+            mu = measure_undirected(self.hg, where, alpha)
+        elif kind == "pair":
+            mu = _pair_measure(self.hg, where, side, alpha)
+        else:
+            mu = measure_set(self.hg, where, side, alpha)
+        self._measures[key] = mu
+        return mu
+
+    def _transport(self, target: tuple, alpha: Fraction):
+        """W between the two measures of a pair ``("pair", u, v)`` or edge ``("edge", h)``."""
+        if target[0] == "edge":
+            edge = self.hg.edges[target[1]]
+            if len(edge.tail) == 1 and len(edge.head) == 1:
+                # The set measures of a one-to-one hyperedge are the pair
+                # measures of its ends, so both targets share one solve.
+                target = ("pair", *edge.tail, *edge.head)
+        key = (target, alpha)
+        w = self._transports.get(key)
+        if w is not None:
+            self.stats.solve_hits += 1
+            return w
+        self.stats.solves += 1
+        if target[0] == "edge":
+            mu = self._measure("set", target[1], "tail", alpha)
+            nu = self._measure("set", target[1], "head", alpha)
+        elif self.hg.flavor == UNDIRECTED:
+            mu = self._measure("undirected", target[1], None, alpha)
+            nu = self._measure("undirected", target[2], None, alpha)
+        else:
+            mu = self._measure("pair", target[1], "in", alpha)
+            nu = self._measure("pair", target[2], "out", alpha)
+        w = wasserstein(mu, nu, self.oracle, exact=self.exact).value
+        self._transports[key] = w
+        return w
+
+    def kappa(self, target: tuple, alpha, variant: str = "sum"):
+        """``kappa_alpha`` of a ``("pair", u, v)`` or ``("edge", h)`` target.
+
+        ``variant`` is the length normalizer of undirected hyperedges and is
+        ignored elsewhere.
+        """
+        hg, oracle, exact = self.hg, self.oracle, self.exact
+        kind = target[0]
+        if kind == "pair":
+            u, v = target[1], target[2]
+            if u == v:
+                raise errors.SamePair(
+                    f"pair curvature needs two distinct vertices, got ({u}, {v})"
+                )
+            _require_pair_flavor(hg, oracle)
+            w = self._transport(("pair", u, v), as_alpha(alpha))
+            d = oracle.d(u, v)
+            return 1 - w / d if exact else 1.0 - w / float(d)
+        if kind != "edge":
+            raise ValueError(f"unknown target kind {kind!r}")
+        a = as_alpha(alpha)
+        if hg.flavor != UNDIRECTED:
+            w = self._transport(("edge", target[1]), a)
+            length = edge_length(hg, oracle, target[1], "min").value
+            return 1 - w / length if exact else 1.0 - w / float(length)
+        vs = hg.edges[target[1]].sorted_vertices()
+        defect = Fraction(0) if exact else 0.0
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                w = self._transport(("pair", vs[i], vs[j]), a)
+                d = oracle.d(vs[i], vs[j])
+                defect += (d - w) if exact else (float(d) - w)
+        length = edge_length(hg, oracle, target[1], variant).value
+        return defect / length if exact else defect / float(length)
+
+    def _normalized(self, kappa, alpha: Fraction):
+        return kappa / (1 - alpha) if self.exact else kappa / (1.0 - float(alpha))
+
+    def _variant_key(self, target: tuple, variant: str) -> str | None:
+        return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
+
+    def limit(self, target: tuple, variant: str = "sum", k_max: int = DEFAULT_K_MAX) -> Limit:
+        """Normalized-curvature limit of a target, without sampling any alpha grid.
+
+        Samples ``g(alpha_k)`` at ``alpha_k = 1 - 2**-k`` for k = 2, 3, ... and
+        declares the limit at the first two equal consecutive values (equal
+        within ``tol`` in float mode). Raises NoStabilization when k_max is
+        exhausted, or immediately when the target provably diverges.
+        """
+        target = tuple(target)
+        key = (target, self._variant_key(target, variant), k_max)
+        found = self._limits.get(key)
+        if found is not None:
+            self.stats.limit_hits += 1
+            if isinstance(found, errors.NoStabilization):
+                raise errors.NoStabilization(*found.args)
+            return found
+        self.stats.limits += 1
+        try:
+            found = self._search(target, variant, k_max)
+        except errors.NoStabilization as exc:
+            self._limits[key] = exc
+            raise
+        self._limits[key] = found
+        return found
+
+    def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
+        if target[0] == "edge" and self.hg.flavor != UNDIRECTED:
+            kappa_one = self.kappa(target, Fraction(1), variant)
+            diverges = kappa_one < 0 if self.exact else kappa_one < -self.tol
+            if diverges:
+                raise errors.NoStabilization(
+                    f"target {target} has curvature {kappa_one} at alpha=1; "
+                    "the normalized curve decreases without bound"
+                )
+        prev = None
+        prev_alpha = None
+        for kk in range(2, k_max + 1):
+            a = Fraction(2**kk - 1, 2**kk)
+            g = self._normalized(self.kappa(target, a, variant), a)
+            if self.exact:
+                settled = g == prev
+            else:
+                settled = prev is not None and abs(g - prev) <= self.tol
+            if settled:
+                return Limit(lly=g, stabilization_alpha=prev_alpha)
+            prev, prev_alpha = g, a
+        raise errors.NoStabilization(
+            f"normalized curvature of {target} did not settle within k <= {k_max}"
+        )
+
+    def report(
+        self, target: tuple, variant: str = "sum", grid=None, k_max: int = DEFAULT_K_MAX
+    ) -> CurvatureReport:
+        """``limit`` of the target plus its curve sampled on ``grid``.
+
+        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``.
+        """
+        grid = DEFAULT_ALPHA_GRID if grid is None else tuple(as_alpha(a) for a in grid)
+        found = self.limit(target, variant, k_max)
+        samples = []
+        normalized = []
+        for a in grid:
+            k = self.kappa(target, a, variant)
+            samples.append((a, k))
+            if a != 1:
+                normalized.append((a, self._normalized(k, a)))
+        return CurvatureReport(
+            target=tuple(target),
+            variant=self._variant_key(target, variant),
+            curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
+            lly=found.lly,
+            stabilization_alpha=found.stabilization_alpha,
+        )
+
+
 def kappa_alpha_pair(
     hg: Hypergraph, oracle: DistanceOracle, u: int, v: int, alpha, exact: bool = True
 ):
     """Curvature ``1 - W(mu_u, mu_v)/d(u, v)`` of an ordered vertex pair."""
-    if u == v:
-        raise errors.SamePair(f"pair curvature needs two distinct vertices, got ({u}, {v})")
-    _require_pair_flavor(hg, oracle)
-    a = as_alpha(alpha)
-    w = _pair_transport(hg, oracle, u, v, a, exact)
-    d = oracle.d(u, v)
-    return 1 - w / d if exact else 1.0 - w / float(d)
+    return Evaluator(hg, oracle, exact).kappa(("pair", u, v), alpha)
 
 
 def kappa_alpha_edge_undirected(
@@ -109,16 +301,7 @@ def kappa_alpha_edge_undirected(
     """
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("use kappa_alpha_edge_directed for directed flavors")
-    a = as_alpha(alpha)
-    vs = hg.edges[edge_index].sorted_vertices()
-    defect = Fraction(0) if exact else 0.0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            w = _pair_transport(hg, oracle, vs[i], vs[j], a, exact)
-            d = oracle.d(vs[i], vs[j])
-            defect += (d - w) if exact else (float(d) - w)
-    length = edge_length(hg, oracle, edge_index, variant).value
-    return defect / length if exact else defect / float(length)
+    return Evaluator(hg, oracle, exact).kappa(("edge", edge_index), alpha, variant)
 
 
 def kappa_alpha_edge_directed(
@@ -127,25 +310,7 @@ def kappa_alpha_edge_directed(
     """Curvature ``1 - W(mu_tail, mu_head)/L(h)`` of a directed hyperedge."""
     if hg.flavor == UNDIRECTED:
         raise errors.UnsupportedFlavor("use kappa_alpha_edge_undirected for the undirected flavor")
-    a = as_alpha(alpha)
-    mu = measure_set(hg, edge_index, "tail", a)
-    nu = measure_set(hg, edge_index, "head", a)
-    w = wasserstein(mu, nu, oracle, exact=exact).value
-    length = edge_length(hg, oracle, edge_index, "min").value
-    return 1 - w / length if exact else 1.0 - w / float(length)
-
-
-def _kappa_at(hg, oracle, target, alpha, variant, exact):
-    kind = target[0]
-    if kind == "pair":
-        return kappa_alpha_pair(hg, oracle, target[1], target[2], alpha, exact=exact)
-    if kind == "edge":
-        if hg.flavor == UNDIRECTED:
-            return kappa_alpha_edge_undirected(
-                hg, oracle, target[1], alpha, variant=variant, exact=exact
-            )
-        return kappa_alpha_edge_directed(hg, oracle, target[1], alpha, exact=exact)
-    raise ValueError(f"unknown target kind {target[0]!r}")
+    return Evaluator(hg, oracle, exact).kappa(("edge", edge_index), alpha)
 
 
 def lly_limit(
@@ -160,50 +325,10 @@ def lly_limit(
 ) -> CurvatureReport:
     """Normalized-curvature limit of a ``("pair", u, v)`` or ``("edge", h)`` target.
 
-    Samples ``g(alpha_k)`` at ``alpha_k = 1 - 2**-k`` for k = 2, 3, ... and
-    declares the limit at the first two equal consecutive values (equal
-    within ``tol`` in float mode). Raises NoStabilization when k_max is
-    exhausted, or immediately when the target provably diverges.
+    The limit search is :meth:`Evaluator.limit`; the report adds the curve
+    sampled on ``alpha_grid`` (default ``DEFAULT_ALPHA_GRID``).
     """
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(as_alpha(a) for a in alpha_grid)
-    report_variant = variant if target[0] == "edge" and hg.flavor == UNDIRECTED else None
-
-    if target[0] == "edge" and hg.flavor != UNDIRECTED:
-        kappa_one = _kappa_at(hg, oracle, target, Fraction(1), variant, exact)
-        diverges = kappa_one < 0 if exact else kappa_one < -tol
-        if diverges:
-            raise errors.NoStabilization(
-                f"target {target} has curvature {kappa_one} at alpha=1; "
-                "the normalized curve decreases without bound"
-            )
-
-    samples = []
-    normalized = []
-    for a in grid:
-        k = _kappa_at(hg, oracle, target, a, variant, exact)
-        samples.append((a, k))
-        if a != 1:
-            normalized.append((a, k / (1 - a) if exact else k / (1.0 - float(a))))
-
-    prev = None
-    prev_alpha = None
-    for kk in range(2, k_max + 1):
-        a = Fraction(2**kk - 1, 2**kk)
-        kappa = _kappa_at(hg, oracle, target, a, variant, exact)
-        g = kappa / (1 - a) if exact else kappa / (1.0 - float(a))
-        settled = (g == prev) if exact else (prev is not None and abs(g - prev) <= tol)
-        if settled:
-            return CurvatureReport(
-                target=target,
-                variant=report_variant,
-                curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
-                lly=g,
-                stabilization_alpha=prev_alpha,
-            )
-        prev, prev_alpha = g, a
-    raise errors.NoStabilization(
-        f"normalized curvature of {target} did not settle within k <= {k_max}"
-    )
+    return Evaluator(hg, oracle, exact, tol).report(target, variant, alpha_grid, k_max)
 
 
 def well_transported_pairs(hg: Hypergraph, oracle: DistanceOracle) -> list[tuple[int, int, int]]:

@@ -4,6 +4,11 @@ Nothing here shares code with hypercurv internals: distances come from
 sequence enumeration or Floyd-Warshall, transport optima from polytope
 vertex enumeration or a dense two-phase tableau simplex, and the graph
 curvature limit from a self-contained implementation.
+
+The exception is ``reference_lly_limit`` at the end: the uncached limit
+search that predates :class:`hypercurv.Evaluator`. It reuses the library's
+walk measures and transport solver, and checks only the memoised
+evaluation layer built on top of them.
 """
 
 from __future__ import annotations
@@ -284,3 +289,79 @@ class BruteGraphCurvature:
                 return g, prev_alpha
             prev, prev_alpha = g, a
         raise AssertionError(f"graph oracle did not stabilize for ({u}, {v})")
+
+
+# -- uncached reference for the memoised Evaluator ---------------------------
+
+
+def _reference_pair_transport(hg, oracle, u, v, alpha, exact):
+    from hypercurv.walk import _pair_measure, measure_undirected
+    from hypercurv.transport import wasserstein
+
+    if hg.flavor == "undirected":
+        mu = measure_undirected(hg, u, alpha)
+        nu = measure_undirected(hg, v, alpha)
+    else:
+        mu = _pair_measure(hg, u, "in", alpha)
+        nu = _pair_measure(hg, v, "out", alpha)
+    return wasserstein(mu, nu, oracle, exact=exact).value
+
+
+def reference_kappa(hg, oracle, target, alpha, variant, exact):
+    """``kappa_alpha`` of a target, every transport solved afresh."""
+    from hypercurv.metric import edge_length
+    from hypercurv.transport import wasserstein
+    from hypercurv.walk import measure_set
+
+    if target[0] == "pair":
+        u, v = target[1], target[2]
+        w = _reference_pair_transport(hg, oracle, u, v, alpha, exact)
+        d = oracle.d(u, v)
+        return 1 - w / d if exact else 1.0 - w / float(d)
+    e = target[1]
+    if hg.flavor == "undirected":
+        vs = hg.edges[e].sorted_vertices()
+        defect = Fraction(0) if exact else 0.0
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                w = _reference_pair_transport(hg, oracle, vs[i], vs[j], alpha, exact)
+                d = oracle.d(vs[i], vs[j])
+                defect += (d - w) if exact else (float(d) - w)
+        length = edge_length(hg, oracle, e, variant).value
+        return defect / length if exact else defect / float(length)
+    mu = measure_set(hg, e, "tail", alpha)
+    nu = measure_set(hg, e, "head", alpha)
+    w = wasserstein(mu, nu, oracle, exact=exact).value
+    length = edge_length(hg, oracle, e, "min").value
+    return 1 - w / length if exact else 1.0 - w / float(length)
+
+
+def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24, exact=True, tol=1e-9):
+    """(samples, normalized, lly, stabilization_alpha) of one target, uncached.
+
+    Raises ``hypercurv.errors.NoStabilization`` where the limit search does.
+    """
+    from hypercurv.errors import NoStabilization
+
+    if target[0] == "edge" and hg.flavor != "undirected":
+        kappa_one = reference_kappa(hg, oracle, target, Fraction(1), variant, exact)
+        if (kappa_one < 0) if exact else (kappa_one < -tol):
+            raise NoStabilization(f"target {target} diverges")
+    samples = []
+    normalized = []
+    for a in grid:
+        k = reference_kappa(hg, oracle, target, a, variant, exact)
+        samples.append((a, k))
+        if a != 1:
+            normalized.append((a, k / (1 - a) if exact else k / (1.0 - float(a))))
+    prev = None
+    prev_alpha = None
+    for kk in range(2, k_max + 1):
+        a = Fraction(2**kk - 1, 2**kk)
+        kappa = reference_kappa(hg, oracle, target, a, variant, exact)
+        g = kappa / (1 - a) if exact else kappa / (1.0 - float(a))
+        settled = (g == prev) if exact else (prev is not None and abs(g - prev) <= tol)
+        if settled:
+            return tuple(samples), tuple(normalized), g, prev_alpha
+        prev, prev_alpha = g, a
+    raise NoStabilization(f"normalized curvature of {target} did not settle")

@@ -20,7 +20,7 @@ from hypercurv import (
     lly_limit,
     vertex_count_bound,
 )
-from hypercurv.bounds import distance_layers
+from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS, distance_layers
 
 from conftest import (
     random_directed,
@@ -271,3 +271,14 @@ def test_layer_growth_under_curvature_floor():
                 assert nxt <= cap, (u, i)
                 i += 1
         checked += 1
+
+
+def test_vertex_count_bound_capped():
+    cap = VERTEX_COUNT_MAX_TERMS
+    assert vertex_count_bound(2, 2, Fraction(2, cap)) > 0  # exactly at the cap
+    with pytest.raises(errors.HypothesisNotMet):
+        vertex_count_bound(2, 2, Fraction(2, cap + 1))
+    hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
+    verdict = check_vertex_count(hg, all_pairs_distances(hg), kappa0=Fraction(1, 10**6))
+    assert verdict.holds is None
+    assert f"cap of {cap}" in verdict.witness

@@ -288,3 +288,59 @@ def test_bad_env_threads_rejected(capsys, h4_path, monkeypatch):
     code, _, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3"])
     assert code == 2
     assert "HYPERCURV_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alpha", "abc"], ["--alpha", "1/0"], ["--alpha-grid", "0,x"], ["--alpha", "1e100000"]],
+)
+def test_unreadable_alpha_is_a_parse_error(capsys, h4_path, flags):
+    code, out, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ParseError: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("weight", ['"1e1000000"', '"' + "1" * 1001 + '"', "1e1000000"])
+def test_huge_weight_literal_rejected(capsys, tmp_path, weight):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"flavor": "undirected", "n_vertices": 2, '
+        f'"hyperedges": [{{"vertices": [0, 1], "weight": {weight}}}]}}'
+    )
+    code, _, err = _run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "ParseError" in err and "weight" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--all", "--format", "json"],
+        ["bounds"],
+        ["sweep", "--pair", "x2,x3"],
+        ["validate"],
+    ],
+)
+def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
+    argv = [argv[0], h4_path, *argv[1:]]
+    code, base, base_err = _run(capsys, argv)
+    code_stats, out, err = _run(capsys, [*argv, "--stats"])
+    assert code == code_stats == 0
+    assert out == base and base_err == ""
+    counters = json.loads(err)
+    assert set(counters) == {
+        "solves", "solve_hits", "measures", "measure_hits", "limits", "limit_hits", "seconds"
+    }
+    if argv[0] == "validate":
+        assert counters["solves"] == 0
+    else:
+        assert counters["solves"] > 0 and counters["measures"] <= 2 * counters["solves"]
+
+
+def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
+    code, _, err = _run(capsys, ["sweep", h4_path, "--pair", "x2,x3", "--stats"])
+    assert code == 0
+    counters = json.loads(err)
+    # 11 default grid points and the 2 dyadic points; the last row is a hit.
+    assert counters["solves"] == 13 and counters["solve_hits"] == 1

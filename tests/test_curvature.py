@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypercurv import (
+    Evaluator,
     all_pairs_distances,
     build,
     errors,
@@ -85,6 +86,7 @@ def test_sandwich_between_pair_extremes():
 def test_monotone_and_concave_on_h4(h4, h4_oracle):
     targets = [("pair", u, v) for u in range(4) for v in range(u + 1, 4)]
     targets += [("edge", 0), ("edge", 1)]
+    ev = Evaluator(h4, h4_oracle)
     for target in targets:
         rep = lly_limit(h4, h4_oracle, target, alpha_grid=GRID)
         gs = [g for _a, g in rep.curve.normalized]
@@ -94,9 +96,7 @@ def test_monotone_and_concave_on_h4(h4, h4_oracle):
             for c in GRID:
                 if a < c:
                     mid = (a + c) / 2
-                    from hypercurv.curvature import _kappa_at
-
-                    k_mid = _kappa_at(h4, h4_oracle, target, mid, "sum", True)
+                    k_mid = ev.kappa(target, mid, "sum")
                     assert 2 * k_mid >= kappas[a] + kappas[c]
 
 
