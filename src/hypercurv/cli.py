@@ -11,6 +11,8 @@ accepted and validated but does not change how a run is evaluated.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -84,6 +86,16 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _csv_text(comment: str, header: list[str], rows) -> str:
+    """A ``# ...`` comment line, then the header and rows as quoted CSV."""
+    out = io.StringIO()
+    out.write(comment + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()[:-1]
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -102,11 +114,12 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
     oracle = all_pairs_distances(hg)
     names = doc.vertex_names
     if cfg.fmt == "csv":
-        lines = [f"# mode={cfg.mode}", "u,v,distance"]
-        for u in range(hg.n_vertices):
-            for v in range(hg.n_vertices):
-                lines.append(f"{names[u]},{names[v]},{cfg.fmt_num(oracle.d(u, v))}")
-        return 0, "\n".join(lines)
+        rows = (
+            (names[u], names[v], cfg.fmt_num(oracle.d(u, v)))
+            for u in range(hg.n_vertices)
+            for v in range(hg.n_vertices)
+        )
+        return 0, _csv_text(f"# mode={cfg.mode}", ["u", "v", "distance"], rows)
     if cfg.fmt == "json":
         payload = {
             "mode": cfg.mode,
@@ -232,14 +245,13 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
         }
         return 0, json.dumps(payload, indent=2)
     if cfg.fmt == "csv":
-        lines = [f"# mode={cfg.mode}", "target,alpha,kappa,normalized"]
+        rows = []
         for name, rep in results:
             for (a, k) in rep.curve.samples:
-                lines.append(f"{name},{cfg.fmt_num(a)},{cfg.fmt_num(k)},{_norm_str(rep, a, cfg)}")
-            lines.append(
-                f"{name},{cfg.fmt_num(rep.stabilization_alpha)},,{cfg.fmt_num(rep.lly)}"
-            )
-        return 0, "\n".join(lines)
+                rows.append((name, cfg.fmt_num(a), cfg.fmt_num(k), _norm_str(rep, a, cfg)))
+            rows.append((name, cfg.fmt_num(rep.stabilization_alpha), "", cfg.fmt_num(rep.lly)))
+        header = ["target", "alpha", "kappa", "normalized"]
+        return 0, _csv_text(f"# mode={cfg.mode}", header, rows)
     lines = [f"mode: {cfg.mode}  variant: {cfg.variant}"]
     for name, rep in results:
         lines.append(
@@ -340,12 +352,19 @@ def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int,
         }
         return code, json.dumps(payload, indent=2)
     if cfg.fmt == "csv":
-        lines = [f"# mode={cfg.mode}", "name,target,lhs,rhs,status,witness"]
-        for v in ledger:
-            lhs = "" if v.lhs is None else cfg.fmt_num(v.lhs)
-            rhs = "" if v.rhs is None else cfg.fmt_num(v.rhs)
-            lines.append(f"{v.name},{v.target},{lhs},{rhs},{_status(v)},{v.witness or ''}")
-        return code, "\n".join(lines)
+        rows = (
+            (
+                v.name,
+                v.target,
+                "" if v.lhs is None else cfg.fmt_num(v.lhs),
+                "" if v.rhs is None else cfg.fmt_num(v.rhs),
+                _status(v),
+                v.witness or "",
+            )
+            for v in ledger
+        )
+        header = ["name", "target", "lhs", "rhs", "status", "witness"]
+        return code, _csv_text(f"# mode={cfg.mode}", header, rows)
     lines = [f"mode: {cfg.mode}  alpha: {cfg.fmt_num(cfg.alpha)}"]
     for v in ledger:
         lhs = "-" if v.lhs is None else cfg.fmt_num(v.lhs)
@@ -362,13 +381,15 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
     report = ev.report(target, cfg.variant, cfg.alpha_grid)
-    lines = [f"# mode={cfg.mode} target={name}", "alpha,kappa,normalized"]
-    for (a, k) in report.curve.samples:
-        lines.append(f"{cfg.fmt_num(a)},{cfg.fmt_num(k)},{_norm_str(report, a, cfg)}")
+    rows = [
+        (cfg.fmt_num(a), cfg.fmt_num(k), _norm_str(report, a, cfg))
+        for (a, k) in report.curve.samples
+    ]
     stab = report.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)
-    lines.append(f"{cfg.fmt_num(stab)},{cfg.fmt_num(kappa_stab)},{cfg.fmt_num(report.lly)}")
-    return 0, "\n".join(lines)
+    rows.append((cfg.fmt_num(stab), cfg.fmt_num(kappa_stab), cfg.fmt_num(report.lly)))
+    header = ["alpha", "kappa", "normalized"]
+    return 0, _csv_text(f"# mode={cfg.mode} target={name}", header, rows)
 
 
 # -- argument parsing ----------------------------------------------------------

@@ -74,10 +74,12 @@ def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
 
 @dataclass
 class EvalStats:
-    """Work counters of one Evaluator: computations done and memo hits."""
+    """Work counters of one Evaluator: computations done, memo hits, simplex pivots."""
 
     solves: int = 0
     solve_hits: int = 0
+    pivots: int = 0
+    degenerate_pivots: int = 0
     measures: int = 0
     measure_hits: int = 0
     limits: int = 0
@@ -155,9 +157,11 @@ class Evaluator:
         else:
             mu = self._measure("pair", target[1], "in", alpha)
             nu = self._measure("pair", target[2], "out", alpha)
-        w = wasserstein(mu, nu, self.oracle, exact=self.exact).value
-        self._transports[key] = w
-        return w
+        result = wasserstein(mu, nu, self.oracle, exact=self.exact)
+        self.stats.pivots += result.pivots
+        self.stats.degenerate_pivots += result.degenerate_pivots
+        self._transports[key] = result.value
+        return result.value
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):
         """``kappa_alpha`` of a ``("pair", u, v)`` or ``("edge", h)`` target.

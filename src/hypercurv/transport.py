@@ -3,9 +3,13 @@
 The solver is a transportation simplex on the complete bipartite support
 graph: northwest-corner start, Bland entering rule on lexicographic
 (row, col) order, leaving arc chosen as the lexicographically smallest
-minimizer. With Fraction arithmetic the optimum, the coupling, and the
-dual potential are exact and reproducible; a float path with a pivot
-tolerance serves large instances.
+minimizer. The exact path scales the masses and the costs to Python ints
+once per solve, each by the lcm of its denominators, pivots on ints, and
+builds Fractions only for the result: the optimum, the coupling and the
+dual potential are exact and reproducible. Scaling changes no comparison,
+so the pivots and the results are those of the same simplex run on
+Fractions. The float path (``exact=False``) runs the same core on floats
+with a pivot tolerance.
 
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
@@ -13,8 +17,10 @@ be asymmetric; they are used as-is, no symmetrization ever happens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .metric import DistanceOracle
@@ -54,6 +60,8 @@ class TransportResult:
     value: Fraction
     coupling: Coupling
     dual_potential: dict[int, Fraction] | None = None
+    pivots: int = 0
+    degenerate_pivots: int = 0
 
 
 def _measure_items(mu) -> list[tuple[int, Fraction]]:
@@ -71,44 +79,74 @@ def wasserstein(
     """Minimum-cost coupling between two equal-mass sparse measures.
 
     ``mu`` and ``nu`` are ProbabilityMeasures or plain ``{vertex: mass}``
-    maps. The optimum is taken over couplings supported on
-    support(mu) x support(nu), which is the whole transportation polytope.
-    ``with_potential`` additionally returns a function f on all oracle
-    vertices satisfying f(u) - f(v) <= d(u, v) for every ordered pair.
+    maps with rational masses. The optimum is taken over couplings
+    supported on support(mu) x support(nu), which is the whole
+    transportation polytope. ``with_potential`` additionally returns a
+    function f on all oracle vertices satisfying f(u) - f(v) <= d(u, v)
+    for every ordered pair.
     """
     rows = _measure_items(mu)
     cols = _measure_items(nu)
     if not rows or not cols:
         raise errors.MassMismatch("transport endpoints must carry positive mass")
-    supply = [m for _v, m in rows]
-    demand = [m for _v, m in cols]
+    masses, mass_scale = _as_ints([m for _v, m in rows] + [m for _v, m in cols])
+    supply, demand = masses[: len(rows)], masses[len(rows) :]
     if sum(supply) != sum(demand):
         raise errors.MassMismatch(
-            f"total masses differ: {sum(supply)} vs {sum(demand)}"
+            f"total masses differ: {sum(m for _v, m in rows)} vs {sum(m for _v, m in cols)}"
         )
     row_ids = [v for v, _m in rows]
     col_ids = [v for v, _m in cols]
-    cost = [[oracle.d(u, v) for v in col_ids] for u in row_ids]
+    cost = _cost_matrix(oracle, row_ids, col_ids)
 
     if exact:
-        value, flows, duals_u, duals_v = _transportation_simplex(supply, demand, cost)
+        flat, cost_scale = _as_ints([c for row in cost for c in row])
+        nc = len(col_ids)
+        sol = _transportation_simplex(
+            supply, demand, [flat[k : k + nc] for k in range(0, len(flat), nc)]
+        )
+        value = Fraction(sol.value, mass_scale * cost_scale)
+        flows = {cell: Fraction(q, mass_scale) for cell, q in sol.flows.items() if q}
     else:
-        value, flows, duals_u, duals_v = _transportation_simplex(
-            [float(s) for s in supply],
-            [float(d) for d in demand],
+        sol = _transportation_simplex(
+            [float(m) for _v, m in rows],
+            [float(m) for _v, m in cols],
             [[float(c) for c in row] for row in cost],
             tol=FLOAT_PIVOT_TOL,
         )
+        value = sol.value
+        flows = {cell: q for cell, q in sol.flows.items() if q != 0}
 
     coupling = Coupling(
-        entries={
-            (row_ids[i], col_ids[j]): q for (i, j), q in sorted(flows.items()) if q != 0
-        }
+        entries={(row_ids[i], col_ids[j]): q for (i, j), q in sorted(flows.items())}
     )
     potential = None
     if with_potential:
+        duals_v = [Fraction(x, cost_scale) for x in sol.v] if exact else sol.v
         potential = _dual_potential(oracle, col_ids, duals_v, exact=exact)
-    return TransportResult(value=value, coupling=coupling, dual_potential=potential)
+    return TransportResult(
+        value=value,
+        coupling=coupling,
+        dual_potential=potential,
+        pivots=sol.pivots,
+        degenerate_pivots=sol.degenerate_pivots,
+    )
+
+
+def _as_ints(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, as ints, and that lcm."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*{d for _n, d in ratios})
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _cost_matrix(oracle, row_ids, col_ids):
+    """Ground cost of each (row vertex, column vertex) pair, read from the table."""
+    ids = row_ids + col_ids
+    if min(ids) < 0 or max(ids) >= oracle.n:
+        # oracle.d raises for the first pair without a distance entry
+        return [[oracle.d(u, v) for v in col_ids] for u in row_ids]
+    return [[oracle.dist[u][v] for v in col_ids] for u in row_ids]
 
 
 def _dual_potential(oracle, col_ids, duals_v, exact: bool):
@@ -126,46 +164,114 @@ def _dual_potential(oracle, col_ids, duals_v, exact: bool):
     return potential
 
 
-def _transportation_simplex(supply, demand, cost, tol=None):
-    """Primal simplex over a spanning-tree basis; returns value, flows, duals.
+class _Solution(NamedTuple):
+    """Optimal basis of one simplex run, in the units of its inputs."""
 
-    ``tol=None`` means exact comparisons (Fractions); otherwise a float
-    pivot threshold.
+    value: object  # sum of flow * cost over the basis
+    flows: dict  # basic cell (i, j) -> flow; a degenerate basis keeps zeros
+    u: list  # row potentials, u[0] = 0
+    v: list  # column potentials; u[i] + v[j] = cost[i][j] on basic cells
+    pivots: int
+    degenerate_pivots: int  # pivots that moved no mass
+
+
+def _transportation_simplex(supply, demand, cost, tol=None) -> _Solution:
+    """Primal network simplex on a spanning-tree basis of the bipartite support.
+
+    Runs on ints with exact comparisons (``tol=None``) or on floats, where
+    a cell enters only if its reduced cost is below ``-tol``. Nodes are the
+    rows ``0..nr-1`` and the columns ``nr..nr+nc-1``; the basis tree hangs
+    from row 0 and is kept as adjacency sets with ``parent``/``depth``
+    arrays. A pivot walks both ends of the entering cell up to their common
+    ancestor to find the cycle, then re-hangs only the subtree cut off by
+    the leaving cell and shifts its potentials by the entering reduced cost.
     """
-    nr, nc = len(supply), len(demand)
-    zero = Fraction(0) if tol is None else 0.0
-    flows, basis = _northwest_corner(supply, demand, zero)
-    negative = (lambda x: x < 0) if tol is None else (lambda x: x < -tol)
+    nr = len(supply)
+    flows = _northwest_corner(supply, demand)
+    threshold = 0 if tol is None else -tol
+    adj = [set() for _ in range(nr + len(demand))]
+    for i, j in flows:
+        adj[i].add(nr + j)
+        adj[nr + j].add(i)
+    parent = [-1] * len(adj)
+    depth = [0] * len(adj)
+    u = [0 if tol is None else 0.0] * nr
+    v = [None] * len(demand)
+    for x in _rehang(adj, parent, depth, 0)[1:]:
+        if x < nr:
+            u[x] = cost[x][parent[x] - nr] - v[parent[x] - nr]
+        else:
+            v[x - nr] = cost[parent[x]][x - nr] - u[parent[x]]
 
-    while True:
-        u, v = _tree_duals(basis, cost, nr, nc, zero)
-        entering = None
-        for i in range(nr):
-            for j in range(nc):
-                if (i, j) not in flows and negative(cost[i][j] - u[i] - v[j]):
-                    entering = (i, j)
-                    break
-            if entering:
-                break
-        if entering is None:
-            break
-        plus, minus = _pivot_cycle(basis, entering)
-        theta = min(flows[c] for c in minus)
-        leaving = min(c for c in minus if flows[c] == theta)
-        for c in plus:
-            flows[c] = flows.get(c, zero) + theta
-        for c in minus:
-            flows[c] -= theta
+    pivots = degenerate = 0
+    while (entering := _bland_entering(cost, u, v, flows, threshold)) is not None:
+        i, j = entering
+        reduced = cost[i][j] - u[i] - v[j]
+        # Climb from both ends to the common ancestor. Flow leaves the cells
+        # above rows on the row's side and above columns on the column's.
+        a, b = i, nr + j
+        row_side, col_side = [], []
+        while depth[a] > depth[b]:
+            row_side.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            col_side.append(b)
+            b = parent[b]
+        while a != b:
+            row_side.append(a)
+            a = parent[a]
+            col_side.append(b)
+            b = parent[b]
+        minus, plus = [], []
+        for x in row_side:
+            if x < nr:
+                minus.append((x, parent[x] - nr))
+            else:
+                plus.append((parent[x], x - nr))
+        for x in col_side:
+            if x < nr:
+                plus.append((x, parent[x] - nr))
+            else:
+                minus.append((parent[x], x - nr))
+        theta, leaving = min((flows[c], c) for c in minus)
+        pivots += 1
+        if theta == 0:
+            degenerate += 1
+        else:
+            for c in plus:
+                flows[c] += theta
+            for c in minus:
+                flows[c] -= theta
+        flows[entering] = theta
         del flows[leaving]
-        basis.remove(leaving)
-        basis.append(entering)
-        basis.sort()
 
-    value = sum((q * cost[i][j] for (i, j), q in flows.items()), zero)
-    return value, flows, u, v
+        # The leaving cell cuts off the subtree under its lower end; that
+        # subtree holds exactly one end of the entering cell and is re-hung
+        # from it. Its potentials move by the entering reduced cost so the
+        # entering cell becomes tight: rows by +shift, columns by -shift.
+        low = leaving[0] if parent[leaving[0]] == nr + leaving[1] else nr + leaving[1]
+        adj[low].discard(parent[low])
+        adj[parent[low]].discard(low)
+        adj[i].add(nr + j)
+        adj[nr + j].add(i)
+        if low in row_side:
+            top, shift = i, reduced
+            parent[i] = nr + j
+        else:
+            top, shift = nr + j, -reduced
+            parent[nr + j] = i
+        depth[top] = depth[parent[top]] + 1
+        for x in _rehang(adj, parent, depth, top):
+            if x < nr:
+                u[x] += shift
+            else:
+                v[x - nr] -= shift
+
+    value = sum(q * cost[i][j] for (i, j), q in flows.items())
+    return _Solution(value, flows, u, v, pivots, degenerate)
 
 
-def _northwest_corner(supply, demand, zero):
+def _northwest_corner(supply, demand) -> dict:
     nr, nc = len(supply), len(demand)
     s = list(supply)
     d = list(demand)
@@ -178,67 +284,33 @@ def _northwest_corner(supply, demand, zero):
         d[j] -= q
         if i == nr - 1 and j == nc - 1:
             break
-        if s[i] == zero and i < nr - 1:
+        if s[i] == 0 and i < nr - 1:
             i += 1
         else:
             j += 1
-    return flows, sorted(flows)
+    return flows
 
 
-def _tree_duals(basis, cost, nr, nc, zero):
-    adj = [[] for _ in range(nr + nc)]
-    for (i, j) in basis:
-        adj[i].append(nr + j)
-        adj[nr + j].append(i)
-    u = [None] * nr
-    v = [None] * nc
-    u[0] = zero
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if node < nr:  # node is a row, nxt a column
-                v[nxt - nr] = cost[node][nxt - nr] - u[node]
-            else:
-                u[nxt] = cost[nxt][node - nr] - v[node - nr]
-            stack.append(nxt)
-    return u, v
+def _rehang(adj, parent, depth, top) -> list[int]:
+    """Nodes hanging from ``top`` in breadth-first order, with their ``parent``
+    and ``depth`` reset from ``top`` down; ``top``'s own entries are the caller's."""
+    order = [top]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+    return order
 
 
-def _pivot_cycle(basis, entering):
-    """Cells gaining/losing flow when ``entering`` joins the tree basis."""
-    adj: dict[int, list[int]] = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append(~j)
-        adj.setdefault(~j, []).append(i)
-    start, goal = entering[0], ~entering[1]
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt in adj.get(node, ()):  # deterministic: basis is kept sorted
-            if nxt not in parent:
-                parent[nxt] = node
-                stack.append(nxt)
-    path = []
-    node = goal
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()  # row, col, row, ..., col
-    cells = []
-    for a, b in zip(path, path[1:]):
-        row, col = (a, b) if a >= 0 else (b, a)
-        cells.append((row, ~col))
-    minus = cells[0::2]
-    plus = [entering] + cells[1::2]
-    return plus, minus
+def _bland_entering(cost, u, v, flows, threshold):
+    """First nonbasic cell in (row, col) order whose reduced cost is below ``threshold``."""
+    for i, (row, ui) in enumerate(zip(cost, u)):
+        for j, (c, vj) in enumerate(zip(row, v)):
+            if c - ui - vj < threshold and (i, j) not in flows:
+                return i, j
+    return None
 
 
 def lipschitz_check(f, oracle: DistanceOracle) -> bool:

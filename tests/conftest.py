@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py lives beside the tests
 
 from hypercurv import all_pairs_distances, build, errors
+from hypercurv.hypergraph import UNDIRECTED
 
 WEIGHTS = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)]
 
@@ -157,3 +158,27 @@ def undirected_corpus(seed: int, count: int, **kwargs):
 def directed_corpus(seed: int, count: int, **kwargs):
     rng = random.Random(seed)
     return [random_directed(rng, **kwargs) for _ in range(count)]
+
+
+def oriented_corpus(seed: int, count: int, **kwargs):
+    rng = random.Random(seed)
+    return [random_oriented_unit(rng, **kwargs) for _ in range(count)]
+
+
+def curvature_targets(hg, oracle):
+    """Every (target, variant) the CLI evaluates for the instance."""
+    if hg.flavor == UNDIRECTED:
+        for e in range(hg.n_edges):
+            for variant in ("min", "sum", "max"):
+                yield ("edge", e), variant
+        for u in range(hg.n_vertices):
+            for v in range(u + 1, hg.n_vertices):
+                yield ("pair", u, v), "sum"
+        return
+    for e in range(hg.n_edges):
+        yield ("edge", e), "sum"
+    if oracle.symmetric:
+        for u in range(hg.n_vertices):
+            for v in range(hg.n_vertices):
+                if u != v:
+                    yield ("pair", u, v), "sum"

@@ -5,10 +5,12 @@ sequence enumeration or Floyd-Warshall, transport optima from polytope
 vertex enumeration or a dense two-phase tableau simplex, and the graph
 curvature limit from a self-contained implementation.
 
-The exception is ``reference_lly_limit`` at the end: the uncached limit
-search that predates :class:`hypercurv.Evaluator`. It reuses the library's
-walk measures and transport solver, and checks only the memoised
-evaluation layer built on top of them.
+Two exceptions sit at the end. ``reference_lly_limit`` is the uncached
+limit search that predates :class:`hypercurv.Evaluator`; it reuses the
+library's walk measures and transport solver, and checks only the
+memoised evaluation layer built on top of them.
+``reference_transportation_simplex`` is the Fraction simplex that the
+integer transport core replaced, kept to check that core pivot for pivot.
 """
 
 from __future__ import annotations
@@ -365,3 +367,127 @@ def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24, exact=True,
             return tuple(samples), tuple(normalized), g, prev_alpha
         prev, prev_alpha = g, a
     raise NoStabilization(f"normalized curvature of {target} did not settle")
+
+
+# -- reference transportation simplex ------------------------------------------
+#
+# The Fraction simplex that ``hypercurv.transport`` ran before its core
+# moved to scaled ints, kept as it was: northwest-corner start, Bland
+# entering rule, lexicographically smallest leaving cell, the whole dual
+# tree rebuilt and the basis sorted on every pivot. The integer core must
+# reproduce its basis, flows, duals and value exactly.
+
+
+def reference_transportation_simplex(supply, demand, cost, tol=None):
+    """Primal simplex over a spanning-tree basis; returns value, flows, duals.
+
+    ``tol=None`` means exact comparisons (Fractions); otherwise a float
+    pivot threshold.
+    """
+    nr, nc = len(supply), len(demand)
+    zero = Fraction(0) if tol is None else 0.0
+    flows, basis = _northwest_corner(supply, demand, zero)
+    negative = (lambda x: x < 0) if tol is None else (lambda x: x < -tol)
+
+    while True:
+        u, v = _tree_duals(basis, cost, nr, nc, zero)
+        entering = None
+        for i in range(nr):
+            for j in range(nc):
+                if (i, j) not in flows and negative(cost[i][j] - u[i] - v[j]):
+                    entering = (i, j)
+                    break
+            if entering:
+                break
+        if entering is None:
+            break
+        plus, minus = _pivot_cycle(basis, entering)
+        theta = min(flows[c] for c in minus)
+        leaving = min(c for c in minus if flows[c] == theta)
+        for c in plus:
+            flows[c] = flows.get(c, zero) + theta
+        for c in minus:
+            flows[c] -= theta
+        del flows[leaving]
+        basis.remove(leaving)
+        basis.append(entering)
+        basis.sort()
+
+    value = sum((q * cost[i][j] for (i, j), q in flows.items()), zero)
+    return value, flows, u, v
+
+
+def _northwest_corner(supply, demand, zero):
+    nr, nc = len(supply), len(demand)
+    s = list(supply)
+    d = list(demand)
+    flows = {}
+    i = j = 0
+    while True:
+        q = s[i] if s[i] < d[j] else d[j]
+        flows[(i, j)] = q
+        s[i] -= q
+        d[j] -= q
+        if i == nr - 1 and j == nc - 1:
+            break
+        if s[i] == zero and i < nr - 1:
+            i += 1
+        else:
+            j += 1
+    return flows, sorted(flows)
+
+
+def _tree_duals(basis, cost, nr, nc, zero):
+    adj = [[] for _ in range(nr + nc)]
+    for (i, j) in basis:
+        adj[i].append(nr + j)
+        adj[nr + j].append(i)
+    u = [None] * nr
+    v = [None] * nc
+    u[0] = zero
+    stack = [0]
+    seen = {0}
+    while stack:
+        node = stack.pop()
+        for nxt in adj[node]:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if node < nr:  # node is a row, nxt a column
+                v[nxt - nr] = cost[node][nxt - nr] - u[node]
+            else:
+                u[nxt] = cost[nxt][node - nr] - v[node - nr]
+            stack.append(nxt)
+    return u, v
+
+
+def _pivot_cycle(basis, entering):
+    """Cells gaining/losing flow when ``entering`` joins the tree basis."""
+    adj: dict[int, list[int]] = {}
+    for (i, j) in basis:
+        adj.setdefault(i, []).append(~j)
+        adj.setdefault(~j, []).append(i)
+    start, goal = entering[0], ~entering[1]
+    parent = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for nxt in adj.get(node, ()):  # deterministic: basis is kept sorted
+            if nxt not in parent:
+                parent[nxt] = node
+                stack.append(nxt)
+    path = []
+    node = goal
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()  # row, col, row, ..., col
+    cells = []
+    for a, b in zip(path, path[1:]):
+        row, col = (a, b) if a >= 0 else (b, a)
+        cells.append((row, ~col))
+    minus = cells[0::2]
+    plus = [entering] + cells[1::2]
+    return plus, minus

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -330,12 +335,23 @@ def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
     assert out == base and base_err == ""
     counters = json.loads(err)
     assert set(counters) == {
-        "solves", "solve_hits", "measures", "measure_hits", "limits", "limit_hits", "seconds"
+        "solves",
+        "solve_hits",
+        "pivots",
+        "degenerate_pivots",
+        "measures",
+        "measure_hits",
+        "limits",
+        "limit_hits",
+        "seconds",
     }
+    assert counters["pivots"] >= counters["degenerate_pivots"] >= 0
     if argv[0] == "validate":
-        assert counters["solves"] == 0
+        assert counters["solves"] == counters["pivots"] == 0
     else:
         assert counters["solves"] > 0 and counters["measures"] <= 2 * counters["solves"]
+    if argv[0] == "curvature":
+        assert counters["pivots"] > 0
 
 
 def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
@@ -344,3 +360,43 @@ def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
     counters = json.loads(err)
     # 11 default grid points and the 2 dyadic points; the last row is a hit.
     assert counters["solves"] == 13 and counters["solve_hits"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distances", "--format", "csv"],
+        ["curvature", "--pair", "x1,x2", "--format", "csv"],
+        ["curvature", "--all", "--format", "csv"],
+        ["bounds", "--format", "csv"],
+        ["bounds", "--format", "csv", "--float"],
+        ["sweep", "--pair", "x2,x3"],
+        ["sweep", "--edge", "h1"],
+    ],
+)
+def test_csv_rows_match_header(capsys, h4_path, argv):
+    """Names and witnesses with commas are quoted, so every row parses to the header's width."""
+    code, out, _ = _run(capsys, [argv[0], h4_path, *argv[1:]])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# mode=")
+    header, *rows = list(csv.reader(lines[1:]))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_python_m_hypercurv_runs_the_cli():
+    import hypercurv
+
+    src = str(Path(hypercurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    h4 = Path(__file__).resolve().parents[1] / "data" / "h4.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "hypercurv", "validate", str(h4)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok: flavor=undirected vertices=4")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,8 +19,17 @@ from hypercurv import (
     lly_limit,
     well_transported_pairs,
 )
+from hypercurv.curvature import DEFAULT_ALPHA_GRID
 
-from conftest import graph_as_hypergraph, random_graph_edges, random_undirected
+from conftest import (
+    curvature_targets,
+    directed_corpus,
+    graph_as_hypergraph,
+    oriented_corpus,
+    random_graph_edges,
+    random_undirected,
+    undirected_corpus,
+)
 from oracles import BruteGraphCurvature
 
 GRID = [Fraction(k, 10) for k in range(10)] + [Fraction(99, 100)]
@@ -98,6 +108,31 @@ def test_monotone_and_concave_on_h4(h4, h4_oracle):
                     mid = (a + c) / 2
                     k_mid = ev.kappa(target, mid, "sum")
                     assert 2 * k_mid >= kappas[a] + kappas[c]
+
+
+CONCAVITY_CORPORA = {
+    "undirected": lambda: undirected_corpus(7201, 8, n_max=6, extra_max=2),
+    "directed": lambda: directed_corpus(7202, 8, n_max=5, m_max=7),
+    "oriented": lambda: oriented_corpus(7203, 6, n_max=5, extra_max=2),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(CONCAVITY_CORPORA))
+def test_kappa_concave_on_default_grid(flavor):
+    """kappa(mid) >= (kappa(a) + kappa(b)) / 2 exactly, for every grid pair a < b.
+
+    The measures are affine in alpha, so W is convex and kappa concave; the
+    dyadic limit certificate rests on this.
+    """
+    checked = 0
+    for hg in CONCAVITY_CORPORA[flavor]():
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        for target, variant in curvature_targets(hg, ev.oracle):
+            kappa = {a: ev.kappa(target, a, variant) for a in DEFAULT_ALPHA_GRID}
+            for a, b in combinations(DEFAULT_ALPHA_GRID, 2):
+                assert 2 * ev.kappa(target, (a + b) / 2, variant) >= kappa[a] + kappa[b]
+                checked += 1
+    assert checked > 0
 
 
 def test_lower_bound_propagation():

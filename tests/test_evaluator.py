@@ -2,45 +2,19 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from hypercurv import Evaluator, ParsedDocument, all_pairs_distances, build, errors
 from hypercurv.cli import RunConfig, _bounds_ledger
-from hypercurv.hypergraph import UNDIRECTED
 
-from conftest import directed_corpus, random_oriented_unit, undirected_corpus
+from conftest import curvature_targets, directed_corpus, oriented_corpus, undirected_corpus
 from oracles import reference_lly_limit
 
 # Overlaps the dyadic search (3/4) and includes alpha=1, so the curve and the
 # limit share memo entries.
 GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1))
-
-
-def _oriented_corpus(seed: int, count: int):
-    rng = random.Random(seed)
-    return [random_oriented_unit(rng, n_max=5, extra_max=2) for _ in range(count)]
-
-
-def _targets(hg, oracle):
-    """Every (target, variant) the CLI evaluates for the instance."""
-    if hg.flavor == UNDIRECTED:
-        for e in range(hg.n_edges):
-            for variant in ("min", "sum", "max"):
-                yield ("edge", e), variant
-        for u in range(hg.n_vertices):
-            for v in range(u + 1, hg.n_vertices):
-                yield ("pair", u, v), "sum"
-        return
-    for e in range(hg.n_edges):
-        yield ("edge", e), "sum"
-    if oracle.symmetric:
-        for u in range(hg.n_vertices):
-            for v in range(hg.n_vertices):
-                if u != v:
-                    yield ("pair", u, v), "sum"
 
 
 def _divergent():
@@ -55,7 +29,7 @@ def _divergent():
 CORPORA = {
     "undirected": lambda: undirected_corpus(7101, 5, n_max=5, extra_max=1),
     "directed": lambda: directed_corpus(7102, 5, n_max=4, m_max=6) + [_divergent()],
-    "oriented": lambda: _oriented_corpus(7103, 4),
+    "oriented": lambda: oriented_corpus(7103, 4, n_max=5, extra_max=2),
 }
 
 
@@ -63,7 +37,7 @@ def _compare(hg, exact: bool) -> int:
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle, exact=exact)
     diverged = 0
-    for target, variant in _targets(hg, oracle):
+    for target, variant in curvature_targets(hg, oracle):
         try:
             samples, normalized, lly, stab = reference_lly_limit(
                 hg, oracle, target, variant, GRID, exact=exact
@@ -88,14 +62,14 @@ def test_report_matches_uncached_reference(flavor):
 
 
 def test_float_report_matches_uncached_reference():
-    for hg in CORPORA["undirected"]()[:2] + _oriented_corpus(7104, 2):
+    for hg in CORPORA["undirected"]()[:2] + oriented_corpus(7104, 2, n_max=5, extra_max=2):
         _compare(hg, exact=False)
 
 
 def test_memo_solves_each_transport_once():
     hg = undirected_corpus(7105, 1, n_max=5)[0]
     ev = Evaluator(hg, all_pairs_distances(hg))
-    targets = list(_targets(hg, ev.oracle))
+    targets = list(curvature_targets(hg, ev.oracle))
     for target, variant in targets:
         ev.report(target, variant, GRID)
     first = (ev.stats.solves, ev.stats.measures, ev.stats.limits)

@@ -55,6 +55,13 @@ def test_mass_mismatch(h4, h4_oracle):
         wasserstein({0: Fraction(1)}, {1: Fraction(1, 2)}, h4_oracle)
 
 
+def test_vertex_outside_oracle_raises_missing_distance(h4_oracle):
+    with pytest.raises(errors.MissingDistance, match=r"\(0, 7\)"):
+        wasserstein({0: Fraction(1)}, {1: Fraction(1, 2), 7: Fraction(1, 2)}, h4_oracle)
+    with pytest.raises(errors.MissingDistance, match=r"\(-1, 0\)"):
+        wasserstein({-1: Fraction(1)}, {0: Fraction(1)}, h4_oracle)
+
+
 def test_marginals_exact_random():
     rng = random.Random(3001)
     for _ in range(20):

@@ -1,0 +1,191 @@
+"""The integer transport core against the Fraction simplex it replaced.
+
+Both solvers use the same pricing (Bland), the same leaving rule and the
+same root, so on every instance the core must end on the same basis, in
+the same order, with equal flows, row and column duals and value; in
+float mode it must stay within the tolerance of the reference.
+"""
+
+from __future__ import annotations
+
+import random
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypercurv import all_pairs_distances, measure_undirected, wasserstein
+from hypercurv.curvature import FLOAT_TOL
+from hypercurv.transport import (
+    FLOAT_PIVOT_TOL,
+    _as_ints,
+    _transportation_simplex,
+)
+
+from conftest import random_undirected
+from oracles import reference_transportation_simplex
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when a broken pivot rule cycles forever."""
+
+    def expire(_signum, _frame):
+        raise AssertionError(f"transport core still pivoting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _core_in_fractions(supply, demand, cost):
+    """Run the core on the scaled problem and scale its answer back."""
+    masses, mass_scale = _as_ints(supply + demand)
+    cost_scale = _as_ints([c for row in cost for c in row])[1]
+    scaled_cost = [[c.numerator * (cost_scale // c.denominator) for c in row] for row in cost]
+    sol = _transportation_simplex(masses[: len(supply)], masses[len(supply) :], scaled_cost)
+    flows = {cell: Fraction(q, mass_scale) for cell, q in sol.flows.items()}
+    u = [Fraction(x, cost_scale) for x in sol.u]
+    v = [Fraction(x, cost_scale) for x in sol.v]
+    return Fraction(sol.value, mass_scale * cost_scale), flows, u, v, sol
+
+
+def _assert_matches_reference(supply, demand, cost):
+    with _deadline(10):
+        value, flows, u, v, sol = _core_in_fractions(supply, demand, cost)
+    ref_value, ref_flows, ref_u, ref_v = reference_transportation_simplex(supply, demand, cost)
+    assert list(flows.items()) == list(ref_flows.items())
+    assert u == ref_u
+    assert v == ref_v
+    assert value == ref_value
+    assert sol.pivots >= sol.degenerate_pivots >= 0
+
+    fsupply = [float(x) for x in supply]
+    fdemand = [float(x) for x in demand]
+    fcost = [[float(c) for c in row] for row in cost]
+    with _deadline(10):
+        fsol = _transportation_simplex(fsupply, fdemand, fcost, tol=FLOAT_PIVOT_TOL)
+    fref_value, fref_flows, fref_u, fref_v = reference_transportation_simplex(
+        fsupply, fdemand, fcost, tol=FLOAT_PIVOT_TOL
+    )
+    assert list(fsol.flows) == list(fref_flows)
+    assert all(abs(fsol.flows[c] - q) <= FLOAT_TOL for c, q in fref_flows.items())
+    assert all(abs(a - b) <= FLOAT_TOL for a, b in zip(fsol.u + fsol.v, fref_u + fref_v))
+    assert abs(fsol.value - fref_value) <= FLOAT_TOL
+    return sol
+
+
+def _masses(rng, n, denominator, shared=()):
+    """n positive masses over ``denominator`` summing to 1.
+
+    Partial sums land on ``shared`` (multiples of 1/denominator) plus random
+    cuts, so two calls with the same ``shared`` cuts have equal partial sums
+    there: the northwest corner then exhausts a row and a column at once.
+    """
+    cuts = set(shared)
+    while len(cuts) < n - 1:
+        cuts.add(rng.randrange(1, denominator))
+    bounds = [0, *sorted(cuts), denominator]
+    return [Fraction(b - a, denominator) for a, b in zip(bounds, bounds[1:])]
+
+
+def _mixed_masses(rng, n):
+    raw = [Fraction(rng.randint(1, 40), rng.choice([1, 3, 7, 12, 2**20])) for _ in range(n)]
+    total = sum(raw)
+    return [x / total for x in raw]
+
+
+def _cost(rng, nr, nc, kind):
+    if kind == "zero":
+        return [[Fraction(0)] * nc for _ in range(nr)]
+    if kind == "tied":
+        return [[Fraction(rng.randint(1, 2)) for _ in range(nc)] for _ in range(nr)]
+    dens = {"small": [1, 2, 3], "mixed": [1, 7, 12], "large": [2**20, 7 * 2**20]}[kind]
+    return [
+        [Fraction(rng.randint(0, 12 * d), d) for d in (rng.choice(dens) for _ in range(nc))]
+        for _ in range(nr)
+    ]
+
+
+def _instances(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        shape = k % 4
+        if shape == 0:
+            nr, nc = 1, rng.randint(1, 7)
+        elif shape == 1:
+            nr, nc = rng.randint(1, 7), 1
+        else:
+            nr, nc = rng.randint(2, 7), rng.randint(2, 7)
+        kind = ("zero", "tied", "small", "mixed", "large")[k % 5]
+        if k % 3 == 0:
+            den = rng.choice([7, 12, 2**20])
+            den = max(den, 2 * (nr + nc))
+            shared = rng.sample(range(1, den), min(nr, nc) - 1) if k % 2 else ()
+            supply = _masses(rng, nr, den, shared)
+            demand = _masses(rng, nc, den, shared)
+        else:
+            supply, demand = _mixed_masses(rng, nr), _mixed_masses(rng, nc)
+        yield supply, demand, _cost(rng, nr, nc, kind)
+
+
+def test_core_matches_reference_on_seeded_instances():
+    pivots = degenerate = 0
+    for supply, demand, cost in _instances(7301, 800):
+        sol = _assert_matches_reference(supply, demand, cost)
+        pivots += sol.pivots
+        degenerate += sol.degenerate_pivots
+    # The corpus exercises both kinds of pivot.
+    assert pivots > degenerate > 0
+
+
+def test_core_matches_reference_on_single_rows_and_columns():
+    rng = random.Random(7302)
+    for n in range(1, 9):
+        masses = _mixed_masses(rng, n)
+        for kind in ("zero", "mixed", "large"):
+            row_cost = _cost(rng, 1, n, kind)
+            sol = _assert_matches_reference([Fraction(1)], masses, row_cost)
+            assert sol.pivots == 0
+            col_cost = [[c] for c in _cost(rng, 1, n, kind)[0]]
+            sol = _assert_matches_reference(masses, [Fraction(1)], col_cost)
+            assert sol.pivots == 0
+
+
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_core_matches_reference_hypothesis(row_weights, col_weights, data):
+    supply = [Fraction(w, sum(row_weights)) for w in row_weights]
+    demand = [Fraction(w, sum(col_weights)) for w in col_weights]
+    entry = st.fractions(min_value=0, max_value=6, max_denominator=12)
+    cost = [
+        data.draw(st.lists(entry, min_size=len(demand), max_size=len(demand)))
+        for _ in supply
+    ]
+    _assert_matches_reference(supply, demand, cost)
+
+
+def test_wasserstein_reports_pivots():
+    rng = random.Random(7303)
+    seen = 0
+    for _ in range(10):
+        hg = random_undirected(rng)
+        oracle = all_pairs_distances(hg)
+        u, v = rng.sample(range(hg.n_vertices), 2)
+        mu = measure_undirected(hg, u, Fraction(1, 3))
+        nu = measure_undirected(hg, v, Fraction(1, 3))
+        for exact in (True, False):
+            res = wasserstein(mu, nu, oracle, exact=exact)
+            assert res.pivots >= res.degenerate_pivots >= 0
+            seen += res.pivots
+    assert seen > 0
