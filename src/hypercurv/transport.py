@@ -97,7 +97,7 @@ def wasserstein(
         )
     row_ids = [v for v, _m in rows]
     col_ids = [v for v, _m in cols]
-    cost = _cost_matrix(oracle, row_ids, col_ids)
+    cost = [[oracle.d(u, v) for v in col_ids] for u in row_ids]
 
     if exact:
         flat, cost_scale = _as_ints([c for row in cost for c in row])
@@ -138,15 +138,6 @@ def _as_ints(values) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in values]
     scale = math.lcm(*{d for _n, d in ratios})
     return [n * (scale // d) for n, d in ratios], scale
-
-
-def _cost_matrix(oracle, row_ids, col_ids):
-    """Ground cost of each (row vertex, column vertex) pair, read from the table."""
-    ids = row_ids + col_ids
-    if min(ids) < 0 or max(ids) >= oracle.n:
-        # oracle.d raises for the first pair without a distance entry
-        return [[oracle.d(u, v) for v in col_ids] for u in row_ids]
-    return [[oracle.dist[u][v] for v in col_ids] for u in row_ids]
 
 
 def _dual_potential(oracle, col_ids, duals_v, exact: bool):
