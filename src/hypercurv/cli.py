@@ -6,6 +6,7 @@ config) pairs across runs and parallelism degrees. Targets are evaluated
 one after another, in sorted target order, by one Evaluator per run, so
 each measure, transport and limit is computed once; ``--parallel`` is
 accepted and validated but does not change how a run is evaluated.
+Every number is computed exactly; ``--float`` only prints it as a decimal.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ class RunConfig:
     alpha: Fraction = Fraction(1, 2)
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
     variant: str = "sum"
-    exact: bool = True
-    tol: float = 1e-9
+    exact: bool = True  # print p/q; False prints the same values as decimals
     fmt: str = "table"
     strict: bool = False
 
@@ -66,10 +66,8 @@ def _config_from_args(args) -> RunConfig:
         cfg.variant = args.variant
     if getattr(args, "float", False):
         cfg.exact = False
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise errors.ParseError("tolerance must be positive")
-        cfg.tol = args.tol
+    if getattr(args, "tol", None) is not None and args.tol <= 0:
+        raise errors.ParseError("tolerance must be positive")
     if getattr(args, "format", None):
         cfg.fmt = args.format
     parallel = getattr(args, "parallel", None)
@@ -177,11 +175,13 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
     return 0, json.dumps(payload, indent=2)
 
 
-def _norm_str(report, alpha, cfg: RunConfig) -> str:
-    for a, g in report.curve.normalized:
-        if a == alpha:
-            return cfg.fmt_num(g)
-    return ""
+def _curve_rows(report, cfg: RunConfig) -> list[tuple[str, str, str]]:
+    """(alpha, kappa, normalized) of each curve sample; normalized is blank at alpha=1."""
+    normalized = dict(report.curve.normalized)
+    return [
+        (cfg.fmt_num(a), cfg.fmt_num(k), cfg.fmt_num(normalized[a]) if a in normalized else "")
+        for a, k in report.curve.samples
+    ]
 
 
 def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
@@ -235,12 +235,8 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
                     "lly": cfg.fmt_num(rep.lly),
                     "stabilization_alpha": cfg.fmt_num(rep.stabilization_alpha),
                     "curve": [
-                        {
-                            "alpha": cfg.fmt_num(a),
-                            "kappa": cfg.fmt_num(k),
-                            "normalized": _norm_str(rep, a, cfg),
-                        }
-                        for (a, k) in rep.curve.samples
+                        {"alpha": a, "kappa": k, "normalized": g}
+                        for a, k, g in _curve_rows(rep, cfg)
                     ],
                 }
                 for name, rep in results
@@ -250,8 +246,7 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
     if cfg.fmt == "csv":
         rows = []
         for name, rep in results:
-            for (a, k) in rep.curve.samples:
-                rows.append((name, cfg.fmt_num(a), cfg.fmt_num(k), _norm_str(rep, a, cfg)))
+            rows.extend((name, *row) for row in _curve_rows(rep, cfg))
             rows.append((name, cfg.fmt_num(rep.stabilization_alpha), "", cfg.fmt_num(rep.lly)))
         header = ["target", "alpha", "kappa", "normalized"]
         return 0, _csv_text(f"# mode={cfg.mode}", header, rows)
@@ -384,10 +379,7 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
     report = ev.report(target, cfg.variant, cfg.alpha_grid)
-    rows = [
-        (cfg.fmt_num(a), cfg.fmt_num(k), _norm_str(report, a, cfg))
-        for (a, k) in report.curve.samples
-    ]
+    rows = _curve_rows(report, cfg)
     stab = report.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)
     rows.append((cfg.fmt_num(stab), cfg.fmt_num(kappa_stab), cfg.fmt_num(report.lly)))
@@ -403,9 +395,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", help="laziness parameter (rational or decimal)")
     p.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated alphas for curves")
     p.add_argument("--variant", choices=["min", "sum", "max"], help="hyperedge length variant")
-    p.add_argument("--exact", action="store_true", help="exact rational arithmetic (default)")
-    p.add_argument("--float", action="store_true", help="float arithmetic with tolerance")
-    p.add_argument("--tol", type=float, help="float-mode tolerance (default 1e-9)")
+    p.add_argument("--exact", action="store_true", help="print exact rationals p/q (default)")
+    p.add_argument(
+        "--float", action="store_true", help="print the exactly computed values as decimals"
+    )
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="accepted for compatibility (must be positive); has no effect on results",
+    )
     p.add_argument("--format", choices=["json", "csv", "table"], help="output format")
     p.add_argument(
         "--parallel",
@@ -472,9 +470,7 @@ def main(argv=None) -> int:
                 code, text = cmd_measure(doc, args, cfg)
             else:
                 hg = doc.hypergraph
-                # The bounds ledger compares exact rationals in every output mode.
-                exact = cfg.exact or args.command == "bounds"
-                ev = Evaluator(hg, all_pairs_distances(hg), exact=exact, tol=cfg.tol)
+                ev = Evaluator(hg, all_pairs_distances(hg))
                 if args.command == "curvature":
                     code, text = cmd_curvature(doc, args, cfg, ev)
                 elif args.command == "bounds":

@@ -9,9 +9,10 @@ The Lin-Lu-Yau value is the limit of ``g(alpha) = kappa_alpha / (1-alpha)``
 as alpha approaches 1. Because the transport optimum is piecewise linear
 in alpha and kappa vanishes at alpha=1, g is constant near 1; sampling at
 ``alpha_k = 1 - 2**-k`` and stopping at the first two equal consecutive
-values certifies the limit exactly in rational mode. A directed hyperedge
-whose curvature at alpha=1 is strictly negative has no finite limit, and
-the limit search reports that instead of truncating silently.
+values certifies the limit exactly. A directed hyperedge whose curvature
+at alpha=1 is strictly negative has no finite limit, and the limit search
+reports that instead of truncating silently. Every value is an exact
+rational; printing it as a decimal is left to the caller.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -37,7 +38,6 @@ from .walk import (
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
 DEFAULT_K_MAX = 24
-FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,14 @@ class Evaluator:
     limits by (target, variant where it matters, k_max). A one-to-one
     directed hyperedge shares the transport entry of the pair of its ends.
     A limit that does not stabilize is remembered and raised again. Only
-    transport values are kept, never couplings. Build one per hypergraph
-    and oracle and drop it with them: the memo is never shared between
-    runs.
+    transport values are kept; their couplings are never built. Build one
+    per hypergraph and oracle and drop it with them: the memo is never
+    shared between runs.
     """
 
-    def __init__(
-        self, hg: Hypergraph, oracle: DistanceOracle, exact: bool = True, tol: float = FLOAT_TOL
-    ):
+    def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
         self.hg = hg
         self.oracle = oracle
-        self.exact = exact
-        self.tol = tol
         self.stats = EvalStats()
         self._measures: dict[tuple, object] = {}
         self._transports: dict[tuple, object] = {}
@@ -157,7 +153,7 @@ class Evaluator:
         else:
             mu = self._measure("pair", target[1], "in", alpha)
             nu = self._measure("pair", target[2], "out", alpha)
-        result = wasserstein(mu, nu, self.oracle, exact=self.exact)
+        result = wasserstein(mu, nu, self.oracle)
         self.stats.pivots += result.pivots
         self.stats.degenerate_pivots += result.degenerate_pivots
         self._transports[key] = result.value
@@ -169,7 +165,7 @@ class Evaluator:
         ``variant`` is the length normalizer of undirected hyperedges and is
         ignored elsewhere.
         """
-        hg, oracle, exact = self.hg, self.oracle, self.exact
+        hg, oracle = self.hg, self.oracle
         kind = target[0]
         if kind == "pair":
             u, v = target[1], target[2]
@@ -179,27 +175,20 @@ class Evaluator:
                 )
             _require_pair_flavor(hg, oracle)
             w = self._transport(("pair", u, v), as_alpha(alpha))
-            d = oracle.d(u, v)
-            return 1 - w / d if exact else 1.0 - w / float(d)
+            return 1 - w / oracle.d(u, v)
         if kind != "edge":
             raise ValueError(f"unknown target kind {kind!r}")
         a = as_alpha(alpha)
         if hg.flavor != UNDIRECTED:
             w = self._transport(("edge", target[1]), a)
-            length = edge_length(hg, oracle, target[1], "min").value
-            return 1 - w / length if exact else 1.0 - w / float(length)
+            return 1 - w / edge_length(hg, oracle, target[1], "min").value
         vs = hg.edges[target[1]].sorted_vertices()
-        defect = Fraction(0) if exact else 0.0
+        defect = Fraction(0)
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 w = self._transport(("pair", vs[i], vs[j]), a)
-                d = oracle.d(vs[i], vs[j])
-                defect += (d - w) if exact else (float(d) - w)
-        length = edge_length(hg, oracle, target[1], variant).value
-        return defect / length if exact else defect / float(length)
-
-    def _normalized(self, kappa, alpha: Fraction):
-        return kappa / (1 - alpha) if self.exact else kappa / (1.0 - float(alpha))
+                defect += oracle.d(vs[i], vs[j]) - w
+        return defect / edge_length(hg, oracle, target[1], variant).value
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
@@ -208,9 +197,9 @@ class Evaluator:
         """Normalized-curvature limit of a target, without sampling any alpha grid.
 
         Samples ``g(alpha_k)`` at ``alpha_k = 1 - 2**-k`` for k = 2, 3, ... and
-        declares the limit at the first two equal consecutive values (equal
-        within ``tol`` in float mode). Raises NoStabilization when k_max is
-        exhausted, or immediately when the target provably diverges.
+        declares the limit at the first two exactly equal consecutive values.
+        Raises NoStabilization when k_max is exhausted, or immediately when
+        the target provably diverges.
         """
         target = tuple(target)
         key = (target, self._variant_key(target, variant), k_max)
@@ -232,8 +221,7 @@ class Evaluator:
     def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
         if target[0] == "edge" and self.hg.flavor != UNDIRECTED:
             kappa_one = self.kappa(target, Fraction(1), variant)
-            diverges = kappa_one < 0 if self.exact else kappa_one < -self.tol
-            if diverges:
+            if kappa_one < 0:
                 raise errors.NoStabilization(
                     f"target {target} has curvature {kappa_one} at alpha=1; "
                     "the normalized curve decreases without bound"
@@ -242,12 +230,8 @@ class Evaluator:
         prev_alpha = None
         for kk in range(2, k_max + 1):
             a = Fraction(2**kk - 1, 2**kk)
-            g = self._normalized(self.kappa(target, a, variant), a)
-            if self.exact:
-                settled = g == prev
-            else:
-                settled = prev is not None and abs(g - prev) <= self.tol
-            if settled:
+            g = self.kappa(target, a, variant) / (1 - a)
+            if g == prev:
                 return Limit(lly=g, stabilization_alpha=prev_alpha)
             prev, prev_alpha = g, a
         raise errors.NoStabilization(
@@ -269,7 +253,7 @@ class Evaluator:
             k = self.kappa(target, a, variant)
             samples.append((a, k))
             if a != 1:
-                normalized.append((a, self._normalized(k, a)))
+                normalized.append((a, k / (1 - a)))
         return CurvatureReport(
             target=tuple(target),
             variant=self._variant_key(target, variant),
@@ -279,11 +263,9 @@ class Evaluator:
         )
 
 
-def kappa_alpha_pair(
-    hg: Hypergraph, oracle: DistanceOracle, u: int, v: int, alpha, exact: bool = True
-):
+def kappa_alpha_pair(hg: Hypergraph, oracle: DistanceOracle, u: int, v: int, alpha):
     """Curvature ``1 - W(mu_u, mu_v)/d(u, v)`` of an ordered vertex pair."""
-    return Evaluator(hg, oracle, exact).kappa(("pair", u, v), alpha)
+    return Evaluator(hg, oracle).kappa(("pair", u, v), alpha)
 
 
 def kappa_alpha_edge_undirected(
@@ -292,7 +274,6 @@ def kappa_alpha_edge_undirected(
     edge_index: int,
     alpha,
     variant: str = "sum",
-    exact: bool = True,
 ):
     """Curvature of an undirected hyperedge under a length normalizer.
 
@@ -305,16 +286,14 @@ def kappa_alpha_edge_undirected(
     """
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("use kappa_alpha_edge_directed for directed flavors")
-    return Evaluator(hg, oracle, exact).kappa(("edge", edge_index), alpha, variant)
+    return Evaluator(hg, oracle).kappa(("edge", edge_index), alpha, variant)
 
 
-def kappa_alpha_edge_directed(
-    hg: Hypergraph, oracle: DistanceOracle, edge_index: int, alpha, exact: bool = True
-):
+def kappa_alpha_edge_directed(hg: Hypergraph, oracle: DistanceOracle, edge_index: int, alpha):
     """Curvature ``1 - W(mu_tail, mu_head)/L(h)`` of a directed hyperedge."""
     if hg.flavor == UNDIRECTED:
         raise errors.UnsupportedFlavor("use kappa_alpha_edge_undirected for the undirected flavor")
-    return Evaluator(hg, oracle, exact).kappa(("edge", edge_index), alpha)
+    return Evaluator(hg, oracle).kappa(("edge", edge_index), alpha)
 
 
 def lly_limit(
@@ -324,15 +303,13 @@ def lly_limit(
     variant: str = "sum",
     alpha_grid=None,
     k_max: int = DEFAULT_K_MAX,
-    exact: bool = True,
-    tol: float = FLOAT_TOL,
 ) -> CurvatureReport:
     """Normalized-curvature limit of a ``("pair", u, v)`` or ``("edge", h)`` target.
 
     The limit search is :meth:`Evaluator.limit`; the report adds the curve
     sampled on ``alpha_grid`` (default ``DEFAULT_ALPHA_GRID``).
     """
-    return Evaluator(hg, oracle, exact, tol).report(target, variant, alpha_grid, k_max)
+    return Evaluator(hg, oracle).report(target, variant, alpha_grid, k_max)
 
 
 def well_transported_pairs(hg: Hypergraph, oracle: DistanceOracle) -> list[tuple[int, int, int]]:

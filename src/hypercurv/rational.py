@@ -62,7 +62,7 @@ def as_alpha(value) -> Fraction:
 
 
 def format_number(x, exact: bool = True) -> str:
-    """Render a number for reports: 'p/q' in exact mode, decimal otherwise."""
+    """Render a number for reports: 'p/q', or the nearest float's repr when not ``exact``."""
     if exact and isinstance(x, Fraction):
         return str(x)
     return repr(float(x))

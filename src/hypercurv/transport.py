@@ -3,13 +3,13 @@
 The solver is a transportation simplex on the complete bipartite support
 graph: northwest-corner start, Bland entering rule on lexicographic
 (row, col) order, leaving arc chosen as the lexicographically smallest
-minimizer. The exact path scales the masses and the costs to Python ints
-once per solve, each by the lcm of its denominators, pivots on ints, and
-builds Fractions only for the result: the optimum, the coupling and the
-dual potential are exact and reproducible. Scaling changes no comparison,
-so the pivots and the results are those of the same simplex run on
-Fractions. The float path (``exact=False``) runs the same core on floats
-with a pivot tolerance.
+minimizer. Each solve scales the masses and the costs to Python ints
+once, each by the lcm of its denominators, pivots on ints, and builds
+Fractions only for the result: the optimum, the coupling and the dual
+potential are exact and reproducible. Scaling changes no comparison, so
+the pivots and the results are those of the same simplex run on
+Fractions. The coupling is built from the optimal basis only when it is
+read.
 
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
@@ -18,14 +18,13 @@ be asymmetric; they are used as-is, no symmetrization ever happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import errors
 from .metric import DistanceOracle
-
-FLOAT_PIVOT_TOL = 1e-12
 
 
 @dataclass
@@ -55,13 +54,32 @@ class Coupling:
 
 @dataclass
 class TransportResult:
-    """Optimal value, an optimal coupling, and (optionally) a dual potential."""
+    """Optimal value, an optimal coupling, and (optionally) a dual potential.
+
+    The coupling is built from the optimal basis the first time it is read,
+    so a caller that needs only the value never pays for it.
+    """
 
     value: Fraction
-    coupling: Coupling
     dual_potential: dict[int, Fraction] | None = None
     pivots: int = 0
     degenerate_pivots: int = 0
+    # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
+    _flows: dict = field(default_factory=dict, repr=False, compare=False)
+    _row_ids: list = field(default_factory=list, repr=False, compare=False)
+    _col_ids: list = field(default_factory=list, repr=False, compare=False)
+    _mass_scale: int = field(default=1, repr=False, compare=False)
+
+    @cached_property
+    def coupling(self) -> Coupling:
+        rows, cols, scale = self._row_ids, self._col_ids, self._mass_scale
+        return Coupling(
+            entries={
+                (rows[i], cols[j]): Fraction(q, scale)
+                for (i, j), q in sorted(self._flows.items())
+                if q
+            }
+        )
 
 
 def _measure_items(mu) -> list[tuple[int, Fraction]]:
@@ -74,7 +92,6 @@ def wasserstein(
     nu,
     oracle: DistanceOracle,
     with_potential: bool = False,
-    exact: bool = True,
 ) -> TransportResult:
     """Minimum-cost coupling between two equal-mass sparse measures.
 
@@ -97,39 +114,24 @@ def wasserstein(
         )
     row_ids = [v for v, _m in rows]
     col_ids = [v for v, _m in cols]
-    cost = [[oracle.d(u, v) for v in col_ids] for u in row_ids]
-
-    if exact:
-        flat, cost_scale = _as_ints([c for row in cost for c in row])
-        nc = len(col_ids)
-        sol = _transportation_simplex(
-            supply, demand, [flat[k : k + nc] for k in range(0, len(flat), nc)]
-        )
-        value = Fraction(sol.value, mass_scale * cost_scale)
-        flows = {cell: Fraction(q, mass_scale) for cell, q in sol.flows.items() if q}
-    else:
-        sol = _transportation_simplex(
-            [float(m) for _v, m in rows],
-            [float(m) for _v, m in cols],
-            [[float(c) for c in row] for row in cost],
-            tol=FLOAT_PIVOT_TOL,
-        )
-        value = sol.value
-        flows = {cell: q for cell, q in sol.flows.items() if q != 0}
-
-    coupling = Coupling(
-        entries={(row_ids[i], col_ids[j]): q for (i, j), q in sorted(flows.items())}
+    cost, cost_scale = _as_ints([oracle.d(u, v) for u in row_ids for v in col_ids])
+    nc = len(col_ids)
+    sol = _transportation_simplex(
+        supply, demand, [cost[k : k + nc] for k in range(0, len(cost), nc)]
     )
     potential = None
     if with_potential:
-        duals_v = [Fraction(x, cost_scale) for x in sol.v] if exact else sol.v
-        potential = _dual_potential(oracle, col_ids, duals_v, exact=exact)
+        duals_v = [Fraction(x, cost_scale) for x in sol.v]
+        potential = _dual_potential(oracle, col_ids, duals_v)
     return TransportResult(
-        value=value,
-        coupling=coupling,
+        value=Fraction(sol.value, mass_scale * cost_scale),
         dual_potential=potential,
         pivots=sol.pivots,
         degenerate_pivots=sol.degenerate_pivots,
+        _flows=sol.flows,
+        _row_ids=row_ids,
+        _col_ids=col_ids,
+        _mass_scale=mass_scale,
     )
 
 
@@ -140,7 +142,7 @@ def _as_ints(values) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-def _dual_potential(oracle, col_ids, duals_v, exact: bool):
+def _dual_potential(oracle, col_ids, duals_v):
     # One-sided transform of the column prices: f(z) = min_j d(z, y_j) - v_j.
     # The triangle inequality makes f feasible for every ordered pair, and
     # complementary slackness makes its objective meet the primal value.
@@ -148,7 +150,7 @@ def _dual_potential(oracle, col_ids, duals_v, exact: bool):
     for z in range(oracle.n):
         best = None
         for j, y in enumerate(col_ids):
-            cand = (oracle.d(z, y) if exact else float(oracle.d(z, y))) - duals_v[j]
+            cand = oracle.d(z, y) - duals_v[j]
             if best is None or cand < best:
                 best = cand
         potential[z] = best
@@ -166,27 +168,25 @@ class _Solution(NamedTuple):
     degenerate_pivots: int  # pivots that moved no mass
 
 
-def _transportation_simplex(supply, demand, cost, tol=None) -> _Solution:
+def _transportation_simplex(supply, demand, cost) -> _Solution:
     """Primal network simplex on a spanning-tree basis of the bipartite support.
 
-    Runs on ints with exact comparisons (``tol=None``) or on floats, where
-    a cell enters only if its reduced cost is below ``-tol``. Nodes are the
-    rows ``0..nr-1`` and the columns ``nr..nr+nc-1``; the basis tree hangs
-    from row 0 and is kept as adjacency sets with ``parent``/``depth``
-    arrays. A pivot walks both ends of the entering cell up to their common
-    ancestor to find the cycle, then re-hangs only the subtree cut off by
-    the leaving cell and shifts its potentials by the entering reduced cost.
+    Runs on ints with exact comparisons. Nodes are the rows ``0..nr-1`` and
+    the columns ``nr..nr+nc-1``; the basis tree hangs from row 0 and is kept
+    as adjacency sets with ``parent``/``depth`` arrays. A pivot walks both
+    ends of the entering cell up to their common ancestor to find the cycle,
+    then re-hangs only the subtree cut off by the leaving cell and shifts its
+    potentials by the entering reduced cost.
     """
     nr = len(supply)
     flows = _northwest_corner(supply, demand)
-    threshold = 0 if tol is None else -tol
     adj = [set() for _ in range(nr + len(demand))]
     for i, j in flows:
         adj[i].add(nr + j)
         adj[nr + j].add(i)
     parent = [-1] * len(adj)
     depth = [0] * len(adj)
-    u = [0 if tol is None else 0.0] * nr
+    u = [0] * nr
     v = [None] * len(demand)
     for x in _rehang(adj, parent, depth, 0)[1:]:
         if x < nr:
@@ -195,7 +195,7 @@ def _transportation_simplex(supply, demand, cost, tol=None) -> _Solution:
             v[x - nr] = cost[parent[x]][x - nr] - u[parent[x]]
 
     pivots = degenerate = 0
-    while (entering := _bland_entering(cost, u, v, flows, threshold)) is not None:
+    while (entering := _bland_entering(cost, u, v, flows)) is not None:
         i, j = entering
         reduced = cost[i][j] - u[i] - v[j]
         # Climb from both ends to the common ancestor. Flow leaves the cells
@@ -295,11 +295,11 @@ def _rehang(adj, parent, depth, top) -> list[int]:
     return order
 
 
-def _bland_entering(cost, u, v, flows, threshold):
-    """First nonbasic cell in (row, col) order whose reduced cost is below ``threshold``."""
+def _bland_entering(cost, u, v, flows):
+    """First nonbasic cell in (row, col) order with a negative reduced cost."""
     for i, (row, ui) in enumerate(zip(cost, u)):
         for j, (c, vj) in enumerate(zip(row, v)):
-            if c - ui - vj < threshold and (i, j) not in flows:
+            if c - ui - vj < 0 and (i, j) not in flows:
                 return i, j
     return None
 

@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py lives beside the tests
 
-from hypercurv import all_pairs_distances, build, errors
+from hypercurv import ParsedDocument, all_pairs_distances, build, errors
 from hypercurv.hypergraph import UNDIRECTED
 
 WEIGHTS = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)]
@@ -163,6 +163,12 @@ def directed_corpus(seed: int, count: int, **kwargs):
 def oriented_corpus(seed: int, count: int, **kwargs):
     rng = random.Random(seed)
     return [random_oriented_unit(rng, **kwargs) for _ in range(count)]
+
+
+def named_document(hg):
+    """``hg`` as a document with vertices x1, x2, ... and hyperedges h1, h2, ..."""
+    names = [f"x{i + 1}" for i in range(hg.n_vertices)]
+    return ParsedDocument(hg, names, [f"h{k + 1}" for k in range(hg.n_edges)])
 
 
 def curvature_targets(hg, oracle):

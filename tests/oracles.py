@@ -296,7 +296,7 @@ class BruteGraphCurvature:
 # -- uncached reference for the memoised Evaluator ---------------------------
 
 
-def _reference_pair_transport(hg, oracle, u, v, alpha, exact):
+def _reference_pair_transport(hg, oracle, u, v, alpha):
     from hypercurv.walk import _pair_measure, measure_undirected
     from hypercurv.transport import wasserstein
 
@@ -306,10 +306,10 @@ def _reference_pair_transport(hg, oracle, u, v, alpha, exact):
     else:
         mu = _pair_measure(hg, u, "in", alpha)
         nu = _pair_measure(hg, v, "out", alpha)
-    return wasserstein(mu, nu, oracle, exact=exact).value
+    return wasserstein(mu, nu, oracle).value
 
 
-def reference_kappa(hg, oracle, target, alpha, variant, exact):
+def reference_kappa(hg, oracle, target, alpha, variant):
     """``kappa_alpha`` of a target, every transport solved afresh."""
     from hypercurv.metric import edge_length
     from hypercurv.transport import wasserstein
@@ -317,28 +317,24 @@ def reference_kappa(hg, oracle, target, alpha, variant, exact):
 
     if target[0] == "pair":
         u, v = target[1], target[2]
-        w = _reference_pair_transport(hg, oracle, u, v, alpha, exact)
-        d = oracle.d(u, v)
-        return 1 - w / d if exact else 1.0 - w / float(d)
+        w = _reference_pair_transport(hg, oracle, u, v, alpha)
+        return 1 - w / oracle.d(u, v)
     e = target[1]
     if hg.flavor == "undirected":
         vs = hg.edges[e].sorted_vertices()
-        defect = Fraction(0) if exact else 0.0
+        defect = Fraction(0)
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
-                w = _reference_pair_transport(hg, oracle, vs[i], vs[j], alpha, exact)
-                d = oracle.d(vs[i], vs[j])
-                defect += (d - w) if exact else (float(d) - w)
-        length = edge_length(hg, oracle, e, variant).value
-        return defect / length if exact else defect / float(length)
+                w = _reference_pair_transport(hg, oracle, vs[i], vs[j], alpha)
+                defect += oracle.d(vs[i], vs[j]) - w
+        return defect / edge_length(hg, oracle, e, variant).value
     mu = measure_set(hg, e, "tail", alpha)
     nu = measure_set(hg, e, "head", alpha)
-    w = wasserstein(mu, nu, oracle, exact=exact).value
-    length = edge_length(hg, oracle, e, "min").value
-    return 1 - w / length if exact else 1.0 - w / float(length)
+    w = wasserstein(mu, nu, oracle).value
+    return 1 - w / edge_length(hg, oracle, e, "min").value
 
 
-def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24, exact=True, tol=1e-9):
+def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24):
     """(samples, normalized, lly, stabilization_alpha) of one target, uncached.
 
     Raises ``hypercurv.errors.NoStabilization`` where the limit search does.
@@ -346,24 +342,22 @@ def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24, exact=True,
     from hypercurv.errors import NoStabilization
 
     if target[0] == "edge" and hg.flavor != "undirected":
-        kappa_one = reference_kappa(hg, oracle, target, Fraction(1), variant, exact)
-        if (kappa_one < 0) if exact else (kappa_one < -tol):
+        kappa_one = reference_kappa(hg, oracle, target, Fraction(1), variant)
+        if kappa_one < 0:
             raise NoStabilization(f"target {target} diverges")
     samples = []
     normalized = []
     for a in grid:
-        k = reference_kappa(hg, oracle, target, a, variant, exact)
+        k = reference_kappa(hg, oracle, target, a, variant)
         samples.append((a, k))
         if a != 1:
-            normalized.append((a, k / (1 - a) if exact else k / (1.0 - float(a))))
+            normalized.append((a, k / (1 - a)))
     prev = None
     prev_alpha = None
     for kk in range(2, k_max + 1):
         a = Fraction(2**kk - 1, 2**kk)
-        kappa = reference_kappa(hg, oracle, target, a, variant, exact)
-        g = kappa / (1 - a) if exact else kappa / (1.0 - float(a))
-        settled = (g == prev) if exact else (prev is not None and abs(g - prev) <= tol)
-        if settled:
+        g = reference_kappa(hg, oracle, target, a, variant) / (1 - a)
+        if g == prev:
             return tuple(samples), tuple(normalized), g, prev_alpha
         prev, prev_alpha = g, a
     raise NoStabilization(f"normalized curvature of {target} did not settle")
@@ -378,23 +372,17 @@ def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24, exact=True,
 # reproduce its basis, flows, duals and value exactly.
 
 
-def reference_transportation_simplex(supply, demand, cost, tol=None):
-    """Primal simplex over a spanning-tree basis; returns value, flows, duals.
-
-    ``tol=None`` means exact comparisons (Fractions); otherwise a float
-    pivot threshold.
-    """
+def reference_transportation_simplex(supply, demand, cost):
+    """Primal simplex over a spanning-tree basis, on Fractions; returns value, flows, duals."""
     nr, nc = len(supply), len(demand)
-    zero = Fraction(0) if tol is None else 0.0
-    flows, basis = _northwest_corner(supply, demand, zero)
-    negative = (lambda x: x < 0) if tol is None else (lambda x: x < -tol)
+    flows, basis = _northwest_corner(supply, demand)
 
     while True:
-        u, v = _tree_duals(basis, cost, nr, nc, zero)
+        u, v = _tree_duals(basis, cost, nr, nc)
         entering = None
         for i in range(nr):
             for j in range(nc):
-                if (i, j) not in flows and negative(cost[i][j] - u[i] - v[j]):
+                if (i, j) not in flows and cost[i][j] - u[i] - v[j] < 0:
                     entering = (i, j)
                     break
             if entering:
@@ -405,7 +393,7 @@ def reference_transportation_simplex(supply, demand, cost, tol=None):
         theta = min(flows[c] for c in minus)
         leaving = min(c for c in minus if flows[c] == theta)
         for c in plus:
-            flows[c] = flows.get(c, zero) + theta
+            flows[c] = flows.get(c, Fraction(0)) + theta
         for c in minus:
             flows[c] -= theta
         del flows[leaving]
@@ -413,11 +401,11 @@ def reference_transportation_simplex(supply, demand, cost, tol=None):
         basis.append(entering)
         basis.sort()
 
-    value = sum((q * cost[i][j] for (i, j), q in flows.items()), zero)
+    value = sum((q * cost[i][j] for (i, j), q in flows.items()), Fraction(0))
     return value, flows, u, v
 
 
-def _northwest_corner(supply, demand, zero):
+def _northwest_corner(supply, demand):
     nr, nc = len(supply), len(demand)
     s = list(supply)
     d = list(demand)
@@ -430,21 +418,21 @@ def _northwest_corner(supply, demand, zero):
         d[j] -= q
         if i == nr - 1 and j == nc - 1:
             break
-        if s[i] == zero and i < nr - 1:
+        if s[i] == 0 and i < nr - 1:
             i += 1
         else:
             j += 1
     return flows, sorted(flows)
 
 
-def _tree_duals(basis, cost, nr, nc, zero):
+def _tree_duals(basis, cost, nr, nc):
     adj = [[] for _ in range(nr + nc)]
     for (i, j) in basis:
         adj[i].append(nr + j)
         adj[nr + j].append(i)
     u = [None] * nr
     v = [None] * nc
-    u[0] = zero
+    u[0] = Fraction(0)
     stack = [0]
     seen = {0}
     while stack:

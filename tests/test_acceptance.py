@@ -7,9 +7,11 @@ every run checks the same instances.
 
 from __future__ import annotations
 
+import io
+import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -27,15 +29,18 @@ from hypercurv import (
     measure_directed_out,
     measure_set,
     measure_undirected,
+    serialize_document,
     wasserstein,
     well_transported_pairs,
 )
 from hypercurv.bounds import _in_edge_pairs
+from hypercurv.cli import main
 from hypercurv.metric import edge_length
 
 from conftest import (
     directed_corpus,
     graph_as_hypergraph,
+    named_document,
     random_graph_edges,
     random_oriented_dense,
     random_undirected,
@@ -93,7 +98,7 @@ def c5_corpus():
 # -- criteria ------------------------------------------------------------------
 
 
-def test_criterion_01_worked_example_reproduction(h4, h4_oracle):
+def test_criterion_01_worked_example_reproduction(h4, h4_oracle, tmp_path):
     with _criterion(1, "worked four-vertex example reproduced exactly, under 1 s"):
         t0 = time.monotonic()
         hg = build("undirected", 4, [([0, 1, 2], 1), ([0, 3], 1)])
@@ -104,14 +109,23 @@ def test_criterion_01_worked_example_reproduction(h4, h4_oracle):
         assert lly_limit(hg, oracle, ("edge", 0), variant="sum").lly == Fraction(5, 6)
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(serialize_document(named_document(hg))))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(
+                ["curvature", str(path), "--pair", "x2,x3", "--pair", "x1,x2", "--pair", "x1,x3"]
+                + ["--edge", "h1", "--variant", "sum", "--float", "--format", "json"]
+            )
+        assert code == 0
+        got = {r["target"]: float(r["lly"]) for r in json.loads(out.getvalue())["results"]}
         for target, expected in [
-            (("pair", 1, 2), 1.5),
-            (("pair", 0, 1), 0.5),
-            (("pair", 0, 2), 0.5),
-            (("edge", 0), 5 / 6),
+            ("pair x2,x3", 1.5),
+            ("pair x1,x2", 0.5),
+            ("pair x1,x3", 0.5),
+            ("edge h1", 5 / 6),
         ]:
-            got = lly_limit(hg, oracle, target, exact=False).lly
-            assert abs(got - expected) <= 1e-9
+            assert abs(got[target] - expected) <= 1e-9
 
 
 def test_criterion_02_graph_degeneration_oracle(c2_results):

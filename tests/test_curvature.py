@@ -213,12 +213,6 @@ def test_stabilization_alpha_is_dyadic(h4, h4_oracle):
     assert den & (den - 1) == 0  # power of two
 
 
-def test_float_mode_matches_exact(h4, h4_oracle):
-    exact = lly_limit(h4, h4_oracle, ("pair", 1, 2)).lly
-    approx = lly_limit(h4, h4_oracle, ("pair", 1, 2), exact=False).lly
-    assert abs(float(exact) - approx) <= 1e-9
-
-
 def test_size_four_hyperedge_full_pipeline():
     # one 4-vertex hyperedge plus a pendant: 6 internal pairs, L_sum = 6
     hg = build("undirected", 5, [([0, 1, 2, 3], 1), ([3, 4], 2)])

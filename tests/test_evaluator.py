@@ -6,10 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurv import Evaluator, ParsedDocument, all_pairs_distances, build, errors
+from hypercurv import Evaluator, all_pairs_distances, build, errors
 from hypercurv.cli import RunConfig, _bounds_ledger
 
-from conftest import curvature_targets, directed_corpus, oriented_corpus, undirected_corpus
+from conftest import (
+    curvature_targets,
+    directed_corpus,
+    named_document,
+    oriented_corpus,
+    undirected_corpus,
+)
 from oracles import reference_lly_limit
 
 # Overlaps the dyadic search (3/4) and includes alpha=1, so the curve and the
@@ -33,15 +39,13 @@ CORPORA = {
 }
 
 
-def _compare(hg, exact: bool) -> int:
+def _compare(hg) -> int:
     oracle = all_pairs_distances(hg)
-    ev = Evaluator(hg, oracle, exact=exact)
+    ev = Evaluator(hg, oracle)
     diverged = 0
     for target, variant in curvature_targets(hg, oracle):
         try:
-            samples, normalized, lly, stab = reference_lly_limit(
-                hg, oracle, target, variant, GRID, exact=exact
-            )
+            samples, normalized, lly, stab = reference_lly_limit(hg, oracle, target, variant, GRID)
         except errors.NoStabilization:
             with pytest.raises(errors.NoStabilization):
                 ev.report(target, variant, GRID)
@@ -57,13 +61,8 @@ def _compare(hg, exact: bool) -> int:
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_report_matches_uncached_reference(flavor):
-    diverged = sum(_compare(hg, exact=True) for hg in CORPORA[flavor]())
+    diverged = sum(_compare(hg) for hg in CORPORA[flavor]())
     assert (diverged > 0) == (flavor == "directed")
-
-
-def test_float_report_matches_uncached_reference():
-    for hg in CORPORA["undirected"]()[:2] + oriented_corpus(7104, 2, n_max=5, extra_max=2):
-        _compare(hg, exact=False)
 
 
 def test_memo_solves_each_transport_once():
@@ -95,15 +94,10 @@ def test_divergent_edge_raises_again_from_memo():
     assert (ev.stats.limits, ev.stats.limit_hits) == (1, 2)
 
 
-def _document(hg):
-    names = [f"x{i + 1}" for i in range(hg.n_vertices)]
-    return ParsedDocument(hg, names, [f"h{k + 1}" for k in range(hg.n_edges)])
-
-
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_ledger_with_shared_evaluator_equals_fresh_per_check(flavor):
     cfg = RunConfig()
     for hg in CORPORA[flavor]()[:3]:
-        doc = _document(hg)
+        doc = named_document(hg)
         ev = Evaluator(hg, all_pairs_distances(hg))
         assert _bounds_ledger(doc, cfg, ev) == _bounds_ledger(doc, cfg)

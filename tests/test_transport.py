@@ -163,14 +163,6 @@ def test_dual_never_exceeds_primal_asymmetric():
         assert dual_value(res.dual_potential, mu, nu, oracle) <= res.value
 
 
-def test_float_mode_close_to_exact(h4, h4_oracle):
-    mu = measure_undirected(h4, 0, Fraction(1, 2))
-    nu = measure_undirected(h4, 1, Fraction(1, 2))
-    exact = wasserstein(mu, nu, h4_oracle).value
-    approx = wasserstein(mu, nu, h4_oracle, exact=False).value
-    assert abs(float(exact) - approx) <= 1e-9
-
-
 def test_interpolate_coupling_endpoints_and_marginals():
     rng = random.Random(3007)
     hg = random_directed(rng)
@@ -215,19 +207,6 @@ def test_weak_duality_random_potentials(seed, scale):
     f = [scale * oracle.d(z, base) for z in range(hg.n_vertices)]
     res = wasserstein(mu, nu, oracle)
     assert dual_value(f, mu, nu, oracle) <= res.value
-
-
-def test_float_solver_tracks_exact_on_random_instances():
-    rng = random.Random(3008)
-    for _ in range(20):
-        hg = random_undirected(rng)
-        oracle = all_pairs_distances(hg)
-        vertices = list(range(hg.n_vertices))
-        mu = _random_measure(rng, vertices, 4)
-        nu = _random_measure(rng, vertices, 4)
-        exact = wasserstein(mu, nu, oracle).value
-        approx = wasserstein(mu, nu, oracle, exact=False).value
-        assert abs(float(exact) - approx) <= 1e-9
 
 
 def test_degenerate_ties_fuzz_against_forest_oracle():

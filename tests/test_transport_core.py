@@ -2,8 +2,7 @@
 
 Both solvers use the same pricing (Bland), the same leaving rule and the
 same root, so on every instance the core must end on the same basis, in
-the same order, with equal flows, row and column duals and value; in
-float mode it must stay within the tolerance of the reference.
+the same order, with equal flows, row and column duals and value.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercurv import all_pairs_distances, measure_undirected, wasserstein
-from hypercurv.curvature import FLOAT_TOL
-from hypercurv.transport import (
-    FLOAT_PIVOT_TOL,
-    _as_ints,
-    _transportation_simplex,
-)
+from hypercurv.transport import _as_ints, _transportation_simplex
 
 from conftest import random_undirected
 from oracles import reference_transportation_simplex
@@ -65,19 +59,6 @@ def _assert_matches_reference(supply, demand, cost):
     assert v == ref_v
     assert value == ref_value
     assert sol.pivots >= sol.degenerate_pivots >= 0
-
-    fsupply = [float(x) for x in supply]
-    fdemand = [float(x) for x in demand]
-    fcost = [[float(c) for c in row] for row in cost]
-    with _deadline(10):
-        fsol = _transportation_simplex(fsupply, fdemand, fcost, tol=FLOAT_PIVOT_TOL)
-    fref_value, fref_flows, fref_u, fref_v = reference_transportation_simplex(
-        fsupply, fdemand, fcost, tol=FLOAT_PIVOT_TOL
-    )
-    assert list(fsol.flows) == list(fref_flows)
-    assert all(abs(fsol.flows[c] - q) <= FLOAT_TOL for c, q in fref_flows.items())
-    assert all(abs(a - b) <= FLOAT_TOL for a, b in zip(fsol.u + fsol.v, fref_u + fref_v))
-    assert abs(fsol.value - fref_value) <= FLOAT_TOL
     return sol
 
 
@@ -184,8 +165,7 @@ def test_wasserstein_reports_pivots():
         u, v = rng.sample(range(hg.n_vertices), 2)
         mu = measure_undirected(hg, u, Fraction(1, 3))
         nu = measure_undirected(hg, v, Fraction(1, 3))
-        for exact in (True, False):
-            res = wasserstein(mu, nu, oracle, exact=exact)
-            assert res.pivots >= res.degenerate_pivots >= 0
-            seen += res.pivots
+        res = wasserstein(mu, nu, oracle)
+        assert res.pivots >= res.degenerate_pivots >= 0
+        seen += res.pivots
     assert seen > 0
