@@ -14,6 +14,10 @@ at alpha=1 is strictly negative has no finite limit, and the limit search
 reports that instead of truncating silently. Every value is an exact
 rational; printing it as a decimal is left to the caller.
 
+The walk measures are affine in alpha, so W is convex and piecewise linear
+in alpha: one transport solve, ranged over the basis it ends on, gives the
+exact W on a whole interval of alpha.
+
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
 functions are one-shot wrappers over a fresh Evaluator.
@@ -29,7 +33,7 @@ from . import errors
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
 from .metric import DistanceOracle, edge_length
 from .rational import as_alpha
-from .transport import wasserstein
+from .transport import LinearPiece, linear_piece, wasserstein
 from .walk import (
     _pair_measure,
     measure_set,
@@ -74,7 +78,13 @@ def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
 
 @dataclass
 class EvalStats:
-    """Work counters of one Evaluator: computations done, memo hits, simplex pivots."""
+    """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
+
+    Each solve yields one linear piece of W(alpha) for its target; a solve
+    hit is a transport value read off a stored piece. Measures count walk
+    measures built (two per vertex or side, at alpha 0 and 1); a measure
+    hit is a reuse of such a pair.
+    """
 
     solves: int = 0
     solve_hits: int = 0
@@ -96,67 +106,84 @@ class Limit(NamedTuple):
 class Evaluator:
     """Curvature of one hypergraph, each measure, transport and limit computed once.
 
-    Walk measures are memoised by (constructor, vertex or edge, direction
-    or side, alpha), transport values by (pair or directed edge, alpha), and
-    limits by (target, variant where it matters, k_max). A one-to-one
-    directed hyperedge shares the transport entry of the pair of its ends.
-    A limit that does not stabilize is remembered and raised again. Only
-    transport values are kept; their couplings are never built. Build one
-    per hypergraph and oracle and drop it with them: the memo is never
-    shared between runs.
+    Walk measures are memoised at alpha 0 and 1 by (constructor, vertex or
+    edge, direction or side); the measure at any other alpha is their affine
+    blend. Transport values are memoised per pair or directed edge as the
+    exact linear pieces of W(alpha) that the solves found, and limits by
+    (target, variant where it matters, k_max). A one-to-one directed
+    hyperedge shares the transport entry of the pair of its ends. A limit
+    that does not stabilize is remembered and raised again. Couplings are
+    never built. Build one per hypergraph and oracle and drop it with them:
+    the memo is never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
         self.hg = hg
         self.oracle = oracle
         self.stats = EvalStats()
-        self._measures: dict[tuple, object] = {}
-        self._transports: dict[tuple, object] = {}
+        self._measures: dict[tuple, list] = {}
+        self._transports: dict[tuple, list[LinearPiece]] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
-    def _measure(self, kind: str, where: int, side: str | None, alpha: Fraction):
-        key = (kind, where, side, alpha)
-        mu = self._measures.get(key)
-        if mu is not None:
+    def _ends(self, kind: str, where: int, side: str | None):
+        """Walk measures of one vertex or side at alpha 0 and 1.
+
+        Every walk measure is affine in alpha, so the measure at any alpha is
+        ``(1-alpha)*mu0 + alpha*mu1`` of these two.
+        """
+        key = (kind, where, side)
+        ends = self._measures.get(key)
+        if ends is not None:
             self.stats.measure_hits += 1
-            return mu
-        self.stats.measures += 1
-        if kind == "undirected":
-            mu = measure_undirected(self.hg, where, alpha)
-        elif kind == "pair":
-            mu = _pair_measure(self.hg, where, side, alpha)
-        else:
-            mu = measure_set(self.hg, where, side, alpha)
-        self._measures[key] = mu
-        return mu
+            return ends
+        ends = []
+        for a in (Fraction(0), Fraction(1)):
+            self.stats.measures += 1
+            if kind == "undirected":
+                ends.append(measure_undirected(self.hg, where, a))
+            elif kind == "pair":
+                ends.append(_pair_measure(self.hg, where, side, a))
+            else:
+                ends.append(measure_set(self.hg, where, side, a))
+        self._measures[key] = ends
+        return ends
 
     def _transport(self, target: tuple, alpha: Fraction):
-        """W between the two measures of a pair ``("pair", u, v)`` or edge ``("edge", h)``."""
+        """W between the two measures of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
+
+        Each solve at an alpha strictly inside (0, 1) is ranged into the
+        exact linear piece of W around it, and every later alpha on a stored
+        piece is read off it without a solve. An alpha of 0 or 1 off every
+        stored piece is solved alone and kept as a one-point piece.
+        """
         if target[0] == "edge":
             edge = self.hg.edges[target[1]]
             if len(edge.tail) == 1 and len(edge.head) == 1:
                 # The set measures of a one-to-one hyperedge are the pair
-                # measures of its ends, so both targets share one solve.
+                # measures of its ends, so both targets share one entry.
                 target = ("pair", *edge.tail, *edge.head)
-        key = (target, alpha)
-        w = self._transports.get(key)
-        if w is not None:
-            self.stats.solve_hits += 1
-            return w
+        pieces = self._transports.setdefault(target, [])
+        for piece in pieces:
+            if piece.lo <= alpha <= piece.hi:
+                self.stats.solve_hits += 1
+                return piece.at(alpha)
         self.stats.solves += 1
         if target[0] == "edge":
-            mu = self._measure("set", target[1], "tail", alpha)
-            nu = self._measure("set", target[1], "head", alpha)
+            mu0, mu1 = self._ends("set", target[1], "tail")
+            nu0, nu1 = self._ends("set", target[1], "head")
         elif self.hg.flavor == UNDIRECTED:
-            mu = self._measure("undirected", target[1], None, alpha)
-            nu = self._measure("undirected", target[2], None, alpha)
+            mu0, mu1 = self._ends("undirected", target[1], None)
+            nu0, nu1 = self._ends("undirected", target[2], None)
         else:
-            mu = self._measure("pair", target[1], "in", alpha)
-            nu = self._measure("pair", target[2], "out", alpha)
-        result = wasserstein(mu, nu, self.oracle)
+            mu0, mu1 = self._ends("pair", target[1], "in")
+            nu0, nu1 = self._ends("pair", target[2], "out")
+        result = wasserstein(mu1.scaled_sum(mu0, alpha), nu1.scaled_sum(nu0, alpha), self.oracle)
         self.stats.pivots += result.pivots
         self.stats.degenerate_pivots += result.degenerate_pivots
-        self._transports[key] = result.value
+        if 0 < alpha < 1:
+            pieces.append(linear_piece(result, mu0, nu0, mu1, nu1, self.oracle))
+        else:
+            pieces.append(LinearPiece(alpha, alpha, result.value, result.value))
         return result.value
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):

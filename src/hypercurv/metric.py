@@ -61,9 +61,10 @@ class DistanceOracle:
         return len(self.dist)
 
     def d(self, u: int, v: int) -> Fraction:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise errors.MissingDistance(f"no distance entry for pair ({u}, {v})")
-        return self.dist[u][v]
+        n = len(self.dist)
+        if 0 <= u < n and 0 <= v < n:
+            return self.dist[u][v]
+        raise errors.MissingDistance(f"no distance entry for pair ({u}, {v})")
 
     def diameter(self) -> Fraction:
         return max(max(row) for row in self.dist)

@@ -135,6 +135,83 @@ def wasserstein(
     )
 
 
+class LinearPiece(NamedTuple):
+    """``W(b) = (1-b)*w0 + b*w1`` for every ``b`` with ``lo <= b <= hi``."""
+
+    lo: Fraction
+    hi: Fraction
+    w0: Fraction
+    w1: Fraction
+
+    def at(self, b) -> Fraction:
+        return (1 - b) * self.w0 + b * self.w1
+
+
+def linear_piece(
+    result: TransportResult, mu0, nu0, mu1, nu1, oracle: DistanceOracle
+) -> LinearPiece:
+    """Interval of ``b`` on which the optimal basis of ``result`` stays optimal.
+
+    ``result`` solved ``mu(b) = (1-b)*mu0 + b*mu1`` against ``nu(b) = (1-b)*nu0
+    + b*nu1`` at some ``b`` strictly between 0 and 1, so its rows and columns
+    hold the supports of all four endpoint measures. Reduced costs do not
+    depend on the masses, and the basic flows are affine in ``b``: the basis
+    stays optimal, and W stays affine, exactly where those flows stay
+    nonnegative. The flows are pushed through the basis tree for both
+    endpoints, and a ratio test over the basic cells gives ``[lo, hi]``.
+    Since W is convex in ``b``, the piece extended to [0, 1] never exceeds W.
+    """
+    rows, cols, cells = result._row_ids, result._col_ids, list(result._flows)
+    nr, nodes = len(rows), len(rows) + len(cols)
+    row_node = {v: i for i, v in enumerate(rows)}
+    col_node = {v: nr + j for j, v in enumerate(cols)}
+    parts = [_measure_items(m) for m in (mu0, nu0, mu1, nu1)]
+    masses, mass_scale = _as_ints([m for part in parts for _v, m in part])
+    # Net supply of each tree node at each end: row masses count plus,
+    # column masses minus.
+    nets = ([0] * nodes, [0] * nodes)
+    k = 0
+    for p, part in enumerate(parts):
+        node, sign = (row_node, 1) if p % 2 == 0 else (col_node, -1)
+        for v, _m in part:
+            if v not in node:
+                raise ValueError(f"vertex {v} lies outside the support of the solve")
+            nets[p // 2][node[v]] += sign * masses[k]
+            k += 1
+    adj = [set() for _ in range(nodes)]
+    for i, j in cells:
+        adj[i].add(nr + j)
+        adj[nr + j].add(i)
+    parent = [-1] * nodes
+    order = _rehang(adj, parent, [0] * nodes, 0)
+    costs, cost_scale = _as_ints([oracle.d(rows[i], cols[j]) for i, j in cells])
+    cost = dict(zip(cells, costs))
+    lo, hi = Fraction(0), Fraction(1)
+    w0 = w1 = 0
+    # Leaves first: the flow on the cell above a node carries the net supply
+    # of the subtree under it (out of a row, into a column).
+    for x in reversed(order[1:]):
+        p = parent[x]
+        f0, f1 = nets[0][x], nets[1][x]
+        nets[0][p] += f0
+        nets[1][p] += f1
+        if x < nr:
+            c = cost[x, p - nr]
+        else:
+            c = cost[p, x - nr]
+            f0, f1 = -f0, -f1
+        w0 += f0 * c
+        w1 += f1 * c
+        if f1 < 0:
+            hi = min(hi, Fraction(f0, f0 - f1))
+        elif f0 < 0:
+            lo = max(lo, Fraction(-f0, f1 - f0))
+    if nets[0][0] or nets[1][0]:
+        raise errors.MassMismatch("endpoint measures carry different total masses")
+    scale = mass_scale * cost_scale
+    return LinearPiece(lo, hi, Fraction(w0, scale), Fraction(w1, scale))
+
+
 def _as_ints(values) -> tuple[list[int], int]:
     """Rationals times the lcm of their denominators, as ints, and that lcm."""
     ratios = [x.as_integer_ratio() for x in values]

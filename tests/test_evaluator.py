@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
     oriented_corpus,
     undirected_corpus,
 )
-from oracles import reference_lly_limit
+from oracles import reference_kappa, reference_lly_limit
 
 # Overlaps the dyadic search (3/4) and includes alpha=1, so the curve and the
 # limit share memo entries.
@@ -63,6 +64,29 @@ def _compare(hg) -> int:
 def test_report_matches_uncached_reference(flavor):
     diverged = sum(_compare(hg) for hg in CORPORA[flavor]())
     assert (diverged > 0) == (flavor == "directed")
+
+
+@pytest.mark.parametrize("flavor", sorted(CORPORA))
+def test_kappa_off_the_grid_matches_fresh_solves(flavor):
+    """Values read off stored linear pieces equal a fresh solve at their alpha.
+
+    The requests of all targets of an instance come in shuffled order, so
+    pieces are built from solves at varied alphas and read at others.
+    """
+    rng = random.Random(7106)
+    for hg in CORPORA[flavor]():
+        oracle = all_pairs_distances(hg)
+        ev = Evaluator(hg, oracle)
+        alphas = set()
+        while len(alphas) < 20:
+            a = Fraction(rng.randint(1, 999), 1000) + Fraction(1, rng.choice([7, 12, 2**20]))
+            if a < 1:
+                alphas.add(a)
+        requests = [(t, v, a) for t, v in curvature_targets(hg, oracle) for a in sorted(alphas)]
+        rng.shuffle(requests)
+        for target, variant, a in requests:
+            assert ev.kappa(target, a, variant) == reference_kappa(hg, oracle, target, a, variant)
+        assert ev.stats.solve_hits > ev.stats.solves
 
 
 def test_memo_solves_each_transport_once():

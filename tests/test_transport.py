@@ -62,6 +62,13 @@ def test_vertex_outside_oracle_raises_missing_distance(h4_oracle):
         wasserstein({-1: Fraction(1)}, {0: Fraction(1)}, h4_oracle)
 
 
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_oracle_refuses_ids_outside_its_table(h4_oracle, u, v):
+    # Negative ids must not wrap around to the last rows and columns.
+    with pytest.raises(errors.MissingDistance, match=rf"\({u}, {v}\)"):
+        h4_oracle.d(u, v)
+
+
 def test_marginals_exact_random():
     rng = random.Random(3001)
     for _ in range(20):

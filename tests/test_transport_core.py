@@ -2,7 +2,9 @@
 
 Both solvers use the same pricing (Bland), the same leaving rule and the
 same root, so on every instance the core must end on the same basis, in
-the same order, with equal flows, row and column duals and value.
+the same order, with equal flows, row and column duals and value. The
+ranging of an optimal basis into a linear piece of W is checked against
+fresh solves along the whole affine family.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import all_pairs_distances, measure_undirected, wasserstein
-from hypercurv.transport import _as_ints, _transportation_simplex
+from hypercurv import DistanceOracle, all_pairs_distances, measure_undirected, wasserstein
+from hypercurv.transport import _as_ints, _transportation_simplex, linear_piece
 
 from conftest import random_undirected
 from oracles import reference_transportation_simplex
@@ -169,3 +171,63 @@ def test_wasserstein_reports_pivots():
         assert res.pivots >= res.degenerate_pivots >= 0
         seen += res.pivots
     assert seen > 0
+
+
+def _blend(m0, m1, b):
+    """``(1-b)*m0 + b*m1`` without zero entries."""
+    out = {v: (1 - b) * m0.get(v, 0) + b * m1.get(v, 0) for v in {*m0, *m1}}
+    return {v: m for v, m in out.items() if m}
+
+
+def _affine_family(rng, k):
+    """Endpoint measures (mu0, nu0, mu1, nu1) and a cost oracle on n vertices.
+
+    Each endpoint measure sits on its own random subset, so many rows and
+    columns of an interior solve carry zero mass at one endpoint. Every third
+    family cuts both measures of an endpoint at shared partial sums, which
+    makes degenerate bases; cost kinds include all-zero and tied costs.
+    """
+    n = rng.randint(2, 7)
+    den = max((7, 12, 2**20)[k % 3], n)
+    ends = []
+    for _end in range(2):
+        shared = rng.sample(range(1, den), 1) if k % 3 == 0 and n > 2 else ()
+        for _side in range(2):
+            support = rng.sample(range(n), rng.randint(max(1, len(shared) + 1), n))
+            ends.append(dict(zip(support, _masses(rng, len(support), den, shared))))
+    kind = ("zero", "tied", "small", "mixed", "large")[k % 5]
+    cost = _cost(rng, n, n, kind)
+    return ends, DistanceOracle(dist=tuple(map(tuple, cost)), symmetric=False)
+
+
+def _interior(rng, lo, hi):
+    return lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+
+
+def test_linear_piece_matches_fresh_solves():
+    rng = random.Random(7304)
+    proper = degenerate = 0
+    for k in range(300):
+        (mu0, nu0, mu1, nu1), oracle = _affine_family(rng, k)
+
+        def w(b):
+            return wasserstein(_blend(mu0, mu1, b), _blend(nu0, nu1, b), oracle).value
+
+        alpha = _interior(rng, Fraction(0), Fraction(1))
+        with _deadline(10):
+            res = wasserstein(_blend(mu0, mu1, alpha), _blend(nu0, nu1, alpha), oracle)
+            piece = linear_piece(res, mu0, nu0, mu1, nu1, oracle)
+            assert piece.lo <= alpha <= piece.hi
+            for b in (piece.lo, piece.hi, alpha, _interior(rng, piece.lo, piece.hi)):
+                assert piece.at(b) == w(b), (k, b, piece)
+            # W is convex, so its supporting line never lies above it.
+            outside = [Fraction(0), Fraction(1)]
+            outside += [_interior(rng, Fraction(0), piece.lo) for _ in range(2)]
+            outside += [_interior(rng, piece.hi, Fraction(1)) for _ in range(2)]
+            for b in outside:
+                assert piece.at(b) <= w(b), (k, b, piece)
+        proper += (piece.lo, piece.hi) != (0, 1)
+        degenerate += 0 in res._flows.values()
+    # Enough families have a kink for a piece that ignores the ratio test to
+    # fail, and some optimal bases carry zero flows at the solve alpha.
+    assert proper > 50 and degenerate > 10
