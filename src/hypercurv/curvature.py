@@ -16,7 +16,8 @@ rational; printing it as a decimal is left to the caller.
 
 The walk measures are affine in alpha, so W is convex and piecewise linear
 in alpha: one transport solve, ranged over the basis it ends on, gives the
-exact W on a whole interval of alpha.
+exact W on a whole interval of alpha. The solves, the pieces and the
+curvature numerators are ints; each kappa becomes one Fraction at the end.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -25,6 +26,7 @@ functions are one-shot wrappers over a fresh Evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -103,6 +105,23 @@ class Limit(NamedTuple):
     stabilization_alpha: Fraction
 
 
+class _Support(NamedTuple):
+    """Both sides of one transport target at alpha 0 and 1, as int masses.
+
+    ``rows`` and ``cols`` are the sorted union supports of the two sides;
+    ``mu0``/``mu1`` are the row masses and ``nu0``/``nu1`` the column masses
+    at alpha 0 and 1, each times ``scale``, zeros kept.
+    """
+
+    rows: list
+    cols: list
+    mu0: list
+    mu1: list
+    nu0: list
+    nu1: list
+    scale: int
+
+
 class Evaluator:
     """Curvature of one hypergraph, each measure, transport and limit computed once.
 
@@ -122,7 +141,8 @@ class Evaluator:
         self.oracle = oracle
         self.stats = EvalStats()
         self._measures: dict[tuple, list] = {}
-        self._transports: dict[tuple, list[LinearPiece]] = {}
+        self._transports: dict[tuple, tuple[_Support, list[LinearPiece]]] = {}
+        self._lengths: dict[tuple, int] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
     def _ends(self, kind: str, where: int, side: str | None):
@@ -148,26 +168,8 @@ class Evaluator:
         self._measures[key] = ends
         return ends
 
-    def _transport(self, target: tuple, alpha: Fraction):
-        """W between the two measures of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
-
-        Each solve at an alpha strictly inside (0, 1) is ranged into the
-        exact linear piece of W around it, and every later alpha on a stored
-        piece is read off it without a solve. An alpha of 0 or 1 off every
-        stored piece is solved alone and kept as a one-point piece.
-        """
-        if target[0] == "edge":
-            edge = self.hg.edges[target[1]]
-            if len(edge.tail) == 1 and len(edge.head) == 1:
-                # The set measures of a one-to-one hyperedge are the pair
-                # measures of its ends, so both targets share one entry.
-                target = ("pair", *edge.tail, *edge.head)
-        pieces = self._transports.setdefault(target, [])
-        for piece in pieces:
-            if piece.lo <= alpha <= piece.hi:
-                self.stats.solve_hits += 1
-                return piece.at(alpha)
-        self.stats.solves += 1
+    def _support(self, target: tuple) -> _Support:
+        """Union supports and int endpoint masses of one transport target."""
         if target[0] == "edge":
             mu0, mu1 = self._ends("set", target[1], "tail")
             nu0, nu1 = self._ends("set", target[1], "head")
@@ -177,14 +179,74 @@ class Evaluator:
         else:
             mu0, mu1 = self._ends("pair", target[1], "in")
             nu0, nu1 = self._ends("pair", target[2], "out")
-        result = wasserstein(mu1.scaled_sum(mu0, alpha), nu1.scaled_sum(nu0, alpha), self.oracle)
+        masses = [mu.mass for mu in (mu0, mu1, nu0, nu1)]
+        scale = math.lcm(*{m.denominator for mass in masses for m in mass.values()})
+        rows = sorted(masses[0].keys() | masses[1].keys())
+        cols = sorted(masses[2].keys() | masses[3].keys())
+
+        def scaled(mass, support):
+            return [
+                m.numerator * (scale // m.denominator)
+                for m in (mass.get(v, 0) for v in support)
+            ]
+
+        return _Support(
+            rows,
+            cols,
+            scaled(masses[0], rows),
+            scaled(masses[1], rows),
+            scaled(masses[2], cols),
+            scaled(masses[3], cols),
+            scale,
+        )
+
+    def _transport(self, target: tuple, p: int, q: int) -> tuple[int, int]:
+        """W at alpha ``p/q`` of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
+
+        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. Each
+        solve, at any alpha in [0, 1], runs on the union supports of the
+        target's endpoint measures and is ranged into the exact linear piece
+        of W around it; every later alpha on a stored piece is read off it
+        without a solve.
+        """
+        if target[0] == "edge":
+            edge = self.hg.edges[target[1]]
+            if len(edge.tail) == 1 and len(edge.head) == 1:
+                # The set measures of a one-to-one hyperedge are the pair
+                # measures of its ends, so both targets share one entry.
+                target = ("pair", *edge.tail, *edge.head)
+        entry = self._transports.get(target)
+        if entry is None:
+            entry = self._transports[target] = (self._support(target), [])
+        support, pieces = entry
+        for piece in pieces:
+            if piece.covers(p, q):
+                self.stats.solve_hits += 1
+                return piece.at(p, q), support.scale
+        self.stats.solves += 1
+        # (1-alpha)*m0 + alpha*m1, times q: masses on the scale q * support.scale.
+        r = q - p
+        result = wasserstein(
+            {v: r * m0 + p * m1 for v, m0, m1 in zip(support.rows, support.mu0, support.mu1)},
+            {v: r * m0 + p * m1 for v, m0, m1 in zip(support.cols, support.nu0, support.nu1)},
+            self.oracle,
+        )
         self.stats.pivots += result.pivots
         self.stats.degenerate_pivots += result.degenerate_pivots
-        if 0 < alpha < 1:
-            pieces.append(linear_piece(result, mu0, nu0, mu1, nu1, self.oracle))
-        else:
-            pieces.append(LinearPiece(alpha, alpha, result.value, result.value))
-        return result.value
+        piece = linear_piece(
+            result, support.mu0, support.nu0, support.mu1, support.nu1, self.oracle
+        )
+        pieces.append(piece)
+        return piece.at(p, q), support.scale
+
+    def _length(self, edge_index: int, variant: str) -> int:
+        """Length of a hyperedge under ``variant``, times ``oracle.scale``."""
+        key = (edge_index, variant)
+        length = self._lengths.get(key)
+        if length is None:
+            value = edge_length(self.hg, self.oracle, edge_index, variant).value
+            length = self._lengths[key] = int(value * self.oracle.scale)
+        return length
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):
         """``kappa_alpha`` of a ``("pair", u, v)`` or ``("edge", h)`` target.
@@ -192,7 +254,12 @@ class Evaluator:
         ``variant`` is the length normalizer of undirected hyperedges and is
         ignored elsewhere.
         """
+        return self._kappa(target, as_alpha(alpha), variant)
+
+    def _kappa(self, target: tuple, alpha: Fraction, variant: str) -> Fraction:
+        """``kappa`` at an alpha already checked to lie in [0, 1]."""
         hg, oracle = self.hg, self.oracle
+        p, q = alpha.numerator, alpha.denominator
         kind = target[0]
         if kind == "pair":
             u, v = target[1], target[2]
@@ -201,21 +268,29 @@ class Evaluator:
                     f"pair curvature needs two distinct vertices, got ({u}, {v})"
                 )
             _require_pair_flavor(hg, oracle)
-            w = self._transport(("pair", u, v), as_alpha(alpha))
-            return 1 - w / oracle.d(u, v)
+            w, s = self._transport(("pair", u, v), p, q)
+            # 1 - W/d with W = w / (q*s*scale) and d = table[u][v] / scale.
+            den = q * s * oracle.table[u][v]
+            return Fraction(den - w, den)
         if kind != "edge":
             raise ValueError(f"unknown target kind {kind!r}")
-        a = as_alpha(alpha)
         if hg.flavor != UNDIRECTED:
-            w = self._transport(("edge", target[1]), a)
-            return 1 - w / edge_length(hg, oracle, target[1], "min").value
+            w, s = self._transport(("edge", target[1]), p, q)
+            den = q * s * self._length(target[1], "min")
+            return Fraction(den - w, den)
+        # The defect sum of d - W over member pairs, times q * scale, is
+        # defect / den; each pair's term comes over its own mass scale s.
         vs = hg.edges[target[1]].sorted_vertices()
-        defect = Fraction(0)
+        defect, den = 0, 1
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
-                w = self._transport(("pair", vs[i], vs[j]), a)
-                defect += oracle.d(vs[i], vs[j]) - w
-        return defect / edge_length(hg, oracle, target[1], variant).value
+                w, s = self._transport(("pair", vs[i], vs[j]), p, q)
+                if den % s:
+                    grown = math.lcm(den, s)
+                    defect *= grown // den
+                    den = grown
+                defect += (q * s * oracle.table[vs[i]][vs[j]] - w) * (den // s)
+        return Fraction(defect, den * q * self._length(target[1], variant))
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
@@ -247,7 +322,7 @@ class Evaluator:
 
     def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
         if target[0] == "edge" and self.hg.flavor != UNDIRECTED:
-            kappa_one = self.kappa(target, Fraction(1), variant)
+            kappa_one = self._kappa(target, Fraction(1), variant)
             if kappa_one < 0:
                 raise errors.NoStabilization(
                     f"target {target} has curvature {kappa_one} at alpha=1; "
@@ -257,7 +332,7 @@ class Evaluator:
         prev_alpha = None
         for kk in range(2, k_max + 1):
             a = Fraction(2**kk - 1, 2**kk)
-            g = self.kappa(target, a, variant) / (1 - a)
+            g = self._kappa(target, a, variant) / (1 - a)
             if g == prev:
                 return Limit(lly=g, stabilization_alpha=prev_alpha)
             prev, prev_alpha = g, a
@@ -277,7 +352,7 @@ class Evaluator:
         samples = []
         normalized = []
         for a in grid:
-            k = self.kappa(target, a, variant)
+            k = self._kappa(target, a, variant)
             samples.append((a, k))
             if a != 1:
                 normalized.append((a, k / (1 - a)))

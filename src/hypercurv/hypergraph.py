@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import errors
@@ -173,11 +174,16 @@ class Hypergraph:
 
     # -- global quantities -----------------------------------------------
 
+    @cached_property
+    def _weight_range(self) -> tuple[Fraction, Fraction]:
+        weights = [e.weight for e in self.edges]
+        return min(weights), max(weights)
+
     def max_weight(self) -> Fraction:
-        return max(e.weight for e in self.edges)
+        return self._weight_range[1]
 
     def min_weight(self) -> Fraction:
-        return min(e.weight for e in self.edges)
+        return self._weight_range[0]
 
     def max_head_size(self) -> int:
         return max(len(e.head) for e in self.edges)
@@ -189,7 +195,7 @@ class Hypergraph:
         return max(self.deg(v) for v in range(self.n_vertices))
 
     def is_unit_weight(self) -> bool:
-        return all(e.weight == 1 for e in self.edges)
+        return self._weight_range == (1, 1)
 
     @property
     def n_edges(self) -> int:

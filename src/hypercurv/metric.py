@@ -4,13 +4,16 @@ Distances are shortest-path costs in a bipartite expansion with node set
 ``V + H``: entering a hyperedge costs its weight, leaving costs nothing.
 A vertex-to-vertex shortest path there is exactly a minimum-cost
 hyperpath, so no hyperedge sequences are ever enumerated. All arithmetic
-is exact; Dijkstra priorities are Fractions with ties broken by smallest
-node index.
+is exact: the weights are scaled once to ints by the lcm of their
+denominators, Dijkstra runs on those ints with ties broken by smallest
+node index, and the table keeps that common denominator. Scaling changes
+no comparison, so the search and its tie order are those on Fractions.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,41 +52,61 @@ class NeighborhoodPartition:
     c2: Fraction | None
 
 
-@dataclass
 class DistanceOracle:
-    """All-pairs (quasi-)distance table with a symmetry flag."""
+    """All-pairs (quasi-)distance table with a symmetry flag.
 
-    dist: tuple
-    symmetric: bool
+    ``dist`` is a square table of rationals. It is kept as ``table``, ints
+    over the common denominator ``scale``, so ``d(u, v)`` is
+    ``Fraction(table[u][v], scale)``; the transport layer reads the int
+    table directly.
+    """
 
-    @property
-    def n(self) -> int:
-        return len(self.dist)
+    def __init__(self, dist, symmetric: bool):
+        ratios = [[x.as_integer_ratio() for x in row] for row in dist]
+        scale = math.lcm(*{den for row in ratios for _num, den in row})
+        table = tuple(tuple(num * (scale // den) for num, den in row) for row in ratios)
+        self._init(table, scale, symmetric)
 
-    def d(self, u: int, v: int) -> Fraction:
-        n = len(self.dist)
-        if 0 <= u < n and 0 <= v < n:
-            return self.dist[u][v]
+    @classmethod
+    def _from_table(cls, table: tuple, scale: int, symmetric: bool) -> "DistanceOracle":
+        oracle = cls.__new__(cls)
+        oracle._init(table, scale, symmetric)
+        return oracle
+
+    def _init(self, table: tuple, scale: int, symmetric: bool) -> None:
+        self.table = table
+        self.scale = scale
+        self.symmetric = symmetric
+        self.n = len(table)
+        self._diameter = None
+
+    def _scaled(self, u: int, v: int) -> int:
+        if 0 <= u < self.n and 0 <= v < self.n:
+            return self.table[u][v]
         raise errors.MissingDistance(f"no distance entry for pair ({u}, {v})")
 
+    def d(self, u: int, v: int) -> Fraction:
+        return Fraction(self._scaled(u, v), self.scale)
+
     def diameter(self) -> Fraction:
-        return max(max(row) for row in self.dist)
+        if self._diameter is None:
+            self._diameter = Fraction(max(map(max, self.table)), self.scale)
+        return self._diameter
 
     def set_distance(self, vertices, z: int) -> Fraction:
         """Minimum distance from any member of ``vertices`` to ``z``."""
         vs = list(vertices)
         if not vs:
             raise ValueError("set distance needs a nonempty source set")
-        return min(self.d(u, z) for u in vs)
+        return Fraction(min(self._scaled(u, z) for u in vs), self.scale)
 
 
-def _dijkstra(hg: Hypergraph, source: int) -> list[Fraction | None]:
+def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> list[int | None]:
     n = hg.n_vertices
-    m = hg.n_edges
     # node ids: 0..n-1 vertices, n..n+m-1 hyperedges
-    dist: list[Fraction | None] = [None] * (n + m)
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    dist: list[int | None] = [None] * (n + hg.n_edges)
+    dist[source] = 0
+    heap: list[tuple[int, int]] = [(0, source)]
     while heap:
         d, node = heapq.heappop(heap)
         if dist[node] is None or d > dist[node]:
@@ -94,7 +117,7 @@ def _dijkstra(hg: Hypergraph, source: int) -> list[Fraction | None]:
             else:
                 incident = hg.edges_with_tail(node)
             for e in incident:
-                nd = d + hg.edges[e].weight
+                nd = d + weights[e]
                 t = n + e
                 if dist[t] is None or nd < dist[t]:
                     dist[t] = nd
@@ -111,9 +134,12 @@ def _dijkstra(hg: Hypergraph, source: int) -> list[Fraction | None]:
 
 def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
     """Exact minimum hyperpath costs between all ordered vertex pairs."""
+    ratios = [e.weight.as_integer_ratio() for e in hg.edges]
+    scale = math.lcm(*{den for _num, den in ratios})
+    weights = [num * (scale // den) for num, den in ratios]
     table = []
     for u in range(hg.n_vertices):
-        row = _dijkstra(hg, u)
+        row = _dijkstra(hg, weights, u)
         for v, val in enumerate(row):
             if val is None:
                 raise errors.Unreachable(f"no hyperpath from {u} to {v}")
@@ -123,7 +149,7 @@ def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
         for u in range(hg.n_vertices)
         for v in range(u + 1, hg.n_vertices)
     )
-    return DistanceOracle(dist=tuple(table), symmetric=sym)
+    return DistanceOracle._from_table(tuple(table), scale, sym)
 
 
 def diameter(hg: Hypergraph, oracle: DistanceOracle | None = None) -> Fraction:

@@ -3,13 +3,13 @@
 The solver is a transportation simplex on the complete bipartite support
 graph: northwest-corner start, Bland entering rule on lexicographic
 (row, col) order, leaving arc chosen as the lexicographically smallest
-minimizer. Each solve scales the masses and the costs to Python ints
-once, each by the lcm of its denominators, pivots on ints, and builds
-Fractions only for the result: the optimum, the coupling and the dual
-potential are exact and reproducible. Scaling changes no comparison, so
-the pivots and the results are those of the same simplex run on
-Fractions. The coupling is built from the optimal basis only when it is
-read.
+minimizer. Each solve scales the masses to Python ints once, by the lcm
+of their denominators, reads int costs straight from the oracle's table
+(distances times its ``scale``), pivots on ints, and builds Fractions
+only for the result: the optimum, the coupling and the dual potential are
+exact and reproducible. Scaling changes no comparison, so the pivots and
+the results are those of the same simplex run on Fractions. The coupling
+is built from the optimal basis only when it is read.
 
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
@@ -82,9 +82,8 @@ class TransportResult:
         )
 
 
-def _measure_items(mu) -> list[tuple[int, Fraction]]:
-    mass = mu.mass if hasattr(mu, "mass") else dict(mu)
-    return sorted((v, m) for v, m in mass.items() if m != 0)
+def _mass_map(mu) -> dict:
+    return mu.mass if hasattr(mu, "mass") else mu
 
 
 def wasserstein(
@@ -98,33 +97,37 @@ def wasserstein(
     ``mu`` and ``nu`` are ProbabilityMeasures or plain ``{vertex: mass}``
     maps with rational masses. The optimum is taken over couplings
     supported on support(mu) x support(nu), which is the whole
-    transportation polytope. ``with_potential`` additionally returns a
-    function f on all oracle vertices satisfying f(u) - f(v) <= d(u, v)
-    for every ordered pair.
+    transportation polytope. A zero mass in a plain map stays a row or
+    column with no supply or demand; the value and the coupling are those
+    without it. ``with_potential`` additionally returns a function f on
+    all oracle vertices satisfying f(u) - f(v) <= d(u, v) for every
+    ordered pair.
     """
-    rows = _measure_items(mu)
-    cols = _measure_items(nu)
-    if not rows or not cols:
-        raise errors.MassMismatch("transport endpoints must carry positive mass")
+    rows = sorted(_mass_map(mu).items())
+    cols = sorted(_mass_map(nu).items())
     masses, mass_scale = _as_ints([m for _v, m in rows] + [m for _v, m in cols])
     supply, demand = masses[: len(rows)], masses[len(rows) :]
+    if not any(supply) or not any(demand):
+        raise errors.MassMismatch("transport endpoints must carry positive mass")
     if sum(supply) != sum(demand):
         raise errors.MassMismatch(
             f"total masses differ: {sum(m for _v, m in rows)} vs {sum(m for _v, m in cols)}"
         )
     row_ids = [v for v, _m in rows]
     col_ids = [v for v, _m in cols]
-    cost, cost_scale = _as_ints([oracle.d(u, v) for u in row_ids for v in col_ids])
-    nc = len(col_ids)
+    if min(row_ids[0], col_ids[0]) < 0 or max(row_ids[-1], col_ids[-1]) >= oracle.n:
+        for u in row_ids:
+            for v in col_ids:
+                oracle.d(u, v)  # raises MissingDistance at the first pair off the table
+    table = oracle.table
     sol = _transportation_simplex(
-        supply, demand, [cost[k : k + nc] for k in range(0, len(cost), nc)]
+        supply, demand, [[table[u][v] for v in col_ids] for u in row_ids]
     )
     potential = None
     if with_potential:
-        duals_v = [Fraction(x, cost_scale) for x in sol.v]
-        potential = _dual_potential(oracle, col_ids, duals_v)
+        potential = _dual_potential(oracle, col_ids, sol.v)
     return TransportResult(
-        value=Fraction(sol.value, mass_scale * cost_scale),
+        value=Fraction(sol.value, mass_scale * oracle.scale),
         dual_potential=potential,
         pivots=sol.pivots,
         degenerate_pivots=sol.degenerate_pivots,
@@ -136,15 +139,27 @@ def wasserstein(
 
 
 class LinearPiece(NamedTuple):
-    """``W(b) = (1-b)*w0 + b*w1`` for every ``b`` with ``lo <= b <= hi``."""
+    """W on an interval of ``b``, on ints.
 
-    lo: Fraction
-    hi: Fraction
-    w0: Fraction
-    w1: Fraction
+    For ``b = p/q`` (``q > 0``) with ``lo_num/lo_den <= b <= hi_num/hi_den``,
+    ``W(b) = ((q-p)*w0 + p*w1) / (q * scale)``, where ``scale`` is the
+    common scale of the endpoint masses times the oracle's ``scale``.
+    """
 
-    def at(self, b) -> Fraction:
-        return (1 - b) * self.w0 + b * self.w1
+    lo_num: int
+    lo_den: int
+    hi_num: int
+    hi_den: int
+    w0: int
+    w1: int
+
+    def covers(self, p: int, q: int) -> bool:
+        """Whether ``p/q`` lies in the piece's interval."""
+        return self.lo_num * q <= p * self.lo_den and p * self.hi_den <= self.hi_num * q
+
+    def at(self, p: int, q: int) -> int:
+        """``W(p/q) * q * scale``."""
+        return (q - p) * self.w0 + p * self.w1
 
 
 def linear_piece(
@@ -153,40 +168,32 @@ def linear_piece(
     """Interval of ``b`` on which the optimal basis of ``result`` stays optimal.
 
     ``result`` solved ``mu(b) = (1-b)*mu0 + b*mu1`` against ``nu(b) = (1-b)*nu0
-    + b*nu1`` at some ``b`` strictly between 0 and 1, so its rows and columns
-    hold the supports of all four endpoint measures. Reduced costs do not
-    depend on the masses, and the basic flows are affine in ``b``: the basis
-    stays optimal, and W stays affine, exactly where those flows stay
+    + b*nu1`` at some ``b`` in [0, 1], with a row for every vertex of
+    support(mu0) + support(mu1) and a column for every vertex of
+    support(nu0) + support(nu1), zero masses kept. ``mu0`` and ``mu1`` are
+    int masses aligned with the result's rows, ``nu0`` and ``nu1`` with its
+    columns, all four on one scale. Reduced costs do not depend on the
+    masses, and the basic flows are affine in ``b``: the basis stays
+    optimal, and W stays affine, exactly where those flows stay
     nonnegative. The flows are pushed through the basis tree for both
     endpoints, and a ratio test over the basic cells gives ``[lo, hi]``.
     Since W is convex in ``b``, the piece extended to [0, 1] never exceeds W.
     """
     rows, cols, cells = result._row_ids, result._col_ids, list(result._flows)
     nr, nodes = len(rows), len(rows) + len(cols)
-    row_node = {v: i for i, v in enumerate(rows)}
-    col_node = {v: nr + j for j, v in enumerate(cols)}
-    parts = [_measure_items(m) for m in (mu0, nu0, mu1, nu1)]
-    masses, mass_scale = _as_ints([m for part in parts for _v, m in part])
+    if not (len(mu0) == len(mu1) == nr and len(nu0) == len(nu1) == nodes - nr):
+        raise ValueError("endpoint masses are not aligned with the rows and columns of the solve")
     # Net supply of each tree node at each end: row masses count plus,
     # column masses minus.
-    nets = ([0] * nodes, [0] * nodes)
-    k = 0
-    for p, part in enumerate(parts):
-        node, sign = (row_node, 1) if p % 2 == 0 else (col_node, -1)
-        for v, _m in part:
-            if v not in node:
-                raise ValueError(f"vertex {v} lies outside the support of the solve")
-            nets[p // 2][node[v]] += sign * masses[k]
-            k += 1
+    nets = ([*mu0, *(-m for m in nu0)], [*mu1, *(-m for m in nu1)])
     adj = [set() for _ in range(nodes)]
     for i, j in cells:
         adj[i].add(nr + j)
         adj[nr + j].add(i)
     parent = [-1] * nodes
     order = _rehang(adj, parent, [0] * nodes, 0)
-    costs, cost_scale = _as_ints([oracle.d(rows[i], cols[j]) for i, j in cells])
-    cost = dict(zip(cells, costs))
-    lo, hi = Fraction(0), Fraction(1)
+    table = oracle.table
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     w0 = w1 = 0
     # Leaves first: the flow on the cell above a node carries the net supply
     # of the subtree under it (out of a row, into a column).
@@ -196,20 +203,23 @@ def linear_piece(
         nets[0][p] += f0
         nets[1][p] += f1
         if x < nr:
-            c = cost[x, p - nr]
+            c = table[rows[x]][cols[p - nr]]
         else:
-            c = cost[p, x - nr]
+            c = table[rows[p]][cols[x - nr]]
             f0, f1 = -f0, -f1
         w0 += f0 * c
         w1 += f1 * c
+        # The flow (1-b)*f0 + b*f1 stays nonnegative for b <= f0/(f0-f1) when
+        # it falls, and for b >= -f0/(f1-f0) when it rises from below zero.
         if f1 < 0:
-            hi = min(hi, Fraction(f0, f0 - f1))
+            if f0 * hi_den < hi_num * (f0 - f1):
+                hi_num, hi_den = f0, f0 - f1
         elif f0 < 0:
-            lo = max(lo, Fraction(-f0, f1 - f0))
+            if -f0 * lo_den > lo_num * (f1 - f0):
+                lo_num, lo_den = -f0, f1 - f0
     if nets[0][0] or nets[1][0]:
         raise errors.MassMismatch("endpoint measures carry different total masses")
-    scale = mass_scale * cost_scale
-    return LinearPiece(lo, hi, Fraction(w0, scale), Fraction(w1, scale))
+    return LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
 
 
 def _as_ints(values) -> tuple[list[int], int]:
@@ -223,15 +233,11 @@ def _dual_potential(oracle, col_ids, duals_v):
     # One-sided transform of the column prices: f(z) = min_j d(z, y_j) - v_j.
     # The triangle inequality makes f feasible for every ordered pair, and
     # complementary slackness makes its objective meet the primal value.
-    potential = {}
-    for z in range(oracle.n):
-        best = None
-        for j, y in enumerate(col_ids):
-            cand = oracle.d(z, y) - duals_v[j]
-            if best is None or cand < best:
-                best = cand
-        potential[z] = best
-    return potential
+    # ``duals_v`` and the table share the oracle's scale.
+    return {
+        z: Fraction(min(row[y] - vj for y, vj in zip(col_ids, duals_v)), oracle.scale)
+        for z, row in enumerate(oracle.table)
+    }
 
 
 class _Solution(NamedTuple):
@@ -404,10 +410,12 @@ def dual_value(f, mu, nu, oracle: DistanceOracle):
     if not lipschitz_check(f, oracle):
         raise errors.NotLipschitz("candidate potential violates a distance constraint")
     total = Fraction(0)
-    for v, m in _measure_items(mu):
-        total += f[v] * m
-    for v, m in _measure_items(nu):
-        total -= f[v] * m
+    for v, m in _mass_map(mu).items():
+        if m:
+            total += f[v] * m
+    for v, m in _mass_map(nu).items():
+        if m:
+            total -= f[v] * m
     return total
 
 

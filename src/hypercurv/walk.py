@@ -37,15 +37,6 @@ class ProbabilityMeasure:
     def total(self) -> Fraction:
         return sum(self.mass.values(), Fraction(0))
 
-    def scaled_sum(self, other: "ProbabilityMeasure", lam: Fraction) -> dict[int, Fraction]:
-        """Pointwise lam*self + (1-lam)*other, as a plain dict."""
-        out: dict[int, Fraction] = {}
-        for v, m in self.mass.items():
-            out[v] = lam * m
-        for v, m in other.mass.items():
-            out[v] = out.get(v, Fraction(0)) + (1 - lam) * m
-        return {v: m for v, m in out.items() if m != 0}
-
 
 def _finish(mass: dict[int, Fraction], alpha: Fraction) -> ProbabilityMeasure:
     return ProbabilityMeasure(mass={v: m for v, m in mass.items() if m != 0}, alpha=alpha)

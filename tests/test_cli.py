@@ -358,10 +358,10 @@ def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
     code, _, err = _run(capsys, ["sweep", h4_path, "--pair", "x2,x3", "--stats"])
     assert code == 0
     counters = json.loads(err)
-    # Three solves: the dyadic 3/4 (its piece is [1/3, 1]), alpha 0 alone and
-    # 1/10 (its piece is [0, 1/3]). Eleven hits: the dyadic 7/8, the other
-    # nine grid points and the stabilization row.
-    assert counters["solves"] == 3 and counters["solve_hits"] == 11
+    # Two solves: the dyadic 3/4 (its piece is [1/3, 1]) and alpha 0 (its
+    # piece is [0, 1/3]). Twelve hits: the dyadic 7/8, the other ten grid
+    # points and the stabilization row.
+    assert counters["solves"] == 2 and counters["solve_hits"] == 12
 
 
 @pytest.mark.parametrize(

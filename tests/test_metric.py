@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from hypercurv import all_pairs_distances, build, diameter, edge_length, errors, partition_neighborhood
+from hypercurv import (
+    DistanceOracle,
+    all_pairs_distances,
+    build,
+    diameter,
+    edge_length,
+    errors,
+    partition_neighborhood,
+)
 
-from conftest import random_directed, random_undirected
+from conftest import (
+    directed_corpus,
+    oriented_corpus,
+    random_directed,
+    random_undirected,
+    undirected_corpus,
+)
 from oracles import brute_hyperpath_distances
 
 
@@ -115,6 +130,59 @@ def test_distances_match_sequence_enumeration_directed():
         if hg.n_edges <= 6:
             _check_against_brute(hg)
             count += 1
+
+
+def _reweighted(hg, rng, den):
+    """``hg`` with random weights over ``den``; an edge and its reversal share one."""
+    weights = {}
+
+    def weight(key):
+        return weights.setdefault(key, Fraction(rng.randint(1, 4 * den), den))
+
+    if hg.flavor == "undirected":
+        edges = [(sorted(e.vertices), weight(k)) for k, e in enumerate(hg.edges)]
+    else:
+        edges = [
+            (sorted(e.tail), sorted(e.head), weight(frozenset((e.tail, e.head))))
+            for e in hg.edges
+        ]
+    return build(hg.flavor, hg.n_vertices, edges)
+
+
+@pytest.mark.parametrize("den", [2, 3, 7, 2**20])
+def test_int_table_matches_sequence_enumeration(den):
+    """The int Dijkstra table over its scale is the brute-force hyperpath table."""
+    rng = random.Random(1005 + den)
+    corpus = (
+        undirected_corpus(1006, 6, n_max=6, extra_max=1)
+        + directed_corpus(1007, 6, n_max=5, m_max=6)
+        + oriented_corpus(1008, 6, n_max=4, extra_max=1)
+    )
+    checked = 0
+    for base in corpus:
+        if base.n_edges > 6:
+            continue
+        hg = _reweighted(base, rng, den)
+        oracle = all_pairs_distances(hg)
+        brute = brute_hyperpath_distances(hg)
+        assert all(type(x) is int for row in oracle.table for x in row)
+        for u in range(hg.n_vertices):
+            for v in range(hg.n_vertices):
+                assert Fraction(oracle.table[u][v], oracle.scale) == brute[u][v], (u, v)
+                assert oracle.d(u, v) == brute[u][v]
+        assert oracle.diameter() == max(max(row) for row in brute)
+        checked += 1
+    assert checked >= 12
+
+
+def test_oracle_from_fraction_table_keeps_values():
+    dist = ((Fraction(0), Fraction(1, 2), Fraction(2, 3)), (Fraction(3, 7), 0, 1), (1, 2, 0))
+    oracle = DistanceOracle(dist=dist, symmetric=False)
+    assert oracle.scale == 42 and oracle.n == 3
+    assert all(oracle.d(u, v) == dist[u][v] for u in range(3) for v in range(3))
+    assert oracle.diameter() == 2
+    with pytest.raises(errors.MissingDistance, match=r"\(3, 0\)"):
+        oracle.d(3, 0)
 
 
 def test_triangle_inequality_and_symmetry_flags():

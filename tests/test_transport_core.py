@@ -4,21 +4,30 @@ Both solvers use the same pricing (Bland), the same leaving rule and the
 same root, so on every instance the core must end on the same basis, in
 the same order, with equal flows, row and column duals and value. The
 ranging of an optimal basis into a linear piece of W is checked against
-fresh solves along the whole affine family.
+fresh solves along the whole affine family, and explicit zero masses
+against the same maps without them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import DistanceOracle, all_pairs_distances, measure_undirected, wasserstein
-from hypercurv.transport import _as_ints, _transportation_simplex, linear_piece
+from hypercurv import DistanceOracle, all_pairs_distances, errors, measure_undirected, wasserstein
+from hypercurv.transport import (
+    _as_ints,
+    _transportation_simplex,
+    dual_value,
+    linear_piece,
+    lipschitz_check,
+)
 
 from conftest import random_undirected
 from oracles import reference_transportation_simplex
@@ -183,9 +192,10 @@ def _affine_family(rng, k):
     """Endpoint measures (mu0, nu0, mu1, nu1) and a cost oracle on n vertices.
 
     Each endpoint measure sits on its own random subset, so many rows and
-    columns of an interior solve carry zero mass at one endpoint. Every third
-    family cuts both measures of an endpoint at shared partial sums, which
-    makes degenerate bases; cost kinds include all-zero and tied costs.
+    columns of a solve on the union supports carry zero mass at one endpoint.
+    Every third family cuts both measures of an endpoint at shared partial
+    sums, which makes degenerate bases; cost kinds include all-zero and tied
+    costs.
     """
     n = rng.randint(2, 7)
     den = max((7, 12, 2**20)[k % 3], n)
@@ -200,34 +210,99 @@ def _affine_family(rng, k):
     return ends, DistanceOracle(dist=tuple(map(tuple, cost)), symmetric=False)
 
 
+def _aligned(ends):
+    """Union supports of both sides and the four endpoint masses on them, as
+    ints over one scale: the layout ``linear_piece`` ranges."""
+    mu0, nu0, mu1, nu1 = ends
+    rows, cols = sorted({*mu0, *mu1}), sorted({*nu0, *nu1})
+    scale = math.lcm(*{Fraction(m).denominator for end in ends for m in end.values()})
+    ints = [
+        [int(end.get(v, 0) * scale) for v in support]
+        for end, support in zip(ends, (rows, cols, rows, cols))
+    ]
+    return rows, cols, ints, scale
+
+
 def _interior(rng, lo, hi):
     return lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
 
 
 def test_linear_piece_matches_fresh_solves():
+    """Pieces ranged from solves on the union supports, at an interior alpha
+    and at 0 and 1, where the rows and columns of the other endpoint carry no
+    mass, equal fresh solves inside and never exceed W outside."""
     rng = random.Random(7304)
-    proper = degenerate = 0
+    proper = degenerate = zero_rows = 0
     for k in range(300):
-        (mu0, nu0, mu1, nu1), oracle = _affine_family(rng, k)
+        ends, oracle = _affine_family(rng, k)
+        mu0, nu0, mu1, nu1 = ends
+        rows, cols, ints, scale = _aligned(ends)
 
         def w(b):
             return wasserstein(_blend(mu0, mu1, b), _blend(nu0, nu1, b), oracle).value
 
-        alpha = _interior(rng, Fraction(0), Fraction(1))
-        with _deadline(10):
-            res = wasserstein(_blend(mu0, mu1, alpha), _blend(nu0, nu1, alpha), oracle)
-            piece = linear_piece(res, mu0, nu0, mu1, nu1, oracle)
-            assert piece.lo <= alpha <= piece.hi
-            for b in (piece.lo, piece.hi, alpha, _interior(rng, piece.lo, piece.hi)):
-                assert piece.at(b) == w(b), (k, b, piece)
-            # W is convex, so its supporting line never lies above it.
-            outside = [Fraction(0), Fraction(1)]
-            outside += [_interior(rng, Fraction(0), piece.lo) for _ in range(2)]
-            outside += [_interior(rng, piece.hi, Fraction(1)) for _ in range(2)]
-            for b in outside:
-                assert piece.at(b) <= w(b), (k, b, piece)
-        proper += (piece.lo, piece.hi) != (0, 1)
-        degenerate += 0 in res._flows.values()
-    # Enough families have a kink for a piece that ignores the ratio test to
-    # fail, and some optimal bases carry zero flows at the solve alpha.
-    assert proper > 50 and degenerate > 10
+        for alpha in (_interior(rng, Fraction(0), Fraction(1)), Fraction(0), Fraction(1)):
+            mu = {v: (1 - alpha) * mu0.get(v, 0) + alpha * mu1.get(v, 0) for v in rows}
+            nu = {v: (1 - alpha) * nu0.get(v, 0) + alpha * nu1.get(v, 0) for v in cols}
+            zero_rows += 0 in mu.values()
+            with _deadline(10):
+                res = wasserstein(mu, nu, oracle)
+                assert res.value == w(alpha)
+                piece = linear_piece(res, *ints, oracle)
+                lo = Fraction(piece.lo_num, piece.lo_den)
+                hi = Fraction(piece.hi_num, piece.hi_den)
+                assert lo <= alpha <= hi
+                assert piece.covers(alpha.numerator, alpha.denominator)
+
+                def at(b):
+                    value = piece.at(b.numerator, b.denominator)
+                    return Fraction(value, b.denominator * scale * oracle.scale)
+
+                for b in (lo, hi, alpha, _interior(rng, lo, hi)):
+                    assert piece.covers(b.numerator, b.denominator)
+                    assert at(b) == w(b), (k, b, piece)
+                # W is convex, so its supporting line never lies above it.
+                outside = [Fraction(0), Fraction(1)]
+                outside += [_interior(rng, Fraction(0), lo) for _ in range(2)]
+                outside += [_interior(rng, hi, Fraction(1)) for _ in range(2)]
+                for b in outside:
+                    assert at(b) <= w(b), (k, b, piece)
+            proper += (lo, hi) != (0, 1)
+            degenerate += 0 in res._flows.values()
+    # Enough pieces have a kink for a piece that ignores the ratio test to
+    # fail, some optimal bases carry zero flows at the solve alpha, and most
+    # endpoint solves keep zero-mass rows.
+    assert proper > 500 and degenerate > 300 and zero_rows > 250
+
+
+def test_explicit_zeros_are_empty_rows_and_columns():
+    """Zero entries of a plain mass map change neither the value, the
+    marginals of the coupling nor the value of the dual witness."""
+    rng = random.Random(7305)
+    padded_rows = padded_cols = 0
+    for _ in range(40):
+        hg = random_undirected(rng)
+        oracle = all_pairs_distances(hg)
+        u, v = rng.sample(range(hg.n_vertices), 2)
+        a = Fraction(rng.randint(0, 6), 6)
+        mu = measure_undirected(hg, u, a).mass
+        nu = measure_undirected(hg, v, a).mass
+        mu_zeros = {**mu, **{z: Fraction(0) for z in rng.sample(range(hg.n_vertices), 2) if z not in mu}}
+        nu_zeros = {**nu, **{z: 0 for z in rng.sample(range(hg.n_vertices), 2) if z not in nu}}
+        padded_rows += len(mu_zeros) > len(mu)
+        padded_cols += len(nu_zeros) > len(nu)
+        plain = wasserstein(mu, nu, oracle, with_potential=True)
+        padded = wasserstein(mu_zeros, nu_zeros, oracle, with_potential=True)
+        assert padded.value == plain.value
+        assert padded.coupling.left_marginal() == plain.coupling.left_marginal() == mu
+        assert padded.coupling.right_marginal() == plain.coupling.right_marginal() == nu
+        assert lipschitz_check(padded.dual_potential, oracle)
+        assert dual_value(padded.dual_potential, mu_zeros, nu_zeros, oracle) == dual_value(
+            plain.dual_potential, mu, nu, oracle
+        )
+    assert padded_rows > 20 and padded_cols > 20
+    oracle = all_pairs_distances(random_undirected(rng))
+    with pytest.raises(errors.MassMismatch):
+        wasserstein({0: Fraction(0), 1: 0}, {0: Fraction(1)}, oracle)
+    with pytest.raises(errors.MassMismatch):
+        wasserstein({0: Fraction(1)}, {2: 0}, oracle)
