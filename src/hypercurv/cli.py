@@ -66,7 +66,7 @@ def _config_from_args(args) -> RunConfig:
         cfg.variant = args.variant
     if getattr(args, "float", False):
         cfg.exact = False
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
+    if getattr(args, "tol", None) is not None and not args.tol > 0:  # nan is not positive
         raise errors.ParseError("tolerance must be positive")
     if getattr(args, "format", None):
         cfg.fmt = args.format

@@ -6,18 +6,23 @@ inside the edge (undirected) or couples the tail and head set measures
 (directed/oriented).
 
 The Lin-Lu-Yau value is the limit of ``g(alpha) = kappa_alpha / (1-alpha)``
-as alpha approaches 1. Because the transport optimum is piecewise linear
-in alpha and kappa vanishes at alpha=1, g is constant near 1; sampling at
-``alpha_k = 1 - 2**-k`` and stopping at the first two equal consecutive
-values certifies the limit exactly. A directed hyperedge whose curvature
-at alpha=1 is strictly negative has no finite limit, and the limit search
-reports that instead of truncating silently. Every value is an exact
-rational; printing it as a decimal is left to the caller.
+as alpha approaches 1. The walk measures are affine in alpha, so W is
+convex and piecewise linear in alpha and kappa is concave: where kappa
+vanishes at alpha=1, g is constant on the final linear region
+``[alpha_lo, 1)`` of kappa and strictly smaller before it. The limit is
+that constant, read off the final region, and it is certified at the
+first ``alpha_k = 1 - 2**-k`` (k >= 2) at or past ``alpha_lo``: exactly
+where sampling g at the ``alpha_k`` would find two equal consecutive
+values. A directed hyperedge whose curvature at alpha=1 is strictly
+negative has no finite limit, and the limit search reports that instead
+of truncating silently. Every value is an exact rational; printing it as
+a decimal is left to the caller.
 
-The walk measures are affine in alpha, so W is convex and piecewise linear
-in alpha: one transport solve, ranged over the basis it ends on, gives the
-exact W on a whole interval of alpha. The solves, the pieces and the
-curvature numerators are ints; each kappa becomes one Fraction at the end.
+One transport solve, ranged over the basis it ends on, gives the exact W
+on a whole interval of alpha, and the neighbouring intervals are reached
+from that basis by dual-simplex pivots, so each transport is solved once.
+The solves, the pieces and the curvature numerators are ints; each kappa
+becomes one Fraction at the end.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -35,7 +40,7 @@ from . import errors
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
 from .metric import DistanceOracle, edge_length
 from .rational import as_alpha
-from .transport import LinearPiece, linear_piece, wasserstein
+from .transport import AffineFamily, Basis, LinearPiece, dual_pivot, ranged_basis, wasserstein
 from .walk import (
     _pair_measure,
     measure_set,
@@ -44,6 +49,8 @@ from .walk import (
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
 DEFAULT_K_MAX = 24
+# The first alpha of the dyadic rule, 1 - 2**-2: no limit is certified before it.
+_ALPHA_2 = Fraction(3, 4)
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,32 @@ class AlphaCurve:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """LLY limit of one target together with its sampled alpha curve."""
+    """LLY limit of one target together with its sampled alpha curve.
+
+    ``alpha_lo`` is the lower end of the final linear region of kappa,
+    ``[alpha_lo, 1]``; ``stabilization_alpha`` is the first ``1 - 2**-k``
+    (k >= 2) at or past it.
+    """
 
     target: tuple
     variant: str | None
     curve: AlphaCurve
     lly: Fraction
     stabilization_alpha: Fraction
+    alpha_lo: Fraction
+
+
+def _dyadic_index(alpha_lo: Fraction) -> int:
+    """The least k >= 2 with ``1 - 2**-k >= alpha_lo``, for ``alpha_lo`` in [0, 1)."""
+    num, den = alpha_lo.numerator, alpha_lo.denominator
+    # 2**k >= den / (den - num) holds exactly when 2**k >= its ceiling.
+    return max(2, (-(-den // (den - num)) - 1).bit_length())
+
+
+def _not_settled(target: tuple, k_max: int) -> errors.NoStabilization:
+    return errors.NoStabilization(
+        f"normalized curvature of {target} did not settle within k <= {k_max}"
+    )
 
 
 def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
@@ -82,16 +108,21 @@ def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
 class EvalStats:
     """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
 
-    Each solve yields one linear piece of W(alpha) for its target; a solve
-    hit is a transport value read off a stored piece. Measures count walk
-    measures built (two per vertex or side, at alpha 0 and 1); a measure
-    hit is a reuse of such a pair.
+    A solve is the one cold transport solve of a target, which yields its
+    first linear piece of W(alpha); ``pivots`` and ``degenerate_pivots``
+    count the primal simplex pivots of those solves. Every further piece is
+    traced from a neighbouring one by ``dual_pivots``; ``traced_pieces``
+    counts them. A solve hit is a transport value read off a stored piece.
+    Measures count walk measures built (two per vertex or side, at alpha 0
+    and 1); a measure hit is a reuse of such a pair.
     """
 
     solves: int = 0
     solve_hits: int = 0
     pivots: int = 0
     degenerate_pivots: int = 0
+    traced_pieces: int = 0
+    dual_pivots: int = 0
     measures: int = 0
     measure_hits: int = 0
     limits: int = 0
@@ -105,21 +136,56 @@ class Limit(NamedTuple):
     stabilization_alpha: Fraction
 
 
-class _Support(NamedTuple):
-    """Both sides of one transport target at alpha 0 and 1, as int masses.
+class _Chain:
+    """The linear regions of one transport entry's W(alpha) found so far.
 
-    ``rows`` and ``cols`` are the sorted union supports of the two sides;
-    ``mu0``/``mu1`` are the row masses and ``nu0``/``nu1`` the column masses
-    at alpha 0 and 1, each times ``scale``, zeros kept.
+    ``lines`` holds them in alpha order as pieces, each the union of the
+    neighbouring pieces traced on one line; they are contiguous, so every
+    boundary between two of them is a breakpoint of W. ``low`` and ``high``
+    are the optimal bases at the two ends of the chain, from which it is
+    extended by dual pivots, until the chain spans [0, 1] and they are
+    dropped.
     """
 
-    rows: list
-    cols: list
-    mu0: list
-    mu1: list
-    nu0: list
-    nu1: list
-    scale: int
+    __slots__ = ("family", "lines", "low", "high")
+
+    def __init__(self, family: AffineFamily):
+        self.family = family
+        self.lines: list[LinearPiece] = []
+        self.low: Basis | None = None
+        self.high: Basis | None = None
+
+    def store(self, basis: Basis, upward: bool) -> LinearPiece:
+        """Add the piece of ``basis`` at the upper or lower end and return the
+        linear region it ends up in.
+
+        A piece on the line of the region it adjoins, met where a pivot kept
+        every potential, extends that region; so does any piece next to the
+        single-alpha piece of a degenerate first solve.
+        """
+        lines, piece = self.lines, basis.piece
+        end = -1 if upward else 0
+        old = lines[end] if lines else None
+        if old is None:
+            lines.append(piece)
+        elif old.is_point() or (old.w0, old.w1) == (piece.w0, piece.w1):
+            if upward:
+                piece = lines[end] = piece._replace(lo_num=old.lo_num, lo_den=old.lo_den)
+            else:
+                piece = lines[end] = piece._replace(hi_num=old.hi_num, hi_den=old.hi_den)
+        elif upward:
+            lines.append(piece)
+        else:
+            lines.insert(0, piece)
+        if lines[0].lo_num == 0 and lines[-1].hi_num == lines[-1].hi_den:
+            self.low = self.high = None
+        elif old is None:
+            self.low = self.high = basis
+        elif upward:
+            self.high = basis
+        else:
+            self.low = basis
+        return piece
 
 
 class Evaluator:
@@ -127,8 +193,9 @@ class Evaluator:
 
     Walk measures are memoised at alpha 0 and 1 by (constructor, vertex or
     edge, direction or side); the measure at any other alpha is their affine
-    blend. Transport values are memoised per pair or directed edge as the
-    exact linear pieces of W(alpha) that the solves found, and limits by
+    blend. Transport values are memoised per pair or directed edge as a
+    chain of exact linear pieces of W(alpha): one solve finds the first, and
+    dual pivots trace the others as far as requested. Limits are memoised by
     (target, variant where it matters, k_max). A one-to-one directed
     hyperedge shares the transport entry of the pair of its ends. A limit
     that does not stabilize is remembered and raised again. Couplings are
@@ -141,7 +208,7 @@ class Evaluator:
         self.oracle = oracle
         self.stats = EvalStats()
         self._measures: dict[tuple, list] = {}
-        self._transports: dict[tuple, tuple[_Support, list[LinearPiece]]] = {}
+        self._transports: dict[tuple, _Chain] = {}
         self._lengths: dict[tuple, int] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
@@ -168,17 +235,17 @@ class Evaluator:
         self._measures[key] = ends
         return ends
 
-    def _support(self, target: tuple) -> _Support:
-        """Union supports and int endpoint masses of one transport target."""
-        if target[0] == "edge":
-            mu0, mu1 = self._ends("set", target[1], "tail")
-            nu0, nu1 = self._ends("set", target[1], "head")
+    def _family(self, key: tuple) -> AffineFamily:
+        """Union supports and int endpoint masses of one transport entry."""
+        if key[0] == "edge":
+            mu0, mu1 = self._ends("set", key[1], "tail")
+            nu0, nu1 = self._ends("set", key[1], "head")
         elif self.hg.flavor == UNDIRECTED:
-            mu0, mu1 = self._ends("undirected", target[1], None)
-            nu0, nu1 = self._ends("undirected", target[2], None)
+            mu0, mu1 = self._ends("undirected", key[1], None)
+            nu0, nu1 = self._ends("undirected", key[2], None)
         else:
-            mu0, mu1 = self._ends("pair", target[1], "in")
-            nu0, nu1 = self._ends("pair", target[2], "out")
+            mu0, mu1 = self._ends("pair", key[1], "in")
+            nu0, nu1 = self._ends("pair", key[2], "out")
         masses = [mu.mass for mu in (mu0, mu1, nu0, nu1)]
         scale = math.lcm(*{m.denominator for mass in masses for m in mass.values()})
         rows = sorted(masses[0].keys() | masses[1].keys())
@@ -190,7 +257,7 @@ class Evaluator:
                 for m in (mass.get(v, 0) for v in support)
             ]
 
-        return _Support(
+        return AffineFamily(
             rows,
             cols,
             scaled(masses[0], rows),
@@ -200,44 +267,110 @@ class Evaluator:
             scale,
         )
 
-    def _transport(self, target: tuple, p: int, q: int) -> tuple[int, int]:
-        """W at alpha ``p/q`` of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
+    def _keys(self, target: tuple) -> list[tuple]:
+        """Transport entries whose W make up the kappa of a target: the pair
+        itself, a directed edge, or every member pair of an undirected edge."""
+        if target[0] == "pair":
+            return [target[:3]]
+        if self.hg.flavor != UNDIRECTED:
+            return [("edge", target[1])]
+        vs = self.hg.edges[target[1]].sorted_vertices()
+        return [("pair", vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
 
-        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. Each
-        solve, at any alpha in [0, 1], runs on the union supports of the
-        target's endpoint measures and is ranged into the exact linear piece
-        of W around it; every later alpha on a stored piece is read off it
-        without a solve.
-        """
-        if target[0] == "edge":
-            edge = self.hg.edges[target[1]]
+    def _chain(self, key: tuple) -> _Chain:
+        """The chain of a pair ``("pair", u, v)`` or edge ``("edge", h)``, made on first use."""
+        if key[0] == "edge":
+            edge = self.hg.edges[key[1]]
             if len(edge.tail) == 1 and len(edge.head) == 1:
                 # The set measures of a one-to-one hyperedge are the pair
                 # measures of its ends, so both targets share one entry.
-                target = ("pair", *edge.tail, *edge.head)
-        entry = self._transports.get(target)
-        if entry is None:
-            entry = self._transports[target] = (self._support(target), [])
-        support, pieces = entry
-        for piece in pieces:
-            if piece.covers(p, q):
+                key = ("pair", *edge.tail, *edge.head)
+        chain = self._transports.get(key)
+        if chain is None:
+            chain = self._transports[key] = _Chain(self._family(key))
+        return chain
+
+    def _transport(self, key: tuple, p: int, q: int) -> tuple[int, int]:
+        """W at alpha ``p/q`` of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
+
+        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. The
+        first request of an entry solves it at its alpha, on the union
+        supports of its endpoint measures, and ranges the optimal basis into
+        the exact linear piece of W around that alpha. A later alpha on a
+        stored piece is read off it; one outside the chain extends the chain
+        from its nearer end by dual pivots until a piece covers the alpha.
+        """
+        chain = self._chain(key)
+        for line in chain.lines:
+            if line.covers(p, q):
                 self.stats.solve_hits += 1
-                return piece.at(p, q), support.scale
-        self.stats.solves += 1
-        # (1-alpha)*m0 + alpha*m1, times q: masses on the scale q * support.scale.
-        r = q - p
-        result = wasserstein(
-            {v: r * m0 + p * m1 for v, m0, m1 in zip(support.rows, support.mu0, support.mu1)},
-            {v: r * m0 + p * m1 for v, m0, m1 in zip(support.cols, support.nu0, support.nu1)},
-            self.oracle,
+                return line.at(p, q), chain.family.scale
+        if chain.lines:
+            top = chain.lines[-1]
+            upward = top.hi_num * q < p * top.hi_den
+            while not (line := self._extend(chain, upward)).covers(p, q):
+                pass
+        else:
+            self.stats.solves += 1
+            result = wasserstein(*chain.family.masses(p, q), self.oracle)
+            self.stats.pivots += result.pivots
+            self.stats.degenerate_pivots += result.degenerate_pivots
+            basis = ranged_basis(chain.family, result)
+            line = chain.store(basis, upward=True)
+        return line.at(p, q), chain.family.scale
+
+    def _extend(self, chain: _Chain, upward: bool) -> LinearPiece:
+        """Pivot past the upper or lower end of the chain to the next piece of
+        W and return the linear region at that end, grown by the piece.
+        Pieces of a single alpha, met where several flows reach zero at once,
+        are passed."""
+        basis = chain.high if upward else chain.low
+        while True:
+            basis = dual_pivot(chain.family, basis, upward)
+            self.stats.dual_pivots += 1
+            if not basis.piece.is_point():
+                break
+        self.stats.traced_pieces += 1
+        return chain.store(basis, upward)
+
+    def _alpha_lo(self, target: tuple, floor: Fraction) -> Fraction:
+        """Lower end of the final linear region of kappa for a target solved before.
+
+        That is the largest over the target's transport entries of the lower
+        end of the final linear region of their W: a sum of concave terms is
+        linear exactly where every term is. Each chain is traced up to 1 and
+        down only as far as needed: the value is exact when it exceeds
+        ``floor``; otherwise it is some alpha at or below ``floor``.
+        """
+        fn, fd = floor.numerator, floor.denominator
+        num, den = 0, 1
+        for key in self._keys(target):
+            chain = self._chain(key)
+            if chain.lines[-1].hi_num != chain.lines[-1].hi_den:
+                self._transport(key, 1, 1)
+            while len(chain.lines) == 1 and chain.lines[0].lo_num * fd > fn * chain.lines[0].lo_den:
+                self._extend(chain, upward=False)
+            final = chain.lines[-1]
+            if final.lo_num * den > num * final.lo_den:
+                num, den = final.lo_num, final.lo_den
+        return Fraction(num, den)
+
+    def breakpoints(self, target: tuple) -> list[Fraction]:
+        """Alphas in (0, 1) where ``kappa_alpha`` of the target changes slope, ascending.
+
+        Traces every transport of the target over [0, 1]; there are
+        ``len(breakpoints) + 1`` linear parts.
+        """
+        target = tuple(target)
+        self._kappa(target, Fraction(0), "sum")
+        self._kappa(target, Fraction(1), "sum")
+        return sorted(
+            {
+                Fraction(line.lo_num, line.lo_den)
+                for key in self._keys(target)
+                for line in self._chain(key).lines[1:]
+            }
         )
-        self.stats.pivots += result.pivots
-        self.stats.degenerate_pivots += result.degenerate_pivots
-        piece = linear_piece(
-            result, support.mu0, support.nu0, support.mu1, support.nu1, self.oracle
-        )
-        pieces.append(piece)
-        return piece.at(p, q), support.scale
 
     def _length(self, edge_index: int, variant: str) -> int:
         """Length of a hyperedge under ``variant``, times ``oracle.scale``."""
@@ -280,16 +413,14 @@ class Evaluator:
             return Fraction(den - w, den)
         # The defect sum of d - W over member pairs, times q * scale, is
         # defect / den; each pair's term comes over its own mass scale s.
-        vs = hg.edges[target[1]].sorted_vertices()
         defect, den = 0, 1
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                w, s = self._transport(("pair", vs[i], vs[j]), p, q)
-                if den % s:
-                    grown = math.lcm(den, s)
-                    defect *= grown // den
-                    den = grown
-                defect += (q * s * oracle.table[vs[i]][vs[j]] - w) * (den // s)
+        for key in self._keys(target):
+            w, s = self._transport(key, p, q)
+            if den % s:
+                grown = math.lcm(den, s)
+                defect *= grown // den
+                den = grown
+            defect += (q * s * oracle.table[key[1]][key[2]] - w) * (den // s)
         return Fraction(defect, den * q * self._length(target[1], variant))
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
@@ -298,10 +429,12 @@ class Evaluator:
     def limit(self, target: tuple, variant: str = "sum", k_max: int = DEFAULT_K_MAX) -> Limit:
         """Normalized-curvature limit of a target, without sampling any alpha grid.
 
-        Samples ``g(alpha_k)`` at ``alpha_k = 1 - 2**-k`` for k = 2, 3, ... and
-        declares the limit at the first two exactly equal consecutive values.
-        Raises NoStabilization when k_max is exhausted, or immediately when
-        the target provably diverges.
+        The limit is ``g = kappa_alpha / (1-alpha)`` on the final linear
+        region ``[alpha_lo, 1]`` of kappa, certified at the first
+        ``alpha_k = 1 - 2**-k`` (k >= 2) at or past ``alpha_lo``. Raises
+        NoStabilization when that k would exceed ``k_max - 1``, where the
+        dyadic rule would stop, or immediately when the target provably
+        diverges.
         """
         target = tuple(target)
         key = (target, self._variant_key(target, variant), k_max)
@@ -321,6 +454,11 @@ class Evaluator:
         return found
 
     def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
+        # The first solve of each transport lands where the dyadic rule
+        # looked first; its piece mostly reaches 1 and below 3/4 already.
+        kappa_2 = self._kappa(target, _ALPHA_2, variant)
+        # At alpha=1 the measures of a pair are point masses at its ends, so
+        # kappa vanishes there for pairs and undirected hyperedges.
         if target[0] == "edge" and self.hg.flavor != UNDIRECTED:
             kappa_one = self._kappa(target, Fraction(1), variant)
             if kappa_one < 0:
@@ -328,17 +466,21 @@ class Evaluator:
                     f"target {target} has curvature {kappa_one} at alpha=1; "
                     "the normalized curve decreases without bound"
                 )
-        prev = None
-        prev_alpha = None
-        for kk in range(2, k_max + 1):
-            a = Fraction(2**kk - 1, 2**kk)
-            g = self._kappa(target, a, variant) / (1 - a)
-            if g == prev:
-                return Limit(lly=g, stabilization_alpha=prev_alpha)
-            prev, prev_alpha = g, a
-        raise errors.NoStabilization(
-            f"normalized curvature of {target} did not settle within k <= {k_max}"
-        )
+            if kappa_one:
+                # g is then kappa_one/(1-alpha) minus a chord slope of kappa
+                # that concavity keeps from growing: it rises without bound
+                # and takes no value twice.
+                raise _not_settled(target, k_max)
+        # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
+        # kappa from alpha to 1: by concavity constant on the final linear
+        # region and strictly smaller before it.
+        k = _dyadic_index(self._alpha_lo(target, _ALPHA_2))
+        if k >= k_max:
+            raise _not_settled(target, k_max)
+        if k == 2:
+            return Limit(lly=kappa_2 * 4, stabilization_alpha=_ALPHA_2)
+        a = Fraction(2**k - 1, 2**k)
+        return Limit(lly=self._kappa(target, a, variant) / (1 - a), stabilization_alpha=a)
 
     def report(
         self, target: tuple, variant: str = "sum", grid=None, k_max: int = DEFAULT_K_MAX
@@ -348,6 +490,7 @@ class Evaluator:
         ``grid`` defaults to ``DEFAULT_ALPHA_GRID``.
         """
         grid = DEFAULT_ALPHA_GRID if grid is None else tuple(as_alpha(a) for a in grid)
+        target = tuple(target)
         found = self.limit(target, variant, k_max)
         samples = []
         normalized = []
@@ -357,11 +500,12 @@ class Evaluator:
             if a != 1:
                 normalized.append((a, k / (1 - a)))
         return CurvatureReport(
-            target=tuple(target),
+            target=target,
             variant=self._variant_key(target, variant),
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
+            alpha_lo=self._alpha_lo(target, Fraction(0)),
         )
 
 

@@ -11,6 +11,12 @@ exact and reproducible. Scaling changes no comparison, so the pivots and
 the results are those of the same simplex run on Fractions. The coupling
 is built from the optimal basis only when it is read.
 
+For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
+convex and piecewise linear in ``b``. :func:`ranged_basis` ranges the
+optimal basis of one solve into the exact :class:`LinearPiece` of W on
+which it stays optimal, and :func:`dual_pivot` steps from a ranged basis
+across either end of its piece to the next one, without another solve.
+
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
 """
@@ -69,6 +75,10 @@ class TransportResult:
     _row_ids: list = field(default_factory=list, repr=False, compare=False)
     _col_ids: list = field(default_factory=list, repr=False, compare=False)
     _mass_scale: int = field(default=1, repr=False, compare=False)
+    # Its row and column potentials and its cost matrix, on the oracle's scale.
+    _u: list = field(default_factory=list, repr=False, compare=False)
+    _v: list = field(default_factory=list, repr=False, compare=False)
+    _cost: list = field(default_factory=list, repr=False, compare=False)
 
     @cached_property
     def coupling(self) -> Coupling:
@@ -120,9 +130,8 @@ def wasserstein(
             for v in col_ids:
                 oracle.d(u, v)  # raises MissingDistance at the first pair off the table
     table = oracle.table
-    sol = _transportation_simplex(
-        supply, demand, [[table[u][v] for v in col_ids] for u in row_ids]
-    )
+    cost = [[table[u][v] for v in col_ids] for u in row_ids]
+    sol = _transportation_simplex(supply, demand, cost)
     potential = None
     if with_potential:
         potential = _dual_potential(oracle, col_ids, sol.v)
@@ -135,6 +144,9 @@ def wasserstein(
         _row_ids=row_ids,
         _col_ids=col_ids,
         _mass_scale=mass_scale,
+        _u=sol.u,
+        _v=sol.v,
+        _cost=cost,
     )
 
 
@@ -161,65 +173,206 @@ class LinearPiece(NamedTuple):
         """``W(p/q) * q * scale``."""
         return (q - p) * self.w0 + p * self.w1
 
+    def is_point(self) -> bool:
+        """Whether the interval is a single ``b``."""
+        return self.lo_num * self.hi_den == self.hi_num * self.lo_den
 
-def linear_piece(
-    result: TransportResult, mu0, nu0, mu1, nu1, oracle: DistanceOracle
-) -> LinearPiece:
-    """Interval of ``b`` on which the optimal basis of ``result`` stays optimal.
 
-    ``result`` solved ``mu(b) = (1-b)*mu0 + b*mu1`` against ``nu(b) = (1-b)*nu0
-    + b*nu1`` at some ``b`` in [0, 1], with a row for every vertex of
-    support(mu0) + support(mu1) and a column for every vertex of
-    support(nu0) + support(nu1), zero masses kept. ``mu0`` and ``mu1`` are
-    int masses aligned with the result's rows, ``nu0`` and ``nu1`` with its
-    columns, all four on one scale. Reduced costs do not depend on the
-    masses, and the basic flows are affine in ``b``: the basis stays
-    optimal, and W stays affine, exactly where those flows stay
-    nonnegative. The flows are pushed through the basis tree for both
-    endpoints, and a ratio test over the basic cells gives ``[lo, hi]``.
-    Since W is convex in ``b``, the piece extended to [0, 1] never exceeds W.
+class AffineFamily(NamedTuple):
+    """``mu(b) = (1-b)*mu0 + b*mu1`` against ``nu(b) = (1-b)*nu0 + b*nu1``.
+
+    ``rows`` and ``cols`` are the sorted union supports of the two sides;
+    ``mu0``/``mu1`` are the row masses and ``nu0``/``nu1`` the column masses
+    at b = 0 and 1, each times ``scale``, as ints with zeros kept.
     """
-    rows, cols, cells = result._row_ids, result._col_ids, list(result._flows)
-    nr, nodes = len(rows), len(rows) + len(cols)
-    if not (len(mu0) == len(mu1) == nr and len(nu0) == len(nu1) == nodes - nr):
+
+    rows: list
+    cols: list
+    mu0: list
+    mu1: list
+    nu0: list
+    nu1: list
+    scale: int
+
+    def masses(self, p: int, q: int) -> tuple[dict, dict]:
+        """Row and column mass maps at ``b = p/q``, times ``q * scale``, zeros kept."""
+        r = q - p
+        return (
+            {v: r * m0 + p * m1 for v, m0, m1 in zip(self.rows, self.mu0, self.mu1)},
+            {v: r * m0 + p * m1 for v, m0, m1 in zip(self.cols, self.nu0, self.nu1)},
+        )
+
+
+class Basis(NamedTuple):
+    """An optimal basis of an :class:`AffineFamily`, ranged into its piece of W.
+
+    The basis is a spanning tree over the nodes, the rows ``0..nr-1`` and
+    then the columns, hung from row 0: ``parent[x]`` is the node above x
+    (-1 at the root) and ``order`` lists the nodes breadth first. Every
+    other node x carries the basic cell between x and ``parent[x]``, and
+    ``f0[x]``/``f1[x]`` are that cell's flow at b = 0 and b = 1 of the
+    basis' affine extension, on the family's scale. ``u`` and ``v`` are
+    the row and column potentials and ``cost`` the family's cost matrix, on
+    the oracle's scale: ``u[i] + v[j]`` is the cost of every basic cell and
+    no more than the cost of any cell.
+    """
+
+    piece: LinearPiece
+    parent: list
+    order: list
+    f0: list
+    f1: list
+    u: list
+    v: list
+    cost: list
+
+
+def ranged_basis(family: AffineFamily, result: TransportResult) -> Basis:
+    """The optimal basis of ``result``, a solve of ``family`` at some ``b`` in [0, 1].
+
+    ``result`` must have a row for every row of the family and a column for
+    every column, zero masses kept, as ``wasserstein(*family.masses(p, q))``
+    gives. Reduced costs do not depend on the masses, and the basic flows
+    are affine in ``b``: the basis stays optimal, and W stays affine,
+    exactly where those flows stay nonnegative. The flows are pushed
+    through the basis tree for both endpoints, and a ratio test over the
+    basic cells gives the piece's ``[lo, hi]``. Since W is convex in ``b``,
+    the piece extended to [0, 1] never exceeds W.
+    """
+    rows, cols = family.rows, family.cols
+    if result._row_ids != rows or result._col_ids != cols:
+        raise ValueError("the solve's rows and columns are not the family's supports")
+    if not (
+        len(family.mu0) == len(family.mu1) == len(rows)
+        and len(family.nu0) == len(family.nu1) == len(cols)
+    ):
         raise ValueError("endpoint masses are not aligned with the rows and columns of the solve")
+    nr = len(rows)
+    adj = [[] for _ in range(nr + len(cols))]
+    for i, j in result._flows:
+        adj[i].append(nr + j)
+        adj[nr + j].append(i)
+    return _range(family, result._cost, adj, result._u, result._v)
+
+
+def _range(family: AffineFamily, cost, adj, u, v) -> Basis:
+    """Hang the basis tree with adjacency ``adj`` from row 0 and range it."""
+    nr = len(family.rows)
     # Net supply of each tree node at each end: row masses count plus,
     # column masses minus.
-    nets = ([*mu0, *(-m for m in nu0)], [*mu1, *(-m for m in nu1)])
-    adj = [set() for _ in range(nodes)]
-    for i, j in cells:
-        adj[i].add(nr + j)
-        adj[nr + j].add(i)
-    parent = [-1] * nodes
-    order = _rehang(adj, parent, [0] * nodes, 0)
-    table = oracle.table
+    net0 = family.mu0 + [-m for m in family.nu0]
+    net1 = family.mu1 + [-m for m in family.nu1]
+    parent = [-1] * len(adj)
+    order = [0]
+    for x in order:
+        up = parent[x]
+        for y in adj[x]:
+            if y != up:
+                parent[y] = x
+                order.append(y)
     lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     w0 = w1 = 0
+    f0 = [0] * len(adj)
+    f1 = [0] * len(adj)
     # Leaves first: the flow on the cell above a node carries the net supply
     # of the subtree under it (out of a row, into a column).
-    for x in reversed(order[1:]):
+    for x in order[:0:-1]:
         p = parent[x]
-        f0, f1 = nets[0][x], nets[1][x]
-        nets[0][p] += f0
-        nets[1][p] += f1
+        s0, s1 = net0[x], net1[x]
+        net0[p] += s0
+        net1[p] += s1
         if x < nr:
-            c = table[rows[x]][cols[p - nr]]
+            c = cost[x][p - nr]
         else:
-            c = table[rows[p]][cols[x - nr]]
-            f0, f1 = -f0, -f1
-        w0 += f0 * c
-        w1 += f1 * c
-        # The flow (1-b)*f0 + b*f1 stays nonnegative for b <= f0/(f0-f1) when
-        # it falls, and for b >= -f0/(f1-f0) when it rises from below zero.
-        if f1 < 0:
-            if f0 * hi_den < hi_num * (f0 - f1):
-                hi_num, hi_den = f0, f0 - f1
-        elif f0 < 0:
-            if -f0 * lo_den > lo_num * (f1 - f0):
-                lo_num, lo_den = -f0, f1 - f0
-    if nets[0][0] or nets[1][0]:
+            c = cost[p][x - nr]
+            s0, s1 = -s0, -s1
+        f0[x] = s0
+        f1[x] = s1
+        w0 += s0 * c
+        w1 += s1 * c
+        # The flow (1-b)*s0 + b*s1 stays nonnegative for b <= s0/(s0-s1) when
+        # it falls, and for b >= -s0/(s1-s0) when it rises from below zero.
+        if s1 < 0:
+            if s0 * hi_den < hi_num * (s0 - s1):
+                hi_num, hi_den = s0, s0 - s1
+        elif s0 < 0:
+            if -s0 * lo_den > lo_num * (s1 - s0):
+                lo_num, lo_den = -s0, s1 - s0
+    if net0[0] or net1[0]:
         raise errors.MassMismatch("endpoint measures carry different total masses")
-    return LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
+    piece = LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
+    return Basis(piece, parent, order, f0, f1, u, v, cost)
+
+
+def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
+    """The optimal basis just past one end of ``basis.piece``, ranged.
+
+    ``upward`` crosses the piece's ``hi`` end, otherwise its ``lo`` end; that
+    end must lie strictly inside (0, 1). One parametric dual-simplex pivot:
+
+    * the leaving cell is a basic cell whose flow is zero at the end and
+      would turn negative past it;
+    * removing it cuts the tree in two. The flow it carried is the net
+      supply of its row's side, which past the end turns negative, so the
+      entering cell runs from a row on the column's side into a column on
+      the row's side: of those, the one with the least reduced cost;
+    * the potentials of the side cut off from the root are shifted by that
+      reduced cost so the entering cell becomes tight. Cells crossing the
+      cut the same way lose it, cells crossing the other way gain it, and
+      every other reduced cost stays as it was: all stay nonnegative;
+    * the new basis is ranged again. Its piece starts at the end crossed.
+
+    Reduced costs do not depend on the masses, so the new basis is optimal
+    wherever its flows are nonnegative, and no optimality scan is needed.
+    Where several flows reach zero at the end, the new piece may be that
+    single point, and the caller pivots again. Ties are broken in (row,
+    col) order on both sides: the leaving cell is the first that qualifies,
+    the entering cell the first of least reduced cost. That is Bland's rule
+    for the dual simplex, so a run of pivots at one end cannot cycle.
+    """
+    piece = basis.piece
+    num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
+    nr = len(family.rows)
+    parent, order, f0, f1 = basis.parent, basis.order, basis.f0, basis.f1
+    # The leaving cell is the one above node ``low``.
+    low = leaving = None
+    for x in order[1:]:
+        s0, s1 = f0[x], f1[x]
+        if (s1 < s0 if upward else s1 > s0) and (den - num) * s0 + num * s1 == 0:
+            p = parent[x]
+            cell = (x, p - nr) if x < nr else (p, x - nr)
+            if leaving is None or cell < leaving:
+                low, leaving = x, cell
+    cut = [False] * len(parent)
+    cut[low] = True
+    for x in order[1:]:
+        if cut[parent[x]]:
+            cut[x] = True
+    # The side holding the leaving cell's column feeds the other side.
+    feeds = low >= nr
+    fed = [j for j, moved in enumerate(cut[nr:]) if moved is not feeds]
+    cost, u, v = basis.cost, basis.u, basis.v
+    best = entering = None
+    for i in range(nr):
+        if cut[i] is feeds:
+            row, ui = cost[i], u[i]
+            for j in fed:
+                reduced = row[j] - ui - v[j]
+                if best is None or reduced < best:
+                    best, entering = reduced, (i, j)
+    if best:
+        shift = best if feeds else -best
+        u = [ui + shift if moved else ui for ui, moved in zip(u, cut)]
+        v = [vj - shift if moved else vj for vj, moved in zip(v, cut[nr:])]
+    adj = [[] for _ in parent]
+    for x in order[1:]:
+        if x != low:
+            adj[x].append(parent[x])
+            adj[parent[x]].append(x)
+    i, j = entering
+    adj[i].append(nr + j)
+    adj[nr + j].append(i)
+    return _range(family, cost, adj, u, v)
 
 
 def _as_ints(values) -> tuple[list[int], int]:

@@ -3,7 +3,8 @@
 Nothing here shares code with hypercurv internals: distances come from
 sequence enumeration or Floyd-Warshall, transport optima from polytope
 vertex enumeration or a dense two-phase tableau simplex, and the graph
-curvature limit from a self-contained implementation.
+curvature limit from a self-contained implementation, or without any limit
+from the Laplacian characterisation of Münch and Wojciechowski.
 
 Two exceptions sit at the end. ``reference_lly_limit`` is the uncached
 limit search that predates :class:`hypercurv.Evaluator`; it reuses the
@@ -16,7 +17,7 @@ integer transport core replaced, kept to check that core pivot for pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 # -- shortest hyperpaths by exhaustive sequence enumeration ------------------
@@ -291,6 +292,59 @@ class BruteGraphCurvature:
                 return g, prev_alpha
             prev, prev_alpha = g, a
         raise AssertionError(f"graph oracle did not stabilize for ({u}, {v})")
+
+
+# -- limit-free Lin-Lu-Yau curvature of a unit-weight graph edge -------------
+
+
+def limit_free_lly(n: int, edges, x: int, y: int) -> Fraction:
+    """Lin-Lu-Yau curvature of the edge xy of a connected unit-weight graph.
+
+    Münch and Wojciechowski (Adv. Math. 2019) give it without a limit: the
+    infimum of ``grad_xy Lap f`` over 1-Lipschitz f with ``grad_yx f = 1``,
+    where ``grad_xy g = (g(x) - g(y)) / d(x, y)`` and ``Lap f(z)`` is the mean
+    of ``f(w) - f(z)`` over the neighbours w of z. It reads f only on
+    ``B1(x) ∪ B1(y)``, and every 1-Lipschitz f there extends to the whole
+    graph. With f(x) = 0 the constraints are differences bounded by integer
+    distances, a totally unimodular system, so the infimum is reached at an
+    integer f, and ``|f(z) - f(x)| <= d(x, z)`` and ``|f(z) - f(y)| <= d(y, z)``
+    bound each value. All such f are enumerated. Distances come from
+    breadth-first search; ``edges`` are vertex pairs, their weights ignored.
+    """
+    nbrs = [set() for _ in range(n)]
+    for pair in edges:
+        u, v = tuple(pair)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    if y not in nbrs[x]:
+        raise ValueError(f"({x}, {y}) is not an edge")
+
+    def hops(source):
+        dist = {source: 0}
+        queue = [source]
+        for z in queue:
+            for w in nbrs[z]:
+                if w not in dist:
+                    dist[w] = dist[z] + 1
+                    queue.append(w)
+        return dist
+
+    ball = sorted({x, y} | nbrs[x] | nbrs[y])
+    dist = {z: hops(z) for z in ball}
+    free = [z for z in ball if z not in (x, y)]
+    ranges = [
+        range(max(-dist[x][z], 1 - dist[y][z]), min(dist[x][z], 1 + dist[y][z]) + 1) for z in free
+    ]
+    best = None
+    for values in product(*ranges):
+        f = {x: 0, y: 1, **dict(zip(free, values))}
+        if any(f[a] - f[b] > dist[a][b] for a in ball for b in ball):
+            continue
+        lap_x = Fraction(sum(f[w] for w in nbrs[x]), len(nbrs[x])) - f[x]
+        lap_y = Fraction(sum(f[w] for w in nbrs[y]), len(nbrs[y])) - f[y]
+        if best is None or lap_x - lap_y < best:
+            best = lap_x - lap_y
+    return best
 
 
 # -- uncached reference for the memoised Evaluator ---------------------------

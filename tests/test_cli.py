@@ -237,6 +237,14 @@ def test_document_round_trip_oriented_symmetrize():
     assert serialize_document(again) == serialize_document(doc)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-nan", "0", "-1"])
+def test_non_positive_tol_rejected(capsys, h4_path, tol):
+    """``--tol`` must be positive, and nan is not: it exits 2 like ``--tol 0``."""
+    code, out, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3", f"--tol={tol}"])
+    assert code == 2 and out == ""
+    assert err == "ParseError: tolerance must be positive\n"
+
+
 def test_bad_alpha_grid_rejected(capsys, h4_path):
     code, _, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3", "--alpha-grid", "0,1.5"])
     assert code == 2
@@ -339,6 +347,8 @@ def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
         "solve_hits",
         "pivots",
         "degenerate_pivots",
+        "traced_pieces",
+        "dual_pivots",
         "measures",
         "measure_hits",
         "limits",
@@ -346,10 +356,12 @@ def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
         "seconds",
     }
     assert counters["pivots"] >= counters["degenerate_pivots"] >= 0
+    assert counters["dual_pivots"] >= counters["traced_pieces"] >= 0
     if argv[0] == "validate":
-        assert counters["solves"] == counters["pivots"] == 0
+        assert counters["solves"] == counters["pivots"] == counters["dual_pivots"] == 0
     else:
-        assert counters["solves"] > 0 and counters["measures"] <= 2 * counters["solves"]
+        # Each transport entry is solved once and reads two measures per side.
+        assert counters["solves"] > 0 and counters["measures"] <= 4 * counters["solves"]
     if argv[0] == "curvature":
         assert counters["pivots"] > 0
 
@@ -358,10 +370,12 @@ def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
     code, _, err = _run(capsys, ["sweep", h4_path, "--pair", "x2,x3", "--stats"])
     assert code == 0
     counters = json.loads(err)
-    # Two solves: the dyadic 3/4 (its piece is [1/3, 1]) and alpha 0 (its
-    # piece is [0, 1/3]). Twelve hits: the dyadic 7/8, the other ten grid
-    # points and the stabilization row.
-    assert counters["solves"] == 2 and counters["solve_hits"] == 12
+    # One solve, at the dyadic 3/4: its piece [1/3, 1] is the final linear
+    # region. Two dual pivots at 1/3 trace the piece [0, 1/3] for the grid's
+    # alpha 0; the first ends on a basis that is optimal at 1/3 only. Eleven
+    # hits: the other ten grid points and the stabilization row.
+    assert counters["solves"] == 1 and counters["solve_hits"] == 11
+    assert counters["dual_pivots"] == 2 and counters["traced_pieces"] == 1
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from conftest import (
     random_undirected,
     undirected_corpus,
 )
-from oracles import BruteGraphCurvature
+from oracles import BruteGraphCurvature, limit_free_lly
 
 GRID = [Fraction(k, 10) for k in range(10)] + [Fraction(99, 100)]
 
@@ -239,3 +239,45 @@ def edge_len_sum(hg, oracle, e):
     from hypercurv import edge_length
 
     return edge_length(hg, oracle, e, "sum").value
+
+
+def _unit_graphs(seed, count):
+    """Random connected unit-weight graphs with a degree cap of 3, as hypergraphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, edges = random_graph_edges(rng)
+        edges = {pair: Fraction(1) for pair in edges}
+        yield n, edges, graph_as_hypergraph(n, edges)
+
+
+def test_limit_matches_limit_free_oracle_on_graph_edges():
+    """The limit read off the final piece equals the Münch-Wojciechowski
+    infimum, which needs neither a transport solve nor a limit."""
+    checked = 0
+    for n, edges, hg in _unit_graphs(4242, 30):
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        for pair in edges:
+            x, y = sorted(pair)
+            assert ev.limit(("pair", x, y)).lly == limit_free_lly(n, edges, x, y), (edges, x, y)
+            checked += 1
+    assert checked > 150
+
+
+def test_idleness_function_invariants_on_graph_edges():
+    """Bourne-Cushing-Liu-Münch-Peyerimhoff (SIAM J. Discrete Math. 2018):
+    for adjacent x and y of a graph, kappa_alpha(x, y) has at most 3 linear
+    parts and is linear on [1/(max(deg x, deg y) + 1), 1]. Both are read off
+    the traced chain of W."""
+    parts_seen = set()
+    for n, edges, hg in _unit_graphs(4243, 40):
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        degree = [sum(v in pair for pair in edges) for v in range(n)]
+        for pair in edges:
+            x, y = sorted(pair)
+            kinks = ev.breakpoints(("pair", x, y))
+            parts_seen.add(len(kinks) + 1)
+            assert len(kinks) + 1 <= 3, (edges, x, y, kinks)
+            alpha_lo = ev.report(("pair", x, y)).alpha_lo
+            assert alpha_lo == max(kinks, default=0)
+            assert alpha_lo <= Fraction(1, max(degree[x], degree[y]) + 1), (edges, x, y, kinks)
+    assert parts_seen == {1, 2, 3}

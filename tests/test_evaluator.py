@@ -9,6 +9,7 @@ import pytest
 
 from hypercurv import Evaluator, all_pairs_distances, build, errors
 from hypercurv.cli import RunConfig, _bounds_ledger
+from hypercurv.curvature import _dyadic_index
 
 from conftest import (
     curvature_targets,
@@ -125,3 +126,67 @@ def test_ledger_with_shared_evaluator_equals_fresh_per_check(flavor):
         doc = named_document(hg)
         ev = Evaluator(hg, all_pairs_distances(hg))
         assert _bounds_ledger(doc, cfg, ev) == _bounds_ledger(doc, cfg)
+
+
+@pytest.mark.parametrize("flavor", sorted(CORPORA))
+def test_alpha_lo_is_where_kappa_turns_linear(flavor):
+    """Fresh solves put ``alpha_lo`` where the final linear region of kappa
+    starts, and the limit is certified at the first dyadic alpha past it."""
+    kinked = 0
+    for hg in CORPORA[flavor]():
+        oracle = all_pairs_distances(hg)
+        ev = Evaluator(hg, oracle)
+        for target, variant in curvature_targets(hg, oracle):
+            try:
+                rep = ev.report(target, variant, GRID)
+            except errors.NoStabilization:
+                continue
+            lo = rep.alpha_lo
+            k = 2
+            while 1 - Fraction(1, 2**k) < lo:
+                k += 1
+            assert rep.stabilization_alpha == 1 - Fraction(1, 2**k)
+
+            def kappa(a):
+                return reference_kappa(hg, oracle, target, a, variant)
+
+            # kappa(1) = 0 here, so the final region is the line through (1, 0).
+            slope = -kappa(lo) / (1 - lo)
+            for a in (lo, (lo + 1) / 2, (lo + 3) / 4):
+                assert kappa(a) == slope * (a - 1), (target, a)
+            kinks = ev.breakpoints(target)
+            assert lo == max(kinks, default=Fraction(0))
+            if kinks:
+                below = (lo + (kinks[-2] if len(kinks) > 1 else 0)) / 2
+                assert kappa(below) < slope * (below - 1), (target, below)
+                kinked += 1
+    assert kinked > 0
+
+
+def test_dyadic_index_is_the_first_dyadic_alpha_at_or_past():
+    rng = random.Random(7107)
+    alphas = [Fraction(0), Fraction(3, 4), Fraction(7, 8), Fraction(1, 2**30)]
+    alphas += [1 - Fraction(1, 2**k) + d for k in range(2, 40) for d in (Fraction(1, 2**60), 0)]
+    alphas += [Fraction(rng.randint(0, 10**6), 10**6 + 1) for _ in range(500)]
+    for lo in alphas:
+        k = 2
+        while 1 - Fraction(1, 2**k) < lo:
+            k += 1
+        assert _dyadic_index(lo) == k, lo
+
+
+@pytest.mark.parametrize("flavor", sorted(CORPORA))
+def test_limit_at_small_k_max_matches_dyadic_reference(flavor):
+    """Where the dyadic rule runs out of samples the limit raises, and only there."""
+    for hg in CORPORA[flavor]()[:3]:
+        oracle = all_pairs_distances(hg)
+        ev = Evaluator(hg, oracle)
+        for target, variant in curvature_targets(hg, oracle):
+            for k_max in (1, 2, 3):
+                try:
+                    expected = reference_lly_limit(hg, oracle, target, variant, (), k_max)[2:]
+                except errors.NoStabilization:
+                    with pytest.raises(errors.NoStabilization):
+                        ev.limit(target, variant, k_max)
+                    continue
+                assert tuple(ev.limit(target, variant, k_max)) == expected

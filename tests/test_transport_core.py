@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from hypercurv import DistanceOracle, all_pairs_distances, errors, measure_undirected, wasserstein
 from hypercurv.transport import (
+    AffineFamily,
     _as_ints,
     _transportation_simplex,
+    dual_pivot,
     dual_value,
-    linear_piece,
     lipschitz_check,
+    ranged_basis,
 )
 
 from conftest import random_undirected
@@ -212,7 +214,7 @@ def _affine_family(rng, k):
 
 def _aligned(ends):
     """Union supports of both sides and the four endpoint masses on them, as
-    ints over one scale: the layout ``linear_piece`` ranges."""
+    ints over one scale: the layout of an ``AffineFamily``."""
     mu0, nu0, mu1, nu1 = ends
     rows, cols = sorted({*mu0, *mu1}), sorted({*nu0, *nu1})
     scale = math.lcm(*{Fraction(m).denominator for end in ends for m in end.values()})
@@ -236,7 +238,8 @@ def test_linear_piece_matches_fresh_solves():
     for k in range(300):
         ends, oracle = _affine_family(rng, k)
         mu0, nu0, mu1, nu1 = ends
-        rows, cols, ints, scale = _aligned(ends)
+        rows, cols, (m0, n0, m1, n1), scale = _aligned(ends)
+        family = AffineFamily(rows, cols, m0, m1, n0, n1, scale)
 
         def w(b):
             return wasserstein(_blend(mu0, mu1, b), _blend(nu0, nu1, b), oracle).value
@@ -248,7 +251,7 @@ def test_linear_piece_matches_fresh_solves():
             with _deadline(10):
                 res = wasserstein(mu, nu, oracle)
                 assert res.value == w(alpha)
-                piece = linear_piece(res, *ints, oracle)
+                piece = ranged_basis(family, res).piece
                 lo = Fraction(piece.lo_num, piece.lo_den)
                 hi = Fraction(piece.hi_num, piece.hi_den)
                 assert lo <= alpha <= hi
@@ -273,6 +276,77 @@ def test_linear_piece_matches_fresh_solves():
     # fail, some optimal bases carry zero flows at the solve alpha, and most
     # endpoint solves keep zero-mass rows.
     assert proper > 500 and degenerate > 300 and zero_rows > 250
+
+
+def _trace(family, basis, upward):
+    """Bases from ``basis`` by dual pivots until a piece reaches 1 (or 0).
+
+    The families here have at most 7 rows and columns, and their chains at
+    most a few dozen bases; a pivot rule that wanders fails at the bound.
+    """
+    bases = [basis]
+    while len(bases) < 200:
+        piece = bases[-1].piece
+        num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
+        if num == (den if upward else 0):
+            return bases
+        bases.append(dual_pivot(family, bases[-1], upward))
+    raise AssertionError("no end of [0, 1] after 200 dual pivots")
+
+
+def _assert_optimal_potentials(basis):
+    """``u[i] + v[j]`` meets every basic cell's cost and no cell's cost exceeds it."""
+    nr = len(basis.u)
+    basic = {(x, p - nr) if x < nr else (p, x - nr) for x, p in enumerate(basis.parent) if p >= 0}
+    assert len(basic) == len(basis.parent) - 1
+    for i, row in enumerate(basis.cost):
+        for j, c in enumerate(row):
+            reduced = c - basis.u[i] - basis.v[j]
+            assert reduced >= 0 and (reduced == 0 or (i, j) not in basic)
+
+
+def test_traced_pieces_match_fresh_solves():
+    """From one solve at an interior alpha, at 0 or at 1, dual pivots trace a
+    chain of pieces that is contiguous from the solve down to 0 and up to 1,
+    and every piece equals a fresh solve at its two ends and inside."""
+    rng = random.Random(7306)
+    pieces = points = kinks = zero_rows = 0
+    for k in range(300):
+        ends, oracle = _affine_family(rng, k)
+        mu0, nu0, mu1, nu1 = ends
+        rows, cols, (m0, n0, m1, n1), scale = _aligned(ends)
+        family = AffineFamily(rows, cols, m0, m1, n0, n1, scale)
+
+        def w(b):
+            return wasserstein(_blend(mu0, mu1, b), _blend(nu0, nu1, b), oracle).value
+
+        alpha = (_interior(rng, Fraction(0), Fraction(1)), Fraction(0), Fraction(1))[k % 3]
+        with _deadline(10):
+            solve = wasserstein(*family.masses(alpha.numerator, alpha.denominator), oracle)
+            cold = ranged_basis(family, solve)
+            chain = _trace(family, cold, False)[::-1] + _trace(family, cold, True)[1:]
+        zero_rows += 0 in m0 or 0 in m1
+        traced = [b.piece for b in chain]
+        assert traced[0].lo_num == 0 and traced[-1].hi_num == traced[-1].hi_den
+        for below, above in zip(traced, traced[1:]):
+            assert Fraction(below.hi_num, below.hi_den) == Fraction(above.lo_num, above.lo_den)
+        assert cold.piece.covers(alpha.numerator, alpha.denominator)
+        for basis in chain:
+            _assert_optimal_potentials(basis)
+            piece = basis.piece
+            lo = Fraction(piece.lo_num, piece.lo_den)
+            hi = Fraction(piece.hi_num, piece.hi_den)
+            for b in {lo, hi, _interior(rng, lo, hi)}:
+                value = piece.at(b.numerator, b.denominator)
+                assert Fraction(value, b.denominator * scale * oracle.scale) == w(b), (k, b, piece)
+            pieces += 1
+            points += lo == hi
+        proper = [piece for piece in traced if not piece.is_point()]
+        kinks += sum((a.w0, a.w1) != (b.w0, b.w1) for a, b in zip(proper, proper[1:]))
+    # Chains of several pieces, with breakpoints where W kinks, degenerate
+    # breakpoints that pass through bases of a single alpha, and families
+    # whose rows carry no mass at one end.
+    assert pieces > 1000 and kinks > 400 and points > 100 and zero_rows > 200
 
 
 def test_explicit_zeros_are_empty_rows_and_columns():
