@@ -15,8 +15,8 @@ are read without sampling any alpha curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 # The kappa_alpha_* and lly_limit names stay importable from this module,
@@ -34,8 +34,7 @@ from .metric import DistanceOracle, NeighborhoodPartition, edge_length, partitio
 from .rational import as_alpha
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     """Outcome of one inequality check.
 
     ``holds`` is True/False for an applicable check (lhs <= rhs compared
@@ -55,8 +54,7 @@ class BoundVerdict:
         return self.holds is not None
 
 
-@dataclass(frozen=True)
-class HeadVertexData:
+class HeadVertexData(NamedTuple):
     """Partition data and gap constants of one head vertex."""
 
     vertex: int
@@ -65,8 +63,7 @@ class HeadVertexData:
     c_estimate: Fraction
 
 
-@dataclass(frozen=True)
-class DirectedBoundData:
+class DirectedBoundData(NamedTuple):
     """Everything entering the directed hyperedge upper bound."""
 
     per_head: tuple[HeadVertexData, ...]

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -29,16 +28,18 @@ from .metric import all_pairs_distances
 from .rational import as_alpha, format_number
 
 
-@dataclass
 class RunConfig:
     """Knobs shared by every subcommand."""
 
-    alpha: Fraction = Fraction(1, 2)
-    alpha_grid: tuple = DEFAULT_ALPHA_GRID
-    variant: str = "sum"
-    exact: bool = True  # print p/q; False prints the same values as decimals
-    fmt: str = "table"
-    strict: bool = False
+    __slots__ = ("alpha", "alpha_grid", "variant", "exact", "fmt", "strict")
+
+    def __init__(self):
+        self.alpha = Fraction(1, 2)
+        self.alpha_grid = DEFAULT_ALPHA_GRID
+        self.variant = "sum"
+        self.exact = True  # print p/q; False prints the same values as decimals
+        self.fmt = "table"
+        self.strict = False
 
     @property
     def mode(self) -> str:
@@ -455,6 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # CPU spent before main: interpreter, site and imports in a fresh
+    # process; when main is called in-process, all of the caller's CPU.
+    startup_cpu = time.process_time()
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     ev = None
@@ -485,8 +489,9 @@ def main(argv=None) -> int:
         return 2
     finally:
         if args.stats:
-            counters = asdict(ev.stats if ev else EvalStats())
+            counters = (ev.stats if ev else EvalStats()).as_dict()
             counters["seconds"] = round(time.perf_counter() - start, 6)
+            counters["startup_cpu_s"] = round(startup_cpu, 6)
             print(json.dumps(counters), file=sys.stderr)
     print(text)
     return code

@@ -32,7 +32,6 @@ functions are one-shot wrappers over a fresh Evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,16 +52,14 @@ DEFAULT_K_MAX = 24
 _ALPHA_2 = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
-class AlphaCurve:
+class AlphaCurve(NamedTuple):
     """Sampled (alpha, kappa_alpha) values plus the normalized curve."""
 
     samples: tuple
     normalized: tuple
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """LLY limit of one target together with its sampled alpha curve.
 
     ``alpha_lo`` is the lower end of the final linear region of kappa,
@@ -104,7 +101,6 @@ def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
         )
 
 
-@dataclass
 class EvalStats:
     """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
 
@@ -117,16 +113,30 @@ class EvalStats:
     and 1); a measure hit is a reuse of such a pair.
     """
 
-    solves: int = 0
-    solve_hits: int = 0
-    pivots: int = 0
-    degenerate_pivots: int = 0
-    traced_pieces: int = 0
-    dual_pivots: int = 0
-    measures: int = 0
-    measure_hits: int = 0
-    limits: int = 0
-    limit_hits: int = 0
+    # In the order ``--stats`` prints them.
+    __slots__ = (
+        "solves",
+        "solve_hits",
+        "pivots",
+        "degenerate_pivots",
+        "traced_pieces",
+        "dual_pivots",
+        "measures",
+        "measure_hits",
+        "limits",
+        "limit_hits",
+    )
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def as_dict(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())
+        return f"EvalStats({body})"
 
 
 class Limit(NamedTuple):

@@ -21,20 +21,21 @@ positioned error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import errors, hypergraph
 from .hypergraph import FLAVORS, UNDIRECTED, Hypergraph
 from .rational import as_fraction
 
 
-@dataclass
 class ParsedDocument:
     """A validated hypergraph plus the naming needed to talk about it."""
 
-    hypergraph: Hypergraph
-    vertex_names: list[str]
-    edge_names: list[str]
+    __slots__ = ("hypergraph", "vertex_names", "edge_names")
+
+    def __init__(self, hypergraph: Hypergraph, vertex_names: list[str], edge_names: list[str]):
+        self.hypergraph = hypergraph
+        self.vertex_names = vertex_names
+        self.edge_names = edge_names
 
     def vertex_id(self, token: str) -> int:
         if token in self.vertex_names:

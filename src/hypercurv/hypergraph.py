@@ -18,7 +18,6 @@ Multi-edges (same incidence, possibly different weights) are allowed.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -31,12 +30,25 @@ ORIENTED = "oriented"
 FLAVORS = (UNDIRECTED, DIRECTED, ORIENTED)
 
 
-@dataclass(frozen=True)
 class UndirectedEdge:
-    """A vertex set of size >= 2 with a positive rational weight."""
+    """A vertex set of size >= 2 with a positive rational weight.
 
-    vertices: frozenset[int]
-    weight: Fraction
+    Equal, and hashed, by value.
+    """
+
+    __slots__ = ("vertices", "weight")
+
+    def __init__(self, vertices: frozenset[int], weight: Fraction):
+        self.vertices = vertices
+        self.weight = weight
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.weight == other.weight
+
+    def __hash__(self):
+        return hash((self.vertices, self.weight))
 
     def sorted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
@@ -45,13 +57,26 @@ class UndirectedEdge:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
 class DirectedEdge:
-    """An ordered pair (tail, head) of disjoint nonempty vertex sets."""
+    """An ordered pair (tail, head) of disjoint nonempty vertex sets.
 
-    tail: frozenset[int]
-    head: frozenset[int]
-    weight: Fraction
+    Equal, and hashed, by value.
+    """
+
+    __slots__ = ("tail", "head", "weight")
+
+    def __init__(self, tail: frozenset[int], head: frozenset[int], weight: Fraction):
+        self.tail = tail
+        self.head = head
+        self.weight = weight
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tail == other.tail and self.head == other.head and self.weight == other.weight
+
+    def __hash__(self):
+        return hash((self.tail, self.head, self.weight))
 
     def sorted_tail(self) -> tuple[int, ...]:
         return tuple(sorted(self.tail))
@@ -76,18 +101,20 @@ def _as_vertex_part(raw, n: int, what: str) -> frozenset[int]:
     return part
 
 
-@dataclass
 class Hypergraph:
-    """Validated, immutable-by-convention hypergraph of one flavor."""
+    """Validated, immutable-by-convention hypergraph of one flavor.
 
-    flavor: str
-    n_vertices: int
-    edges: tuple
+    No ``__slots__``: ``cached_property`` stores into the instance dict.
+    """
 
-    # incidence caches, filled once at build time
-    _edges_at: tuple = field(repr=False, default=())          # undirected: edge ids per vertex
-    _tail_edges_at: tuple = field(repr=False, default=())     # directed: edge ids with v in tail
-    _head_edges_at: tuple = field(repr=False, default=())     # directed: edge ids with v in head
+    def __init__(self, flavor: str, n_vertices: int, edges: tuple):
+        self.flavor = flavor
+        self.n_vertices = n_vertices
+        self.edges = edges
+        # incidence caches, filled once at build time
+        self._edges_at = ()  # undirected: edge ids per vertex
+        self._tail_edges_at = ()  # directed: edge ids with v in tail
+        self._head_edges_at = ()  # directed: edge ids with v in head
 
     # -- incidence ---------------------------------------------------------
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .hypergraph import UNDIRECTED, Hypergraph
@@ -23,16 +23,14 @@ from .hypergraph import UNDIRECTED, Hypergraph
 LENGTH_VARIANTS = ("min", "sum", "max")
 
 
-@dataclass(frozen=True)
-class EdgeLength:
+class EdgeLength(NamedTuple):
     """One aggregate of the pairwise distances inside a hyperedge."""
 
     variant: str
     value: Fraction
 
 
-@dataclass(frozen=True)
-class NeighborhoodPartition:
+class NeighborhoodPartition(NamedTuple):
     """Out-neighborhood of ``anchor`` split by distance from ``ref``.
 
     ``closer``/``level``/``farther`` collect neighbors whose distance from

@@ -24,7 +24,6 @@ be asymmetric; they are used as-is, no symmetrization ever happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,11 +32,13 @@ from . import errors
 from .metric import DistanceOracle
 
 
-@dataclass
 class Coupling:
     """Sparse joint mass assignment on vertex pairs."""
 
-    entries: dict[tuple[int, int], Fraction]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, int], Fraction]):
+        self.entries = entries
 
     def left_marginal(self) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -58,27 +59,41 @@ class Coupling:
         return sum(m * oracle.d(u, v) for (u, v), m in self.entries.items())
 
 
-@dataclass
 class TransportResult:
     """Optimal value, an optimal coupling, and (optionally) a dual potential.
 
     The coupling is built from the optimal basis the first time it is read,
-    so a caller that needs only the value never pays for it.
+    so a caller that needs only the value never pays for it. No
+    ``__slots__``: ``cached_property`` stores into the instance dict.
     """
 
-    value: Fraction
-    dual_potential: dict[int, Fraction] | None = None
-    pivots: int = 0
-    degenerate_pivots: int = 0
-    # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
-    _flows: dict = field(default_factory=dict, repr=False, compare=False)
-    _row_ids: list = field(default_factory=list, repr=False, compare=False)
-    _col_ids: list = field(default_factory=list, repr=False, compare=False)
-    _mass_scale: int = field(default=1, repr=False, compare=False)
-    # Its row and column potentials and its cost matrix, on the oracle's scale.
-    _u: list = field(default_factory=list, repr=False, compare=False)
-    _v: list = field(default_factory=list, repr=False, compare=False)
-    _cost: list = field(default_factory=list, repr=False, compare=False)
+    def __init__(
+        self,
+        value: Fraction,
+        dual_potential: dict[int, Fraction] | None,
+        pivots: int,
+        degenerate_pivots: int,
+        flows: dict,
+        row_ids: list,
+        col_ids: list,
+        mass_scale: int,
+        u: list,
+        v: list,
+        cost: list,
+    ):
+        self.value = value
+        self.dual_potential = dual_potential
+        self.pivots = pivots
+        self.degenerate_pivots = degenerate_pivots
+        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
+        self._flows = flows
+        self._row_ids = row_ids
+        self._col_ids = col_ids
+        self._mass_scale = mass_scale
+        # Its row and column potentials and its cost matrix, on the oracle's scale.
+        self._u = u
+        self._v = v
+        self._cost = cost
 
     @cached_property
     def coupling(self) -> Coupling:
@@ -140,13 +155,13 @@ def wasserstein(
         dual_potential=potential,
         pivots=sol.pivots,
         degenerate_pivots=sol.degenerate_pivots,
-        _flows=sol.flows,
-        _row_ids=row_ids,
-        _col_ids=col_ids,
-        _mass_scale=mass_scale,
-        _u=sol.u,
-        _v=sol.v,
-        _cost=cost,
+        flows=sol.flows,
+        row_ids=row_ids,
+        col_ids=col_ids,
+        mass_scale=mass_scale,
+        u=sol.u,
+        v=sol.v,
+        cost=cost,
     )
 
 

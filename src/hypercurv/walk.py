@@ -9,7 +9,6 @@ Masses are affine functions of alpha, which the curvature limit relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -17,7 +16,6 @@ from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
 from .rational import as_alpha
 
 
-@dataclass(frozen=True)
 class ProbabilityMeasure:
     """Sparse nonnegative mass map over vertex ids.
 
@@ -25,8 +23,11 @@ class ProbabilityMeasure:
     set of vertices carrying mass.
     """
 
-    mass: dict[int, Fraction]
-    alpha: Fraction
+    __slots__ = ("mass", "alpha")
+
+    def __init__(self, mass: dict[int, Fraction], alpha: Fraction):
+        self.mass = mass
+        self.alpha = alpha
 
     def __getitem__(self, v: int) -> Fraction:
         return self.mass.get(v, Fraction(0))
