@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import bounds as bounds_mod
 from . import errors, walk
@@ -29,9 +30,14 @@ from .rational import as_alpha, format_number
 
 
 class RunConfig:
-    """Knobs shared by every subcommand."""
+    """Knobs shared by every subcommand, and when its evaluation ended.
 
-    __slots__ = ("alpha", "alpha_grid", "variant", "exact", "fmt", "strict")
+    A subcommand sets ``evaluated_at`` (``time.perf_counter()``) once every
+    value it prints is computed; what follows is rendering (``--stats``
+    reports it as ``render_s``).
+    """
+
+    __slots__ = ("alpha", "alpha_grid", "variant", "exact", "fmt", "strict", "evaluated_at")
 
     def __init__(self):
         self.alpha = Fraction(1, 2)
@@ -40,6 +46,7 @@ class RunConfig:
         self.exact = True  # print p/q; False prints the same values as decimals
         self.fmt = "table"
         self.strict = False
+        self.evaluated_at = None
 
     @property
     def mode(self) -> str:
@@ -60,7 +67,7 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "alpha", None) is not None:
         cfg.alpha = _cli_alpha("--alpha", args.alpha)
-    if getattr(args, "alpha_grid", None):
+    if getattr(args, "alpha_grid", None) is not None:
         tokens = args.alpha_grid.split(",")
         cfg.alpha_grid = tuple(_cli_alpha("--alpha-grid", tok) for tok in tokens)
     if getattr(args, "variant", None):
@@ -98,6 +105,56 @@ def _csv_text(comment: str, header: list[str], rows) -> str:
     return out.getvalue()[:-1]
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a tree of dicts and lists.
+
+    The leaves are str, int, bool and None; any other type raises
+    TypeError. ``json.dumps`` runs its pure-Python encoder whenever
+    ``indent`` is set; this walk takes about half its time on curvature
+    payloads. Strings go through the same C ``encode_basestring_ascii``.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def walk(x, pad: str) -> None:
+        if isinstance(x, str):
+            append(_json_str(x))
+        elif x is None or isinstance(x, bool):
+            append("null" if x is None else "true" if x else "false")
+        elif isinstance(x, int):
+            append(int.__repr__(x))
+        elif isinstance(x, dict):
+            if not x:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k, v in x.items():
+                if type(v) is str:  # the common leaf, without a call
+                    append(f"{sep}{_json_str(k)}: {_json_str(v)}")
+                else:
+                    append(f"{sep}{_json_str(k)}: ")
+                    walk(v, inner)
+                sep = ",\n" + inner
+            append(f"\n{pad}}}")
+        elif isinstance(x, list):
+            if not x:
+                append("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in x:
+                append(sep)
+                walk(v, inner)
+                sep = ",\n" + inner
+            append(f"\n{pad}]")
+        else:
+            raise TypeError(f"cannot print {type(x).__name__} as JSON")
+
+    walk(value, "")
+    return "".join(parts)
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -114,6 +171,7 @@ def cmd_validate(path: str) -> tuple[int, str]:
 def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
     hg = doc.hypergraph
     oracle = all_pairs_distances(hg)
+    cfg.evaluated_at = time.perf_counter()
     names = doc.vertex_names
     if cfg.fmt == "csv":
         rows = (
@@ -131,7 +189,7 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
                 for u in range(hg.n_vertices)
             },
         }
-        return 0, json.dumps(payload, indent=2)
+        return 0, _json_text(payload)
     width = max(len(n) for n in names) + 2
     cells = [[cfg.fmt_num(oracle.d(u, v)) for v in range(hg.n_vertices)] for u in range(hg.n_vertices)]
     width = max(width, max(len(c) for row in cells for c in row) + 2)
@@ -167,21 +225,33 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
             mu = walk.measure_set(hg, e, args.side, cfg.alpha)
     else:
         raise errors.UnknownTarget("measure needs --vertex or --edge")
+    cfg.evaluated_at = time.perf_counter()
     payload = {
         "mode": cfg.mode,
         "alpha": cfg.fmt_num(mu.alpha),
         "mass": {doc.vertex_names[v]: cfg.fmt_num(m) for v, m in sorted(mu.mass.items())},
         "total": cfg.fmt_num(mu.total()),
     }
-    return 0, json.dumps(payload, indent=2)
+    return 0, _json_text(payload)
 
 
-def _curve_rows(report, cfg: RunConfig) -> list[tuple[str, str, str]]:
-    """(alpha, kappa, normalized) of each curve sample; normalized is blank at alpha=1."""
-    normalized = dict(report.curve.normalized)
+def _grid_texts(cfg: RunConfig) -> list[tuple[str, bool]]:
+    """Each alpha of the run's grid as printed, and whether it is 1."""
+    return [(cfg.fmt_num(a), a == 1) for a in cfg.alpha_grid]
+
+
+def _curve_rows(report, cfg: RunConfig, grid_texts) -> list[tuple[str, str, str]]:
+    """(alpha, kappa, normalized) of each curve sample; normalized is blank at alpha=1.
+
+    ``grid_texts`` is ``_grid_texts(cfg)`` for the grid the report was
+    sampled on. ``curve.normalized`` is the samples off alpha=1 in order,
+    so it is read alongside them.
+    """
+    fmt = cfg.fmt_num
+    normalized = iter(report.curve.normalized)
     return [
-        (cfg.fmt_num(a), cfg.fmt_num(k), cfg.fmt_num(normalized[a]) if a in normalized else "")
-        for a, k in report.curve.samples
+        (alpha, fmt(k), "" if is_one else fmt(next(normalized)[1]))
+        for (alpha, is_one), (_a, k) in zip(grid_texts, report.curve.samples)
     ]
 
 
@@ -225,7 +295,8 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
         (name, ev.report(target, cfg.variant, cfg.alpha_grid))
         for name, target in _resolve_targets(doc, args)
     ]
-
+    cfg.evaluated_at = time.perf_counter()
+    grid_texts = _grid_texts(cfg)
     if cfg.fmt == "json":
         payload = {
             "mode": cfg.mode,
@@ -237,17 +308,17 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
                     "stabilization_alpha": cfg.fmt_num(rep.stabilization_alpha),
                     "curve": [
                         {"alpha": a, "kappa": k, "normalized": g}
-                        for a, k, g in _curve_rows(rep, cfg)
+                        for a, k, g in _curve_rows(rep, cfg, grid_texts)
                     ],
                 }
                 for name, rep in results
             ],
         }
-        return 0, json.dumps(payload, indent=2)
+        return 0, _json_text(payload)
     if cfg.fmt == "csv":
         rows = []
         for name, rep in results:
-            rows.extend((name, *row) for row in _curve_rows(rep, cfg))
+            rows.extend((name, *row) for row in _curve_rows(rep, cfg, grid_texts))
             rows.append((name, cfg.fmt_num(rep.stabilization_alpha), "", cfg.fmt_num(rep.lly)))
         header = ["target", "alpha", "kappa", "normalized"]
         return 0, _csv_text(f"# mode={cfg.mode}", header, rows)
@@ -328,6 +399,7 @@ def _status(v: bounds_mod.BoundVerdict) -> str:
 
 def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
     ledger = _bounds_ledger(doc, cfg, ev)
+    cfg.evaluated_at = time.perf_counter()
     violated = [v for v in ledger if v.holds is False]
     skipped = [v for v in ledger if v.holds is None]
     code = 1 if violated or (cfg.strict and skipped) else 0
@@ -349,7 +421,7 @@ def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int,
             "violated": len(violated),
             "not_applicable": len(skipped),
         }
-        return code, json.dumps(payload, indent=2)
+        return code, _json_text(payload)
     if cfg.fmt == "csv":
         rows = (
             (
@@ -380,9 +452,10 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
     report = ev.report(target, cfg.variant, cfg.alpha_grid)
-    rows = _curve_rows(report, cfg)
     stab = report.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)
+    cfg.evaluated_at = time.perf_counter()
+    rows = _curve_rows(report, cfg, _grid_texts(cfg))
     rows.append((cfg.fmt_num(stab), cfg.fmt_num(kappa_stab), cfg.fmt_num(report.lly)))
     header = ["alpha", "kappa", "normalized"]
     return 0, _csv_text(f"# mode={cfg.mode} target={name}", header, rows)
@@ -462,6 +535,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     ev = None
+    render_s = 0.0
     try:
         cfg = _config_from_args(args)
         if args.command == "validate":
@@ -481,6 +555,7 @@ def main(argv=None) -> int:
                     code, text = cmd_bounds(doc, cfg, ev)
                 else:
                     code, text = cmd_sweep(doc, args, cfg, ev)
+            render_s = time.perf_counter() - cfg.evaluated_at
     except errors.NoStabilization as exc:
         print(f"NoStabilization: {exc}", file=sys.stderr)
         return 3
@@ -492,6 +567,7 @@ def main(argv=None) -> int:
             counters = (ev.stats if ev else EvalStats()).as_dict()
             counters["seconds"] = round(time.perf_counter() - start, 6)
             counters["startup_cpu_s"] = round(startup_cpu, 6)
+            counters["render_s"] = round(render_s, 6)
             print(json.dumps(counters), file=sys.stderr)
     print(text)
     return code

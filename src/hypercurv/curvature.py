@@ -499,7 +499,10 @@ class Evaluator:
 
         ``grid`` defaults to ``DEFAULT_ALPHA_GRID``.
         """
-        grid = DEFAULT_ALPHA_GRID if grid is None else tuple(as_alpha(a) for a in grid)
+        if grid is None or grid is DEFAULT_ALPHA_GRID:
+            grid = DEFAULT_ALPHA_GRID  # checked once, not per report
+        else:
+            grid = tuple(as_alpha(a) for a in grid)
         target = tuple(target)
         found = self.limit(target, variant, k_max)
         samples = []
@@ -507,8 +510,10 @@ class Evaluator:
         for a in grid:
             k = self._kappa(target, a, variant)
             samples.append((a, k))
-            if a != 1:
-                normalized.append((a, k / (1 - a)))
+            p, q = a.numerator, a.denominator
+            if p != q:
+                # k / (1 - a), built from ints: 1 - a is (q - p) / q.
+                normalized.append((a, Fraction(k.numerator * q, k.denominator * (q - p))))
         return CurvatureReport(
             target=target,
             variant=self._variant_key(target, variant),

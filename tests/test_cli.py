@@ -314,6 +314,15 @@ def test_unreadable_alpha_is_a_parse_error(capsys, h4_path, flags):
     assert err.startswith("ParseError: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("grid", ["", "0.5,"])
+def test_empty_alpha_grid_entry_is_a_parse_error(capsys, h4_path, grid):
+    """An empty grid exits 2 like an empty entry, instead of falling back to the default grid."""
+    for command in ("curvature", "sweep"):
+        code, out, err = _run(capsys, [command, h4_path, "--pair", "x2,x3", "--alpha-grid", grid])
+        assert (code, out) == (2, "")
+        assert err == "ParseError: --alpha-grid: cannot read '' as a rational\n"
+
+
 @pytest.mark.parametrize("weight", ['"1e1000000"', '"' + "1" * 1001 + '"', "1e1000000"])
 def test_huge_weight_literal_rejected(capsys, tmp_path, weight):
     path = tmp_path / "huge.json"
@@ -355,8 +364,10 @@ def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
         "limit_hits",
         "seconds",
         "startup_cpu_s",
+        "render_s",
     ]
     assert counters["startup_cpu_s"] >= 0
+    assert 0 <= counters["render_s"] <= counters["seconds"]
     assert counters["pivots"] >= counters["degenerate_pivots"] >= 0
     assert counters["dual_pivots"] >= counters["traced_pieces"] >= 0
     if argv[0] == "validate":
