@@ -51,6 +51,12 @@ def _cases():
         yield doc, ["curvature", "--edge", "h99"]
     yield "diverging", ["curvature", "--all", "--format", "json"]
     yield "diverging", ["sweep", "--edge", "h5", "--float"]
+    yield "oriented", ["measure", "--vertex", "x1", "--direction", "in"]
+    yield "directed", ["measure", "--edge", "h1", "--side", "head", "--index", "0"]
+    yield "h4", ["bounds", "--alpha", "1/3", "--format", "json"]
+    yield "oriented", ["bounds", "--alpha", "1/3", "--float"]
+    yield "undirected", ["curvature", "--edge", "h1", "--variant", "max", "--format", "csv"]
+    yield "h4", ["sweep", "--pair", "x2,x3", "--alpha-grid", "0,1/3,1"]
 
 
 CASES = [f"{doc} {' '.join(argv)}" for doc, argv in _cases()]
@@ -198,6 +204,12 @@ PINNED = {
     'oriented curvature --edge h99': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "UnknownTarget: unknown hyperedge 'h99'\n"),
     'diverging curvature --all --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target ('edge', 4) has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
     'diverging sweep --edge h5 --float': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target ('edge', 4) has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
+    'oriented measure --vertex x1 --direction in': (0, 'fd82410e8831826b03fcb37bca2bad3312d38634d147f572e98244ae1f85f3f3', ''),
+    'directed measure --edge h1 --side head --index 0': (0, '41752de4c5124c96f319abffdf1206baec3e2cee136e692c2f0b31018fc8101f', ''),
+    'h4 bounds --alpha 1/3 --format json': (0, '9186b25cfb6422b9fedf5d538c06f576233c03356c910ac5a00c5cfe3fcd5f49', ''),
+    'oriented bounds --alpha 1/3 --float': (0, '3fdc24d76ae06046cf87cfc1d19850931f549e36d12a2a9f8576399ce4c60c45', ''),
+    'undirected curvature --edge h1 --variant max --format csv': (0, 'b8d1c378235b08eab842817ece12db150027cd2cc63c3125d40426920b24ac6a', ''),
+    'h4 sweep --pair x2,x3 --alpha-grid 0,1/3,1': (0, 'aa157c884c2eb3dca39c3f2a88b8a31897b5b73e96ffd90fa86ccbf82a6bcc1d', ''),
 }
 
 
