@@ -24,36 +24,32 @@ from . import bounds as bounds_mod
 from . import errors, walk
 from .curvature import DEFAULT_ALPHA_GRID, EvalStats, Evaluator
 from .document import ParsedDocument, load_document
-from .hypergraph import DIRECTED, ORIENTED, UNDIRECTED
+from .hypergraph import ORIENTED, UNDIRECTED
 from .metric import all_pairs_distances
-from .rational import as_alpha, format_number
+from .rational import as_alpha
 
 
 class RunConfig:
     """Knobs shared by every subcommand, and when its evaluation ended.
 
+    ``fmt_num`` prints one exact value: ``str`` gives ``p/q``; under
+    ``--float`` (``mode`` "float") it gives the repr of the nearest float.
     A subcommand sets ``evaluated_at`` (``time.perf_counter()``) once every
     value it prints is computed; what follows is rendering (``--stats``
     reports it as ``render_s``).
     """
 
-    __slots__ = ("alpha", "alpha_grid", "variant", "exact", "fmt", "strict", "evaluated_at")
+    __slots__ = ("alpha", "alpha_grid", "variant", "mode", "fmt_num", "fmt", "strict", "evaluated_at")
 
     def __init__(self):
         self.alpha = Fraction(1, 2)
         self.alpha_grid = DEFAULT_ALPHA_GRID
         self.variant = "sum"
-        self.exact = True  # print p/q; False prints the same values as decimals
+        self.mode = "exact"
+        self.fmt_num = str
         self.fmt = "table"
         self.strict = False
         self.evaluated_at = None
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.exact else "float"
-
-    def fmt_num(self, x) -> str:
-        return format_number(x, exact=self.exact)
 
 
 def _cli_alpha(flag: str, text: str) -> Fraction:
@@ -65,20 +61,21 @@ def _cli_alpha(flag: str, text: str) -> Fraction:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         cfg.alpha = _cli_alpha("--alpha", args.alpha)
-    if getattr(args, "alpha_grid", None) is not None:
+    if args.alpha_grid is not None:
         tokens = args.alpha_grid.split(",")
         cfg.alpha_grid = tuple(_cli_alpha("--alpha-grid", tok) for tok in tokens)
-    if getattr(args, "variant", None):
+    if args.variant:
         cfg.variant = args.variant
-    if getattr(args, "float", False):
-        cfg.exact = False
-    if getattr(args, "tol", None) is not None and not args.tol > 0:  # nan is not positive
+    if args.float:
+        cfg.mode = "float"
+        cfg.fmt_num = lambda x: repr(float(x))
+    if args.tol is not None and not args.tol > 0:  # nan is not positive
         raise errors.ParseError("tolerance must be positive")
-    if getattr(args, "format", None):
+    if args.format:
         cfg.fmt = args.format
-    parallel = getattr(args, "parallel", None)
+    parallel = args.parallel
     if parallel is None:
         raw = os.environ.get("HYPERCURV_THREADS", "1")
         try:
@@ -87,12 +84,12 @@ def _config_from_args(args) -> RunConfig:
             raise errors.ParseError(f"HYPERCURV_THREADS: expected an integer, got {raw!r}") from None
     if parallel < 1:
         raise errors.ParseError("parallelism degree must be >= 1")
-    cfg.strict = bool(getattr(args, "strict", False))
+    cfg.strict = args.strict
     return cfg
 
 
 def _csv_text(comment: str, header: list[str], rows) -> str:
-    """A ``# ...`` comment line, then the header and rows as quoted CSV."""
+    """A ``# ...`` comment line, then the header and rows as quoted CSV; None is a blank field."""
     # Imported here: loading csv at start-up raises the peak RSS of every
     # run by about 0.2 MiB, and only CSV output needs it.
     import csv
@@ -158,14 +155,11 @@ def _json_text(value) -> str:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_validate(path: str) -> tuple[int, str]:
-    doc = load_document(path)
+def cmd_validate(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
+    cfg.evaluated_at = time.perf_counter()
     hg = doc.hypergraph
-    kind = {UNDIRECTED: "connected", DIRECTED: "strongly connected", ORIENTED: "strongly connected"}
-    return 0, (
-        f"ok: flavor={hg.flavor} vertices={hg.n_vertices} "
-        f"hyperedges={hg.n_edges} ({kind[hg.flavor]})"
-    )
+    kind = "connected" if hg.flavor == UNDIRECTED else "strongly connected"
+    return 0, f"ok: flavor={hg.flavor} vertices={hg.n_vertices} hyperedges={hg.n_edges} ({kind})"
 
 
 def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
@@ -173,30 +167,22 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
     oracle = all_pairs_distances(hg)
     cfg.evaluated_at = time.perf_counter()
     names = doc.vertex_names
+    vertices = range(hg.n_vertices)
+    cells = [[cfg.fmt_num(oracle.d(u, v)) for v in vertices] for u in vertices]
     if cfg.fmt == "csv":
-        rows = (
-            (names[u], names[v], cfg.fmt_num(oracle.d(u, v)))
-            for u in range(hg.n_vertices)
-            for v in range(hg.n_vertices)
-        )
+        rows = ((names[u], names[v], cells[u][v]) for u in vertices for v in vertices)
         return 0, _csv_text(f"# mode={cfg.mode}", ["u", "v", "distance"], rows)
     if cfg.fmt == "json":
         payload = {
             "mode": cfg.mode,
             "symmetric": oracle.symmetric,
-            "distances": {
-                names[u]: {names[v]: cfg.fmt_num(oracle.d(u, v)) for v in range(hg.n_vertices)}
-                for u in range(hg.n_vertices)
-            },
+            "distances": {names[u]: dict(zip(names, cells[u])) for u in vertices},
         }
         return 0, _json_text(payload)
-    width = max(len(n) for n in names) + 2
-    cells = [[cfg.fmt_num(oracle.d(u, v)) for v in range(hg.n_vertices)] for u in range(hg.n_vertices)]
-    width = max(width, max(len(c) for row in cells for c in row) + 2)
+    width = max(len(c) for c in [*names, *(c for row in cells for c in row)]) + 2
     lines = [f"mode: {cfg.mode}  symmetric: {oracle.symmetric}"]
-    lines.append("".rjust(width) + "".join(n.rjust(width) for n in names))
-    for u in range(hg.n_vertices):
-        lines.append(names[u].rjust(width) + "".join(c.rjust(width) for c in cells[u]))
+    for name, row in [("", names), *zip(names, cells)]:
+        lines.append(name.rjust(width) + "".join(c.rjust(width) for c in row))
     return 0, "\n".join(lines)
 
 
@@ -235,19 +221,21 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
     return 0, _json_text(payload)
 
 
+_CURVE_HEADER = ["alpha", "kappa", "normalized"]
+
+
 def _grid_texts(cfg: RunConfig) -> list[tuple[str, bool]]:
     """Each alpha of the run's grid as printed, and whether it is 1."""
     return [(cfg.fmt_num(a), a == 1) for a in cfg.alpha_grid]
 
 
-def _curve_rows(report, cfg: RunConfig, grid_texts) -> list[tuple[str, str, str]]:
-    """(alpha, kappa, normalized) of each curve sample; normalized is blank at alpha=1.
+def _curve_rows(report, fmt, grid_texts) -> list[tuple[str, str, str]]:
+    """(alpha, kappa, normalized) of each curve sample; normalized is "" at alpha=1.
 
-    ``grid_texts`` is ``_grid_texts(cfg)`` for the grid the report was
-    sampled on. ``curve.normalized`` is the samples off alpha=1 in order,
-    so it is read alongside them.
+    ``fmt`` is the run's ``fmt_num``; ``grid_texts`` is ``_grid_texts(cfg)``
+    for the grid the report was sampled on. ``curve.normalized`` is the
+    samples off alpha=1 in order, so it is read alongside them.
     """
-    fmt = cfg.fmt_num
     normalized = iter(report.curve.normalized)
     return [
         (alpha, fmt(k), "" if is_one else fmt(next(normalized)[1]))
@@ -291,12 +279,16 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
 
 
 def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
-    results = [
+    reports = [
         (name, ev.report(target, cfg.variant, cfg.alpha_grid))
         for name, target in _resolve_targets(doc, args)
     ]
     cfg.evaluated_at = time.perf_counter()
+    fmt = cfg.fmt_num
     grid_texts = _grid_texts(cfg)
+    # Read once by the one printer that runs. The table prints no curve, so
+    # curve rows are built where they print.
+    rows = ((name, fmt(rep.lly), fmt(rep.stabilization_alpha), rep) for name, rep in reports)
     if cfg.fmt == "json":
         payload = {
             "mode": cfg.mode,
@@ -304,30 +296,25 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
             "results": [
                 {
                     "target": name,
-                    "lly": cfg.fmt_num(rep.lly),
-                    "stabilization_alpha": cfg.fmt_num(rep.stabilization_alpha),
+                    "lly": lly,
+                    "stabilization_alpha": stab,
                     "curve": [
                         {"alpha": a, "kappa": k, "normalized": g}
-                        for a, k, g in _curve_rows(rep, cfg, grid_texts)
+                        for a, k, g in _curve_rows(rep, fmt, grid_texts)
                     ],
                 }
-                for name, rep in results
+                for name, lly, stab, rep in rows
             ],
         }
         return 0, _json_text(payload)
     if cfg.fmt == "csv":
-        rows = []
-        for name, rep in results:
-            rows.extend((name, *row) for row in _curve_rows(rep, cfg, grid_texts))
-            rows.append((name, cfg.fmt_num(rep.stabilization_alpha), "", cfg.fmt_num(rep.lly)))
-        header = ["target", "alpha", "kappa", "normalized"]
-        return 0, _csv_text(f"# mode={cfg.mode}", header, rows)
+        records = []
+        for name, lly, stab, rep in rows:
+            records.extend((name, *sample) for sample in _curve_rows(rep, fmt, grid_texts))
+            records.append((name, stab, None, lly))
+        return 0, _csv_text(f"# mode={cfg.mode}", ["target", *_CURVE_HEADER], records)
     lines = [f"mode: {cfg.mode}  variant: {cfg.variant}"]
-    for name, rep in results:
-        lines.append(
-            f"{name}: lly={cfg.fmt_num(rep.lly)} "
-            f"stabilization_alpha={cfg.fmt_num(rep.stabilization_alpha)}"
-        )
+    lines.extend(f"{name}: lly={lly} stabilization_alpha={stab}" for name, lly, stab, _ in rows)
     return 0, "\n".join(lines)
 
 
@@ -391,57 +378,41 @@ def _bounds_ledger(
     return ledger
 
 
-def _status(v: bounds_mod.BoundVerdict) -> str:
-    if v.holds is None:
-        return "not-applicable"
-    return "holds" if v.holds else "violated"
-
-
 def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
     ledger = _bounds_ledger(doc, cfg, ev)
     cfg.evaluated_at = time.perf_counter()
     violated = [v for v in ledger if v.holds is False]
     skipped = [v for v in ledger if v.holds is None]
     code = 1 if violated or (cfg.strict and skipped) else 0
+    fmt = cfg.fmt_num
+    header = ["name", "target", "lhs", "rhs", "status", "witness"]
+    # Read once by the one printer that runs, so no row outlives its line.
+    rows = (
+        (
+            v.name,
+            v.target,
+            None if v.lhs is None else fmt(v.lhs),
+            None if v.rhs is None else fmt(v.rhs),
+            "not-applicable" if v.holds is None else "holds" if v.holds else "violated",
+            v.witness,
+        )
+        for v in ledger
+    )
     if cfg.fmt == "json":
         payload = {
             "mode": cfg.mode,
-            "alpha": cfg.fmt_num(cfg.alpha),
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "target": v.target,
-                    "lhs": None if v.lhs is None else cfg.fmt_num(v.lhs),
-                    "rhs": None if v.rhs is None else cfg.fmt_num(v.rhs),
-                    "status": _status(v),
-                    "witness": v.witness,
-                }
-                for v in ledger
-            ],
+            "alpha": fmt(cfg.alpha),
+            "verdicts": [dict(zip(header, row)) for row in rows],
             "violated": len(violated),
             "not_applicable": len(skipped),
         }
         return code, _json_text(payload)
     if cfg.fmt == "csv":
-        rows = (
-            (
-                v.name,
-                v.target,
-                "" if v.lhs is None else cfg.fmt_num(v.lhs),
-                "" if v.rhs is None else cfg.fmt_num(v.rhs),
-                _status(v),
-                v.witness or "",
-            )
-            for v in ledger
-        )
-        header = ["name", "target", "lhs", "rhs", "status", "witness"]
         return code, _csv_text(f"# mode={cfg.mode}", header, rows)
-    lines = [f"mode: {cfg.mode}  alpha: {cfg.fmt_num(cfg.alpha)}"]
-    for v in ledger:
-        lhs = "-" if v.lhs is None else cfg.fmt_num(v.lhs)
-        rhs = "-" if v.rhs is None else cfg.fmt_num(v.rhs)
-        note = f"  [{v.witness}]" if v.witness else ""
-        lines.append(f"{_status(v):>14}  {v.name:<28} {v.target:<24} {lhs} <= {rhs}{note}")
+    lines = [f"mode: {cfg.mode}  alpha: {fmt(cfg.alpha)}"]
+    for name, target, lhs, rhs, status, witness in rows:
+        note = f"  [{witness}]" if witness else ""
+        lines.append(f"{status:>14}  {name:<28} {target:<24} {lhs or '-'} <= {rhs or '-'}{note}")
     lines.append(f"verdicts: {len(ledger)}  violated: {len(violated)}  not-applicable: {len(skipped)}")
     return code, "\n".join(lines)
 
@@ -455,10 +426,10 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
     stab = report.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)
     cfg.evaluated_at = time.perf_counter()
-    rows = _curve_rows(report, cfg, _grid_texts(cfg))
-    rows.append((cfg.fmt_num(stab), cfg.fmt_num(kappa_stab), cfg.fmt_num(report.lly)))
-    header = ["alpha", "kappa", "normalized"]
-    return 0, _csv_text(f"# mode={cfg.mode} target={name}", header, rows)
+    fmt = cfg.fmt_num
+    rows = _curve_rows(report, fmt, _grid_texts(cfg))
+    rows.append((fmt(stab), fmt(kappa_stab), fmt(report.lly)))
+    return 0, _csv_text(f"# mode={cfg.mode} target={name}", _CURVE_HEADER, rows)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -538,24 +509,23 @@ def main(argv=None) -> int:
     render_s = 0.0
     try:
         cfg = _config_from_args(args)
+        doc = load_document(args.path)
         if args.command == "validate":
-            code, text = cmd_validate(args.path)
+            code, text = cmd_validate(doc, cfg)
+        elif args.command == "distances":
+            code, text = cmd_distances(doc, cfg)
+        elif args.command == "measure":
+            code, text = cmd_measure(doc, args, cfg)
         else:
-            doc = load_document(args.path)
-            if args.command == "distances":
-                code, text = cmd_distances(doc, cfg)
-            elif args.command == "measure":
-                code, text = cmd_measure(doc, args, cfg)
+            hg = doc.hypergraph
+            ev = Evaluator(hg, all_pairs_distances(hg))
+            if args.command == "curvature":
+                code, text = cmd_curvature(doc, args, cfg, ev)
+            elif args.command == "bounds":
+                code, text = cmd_bounds(doc, cfg, ev)
             else:
-                hg = doc.hypergraph
-                ev = Evaluator(hg, all_pairs_distances(hg))
-                if args.command == "curvature":
-                    code, text = cmd_curvature(doc, args, cfg, ev)
-                elif args.command == "bounds":
-                    code, text = cmd_bounds(doc, cfg, ev)
-                else:
-                    code, text = cmd_sweep(doc, args, cfg, ev)
-            render_s = time.perf_counter() - cfg.evaluated_at
+                code, text = cmd_sweep(doc, args, cfg, ev)
+        render_s = time.perf_counter() - cfg.evaluated_at
     except errors.NoStabilization as exc:
         print(f"NoStabilization: {exc}", file=sys.stderr)
         return 3
@@ -569,7 +539,13 @@ def main(argv=None) -> int:
             counters["startup_cpu_s"] = round(startup_cpu, 6)
             counters["render_s"] = round(render_s, 6)
             print(json.dumps(counters), file=sys.stderr)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point the descriptor at devnull so
+        # the flush at interpreter exit stays silent; the code stands.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

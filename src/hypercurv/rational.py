@@ -1,4 +1,4 @@
-"""Exact rational plumbing: coercion and display of Fractions."""
+"""Exact rational plumbing: coercion of ints, literals and floats to Fractions."""
 
 from __future__ import annotations
 
@@ -59,10 +59,3 @@ def as_alpha(value) -> Fraction:
     if alpha < 0 or alpha > 1:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     return alpha
-
-
-def format_number(x, exact: bool = True) -> str:
-    """Render a number for reports: 'p/q', or the nearest float's repr when not ``exact``."""
-    if exact and isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))

@@ -414,18 +414,35 @@ def test_csv_rows_match_header(capsys, h4_path, argv):
     assert all(len(row) == len(header) for row in rows)
 
 
-def test_python_m_hypercurv_runs_the_cli():
+def _python_m_hypercurv(command: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m hypercurv`` on the bundled h4 document in a fresh process."""
     import hypercurv
 
     src = str(Path(hypercurv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     h4 = Path(__file__).resolve().parents[1] / "data" / "h4.json"
-    done = subprocess.run(
-        [sys.executable, "-m", "hypercurv", "validate", str(h4)],
-        capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-m", "hypercurv", command, str(h4)],
         text=True,
         env=env,
         timeout=60,
+        **kwargs,
     )
+
+
+def test_python_m_hypercurv_runs_the_cli():
+    done = _python_m_hypercurv("validate", capture_output=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok: flavor=undirected vertices=4")
+
+
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr():
+    """A reader that stops early (``| head -1``) is no violated verdict and gets no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python_m_hypercurv("bounds", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 0
