@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the curvature bounds over random instances of all three flavors.
 
-Generates seeded random hypergraphs, runs every applicable bound check at
-a grid of alphas, and prints a verdict tally per bound name. A nonzero
-exit means some applicable bound was violated, which would indicate a
-solver or formula bug.
+Generates seeded random hypergraphs (``hypercurv.random_instances``), runs
+the CLI's verdict ledger (``hypercurv.verdict_ledger``) at each alpha of a
+grid and each length variant, and prints a tally of the distinct verdicts
+per bound name. A nonzero exit means some applicable bound was violated,
+which would indicate a solver or formula bug.
 
 Example:
     python scripts/random_bound_sweep.py --count 40 --seed 7
@@ -17,101 +18,36 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
-from hypercurv import (
-    Evaluator,
-    all_pairs_distances,
-    build,
-    check_bonnet_myers,
-    check_directed_edge_bound,
-    check_edge_upper_bound,
-    check_pair_bound_oriented,
-    check_pair_upper_bound,
-    check_vertex_count,
-)
+from hypercurv import Evaluator, all_pairs_distances, verdict_ledger
+from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 
 ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-WEIGHTS = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)]
-
-
-def random_undirected(rng, n_max=7):
-    n = rng.randint(3, n_max)
-    order = list(range(n))
-    rng.shuffle(order)
-    covered = [order[0]]
-    edges = []
-    for v in order[1:]:
-        partners = rng.sample(covered, min(len(covered), rng.randint(1, 2)))
-        edges.append((sorted([v, *partners]), rng.choice(WEIGHTS)))
-        covered.append(v)
-    for _ in range(rng.randint(0, 2)):
-        size = rng.randint(2, min(3, n))
-        edges.append((sorted(rng.sample(range(n), size)), rng.choice(WEIGHTS)))
-    return build("undirected", n, edges)
-
-
-def random_directed(rng, n_max=6, m_max=8):
-    n = rng.randint(3, n_max)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = [([perm[i]], [perm[(i + 1) % n]], rng.choice(WEIGHTS)) for i in range(n)]
-    for _ in range(rng.randint(0, max(0, m_max - n))):
-        size_a, size_b = rng.randint(1, 2), rng.randint(1, 2)
-        if size_a + size_b > n:
-            continue
-        pick = rng.sample(range(n), size_a + size_b)
-        edges.append((pick[:size_a], pick[size_a:], rng.choice(WEIGHTS)))
-    return build("directed", n, edges)
-
-
-def random_oriented(rng, n_max=5):
-    n = rng.randint(3, n_max)
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = [([order[i]], [order[i + 1]], 1) for i in range(n - 1)]
-    covered = {frozenset((order[i], order[i + 1])) for i in range(n - 1)}
-    for _ in range(rng.randint(0, 3)):
-        size_a, size_b = rng.randint(1, 2), rng.randint(1, 2)
-        if size_a + size_b > n:
-            continue
-        pick = rng.sample(range(n), size_a + size_b)
-        pairs = {frozenset((x, y)) for x in pick[:size_a] for y in pick[size_a:]}
-        if pairs & covered:
-            continue
-        covered |= pairs
-        edges.append((pick[:size_a], pick[size_a:], 1))
-    return build("oriented", n, edges, symmetrize=True)
+VARIANTS = ("min", "sum", "max")
+GENERATORS = (
+    partial(random_undirected, n_max=7),
+    partial(random_directed, n_max=6),
+    # simple: no vertex pair in two listed hyperedges, so the unit-weight
+    # partition bounds apply.
+    partial(random_oriented_unit, n_max=5, simple=True),
+)
 
 
 def sweep_instance(hg, tally):
+    """Tally the distinct verdicts of the ledger over ALPHAS x VARIANTS; return the violated ones.
+
+    A verdict that depends on neither alpha nor the variant is counted once.
+    """
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
-    verdicts = []
-    if hg.flavor == "undirected":
-        for a in ALPHAS:
-            for u in range(hg.n_vertices):
-                for v in range(u + 1, hg.n_vertices):
-                    verdicts.extend(check_pair_upper_bound(hg, oracle, u, v, a, ev=ev))
-            for e in range(hg.n_edges):
-                for variant in ("min", "sum", "max"):
-                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, variant, ev=ev))
-        verdicts.extend(check_bonnet_myers(hg, oracle, ev=ev))
-    else:
-        for a in ALPHAS:
-            for e in range(hg.n_edges):
-                verdict, _ = check_directed_edge_bound(hg, oracle, e, a, ev=ev)
-                verdicts.append(verdict)
-                if hg.flavor == "oriented":
-                    verdicts.append(check_edge_upper_bound(hg, oracle, e, a, "min", ev=ev))
-            if hg.flavor == "oriented":
-                for u in range(hg.n_vertices):
-                    for v in range(hg.n_vertices):
-                        if u != v:
-                            verdicts.extend(check_pair_bound_oriented(hg, oracle, u, v, a, ev=ev))
-        if hg.flavor == "oriented":
-            verdicts.append(check_vertex_count(hg, oracle, ev=ev))
-            verdicts.extend(check_bonnet_myers(hg, oracle, ev=ev))
-
+    # A dict, not a set: it drops repeats and keeps the ledger's order.
+    verdicts = dict.fromkeys(
+        v
+        for a in ALPHAS
+        for variant in VARIANTS
+        for v in verdict_ledger(hg, oracle, a, variant, ev=ev)
+    )
     bad = []
     for v in verdicts:
         status = "holds" if v.holds else ("n/a" if v.holds is None else "violated")
@@ -130,7 +66,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     tally: Counter = Counter()
     violations = []
-    for make in (random_undirected, random_directed, random_oriented):
+    for make in GENERATORS:
         for _ in range(args.count):
             hg = make(rng)
             violations.extend(sweep_instance(hg, tally))

@@ -13,11 +13,10 @@ from fractions import Fraction
 from hypercurv import (
     all_pairs_distances,
     build,
-    check_bonnet_myers,
-    check_edge_upper_bound,
-    check_pair_upper_bound,
+    curvature_pairs,
     lly_limit,
     measure_undirected,
+    verdict_ledger,
     well_transported_pairs,
 )
 
@@ -44,13 +43,12 @@ def main() -> None:
         print(f"  mu_{NAMES[x]} = {{{body}}}")
 
     print("\nlimit curvature:")
-    for u in range(4):
-        for v in range(u + 1, 4):
-            rep = lly_limit(hg, oracle, ("pair", u, v))
-            print(
-                f"  kappa({NAMES[u]},{NAMES[v]}) = {rep.lly}"
-                f"   (constant from alpha = {rep.stabilization_alpha})"
-            )
+    for u, v in curvature_pairs(hg):
+        rep = lly_limit(hg, oracle, ("pair", u, v))
+        print(
+            f"  kappa({NAMES[u]},{NAMES[v]}) = {rep.lly}"
+            f"   (constant from alpha = {rep.stabilization_alpha})"
+        )
     for variant in ("sum", "min"):
         rep = lly_limit(hg, oracle, ("edge", 0), variant=variant)
         print(f"  kappa(h1, {variant} length) = {rep.lly}")
@@ -60,14 +58,7 @@ def main() -> None:
     ])
 
     print("\nbound ledger at alpha = 1/2:")
-    ledger = []
-    for u in range(4):
-        for v in range(u + 1, 4):
-            ledger.extend(check_pair_upper_bound(hg, oracle, u, v, a))
-    for e in range(hg.n_edges):
-        ledger.append(check_edge_upper_bound(hg, oracle, e, a, "sum"))
-    ledger.extend(check_bonnet_myers(hg, oracle))
-    for verdict in ledger:
+    for verdict in verdict_ledger(hg, oracle, a):
         status = "holds" if verdict.holds else ("n/a" if verdict.holds is None else "VIOLATED")
         print(f"  {status:>8}  {verdict.name:<22} {verdict.target:<22} {verdict.lhs} <= {verdict.rhs}")
 

@@ -16,6 +16,7 @@ from .bounds import (
     check_pair_bound_oriented,
     check_pair_upper_bound,
     check_vertex_count,
+    verdict_ledger,
     vertex_count_bound,
 )
 from .curvature import (
@@ -24,6 +25,7 @@ from .curvature import (
     EvalStats,
     Evaluator,
     Limit,
+    curvature_pairs,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
     kappa_alpha_pair,

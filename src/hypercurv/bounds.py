@@ -9,7 +9,10 @@ violated inequality.
 Each check takes ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the
 instance, so a ledger of many checks shares measures, transports and
 limits; by default a check evaluates with a fresh one of its own. Limits
-are read without sampling any alpha curve.
+are read without sampling any alpha curve. :func:`verdict_ledger` runs
+every check that applies to an instance, on the pairs of
+:func:`~hypercurv.curvature.curvature_pairs`; it is the ledger that
+``hypercurv bounds`` prints.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from . import errors
 # where perfbench/tracer.py wraps them; the checks evaluate through ``ev``.
 from .curvature import (  # noqa: F401
     Evaluator,
+    curvature_pairs,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
     kappa_alpha_pair,
@@ -285,14 +289,13 @@ def check_bonnet_myers(
     verdicts: list[BoundVerdict] = []
     two_max = 2 * hg.max_weight()
     if hg.flavor == UNDIRECTED:
-        for u in range(hg.n_vertices):
-            for v in range(u + 1, hg.n_vertices):
-                kappa = ev.limit(("pair", u, v), variant).lly
-                target = labels.pair(u, v)
-                if kappa > 0:
-                    verdicts.append(_verdict("bm-pair", oracle.d(u, v), two_max / kappa, target))
-                else:
-                    verdicts.append(_skip("bm-pair", target, f"kappa={kappa} not positive"))
+        for u, v in curvature_pairs(hg):
+            kappa = ev.limit(("pair", u, v), variant).lly
+            target = labels.pair(u, v)
+            if kappa > 0:
+                verdicts.append(_verdict("bm-pair", oracle.d(u, v), two_max / kappa, target))
+            else:
+                verdicts.append(_skip("bm-pair", target, f"kappa={kappa} not positive"))
         floor = None
         for (u, v, _e) in well_transported_pairs(hg, oracle):
             kappa = ev.limit(("pair", u, v), variant).lly
@@ -398,6 +401,50 @@ def check_pair_bound_oriented(
             )
         )
     return verdicts
+
+
+def verdict_ledger(
+    hg: Hypergraph,
+    oracle: DistanceOracle,
+    alpha,
+    variant: str = "sum",
+    labels: Labels = DEFAULT_LABELS,
+    ev: Evaluator | None = None,
+) -> list[BoundVerdict]:
+    """Every verdict that applies to the instance, in a fixed order.
+
+    Undirected: both pair upper bounds on each curvature pair, then the
+    ``variant`` upper bound on each hyperedge. Directed and oriented: the
+    partition bound on each hyperedge, with the ``min`` upper bound where
+    the quasi-distance is symmetric; oriented adds the pair bounds on each
+    curvature pair and the vertex-count bound (unit weights only). Last,
+    Bonnet-Myers, whose undirected pair limits take ``variant``. Each check
+    evaluates with ``ev``, or with a fresh Evaluator of its own if None.
+    """
+    # The checks are looked up in this module's globals at call time, where
+    # perfbench/tracer.py replaces them with timed wrappers.
+    ledger: list[BoundVerdict] = []
+    if hg.flavor == UNDIRECTED:
+        for u, v in curvature_pairs(hg):
+            ledger.extend(check_pair_upper_bound(hg, oracle, u, v, alpha, labels, ev))
+        for e in range(hg.n_edges):
+            ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, variant, labels, ev))
+    else:
+        for e in range(hg.n_edges):
+            ledger.append(check_directed_edge_bound(hg, oracle, e, alpha, labels, ev)[0])
+            if hg.flavor == ORIENTED or oracle.symmetric:
+                ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, "min", labels, ev))
+        if hg.flavor == ORIENTED:
+            for u, v in curvature_pairs(hg):
+                ledger.extend(
+                    check_pair_bound_oriented(hg, oracle, u, v, alpha, labels=labels, ev=ev)
+                )
+            if hg.is_unit_weight():
+                ledger.append(check_vertex_count(hg, oracle, ev=ev))
+            else:
+                ledger.append(_skip("vertex-count", "instance", "NonUnitWeights"))
+    ledger.extend(check_bonnet_myers(hg, oracle, variant, labels, ev))
+    return ledger
 
 
 # Terms of the vertex-count sum evaluated at most. The sum has floor(2/kappa0)

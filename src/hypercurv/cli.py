@@ -2,11 +2,13 @@
 
 Exit codes: 0 ok, 1 violated verdict, 2 invalid input, 3 internal limit
 (no stabilization). Output is byte-identical for identical (document,
-config) pairs across runs and parallelism degrees. Targets are evaluated
-one after another, in sorted target order, by one Evaluator per run, so
-each measure, transport and limit is computed once; ``--parallel`` is
-accepted and validated but does not change how a run is evaluated.
-Every number is computed exactly; ``--float`` only prints it as a decimal.
+flags) pairs across runs. Targets are evaluated one after another, in
+sorted target order, by one Evaluator per run, so each measure, transport
+and limit is computed once. ``curvature --all`` takes the pairs of
+``curvature.curvature_pairs`` and ``bounds`` prints
+``bounds.verdict_ledger``. ``--parallel`` is accepted and validated but
+does not change how a run is evaluated. Every number is computed exactly;
+``--float`` only prints it as a decimal.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from . import bounds as bounds_mod
 from . import errors, walk
-from .curvature import DEFAULT_ALPHA_GRID, EvalStats, Evaluator
+from .curvature import DEFAULT_ALPHA_GRID, EvalStats, Evaluator, curvature_pairs
 from .document import ParsedDocument, load_document
 from .hypergraph import ORIENTED, UNDIRECTED
 from .metric import all_pairs_distances
@@ -71,18 +73,9 @@ def _config_from_args(args) -> RunConfig:
     if args.float:
         cfg.mode = "float"
         cfg.fmt_num = lambda x: repr(float(x))
-    if args.tol is not None and not args.tol > 0:  # nan is not positive
-        raise errors.ParseError("tolerance must be positive")
     if args.format:
         cfg.fmt = args.format
-    parallel = args.parallel
-    if parallel is None:
-        raw = os.environ.get("HYPERCURV_THREADS", "1")
-        try:
-            parallel = int(raw)
-        except ValueError:
-            raise errors.ParseError(f"HYPERCURV_THREADS: expected an integer, got {raw!r}") from None
-    if parallel < 1:
+    if args.parallel is not None and args.parallel < 1:
         raise errors.ParseError("parallelism degree must be >= 1")
     cfg.strict = args.strict
     return cfg
@@ -253,15 +246,8 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
     if getattr(args, "all", False):
         for e, name in enumerate(doc.edge_names):
             targets.append((f"edge {name}", ("edge", e)))
-        if hg.flavor == UNDIRECTED:
-            for u in range(hg.n_vertices):
-                for v in range(u + 1, hg.n_vertices):
-                    targets.append((pair_name(u, v), ("pair", u, v)))
-        elif hg.flavor == ORIENTED:
-            for u in range(hg.n_vertices):
-                for v in range(hg.n_vertices):
-                    if u != v:
-                        targets.append((pair_name(u, v), ("pair", u, v)))
+        for u, v in curvature_pairs(hg):
+            targets.append((pair_name(u, v), ("pair", u, v)))
     for token in getattr(args, "pair", None) or []:
         parts = token.split(",")
         if len(parts) != 2:
@@ -318,68 +304,11 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
     return 0, "\n".join(lines)
 
 
-def _bounds_ledger(
-    doc: ParsedDocument, cfg: RunConfig, ev: Evaluator | None = None
-) -> list[bounds_mod.BoundVerdict]:
-    """Every applicable verdict; each check evaluates with ``ev``, or a fresh Evaluator if None."""
-    hg = doc.hypergraph
-    oracle = ev.oracle if ev else all_pairs_distances(hg)
-    a = cfg.alpha
-    labels = bounds_mod.Labels(vertex=doc.vertex_names, edge=doc.edge_names)
-    ledger: list[bounds_mod.BoundVerdict] = []
-    if hg.flavor == UNDIRECTED:
-        for u in range(hg.n_vertices):
-            for v in range(u + 1, hg.n_vertices):
-                ledger.extend(
-                    bounds_mod.check_pair_upper_bound(hg, oracle, u, v, a, labels=labels, ev=ev)
-                )
-        for e in range(hg.n_edges):
-            ledger.append(
-                bounds_mod.check_edge_upper_bound(
-                    hg, oracle, e, a, cfg.variant, labels=labels, ev=ev
-                )
-            )
-        ledger.extend(
-            bounds_mod.check_bonnet_myers(hg, oracle, variant=cfg.variant, labels=labels, ev=ev)
-        )
-        return ledger
-    for e in range(hg.n_edges):
-        verdict, _data = bounds_mod.check_directed_edge_bound(
-            hg, oracle, e, a, labels=labels, ev=ev
-        )
-        ledger.append(verdict)
-        if hg.flavor == ORIENTED or oracle.symmetric:
-            ledger.append(
-                bounds_mod.check_edge_upper_bound(hg, oracle, e, a, "min", labels=labels, ev=ev)
-            )
-    if hg.flavor == ORIENTED:
-        for u in range(hg.n_vertices):
-            for v in range(hg.n_vertices):
-                if u != v:
-                    ledger.extend(
-                        bounds_mod.check_pair_bound_oriented(
-                            hg, oracle, u, v, a, labels=labels, ev=ev
-                        )
-                    )
-        if hg.is_unit_weight():
-            ledger.append(bounds_mod.check_vertex_count(hg, oracle, ev=ev))
-        else:
-            ledger.append(
-                bounds_mod.BoundVerdict(
-                    name="vertex-count",
-                    lhs=None,
-                    rhs=None,
-                    holds=None,
-                    target="instance",
-                    witness="NonUnitWeights",
-                )
-            )
-    ledger.extend(bounds_mod.check_bonnet_myers(hg, oracle, labels=labels, ev=ev))
-    return ledger
-
-
 def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
-    ledger = _bounds_ledger(doc, cfg, ev)
+    labels = bounds_mod.Labels(vertex=doc.vertex_names, edge=doc.edge_names)
+    ledger = bounds_mod.verdict_ledger(
+        doc.hypergraph, ev.oracle, cfg.alpha, cfg.variant, labels, ev
+    )
     cfg.evaluated_at = time.perf_counter()
     violated = [v for v in ledger if v.holds is False]
     skipped = [v for v in ledger if v.holds is None]
@@ -444,16 +373,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--float", action="store_true", help="print the exactly computed values as decimals"
     )
-    p.add_argument(
-        "--tol",
-        type=float,
-        help="accepted for compatibility (must be positive); has no effect on results",
-    )
     p.add_argument("--format", choices=["json", "csv", "table"], help="output format")
     p.add_argument(
         "--parallel",
         type=int,
-        help="accepted for compatibility (env HYPERCURV_THREADS); targets always run serially",
+        help="accepted for compatibility (must be >= 1); targets always run serially",
     )
     p.add_argument("--strict", action="store_true", help="not-applicable verdicts also fail")
     p.add_argument(

@@ -573,6 +573,18 @@ def lly_limit(
     return Evaluator(hg, oracle).report(target, variant, alpha_grid, k_max)
 
 
+def curvature_pairs(hg: Hypergraph) -> list[tuple[int, int]]:
+    """The vertex pairs (u, v) that carry a curvature, in lexicographic order.
+
+    Undirected: the unordered pairs, u < v. Oriented: the ordered pairs,
+    u != v. Directed: none; there curvature lives on hyperedges.
+    """
+    if hg.flavor != UNDIRECTED and hg.flavor != ORIENTED:
+        return []
+    n, ordered = hg.n_vertices, hg.flavor == ORIENTED
+    return [(u, v) for u in range(n) for v in range(n) if u < v or ordered and u != v]
+
+
 def well_transported_pairs(hg: Hypergraph, oracle: DistanceOracle) -> list[tuple[int, int, int]]:
     """All (u, v, edge) triples with u, v in the edge and d(u, v) equal to its weight."""
     if hg.flavor != UNDIRECTED:

@@ -1,7 +1,12 @@
-"""Shared fixtures and random-instance generators for the test suite."""
+"""Shared fixtures and random-instance generators for the test suite.
+
+The three flavor generators live in ``hypercurv.random_instances`` and are
+re-exported here; the graph and dense oriented families are test-only.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -11,10 +16,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py lives beside the tests
 
-from hypercurv import ParsedDocument, all_pairs_distances, build, errors
-from hypercurv.hypergraph import UNDIRECTED
-
-WEIGHTS = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)]
+from hypercurv import ParsedDocument, all_pairs_distances, build, curvature_pairs, errors
+from hypercurv.hypergraph import DIRECTED, UNDIRECTED
+from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 
 
 @pytest.fixture(scope="session")
@@ -26,23 +30,6 @@ def h4():
 @pytest.fixture(scope="session")
 def h4_oracle(h4):
     return all_pairs_distances(h4)
-
-
-def random_undirected(rng: random.Random, n_max: int = 7, extra_max: int = 2):
-    """Random connected undirected hypergraph with edges of size 2..3."""
-    n = rng.randint(3, n_max)
-    order = list(range(n))
-    rng.shuffle(order)
-    covered = [order[0]]
-    edges = []
-    for v in order[1:]:
-        partners = rng.sample(covered, min(len(covered), rng.randint(1, 2)))
-        edges.append((sorted([v, *partners]), rng.choice(WEIGHTS)))
-        covered.append(v)
-    for _ in range(rng.randint(0, extra_max)):
-        size = rng.randint(2, min(3, n))
-        edges.append((sorted(rng.sample(range(n), size)), rng.choice(WEIGHTS)))
-    return build("undirected", n, edges)
 
 
 def random_graph_edges(rng: random.Random, n_max: int = 8, max_degree: int = 3):
@@ -71,55 +58,6 @@ def random_graph_edges(rng: random.Random, n_max: int = 8, max_degree: int = 3):
 
 def graph_as_hypergraph(n: int, edges: dict):
     return build("undirected", n, [(sorted(pair), w) for pair, w in sorted(edges.items(), key=lambda kv: sorted(kv[0]))])
-
-
-def random_directed(rng: random.Random, n_max: int = 7, m_max: int = 8):
-    """Random strongly connected loopless directed hypergraph.
-
-    A singleton-edge cycle guarantees strong connectivity; extra edges
-    with tail/head sizes up to 2 add structure.
-    """
-    n = rng.randint(3, n_max)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = [([perm[i]], [perm[(i + 1) % n]], rng.choice(WEIGHTS)) for i in range(n)]
-    for _ in range(rng.randint(0, max(0, m_max - n))):
-        size_a = rng.randint(1, 2)
-        size_b = rng.randint(1, 2)
-        if size_a + size_b > n:
-            continue
-        pick = rng.sample(range(n), size_a + size_b)
-        edges.append((pick[:size_a], pick[size_a:], rng.choice(WEIGHTS)))
-    return build("directed", n, edges)
-
-
-def random_oriented_unit(
-    rng: random.Random, n_max: int = 6, extra_max: int = 3, simple: bool = False
-):
-    """Random reversal-closed unit-weight oriented hypergraph.
-
-    ``simple=True`` keeps every unordered vertex pair inside at most one
-    listed hyperedge, the regime where the per-neighbor spread weight
-    stays at or below 1.
-    """
-    n = rng.randint(3, n_max)
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = [([order[i]], [order[i + 1]], 1) for i in range(n - 1)]
-    covered = {frozenset((order[i], order[i + 1])) for i in range(n - 1)}
-    for _ in range(rng.randint(0, extra_max)):
-        size_a = rng.randint(1, 2)
-        size_b = rng.randint(1, 2)
-        if size_a + size_b > n:
-            continue
-        pick = rng.sample(range(n), size_a + size_b)
-        tail, head = pick[:size_a], pick[size_a:]
-        pairs = {frozenset((x, y)) for x in tail for y in head}
-        if simple and pairs & covered:
-            continue
-        covered |= pairs
-        edges.append((tail, head, 1))
-    return build("oriented", n, edges, symmetrize=True)
 
 
 def random_oriented_dense(rng: random.Random, n_max: int = 4):
@@ -172,19 +110,20 @@ def named_document(hg):
 
 
 def curvature_targets(hg, oracle):
-    """Every (target, variant) the CLI evaluates for the instance."""
-    if hg.flavor == UNDIRECTED:
-        for e in range(hg.n_edges):
-            for variant in ("min", "sum", "max"):
-                yield ("edge", e), variant
-        for u in range(hg.n_vertices):
-            for v in range(u + 1, hg.n_vertices):
-                yield ("pair", u, v), "sum"
-        return
+    """Every (target, variant) the CLI evaluates for the instance, and two extras.
+
+    The pairs are ``curvature_pairs(hg)``, as ``curvature --all`` resolves
+    them. The extras are kept on purpose, so the differential tests cover
+    what the library accepts beyond the CLI: every length variant of each
+    undirected hyperedge (a CLI run evaluates one), and the ordered pairs
+    of a directed instance whose quasi-distance is symmetric.
+    """
+    variants = ("min", "sum", "max") if hg.flavor == UNDIRECTED else ("sum",)
     for e in range(hg.n_edges):
-        yield ("edge", e), "sum"
-    if oracle.symmetric:
-        for u in range(hg.n_vertices):
-            for v in range(hg.n_vertices):
-                if u != v:
-                    yield ("pair", u, v), "sum"
+        for variant in variants:
+            yield ("edge", e), variant
+    pairs = curvature_pairs(hg)
+    if hg.flavor == DIRECTED and oracle.symmetric:
+        pairs = itertools.permutations(range(hg.n_vertices), 2)
+    for u, v in pairs:
+        yield ("pair", u, v), "sum"

@@ -18,6 +18,7 @@ from hypercurv import (
     check_vertex_count,
     errors,
     lly_limit,
+    verdict_ledger,
     vertex_count_bound,
 )
 from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS, distance_layers
@@ -145,6 +146,44 @@ def test_bonnet_myers_random_positive_oriented():
         oracle = all_pairs_distances(hg)
         verdicts = check_bonnet_myers(hg, oracle)
         assert all(v.holds for v in verdicts if v.holds is not None)
+
+
+PATH_BOTH_WAYS = [([0], [1], 1), ([1], [0], 1), ([1], [2], 1), ([2], [1], 1)]
+ORIENTED_PAIR = ["oriented-pair-upper-unit", "oriented-pair-upper-unit-lly", "oriented-pair-upper-weight"]
+
+
+@pytest.mark.parametrize(
+    "hg, names",
+    [
+        (
+            build("undirected", 4, [([0, 1, 2], 1), ([0, 3], 1)]),
+            ["pair-upper-global", "pair-upper-local"] * 6
+            + ["edge-upper"] * 2
+            + ["bm-pair"] * 6
+            + ["bm-diameter"],
+        ),
+        (
+            build("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)]),
+            ["directed-edge-upper"] * 3 + ["bonnet-myers"],
+        ),
+        (
+            build("directed", 3, PATH_BOTH_WAYS),  # symmetric quasi-distance
+            ["directed-edge-upper", "edge-upper"] * 4 + ["bm-edge"] * 4 + ["bm-diameter"],
+        ),
+        (
+            build("oriented", 3, PATH_BOTH_WAYS),
+            ["directed-edge-upper", "edge-upper"] * 4
+            + ORIENTED_PAIR * 6
+            + ["vertex-count"]
+            + ["bm-edge"] * 4
+            + ["bm-diameter"],
+        ),
+    ],
+    ids=["undirected", "directed", "symmetric-directed", "oriented"],
+)
+def test_verdict_ledger_runs_the_checks_of_the_flavor(hg, names):
+    oracle = all_pairs_distances(hg)
+    assert [v.name for v in verdict_ledger(hg, oracle, Fraction(1, 2))] == names
 
 
 def test_oriented_pair_bounds_single_pair():

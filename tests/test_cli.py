@@ -205,15 +205,6 @@ def test_byte_identical_across_runs_and_parallelism(capsys, h4_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_env_threads_fallback(capsys, h4_path, monkeypatch):
-    monkeypatch.setenv("HYPERCURV_THREADS", "3")
-    code, out, _ = _run(capsys, ["curvature", h4_path, "--all", "--format", "json"])
-    assert code == 0
-    monkeypatch.delenv("HYPERCURV_THREADS")
-    _, base, _ = _run(capsys, ["curvature", h4_path, "--all", "--format", "json"])
-    assert out == base
-
-
 def test_document_round_trip():
     doc = parse_document(json.dumps(H4_DOC))
     again = parse_document(json.dumps(serialize_document(doc)))
@@ -237,12 +228,23 @@ def test_document_round_trip_oriented_symmetrize():
     assert serialize_document(again) == serialize_document(doc)
 
 
-@pytest.mark.parametrize("tol", ["nan", "-nan", "0", "-1"])
-def test_non_positive_tol_rejected(capsys, h4_path, tol):
-    """``--tol`` must be positive, and nan is not: it exits 2 like ``--tol 0``."""
-    code, out, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3", f"--tol={tol}"])
-    assert code == 2 and out == ""
-    assert err == "ParseError: tolerance must be positive\n"
+def test_tol_is_a_usage_error(capsys, h4_path):
+    """``--tol`` never changed a result and is gone: argparse refuses it, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", h4_path, "--pair", "x2,x3", "--tol", "0.5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --tol 0.5" in out.err
+
+
+def test_threads_variable_is_ignored(capsys, h4_path, monkeypatch):
+    """``HYPERCURV_THREADS`` never changed a result and is no longer read."""
+    argv = ["curvature", h4_path, "--all", "--format", "json"]
+    base = _run(capsys, argv)
+    monkeypatch.setenv("HYPERCURV_THREADS", "lots")
+    assert _run(capsys, argv) == base
+    assert base[0] == 0
 
 
 def test_bad_alpha_grid_rejected(capsys, h4_path):
@@ -294,13 +296,6 @@ def test_bounds_csv_format(capsys, h4_path):
     assert lines[0] == "# mode=exact"
     assert lines[1] == "name,target,lhs,rhs,status,witness"
     assert all("violated" not in line for line in lines[2:])
-
-
-def test_bad_env_threads_rejected(capsys, h4_path, monkeypatch):
-    monkeypatch.setenv("HYPERCURV_THREADS", "lots")
-    code, _, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3"])
-    assert code == 2
-    assert "HYPERCURV_THREADS" in err
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypercurv import (
     Evaluator,
     all_pairs_distances,
     build,
+    curvature_pairs,
     errors,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
@@ -19,12 +21,14 @@ from hypercurv import (
     lly_limit,
     well_transported_pairs,
 )
+from hypercurv.cli import _resolve_targets
 from hypercurv.curvature import DEFAULT_ALPHA_GRID
 
 from conftest import (
     curvature_targets,
     directed_corpus,
     graph_as_hypergraph,
+    named_document,
     oriented_corpus,
     random_graph_edges,
     random_undirected,
@@ -149,6 +153,30 @@ def test_lower_bound_propagation():
             for v in range(u + 1, hg.n_vertices)
         )
         assert all_min >= wt_min
+
+
+PAIR_CORPORA = {
+    "undirected": lambda: undirected_corpus(7301, 30),
+    "directed": lambda: directed_corpus(7302, 30),
+    "oriented": lambda: oriented_corpus(7303, 30),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(PAIR_CORPORA))
+def test_curvature_pairs_follow_the_flavor_and_match_curvature_all(flavor):
+    """u < v when undirected, u != v when oriented, none when directed, in
+    lexicographic order; and exactly the pair targets ``curvature --all`` runs."""
+    for hg in PAIR_CORPORA[flavor]():
+        vertices = range(hg.n_vertices)
+        expected = {
+            "undirected": list(combinations(vertices, 2)),  # n(n-1)/2, lexicographic
+            "oriented": list(permutations(vertices, 2)),  # n(n-1), lexicographic
+            "directed": [],
+        }
+        pairs = curvature_pairs(hg)
+        assert pairs == expected[flavor]
+        targets = _resolve_targets(named_document(hg), argparse.Namespace(all=True))
+        assert sorted(t[1:] for _name, t in targets if t[0] == "pair") == pairs
 
 
 def test_well_transported_h4(h4, h4_oracle):

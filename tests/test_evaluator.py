@@ -7,14 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurv import Evaluator, all_pairs_distances, build, errors
-from hypercurv.cli import RunConfig, _bounds_ledger
+from hypercurv import Evaluator, all_pairs_distances, build, errors, verdict_ledger
 from hypercurv.curvature import _dyadic_index
 
 from conftest import (
     curvature_targets,
     directed_corpus,
-    named_document,
     oriented_corpus,
     undirected_corpus,
 )
@@ -121,11 +119,10 @@ def test_divergent_edge_raises_again_from_memo():
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_ledger_with_shared_evaluator_equals_fresh_per_check(flavor):
-    cfg = RunConfig()
+    alpha = Fraction(1, 2)
     for hg in CORPORA[flavor]()[:3]:
-        doc = named_document(hg)
         ev = Evaluator(hg, all_pairs_distances(hg))
-        assert _bounds_ledger(doc, cfg, ev) == _bounds_ledger(doc, cfg)
+        assert verdict_ledger(hg, ev.oracle, alpha, ev=ev) == verdict_ledger(hg, ev.oracle, alpha)
 
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))

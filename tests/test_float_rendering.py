@@ -16,8 +16,6 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from hypercurv import serialize_document
 from hypercurv.cli import main
 from hypercurv.hypergraph import UNDIRECTED
@@ -106,14 +104,3 @@ def test_float_output_is_a_rendering_of_exact_output(tmp_path):
             checked += _assert_rendering(exact_tree, approx_tree, " ".join(argv))
     assert checked > 1000
     assert 0 in codes
-
-
-@pytest.mark.parametrize("flag", [["--tol", "0"], ["--tol", "-1"]])
-def test_tol_still_validated(flag):
-    code, _ = _run(["curvature", str(H4), "--pair", "x2,x3", "--float", *flag])
-    assert code == 2
-
-
-def test_tol_does_not_change_results():
-    argv = ["curvature", str(H4), "--all", "--float", "--format", "json"]
-    assert _run(argv) == _run([*argv, "--tol", "0.5"])
