@@ -1,9 +1,12 @@
 """Stdout, stderr and exit code of every subcommand and format, pinned.
 
-Stdout is pinned by its sha256, stderr as text. The table was recorded
+Stdout is pinned by its sha256, stderr as text. The ``--stats`` work
+counters of a few runs are pinned too, without the timing keys, so a
+change that claims to keep the solver's work the same must keep every
+solve, pivot and memo hit. The table was recorded
 from the CLI as it rendered JSON with ``json.dumps(indent=2)`` and looked
 curve values up by alpha, so any output byte that a renderer changes fails
-here. After a deliberate change to the output, print a new table with
+here. After a deliberate change to the output or the work, print new tables with
 ``PYTHONPATH=src python tests/test_pinned_output.py``.
 """
 
@@ -60,6 +63,14 @@ def _cases():
 
 
 CASES = [f"{doc} {' '.join(argv)}" for doc, argv in _cases()]
+COUNTER_CASES = [
+    "h4 bounds",
+    "h4 curvature --all",
+    "directed bounds",
+    "oriented bounds",
+    "oriented curvature --all",
+    "undirected curvature --all",
+]
 
 
 def _write_documents(directory: Path) -> dict[str, str]:
@@ -88,6 +99,23 @@ def paths(tmp_path_factory):
 @pytest.mark.parametrize("case", CASES)
 def test_output_is_pinned(paths, case):
     assert _outcome(paths, case) == PINNED[case]
+
+
+def _counters(paths: dict[str, str], case: str) -> tuple[int, dict]:
+    """Exit code and ``--stats`` counters, timing keys dropped, of one in-process run."""
+    doc, command, *flags = case.split(" ")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, paths[doc], *flags, "--stats"])
+    counters = json.loads(err.getvalue())
+    for timing in ("seconds", "startup_cpu_s", "render_s"):
+        del counters[timing]
+    return code, counters
+
+
+@pytest.mark.parametrize("case", COUNTER_CASES)
+def test_work_counters_are_pinned(paths, case):
+    assert _counters(paths, case) == PINNED_COUNTERS[case]
 
 
 def test_repeated_and_unit_grid_alphas_keep_their_rows(capsys):
@@ -212,6 +240,15 @@ PINNED = {
     'h4 sweep --pair x2,x3 --alpha-grid 0,1/3,1': (0, 'aa157c884c2eb3dca39c3f2a88b8a31897b5b73e96ffd90fa86ccbf82a6bcc1d', ''),
 }
 
+PINNED_COUNTERS = {
+    'h4 bounds': (0, {'solves': 6, 'solve_hits': 9, 'pivots': 2, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 8, 'measure_hits': 8, 'limits': 6, 'limit_hits': 4}),
+    'h4 curvature --all': (0, {'solves': 6, 'solve_hits': 109, 'pivots': 2, 'degenerate_pivots': 0, 'traced_pieces': 9, 'dual_pivots': 11, 'measures': 8, 'measure_hits': 8, 'limits': 8, 'limit_hits': 0}),
+    'directed bounds': (0, {'solves': 4, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 16, 'measure_hits': 0, 'limits': 0, 'limit_hits': 0}),
+    'oriented bounds': (0, {'solves': 22, 'solve_hits': 71, 'pivots': 39, 'degenerate_pivots': 7, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 28, 'measure_hits': 30, 'limits': 32, 'limit_hits': 24}),
+    'oriented curvature --all': (0, {'solves': 22, 'solve_hits': 378, 'pivots': 38, 'degenerate_pivots': 6, 'traced_pieces': 46, 'dual_pivots': 51, 'measures': 28, 'measure_hits': 30, 'limits': 34, 'limit_hits': 0}),
+    'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 221, 'pivots': 13, 'degenerate_pivots': 0, 'traced_pieces': 27, 'dual_pivots': 28, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
+}
+
 
 if __name__ == "__main__":
     import tempfile
@@ -221,4 +258,8 @@ if __name__ == "__main__":
         print("PINNED = {")
         for case in CASES:
             print(f"    {case!r}: {_outcome(found, case)!r},")
+        print("}")
+        print("PINNED_COUNTERS = {")
+        for case in COUNTER_CASES:
+            print(f"    {case!r}: {_counters(found, case)!r},")
         print("}")
