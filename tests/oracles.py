@@ -6,16 +6,21 @@ vertex enumeration or a dense two-phase tableau simplex, and the graph
 curvature limit from a self-contained implementation, or without any limit
 from the Laplacian characterisation of Münch and Wojciechowski.
 
-Two exceptions sit at the end. ``reference_lly_limit`` is the uncached
+Three exceptions sit at the end. ``reference_lly_limit`` is the uncached
 limit search that predates :class:`hypercurv.Evaluator`; it reuses the
 library's walk measures and transport solver, and checks only the
 memoised evaluation layer built on top of them.
 ``reference_transportation_simplex`` is the Fraction simplex that the
 integer transport core replaced, kept to check that core pivot for pivot.
+``reference_family``, ``reference_partition_neighborhood`` and
+``reference_head_spread`` are the Fraction walk measures, transport
+families and ledger partitions that the integer ones replaced, kept to
+check them field for field.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -533,3 +538,126 @@ def _pivot_cycle(basis, entering):
     minus = cells[0::2]
     plus = [entering] + cells[1::2]
     return plus, minus
+
+
+# -- Fraction walk measures, transport families and ledger partitions ----------
+#
+# The Fraction formulas that built the walk measures, the Evaluator's
+# transport families and the bounds ledger's partition data before they
+# moved to int edge weights and ``oracle.table`` ints. They read only public
+# hypergraph and oracle queries, and every mass and distance is a Fraction.
+
+
+def reference_measure(hg, kind, where, side, alpha):
+    """``{vertex: mass}`` of one walk measure, zero masses dropped.
+
+    ``kind`` is ``"undirected"`` (``where`` a vertex), ``"pair"`` (a vertex,
+    ``side`` "in" or "out") or ``"set"`` (an edge index, ``side`` "tail" or
+    "head").
+    """
+    a = Fraction(alpha)
+    mass = {}
+
+    def add(z, m):
+        mass[z] = mass.get(z, Fraction(0)) + m
+
+    def spread(x, direction, share):
+        # Mass ``share`` in all, spread over the one-hop in- or out-neighbourhood of x.
+        if direction == "in":
+            incident = [hg.edges[e] for e in hg.edges_with_head(x)]
+            parts = [(e.weight, e.tail) for e in incident]
+        else:
+            incident = [hg.edges[e] for e in hg.edges_with_tail(x)]
+            parts = [(e.weight, e.head) for e in incident]
+        denom = sum((w for w, _part in parts), Fraction(0))
+        for w, part in parts:
+            for z in part:
+                add(z, share * w / (len(part) * denom))
+
+    if kind == "undirected":
+        deg = sum((hg.edges[e].weight for e in hg.edges_containing(where)), Fraction(0))
+        add(where, a)
+        for e in hg.edges_containing(where):
+            edge = hg.edges[e]
+            for z in edge.vertices:
+                if z != where:
+                    add(z, (1 - a) * edge.weight / ((len(edge) - 1) * deg))
+    elif kind == "pair":
+        add(where, a)
+        spread(where, side, 1 - a)
+    else:
+        edge = hg.edges[where]
+        part = edge.tail if side == "tail" else edge.head
+        direction = "in" if side == "tail" else "out"
+        for x in part:
+            add(x, a / len(part))
+            spread(x, direction, (1 - a) / len(part))
+    return {v: m for v, m in mass.items() if m != 0}
+
+
+def reference_family(hg, key):
+    """``(rows, cols, mu0, mu1, nu0, nu1, scale)`` of a transport entry.
+
+    ``key`` is ``("pair", u, v)`` or ``("edge", h)``; the masses are the
+    row and column masses at alpha 0 and 1 times ``scale``, the lcm of
+    every mass denominator, with zeros kept.
+    """
+    if key[0] == "edge":
+        ends = [reference_measure(hg, "set", key[1], side, a) for side in ("tail", "head") for a in (0, 1)]
+    elif hg.flavor == "undirected":
+        ends = [reference_measure(hg, "undirected", x, None, a) for x in key[1:] for a in (0, 1)]
+    else:
+        ends = [
+            reference_measure(hg, "pair", x, side, a)
+            for x, side in ((key[1], "in"), (key[2], "out"))
+            for a in (0, 1)
+        ]
+    scale = math.lcm(*{m.denominator for mass in ends for m in mass.values()})
+    rows = sorted(ends[0].keys() | ends[1].keys())
+    cols = sorted(ends[2].keys() | ends[3].keys())
+
+    def scaled(mass, support):
+        return [int(mass.get(v, 0) * scale) for v in support]
+
+    return (
+        rows,
+        cols,
+        scaled(ends[0], rows),
+        scaled(ends[1], rows),
+        scaled(ends[2], cols),
+        scaled(ends[3], cols),
+        scale,
+    )
+
+
+def reference_partition_neighborhood(hg, oracle, ref, anchor):
+    """``(ref, anchor, base, closer, level, farther, c1, c2)`` on Fractions.
+
+    The out-neighbourhood of ``anchor`` (the plain one when undirected) split
+    by minimum distance from the vertex or vertex set ``ref``.
+    """
+    ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
+
+    def dist(z):
+        return min(oracle.d(u, z) for u in ref_tuple)
+
+    if hg.flavor == "undirected":
+        neighborhood = hg.neighbors(anchor)
+    else:
+        neighborhood = hg.out_neighbors(anchor)
+    base = dist(anchor)
+    closer = frozenset(z for z in neighborhood if dist(z) < base)
+    level = frozenset(z for z in neighborhood if dist(z) == base)
+    farther = frozenset(z for z in neighborhood if dist(z) > base)
+    c1 = base - min(dist(z) for z in closer) if closer else None
+    c2 = min(dist(z) for z in farther) - base if farther else None
+    return ref_tuple, anchor, base, closer, level, farther, c1, c2
+
+
+def reference_head_spread(hg, y, z):
+    """Total weight-over-head-size of the edges carrying y to z."""
+    total = Fraction(0)
+    for edge in hg.edges:
+        if y in edge.tail and z in edge.head:
+            total += edge.weight / len(edge.head)
+    return total
