@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from hypercurv import Evaluator, all_pairs_distances, verdict_ledger
+from hypercurv import UNDIRECTED, Evaluator, all_pairs_distances, verdict_ledger
 from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 
 ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -38,14 +38,17 @@ def sweep_instance(hg, tally):
     """Tally the distinct verdicts of the ledger over ALPHAS x VARIANTS; return the violated ones.
 
     A verdict that depends on neither alpha nor the variant is counted once.
+    The variant is a length normalizer of undirected hyperedges only, so a
+    directed or oriented instance runs the ledger for one variant.
     """
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
+    variants = VARIANTS if hg.flavor == UNDIRECTED else VARIANTS[:1]
     # A dict, not a set: it drops repeats and keeps the ledger's order.
     verdicts = dict.fromkeys(
         v
         for a in ALPHAS
-        for variant in VARIANTS
+        for variant in variants
         for v in verdict_ledger(hg, oracle, a, variant, ev=ev)
     )
     bad = []

@@ -6,6 +6,12 @@ emitted even when a hypothesis fails. ``holds is None`` marks a verdict
 whose hypothesis is not met (not applicable), which is distinct from a
 violated inequality.
 
+The partition constants and the sides of the upper bounds are computed on
+ints: the distances of ``oracle.table``, the int edge weights and the int
+walk spreads of :mod:`hypercurv.walk`. Each becomes one Fraction at the
+end. The Bonnet-Myers and vertex-count sides divide by limit curvatures
+and stay on Fractions.
+
 Each check takes ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the
 instance, so a ledger of many checks shares measures, transports and
 limits; by default a check evaluates with a fresh one of its own. Limits
@@ -34,8 +40,15 @@ from .curvature import (  # noqa: F401
     well_transported_pairs,
 )
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
-from .metric import DistanceOracle, NeighborhoodPartition, edge_length, partition_neighborhood
+from .metric import (
+    DistanceOracle,
+    NeighborhoodPartition,
+    edge_length,
+    partition_neighborhood,
+    scaled_edge_length,
+)
 from .rational import as_alpha
+from .walk import spread
 
 
 class BoundVerdict(NamedTuple):
@@ -91,6 +104,11 @@ def _skip(name, target, why) -> BoundVerdict:
     return BoundVerdict(name=name, lhs=None, rhs=None, holds=None, target=target, witness=why)
 
 
+def _on_scale(x: Fraction, scale: int) -> int:
+    """``x * scale`` for a rational whose denominator divides ``scale``."""
+    return x.numerator * (scale // x.denominator)
+
+
 class Labels:
     """Optional display names for verdict targets; ids by default."""
 
@@ -131,14 +149,24 @@ def check_pair_upper_bound(
         raise errors.UnsupportedFlavor("pair upper bounds here are undirected; see the oriented check")
     a = as_alpha(alpha)
     kappa = (ev or Evaluator(hg, oracle)).kappa(("pair", u, v), a)
-    d = oracle.d(u, v)
+    # Each side is (1 - a) * numerator / d on ints: a = p/q, d = d_u_v / scale.
+    p, q = a.numerator, a.denominator
+    scaled = (q - p) * oracle.scale
+    d_u_v = oracle._scaled(u, v)
     target = f"{labels.pair(u, v)} alpha={a}"
-    local = max(hg.edges[e].weight for e in hg.edges_containing(u)) + max(
-        hg.edges[e].weight for e in hg.edges_containing(v)
+    top = hg.max_weight()
+    weights, w_scale = hg.scaled_weights
+    local = max(weights[e] for e in hg.edges_containing(u)) + max(
+        weights[e] for e in hg.edges_containing(v)
     )
     return [
-        _verdict("pair-upper-global", kappa, (1 - a) * 2 * hg.max_weight() / d, target),
-        _verdict("pair-upper-local", kappa, (1 - a) * local / d, target),
+        _verdict(
+            "pair-upper-global",
+            kappa,
+            Fraction(scaled * 2 * top.numerator, q * top.denominator * d_u_v),
+            target,
+        ),
+        _verdict("pair-upper-local", kappa, Fraction(scaled * local, q * w_scale * d_u_v), target),
     ]
 
 
@@ -161,44 +189,36 @@ def check_edge_upper_bound(
     a = as_alpha(alpha)
     ev = ev or Evaluator(hg, oracle)
     target = f"{labels.edge(edge_index)} alpha={a} variant={variant}"
+    # The side is (1 - a) * numerator / length on ints: a = p/q, the length
+    # over oracle.scale and the numerator over its own denominator.
+    p, q = a.numerator, a.denominator
+    scaled = (q - p) * oracle.scale
+    top = hg.max_weight()
     if hg.flavor == UNDIRECTED:
         kappa = ev.kappa(("edge", edge_index), a, variant)
         edge = hg.edges[edge_index]
         k = len(edge)
-        length = edge_length(hg, oracle, edge_index, variant).value
+        length = scaled_edge_length(hg, oracle, edge_index, variant)
         if variant == "min":
-            numerator = (k - 1) * k * hg.max_weight()
+            num, den = (k - 1) * k * top.numerator, top.denominator
         else:
-            per_member = sum(
-                max(hg.edges[e].weight for e in hg.edges_containing(x))
-                for x in edge.sorted_vertices()
-            )
-            numerator = (k - 1) * per_member
-        return _verdict("edge-upper", kappa, (1 - a) * numerator / length, target)
+            weights, w_scale = hg.scaled_weights
+            per_member = sum(max(weights[e] for e in hg.edges_containing(x)) for x in edge.vertices)
+            num, den = (k - 1) * per_member, w_scale
+        return _verdict("edge-upper", kappa, Fraction(scaled * num, q * den * length), target)
     if hg.flavor == ORIENTED or oracle.symmetric:
         if variant != "min":
             raise errors.UnsupportedVariant("directed hyperedges support the min length only")
         kappa = ev.kappa(("edge", edge_index), a)
-        length = edge_length(hg, oracle, edge_index, "min").value
-        return _verdict(
-            "edge-upper", kappa, (1 - a) * 2 * hg.max_weight() / length, target
-        )
+        length = scaled_edge_length(hg, oracle, edge_index, "min")
+        rhs = Fraction(scaled * 2 * top.numerator, q * top.denominator * length)
+        return _verdict("edge-upper", kappa, rhs, target)
     raise errors.UnsupportedFlavor(
         "asymmetric directed hyperedges use check_directed_edge_bound"
     )
 
 
 # -- directed partition bound ----------------------------------------------
-
-
-def _head_spread(hg: Hypergraph, y: int, z: int) -> Fraction:
-    """Total weight-over-head-size of edges carrying y to z."""
-    total = Fraction(0)
-    for e in hg.edges_with_tail(y):
-        edge = hg.edges[e]
-        if z in edge.head:
-            total += edge.weight / len(edge.head)
-    return total
 
 
 def check_directed_edge_bound(
@@ -217,6 +237,12 @@ def check_directed_edge_bound(
     compares ``kappa_alpha(h) * L(h) <= (1-alpha) * (sum_j C_j / m + diam)``
     with the exact per-head constants; the looser closed-form estimate of
     each constant is reported alongside as data.
+
+    The drifting mass of a neighbour z of head vertex y is the weight of
+    the hyperedges carrying y to z, each over its head size, divided by
+    ``out_weight(y)``: the mass of z in one out-walk step from y. The
+    constants and both sides are computed on ints, and each becomes one
+    Fraction.
     """
     if hg.flavor == UNDIRECTED:
         raise errors.UnsupportedFlavor("the partition bound applies to directed flavors")
@@ -228,31 +254,44 @@ def check_directed_edge_bound(
     w_ratio = hg.max_weight() / hg.min_weight()
     b_max = hg.max_head_size()
     diam = oracle.diameter()
+    scale = oracle.scale
+    estimate_den = scale * w_ratio.denominator * b_max
 
     per_head = []
-    c_total = Fraction(0)
+    # sum_j C_j, as c_num / (scale * c_den)
+    c_num, c_den = 0, 1
     for y in heads:
         part = partition_neighborhood(hg, oracle, ref, y)
-        denom = hg.out_weight(y)
-        c_exact = Fraction(0)
-        c_estimate = Fraction(0)
+        walk, den = spread(hg, "out", y)
+        exact = 0  # C_j * scale * den
+        estimate = 0  # the estimate of C_j, times estimate_den
         if part.closer:
-            s_minus = sum((_head_spread(hg, y, z) for z in part.closer), Fraction(0))
-            c_exact += part.c1 * s_minus / denom
-            c_estimate += part.c1 * len(part.closer) * w_ratio
+            c1 = _on_scale(part.c1, scale)
+            exact += c1 * sum(walk[z] for z in part.closer)
+            estimate += c1 * len(part.closer) * w_ratio.numerator * b_max
         if part.farther:
-            s_plus = sum((_head_spread(hg, y, z) for z in part.farther), Fraction(0))
-            c_exact -= part.c2 * s_plus / denom
-            c_estimate -= part.c2 * Fraction(len(part.farther), b_max)
+            c2 = _on_scale(part.c2, scale)
+            exact -= c2 * sum(walk[z] for z in part.farther)
+            estimate -= c2 * len(part.farther) * w_ratio.denominator
         per_head.append(
-            HeadVertexData(vertex=y, partition=part, c_exact=c_exact, c_estimate=c_estimate)
+            HeadVertexData(
+                vertex=y,
+                partition=part,
+                c_exact=Fraction(exact, scale * den),
+                c_estimate=Fraction(estimate, estimate_den),
+            )
         )
-        c_total += c_exact
+        grown = math.lcm(c_den, den)
+        c_num = c_num * (grown // c_den) + exact * (grown // den)
+        c_den = grown
 
-    length = edge_length(hg, oracle, edge_index, "min").value
+    length = scaled_edge_length(hg, oracle, edge_index, "min")
     kappa = (ev or Evaluator(hg, oracle)).kappa(("edge", edge_index), a)
-    lhs = kappa * length
-    rhs = (1 - a) * (c_total / m + diam)
+    lhs = Fraction(kappa.numerator * length, kappa.denominator * scale)
+    # (1 - a) * (c_num / (scale * c_den * m) + diam), with a = p/q
+    p, q = a.numerator, a.denominator
+    diam_scaled = _on_scale(diam, scale)
+    rhs = Fraction((q - p) * (c_num + diam_scaled * c_den * m), q * scale * c_den * m)
     verdict = _verdict("directed-edge-upper", lhs, rhs, f"{labels.edge(edge_index)} alpha={a}")
     return verdict, DirectedBoundData(per_head=tuple(per_head), diameter=diam, head_size=m)
 
@@ -359,10 +398,13 @@ def check_pair_bound_oriented(
         raise ValueError(f"unknown form {form!r}")
     a = as_alpha(alpha)
     ev = ev or Evaluator(hg, oracle)
-    d = oracle.d(u, v)
+    d_u_v = oracle._scaled(u, v)
     kappa_a = ev.kappa(("pair", u, v), a)
     target = f"{labels.pair(u, v)} alpha={a}"
     verdicts = []
+    # The sides are (1 - a) * bound on ints: a = p/q, d(u, v) = d_u_v / scale.
+    p, q = a.numerator, a.denominator
+    scale = oracle.scale
 
     if form in ("both", "sym"):
         if not hg.is_unit_weight():
@@ -374,32 +416,34 @@ def check_pair_bound_oriented(
             # The closer-class count only caps the drifting mass when no
             # closer neighbor is reachable through several hyperedges at
             # once (spread weight above 1); otherwise the inequality has
-            # no backing and the verdict is reported inapplicable.
-            overloaded = sorted(
-                z for z in part.closer if _head_spread(hg, v, z) > 1
-            )
+            # no backing and the verdict is reported inapplicable. With unit
+            # weights out_weight(v) is deg_out(v), so the spread weight of z,
+            # the total of 1/|head| over the hyperedges carrying v to z, is
+            # its out-walk mass walk[z] / den times deg_out(v).
+            walk, den = spread(hg, "out", v)
+            deg = hg.deg_out(v)
+            overloaded = sorted(z for z in part.closer if walk[z] * deg > den)
             if overloaded:
                 why = f"closer neighbors {overloaded} multiply covered (spread > 1)"
                 verdicts.append(_skip("oriented-pair-upper-unit", target, why))
                 verdicts.append(_skip("oriented-pair-upper-unit-lly", labels.pair(u, v), why))
             else:
                 b_h = hg.max_head_size()
-                gap = Fraction(len(part.closer)) - Fraction(len(part.farther), b_h)
-                bound = (1 + gap / hg.deg_out(v)) / d
-                verdicts.append(
-                    _verdict("oriented-pair-upper-unit", kappa_a, (1 - a) * bound, target)
-                )
+                # (1 + gap / deg) / d with gap = |closer| - |farther| / b_h
+                bound_num = (b_h * deg + len(part.closer) * b_h - len(part.farther)) * scale
+                bound_den = b_h * deg * d_u_v
+                rhs = Fraction((q - p) * bound_num, q * bound_den)
+                verdicts.append(_verdict("oriented-pair-upper-unit", kappa_a, rhs, target))
                 kappa_lim = ev.limit(("pair", u, v)).lly
+                bound = Fraction(bound_num, bound_den)
                 verdicts.append(
                     _verdict("oriented-pair-upper-unit-lly", kappa_lim, bound, labels.pair(u, v))
                 )
 
     if form in ("both", "weighted"):
-        verdicts.append(
-            _verdict(
-                "oriented-pair-upper-weight", kappa_a, (1 - a) * 2 * hg.max_weight() / d, target
-            )
-        )
+        top = hg.max_weight()
+        rhs = Fraction((q - p) * 2 * top.numerator * scale, q * top.denominator * d_u_v)
+        verdicts.append(_verdict("oriented-pair-upper-weight", kappa_a, rhs, target))
     return verdicts
 
 
@@ -509,9 +553,9 @@ def check_vertex_count(
 
 def distance_layers(oracle: DistanceOracle, u: int) -> dict[Fraction, int]:
     """Count of vertices at each exact distance from u (u itself excluded)."""
-    layers: dict[Fraction, int] = {}
+    counts: dict[int, int] = {}
     for z in range(oracle.n):
         if z != u:
-            d = oracle.d(u, z)
-            layers[d] = layers.get(d, 0) + 1
-    return layers
+            d = oracle._scaled(u, z)
+            counts[d] = counts.get(d, 0) + 1
+    return {Fraction(d, oracle.scale): count for d, count in counts.items()}

@@ -37,13 +37,16 @@ from typing import NamedTuple
 
 from . import errors
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
-from .metric import DistanceOracle, edge_length
+from .metric import DistanceOracle, scaled_edge_length
 from .rational import as_alpha
 from .transport import AffineFamily, Basis, LinearPiece, dual_pivot, ranged_basis, wasserstein
-from .walk import (
+# The Evaluator builds its measures from ``walk_ends``; the constructors stay
+# importable from this module, where perfbench/tracer.py wraps them.
+from .walk import (  # noqa: F401
     _pair_measure,
     measure_set,
     measure_undirected,
+    walk_ends,
 )
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
@@ -223,7 +226,7 @@ class Evaluator:
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
     def _ends(self, kind: str, where: int, side: str | None):
-        """Walk measures of one vertex or side at alpha 0 and 1.
+        """Int masses of one vertex's or side's walk measure at alpha 0 and 1.
 
         Every walk measure is affine in alpha, so the measure at any alpha is
         ``(1-alpha)*mu0 + alpha*mu1`` of these two.
@@ -233,47 +236,39 @@ class Evaluator:
         if ends is not None:
             self.stats.measure_hits += 1
             return ends
-        ends = []
-        for a in (Fraction(0), Fraction(1)):
-            self.stats.measures += 1
-            if kind == "undirected":
-                ends.append(measure_undirected(self.hg, where, a))
-            elif kind == "pair":
-                ends.append(_pair_measure(self.hg, where, side, a))
-            else:
-                ends.append(measure_set(self.hg, where, side, a))
-        self._measures[key] = ends
+        self.stats.measures += 2
+        ends = self._measures[key] = walk_ends(self.hg, kind, where, side)
         return ends
 
     def _family(self, key: tuple) -> AffineFamily:
-        """Union supports and int endpoint masses of one transport entry."""
-        if key[0] == "edge":
-            mu0, mu1 = self._ends("set", key[1], "tail")
-            nu0, nu1 = self._ends("set", key[1], "head")
-        elif self.hg.flavor == UNDIRECTED:
-            mu0, mu1 = self._ends("undirected", key[1], None)
-            nu0, nu1 = self._ends("undirected", key[2], None)
-        else:
-            mu0, mu1 = self._ends("pair", key[1], "in")
-            nu0, nu1 = self._ends("pair", key[2], "out")
-        masses = [mu.mass for mu in (mu0, mu1, nu0, nu1)]
-        scale = math.lcm(*{m.denominator for mass in masses for m in mass.values()})
-        rows = sorted(masses[0].keys() | masses[1].keys())
-        cols = sorted(masses[2].keys() | masses[3].keys())
+        """Union supports and int endpoint masses of one transport entry.
 
-        def scaled(mass, support):
-            return [
-                m.numerator * (scale // m.denominator)
-                for m in (mass.get(v, 0) for v in support)
-            ]
+        Each end comes in lowest terms, its denominator the lcm of its
+        masses' reduced denominators, so the lcm of the four is the scale
+        that ``Fraction`` masses would bring.
+        """
+        if key[0] == "edge":
+            ends = self._ends("set", key[1], "tail") + self._ends("set", key[1], "head")
+        elif self.hg.flavor == UNDIRECTED:
+            ends = self._ends("undirected", key[1], None) + self._ends("undirected", key[2], None)
+        else:
+            ends = self._ends("pair", key[1], "in") + self._ends("pair", key[2], "out")
+        scale = math.lcm(*[den for _mass, den in ends])
+        (mu0, d0), (mu1, d1), (nu0, e0), (nu1, e1) = ends
+        rows = sorted(mu0.keys() | mu1.keys())
+        cols = sorted(nu0.keys() | nu1.keys())
+
+        def scaled(mass, den, support):
+            factor = scale // den
+            return [mass.get(v, 0) * factor for v in support]
 
         return AffineFamily(
             rows,
             cols,
-            scaled(masses[0], rows),
-            scaled(masses[1], rows),
-            scaled(masses[2], cols),
-            scaled(masses[3], cols),
+            scaled(mu0, d0, rows),
+            scaled(mu1, d1, rows),
+            scaled(nu0, e0, cols),
+            scaled(nu1, e1, cols),
             scale,
         )
 
@@ -387,8 +382,8 @@ class Evaluator:
         key = (edge_index, variant)
         length = self._lengths.get(key)
         if length is None:
-            value = edge_length(self.hg, self.oracle, edge_index, variant).value
-            length = self._lengths[key] = int(value * self.oracle.scale)
+            length = scaled_edge_length(self.hg, self.oracle, edge_index, variant)
+            self._lengths[key] = length
         return length
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):

@@ -17,6 +17,7 @@ Multi-edges (same incidence, possibly different weights) are allowed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from functools import cached_property
 from fractions import Fraction
@@ -201,10 +202,24 @@ class Hypergraph:
 
     # -- global quantities -----------------------------------------------
 
+    # Each global quantity is computed on first use and kept, never at build
+    # time: ``validate`` builds a hypergraph and reads none of them.
+
     @cached_property
     def _weight_range(self) -> tuple[Fraction, Fraction]:
         weights = [e.weight for e in self.edges]
         return min(weights), max(weights)
+
+    @cached_property
+    def scaled_weights(self) -> tuple[tuple[int, ...], int]:
+        """Edge weights as ints over their common denominator: ``(weights, scale)``.
+
+        ``edges[k].weight == weights[k] / scale``, with ``scale`` the lcm of
+        the weight denominators.
+        """
+        ratios = [e.weight.as_integer_ratio() for e in self.edges]
+        scale = math.lcm(*{den for _num, den in ratios})
+        return tuple(num * (scale // den) for num, den in ratios), scale
 
     def max_weight(self) -> Fraction:
         return self._weight_range[1]
@@ -212,14 +227,26 @@ class Hypergraph:
     def min_weight(self) -> Fraction:
         return self._weight_range[0]
 
-    def max_head_size(self) -> int:
+    @cached_property
+    def _max_head_size(self) -> int:
         return max(len(e.head) for e in self.edges)
 
-    def max_tail_size(self) -> int:
+    @cached_property
+    def _max_tail_size(self) -> int:
         return max(len(e.tail) for e in self.edges)
 
-    def max_degree(self) -> int:
+    @cached_property
+    def _max_degree(self) -> int:
         return max(self.deg(v) for v in range(self.n_vertices))
+
+    def max_head_size(self) -> int:
+        return self._max_head_size
+
+    def max_tail_size(self) -> int:
+        return self._max_tail_size
+
+    def max_degree(self) -> int:
+        return self._max_degree
 
     def is_unit_weight(self) -> bool:
         return self._weight_range == (1, 1)

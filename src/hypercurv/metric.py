@@ -5,9 +5,12 @@ Distances are shortest-path costs in a bipartite expansion with node set
 A vertex-to-vertex shortest path there is exactly a minimum-cost
 hyperpath, so no hyperedge sequences are ever enumerated. All arithmetic
 is exact: the weights are scaled once to ints by the lcm of their
-denominators, Dijkstra runs on those ints with ties broken by smallest
-node index, and the table keeps that common denominator. Scaling changes
-no comparison, so the search and its tie order are those on Fractions.
+denominators (``Hypergraph.scaled_weights``), Dijkstra runs on those ints
+with ties broken by smallest node index, and the table keeps that common
+denominator. Scaling changes no comparison, so the search and its tie
+order are those on Fractions. Set distances, hyperedge lengths and
+neighborhood partitions are computed on the table's ints too; each value
+handed to a caller becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -93,10 +96,13 @@ class DistanceOracle:
 
     def set_distance(self, vertices, z: int) -> Fraction:
         """Minimum distance from any member of ``vertices`` to ``z``."""
+        return Fraction(self._set_scaled(vertices, z), self.scale)
+
+    def _set_scaled(self, vertices, z: int) -> int:
         vs = list(vertices)
         if not vs:
             raise ValueError("set distance needs a nonempty source set")
-        return Fraction(min(self._scaled(u, z) for u in vs), self.scale)
+        return min(self._scaled(u, z) for u in vs)
 
 
 def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> list[int | None]:
@@ -132,9 +138,7 @@ def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> list[int | Non
 
 def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
     """Exact minimum hyperpath costs between all ordered vertex pairs."""
-    ratios = [e.weight.as_integer_ratio() for e in hg.edges]
-    scale = math.lcm(*{den for _num, den in ratios})
-    weights = [num * (scale // den) for num, den in ratios]
+    weights, scale = hg.scaled_weights
     table = []
     for u in range(hg.n_vertices):
         row = _dijkstra(hg, weights, u)
@@ -164,13 +168,19 @@ def edge_length(
     Directed edges are measured tail-to-head and only the minimum is
     defined; other variants are refused rather than guessed.
     """
+    value = scaled_edge_length(hg, oracle, edge_index, variant)
+    return EdgeLength(variant=variant, value=Fraction(value, oracle.scale))
+
+
+def scaled_edge_length(hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str) -> int:
+    """:func:`edge_length` times ``oracle.scale``, an int read off ``oracle.table``."""
     if variant not in LENGTH_VARIANTS:
         raise errors.UnsupportedVariant(f"unknown length variant {variant!r}")
     edge = hg.edges[edge_index]
     if hg.flavor == UNDIRECTED:
         vs = edge.sorted_vertices()
         pairwise = [
-            oracle.d(vs[i], vs[j])
+            oracle._scaled(vs[i], vs[j])
             for i in range(len(vs))
             for j in range(i + 1, len(vs))
         ]
@@ -179,14 +189,12 @@ def edge_length(
             raise errors.UnsupportedVariant(
                 "directed hyperedge length is defined as the tail-to-head minimum only"
             )
-        pairwise = [oracle.d(x, y) for x in edge.sorted_tail() for y in edge.sorted_head()]
+        pairwise = [oracle._scaled(x, y) for x in edge.tail for y in edge.head]
     if variant == "min":
-        value = min(pairwise)
-    elif variant == "max":
-        value = max(pairwise)
-    else:
-        value = sum(pairwise, Fraction(0))
-    return EdgeLength(variant=variant, value=value)
+        return min(pairwise)
+    if variant == "max":
+        return max(pairwise)
+    return sum(pairwise)
 
 
 def set_distance(oracle: DistanceOracle, vertices, z: int) -> Fraction:
@@ -200,31 +208,33 @@ def partition_neighborhood(
 
     ``ref`` is a single vertex or a set of vertices (measured by minimum
     distance). For the undirected flavor the plain neighborhood is used.
+    The distances are compared as ints of ``oracle.table``; the base
+    distance and the gaps become Fractions at the end.
     """
     ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
-    base = oracle.set_distance(ref_tuple, anchor)
+    base = oracle._set_scaled(ref_tuple, anchor)
     if hg.flavor == UNDIRECTED:
         neighborhood = hg.neighbors(anchor)
     else:
         neighborhood = hg.out_neighbors(anchor)
-    closer, level, farther = set(), set(), set()
+    rows = [oracle.table[u] for u in ref_tuple]
+    closer, level, farther = {}, [], {}
     for z in neighborhood:
-        dz = oracle.set_distance(ref_tuple, z)
+        dz = min(row[z] for row in rows)
         if dz < base:
-            closer.add(z)
+            closer[z] = dz
         elif dz == base:
-            level.add(z)
+            level.append(z)
         else:
-            farther.add(z)
-    c1 = base - min(oracle.set_distance(ref_tuple, z) for z in closer) if closer else None
-    c2 = min(oracle.set_distance(ref_tuple, z) for z in farther) - base if farther else None
+            farther[z] = dz
+    scale = oracle.scale
     return NeighborhoodPartition(
         ref=ref_tuple,
         anchor=anchor,
-        base_distance=base,
+        base_distance=Fraction(base, scale),
         closer=frozenset(closer),
         level=frozenset(level),
         farther=frozenset(farther),
-        c1=c1,
-        c2=c2,
+        c1=Fraction(base - min(closer.values()), scale) if closer else None,
+        c2=Fraction(min(farther.values()) - base, scale) if farther else None,
     )

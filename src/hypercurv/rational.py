@@ -56,6 +56,7 @@ def _parse_literal(text: str) -> Fraction:
 def as_alpha(value) -> Fraction:
     """Coerce and range-check a laziness parameter."""
     alpha = as_fraction(value)
-    if alpha < 0 or alpha > 1:
+    # 0 <= alpha <= 1, compared on ints: the denominator is positive.
+    if not 0 <= alpha.numerator <= alpha.denominator:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     return alpha

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercurv import Evaluator, all_pairs_distances, build, verdict_ledger
-from hypercurv.bounds import _head_spread, check_directed_edge_bound
+from hypercurv.bounds import check_directed_edge_bound
 from hypercurv.hypergraph import ORIENTED, UNDIRECTED
 from hypercurv.metric import partition_neighborhood
 from hypercurv.walk import (
@@ -27,6 +27,7 @@ from hypercurv.walk import (
     measure_directed_out,
     measure_set,
     measure_undirected,
+    spread,
 )
 
 from conftest import (
@@ -61,9 +62,22 @@ def _tail_in_tail():
     )
 
 
+def _shared_in_neighbours():
+    """Directed instance whose tail vertices 0 and 1 share their in-neighbours 2 and 3.
+
+    The tail measure of edge 4 at alpha 0 sums two equal in-walks, and only
+    in lowest terms does its denominator match the Fraction scale.
+    """
+    return build(
+        "directed",
+        4,
+        [([2], [0], 1), ([3], [0], 1), ([2], [1], 1), ([3], [1], 1), ([0, 1], [2], 1), ([0, 1], [3], 1)],
+    )
+
+
 CORPORA = {
     "undirected": lambda: undirected_corpus(7201, 12),
-    "directed": lambda: directed_corpus(7202, 12) + [_tail_in_tail()],
+    "directed": lambda: directed_corpus(7202, 12) + [_tail_in_tail(), _shared_in_neighbours()],
     "oriented": lambda: oriented_corpus(7203, 12),
 }
 
@@ -119,9 +133,41 @@ def _check_partitions(hg):
             got = partition_neighborhood(hg, oracle, ref, anchor)
             assert tuple(got) == reference_partition_neighborhood(hg, oracle, ref, anchor)
     if hg.flavor != UNDIRECTED:
+        # The ledger reads each head spread of y off its out-walk step,
+        # which divides it by out_weight(y).
         for y in range(hg.n_vertices):
+            walk, den = spread(hg, "out", y)
             for z in range(hg.n_vertices):
-                assert _head_spread(hg, y, z) == reference_head_spread(hg, y, z)
+                expected = reference_head_spread(hg, y, z)
+                assert Fraction(walk.get(z, 0), den) * hg.out_weight(y) == expected
+
+
+def _check_head_constants(hg):
+    """The per-head constants of the directed partition bound, on Fractions."""
+    if hg.flavor == UNDIRECTED:
+        return
+    oracle = all_pairs_distances(hg)
+    ev = Evaluator(hg, oracle)
+    w_ratio = hg.max_weight() / hg.min_weight()
+    b_max = max(len(edge.head) for edge in hg.edges)
+    for e, edge in enumerate(hg.edges):
+        _verdict, data = check_directed_edge_bound(hg, oracle, e, Fraction(1, 3), ev=ev)
+        assert [h.vertex for h in data.per_head] == sorted(edge.head)
+        for head in data.per_head:
+            y = head.vertex
+            _ref, _y, _base, closer, _level, farther, c1, c2 = reference_partition_neighborhood(
+                hg, oracle, edge.tail, y
+            )
+            c_exact = c_estimate = Fraction(0)
+            if closer:
+                s_minus = sum(reference_head_spread(hg, y, z) for z in closer)
+                c_exact += c1 * s_minus / hg.out_weight(y)
+                c_estimate += c1 * len(closer) * w_ratio
+            if farther:
+                s_plus = sum(reference_head_spread(hg, y, z) for z in farther)
+                c_exact -= c2 * s_plus / hg.out_weight(y)
+                c_estimate -= c2 * Fraction(len(farther), b_max)
+            assert (head.c_exact, head.c_estimate) == (c_exact, c_estimate), (e, y)
 
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
@@ -130,6 +176,7 @@ def test_families_measures_and_partitions_match_the_fraction_references(flavor):
         _check_families(hg)
         _check_measures(hg)
         _check_partitions(hg)
+        _check_head_constants(hg)
 
 
 def test_corpus_has_a_tail_vertex_that_keeps_mass_at_alpha_zero():
@@ -176,6 +223,7 @@ def test_int_paths_match_on_odd_weights(seed, flavor, weights):
     _check_families(hg)
     _check_measures(hg)
     _check_partitions(hg)
+    _check_head_constants(hg)
 
 
 def _plain(value):
@@ -205,7 +253,7 @@ def _ledger_digest(flavor):
 
 # Recorded from the ledger that built its partitions, spreads and sides on Fractions.
 LEDGER_DIGESTS = {
-    "directed": "18629c40b16194e29f684c7cc14fc4b4eeef584af13a751760a36f508f6452f9",
+    "directed": "f9fe4efab3267351b737bc8f6734b99cfbe321d52033dc48de3cdbae9693da6a",
     "oriented": "06d5c16d3606e67292f2c1e9c90df7cf1e220aca0b1b585130e5014cc6922d8d",
     "undirected": "b892a4467960dc98bc047ae2523a4507a03f17fdff9ee3732abc90137d5b02d0",
 }
