@@ -172,7 +172,9 @@ def edge_length(
     return EdgeLength(variant=variant, value=Fraction(value, oracle.scale))
 
 
-def scaled_edge_length(hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str) -> int:
+def scaled_edge_length(
+    hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str
+) -> int:
     """:func:`edge_length` times ``oracle.scale``, an int read off ``oracle.table``."""
     if variant not in LENGTH_VARIANTS:
         raise errors.UnsupportedVariant(f"unknown length variant {variant!r}")

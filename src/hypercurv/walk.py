@@ -103,7 +103,9 @@ def _lowest(mass: dict[int, int], den: int) -> IntMasses:
     return {v: m // g for v, m in mass.items()}, den // g
 
 
-def walk_ends(hg: Hypergraph, kind: str, where: int, side: str | None) -> tuple[IntMasses, IntMasses]:
+def walk_ends(
+    hg: Hypergraph, kind: str, where: int, side: str | None
+) -> tuple[IntMasses, IntMasses]:
     """The int masses of one walk measure at alpha = 0 and at alpha = 1.
 
     ``kind`` ``"undirected"``: the walk of vertex ``where``. ``"pair"``: the

@@ -603,7 +603,9 @@ def reference_family(hg, key):
     every mass denominator, with zeros kept.
     """
     if key[0] == "edge":
-        ends = [reference_measure(hg, "set", key[1], side, a) for side in ("tail", "head") for a in (0, 1)]
+        ends = [
+            reference_measure(hg, "set", key[1], side, a) for side in ("tail", "head") for a in (0, 1)
+        ]
     elif hg.flavor == "undirected":
         ends = [reference_measure(hg, "undirected", x, None, a) for x in key[1:] for a in (0, 1)]
     else:

@@ -71,7 +71,14 @@ def _shared_in_neighbours():
     return build(
         "directed",
         4,
-        [([2], [0], 1), ([3], [0], 1), ([2], [1], 1), ([3], [1], 1), ([0, 1], [2], 1), ([0, 1], [3], 1)],
+        [
+            ([2], [0], 1),
+            ([3], [0], 1),
+            ([2], [1], 1),
+            ([3], [1], 1),
+            ([0, 1], [2], 1),
+            ([0, 1], [3], 1),
+        ],
     )
 
 
@@ -104,7 +111,8 @@ def _check_measures(hg):
     for a in ALPHAS:
         if hg.flavor == UNDIRECTED:
             for x in range(hg.n_vertices):
-                assert measure_undirected(hg, x, a).mass == reference_measure(hg, "undirected", x, None, a)
+                expected = reference_measure(hg, "undirected", x, None, a)
+                assert measure_undirected(hg, x, a).mass == expected
             continue
         for x in range(hg.n_vertices):
             for direction in ("in", "out"):
@@ -116,18 +124,21 @@ def _check_measures(hg):
             for i, x in enumerate(edge.sorted_tail()):
                 expected = reference_measure(hg, "pair", x, "in", a)
                 n = len(edge.tail)
-                assert measure_directed_in(hg, e, i, a).mass == {v: m / n for v, m in expected.items()}
+                got = measure_directed_in(hg, e, i, a).mass
+                assert got == {v: m / n for v, m in expected.items()}
             for j, y in enumerate(edge.sorted_head()):
                 expected = reference_measure(hg, "pair", y, "out", a)
                 m = len(edge.head)
-                assert measure_directed_out(hg, e, j, a).mass == {v: w / m for v, w in expected.items()}
+                got = measure_directed_out(hg, e, j, a).mass
+                assert got == {v: w / m for v, w in expected.items()}
 
 
 def _check_partitions(hg):
     oracle = all_pairs_distances(hg)
     refs = [*range(hg.n_vertices)]
     if hg.flavor != UNDIRECTED:
-        refs += [edge.sorted_tail() for edge in hg.edges] + [edge.sorted_head() for edge in hg.edges]
+        refs += [edge.sorted_tail() for edge in hg.edges]
+        refs += [edge.sorted_head() for edge in hg.edges]
     for ref in refs:
         for anchor in range(hg.n_vertices):
             got = partition_neighborhood(hg, oracle, ref, anchor)
@@ -195,7 +206,8 @@ def _reweighted(hg, weights):
     """``hg`` with its listed hyperedges reweighted from ``weights``, cyclically."""
     w = [weights[k % len(weights)] for k in range(hg.n_edges)]
     if hg.flavor == UNDIRECTED:
-        return build(hg.flavor, hg.n_vertices, [(sorted(e.vertices), w[k]) for k, e in enumerate(hg.edges)])
+        edges = [(sorted(e.vertices), w[k]) for k, e in enumerate(hg.edges)]
+        return build(hg.flavor, hg.n_vertices, edges)
     if hg.flavor == ORIENTED:
         # The generator lists each edge, then all the reversals.
         listed = hg.edges[: hg.n_edges // 2]
