@@ -73,8 +73,7 @@ def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     """
     weights = hg.scaled_weights[0]
     if kind == "undirected":
-        incident = hg.edges_containing(x)
-        parts = [(weights[e], hg.edges[e].vertices - {x}) for e in incident]
+        parts = [(weights[e], hg.edges[e].vertices - {x}) for e in hg.edges_containing(x)]
     elif kind == "in":
         parts = [(weights[e], hg.edges[e].tail) for e in hg.edges_with_head(x)]
     else:
