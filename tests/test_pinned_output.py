@@ -1,12 +1,12 @@
 """Stdout, stderr and exit code of every subcommand and format, pinned.
 
-Stdout is pinned by its sha256, stderr as text. The ``--stats`` work
-counters of a few runs are pinned too, without the timing keys, so a
-change that claims to keep the solver's work the same must keep every
-solve, pivot and memo hit. The table was recorded
+Stdout is pinned by its sha256, stderr as text. The table was recorded
 from the CLI as it rendered JSON with ``json.dumps(indent=2)`` and looked
 curve values up by alpha, so any output byte that a renderer changes fails
-here. After a deliberate change to the output or the work, print new tables with
+here. The ``--stats`` work counters of a few runs are pinned too, without
+the timing keys, so a change that claims to keep the solver's work must
+keep every solve, pivot and memo hit. After a deliberate change to the
+output or the work, print new tables with
 ``PYTHONPATH=src python tests/test_pinned_output.py``.
 """
 
