@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercurv import build, errors, is_connected, is_strongly_connected
+from hypercurv.hypergraph import DirectedEdge, Hypergraph, UndirectedEdge, _fill_incidence
 
 from conftest import random_oriented_unit, random_undirected
 
@@ -122,3 +123,77 @@ def test_undirected_positive_degrees(seed):
     hg = random_undirected(random.Random(seed))
     for v in range(hg.n_vertices):
         assert hg.degree(v) > 0
+
+
+def _unchecked_hypergraph(rng: random.Random, flavor: str) -> Hypergraph:
+    """A random hypergraph of the flavor, built without the connectivity check."""
+    n = rng.randint(2, 7)
+    edges = []
+    for _ in range(rng.randint(1, 5)):
+        members = rng.sample(range(n), rng.randint(2, min(n, 4)))
+        if flavor == "undirected":
+            edges.append(UndirectedEdge(frozenset(members), Fraction(1)))
+        else:
+            cut = rng.randint(1, len(members) - 1)
+            edges.append(
+                DirectedEdge(frozenset(members[:cut]), frozenset(members[cut:]), Fraction(1))
+            )
+    if flavor == "oriented":
+        edges += [e.reversed() for e in edges]
+    hg = Hypergraph(flavor, n, tuple(edges))
+    _fill_incidence(hg)
+    return hg
+
+
+def _members(hg: Hypergraph, e) -> frozenset[int]:
+    return e.vertices if hg.flavor == "undirected" else e.tail | e.head
+
+
+def _weakly_connected(hg: Hypergraph) -> bool:
+    """Union-find over the members (tail and head) of every hyperedge."""
+    parent = list(range(hg.n_vertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in hg.edges:
+        first, *rest = _members(hg, e)
+        for z in rest:
+            parent[find(z)] = find(first)
+    return len({find(v) for v in range(hg.n_vertices)}) == 1
+
+
+def _strongly_connected(hg: Hypergraph) -> bool:
+    """Transitive closure of one step: from a tail vertex to the head (any other member if undirected)."""
+    n = hg.n_vertices
+    reach = [{v} for v in range(n)]
+    for e in hg.edges:
+        if hg.flavor == "undirected":
+            for x in e.vertices:
+                reach[x] |= e.vertices
+        else:
+            for x in e.tail:
+                reach[x] |= e.head
+    for k in range(n):
+        for v in range(n):
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    return all(len(r) == n for r in reach)
+
+
+@pytest.mark.parametrize("flavor", ["undirected", "directed", "oriented"])
+def test_connectivity_matches_references(flavor):
+    rng = random.Random(f"connectivity-{flavor}")
+    seen = set()
+    for _ in range(300):
+        hg = _unchecked_hypergraph(rng, flavor)
+        weak, strong = _weakly_connected(hg), _strongly_connected(hg)
+        assert is_connected(hg) == weak
+        assert is_strongly_connected(hg) == strong
+        seen.add((weak, strong))
+    # the corpus reaches every combination the flavor allows
+    assert seen >= {(False, False), (True, True)}
+    if flavor == "directed":
+        assert (True, False) in seen

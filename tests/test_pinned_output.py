@@ -5,8 +5,9 @@ from the CLI as it rendered JSON with ``json.dumps(indent=2)`` and looked
 curve values up by alpha, so any output byte that a renderer changes fails
 here. The ``--stats`` work counters of a few runs are pinned too, without
 the timing keys, so a change that claims to keep the solver's work must
-keep every solve, pivot and memo hit. After a deliberate change to the
-output or the work, print new tables with
+keep every solve, pivot and memo hit. The ``--help`` text of the top level
+and of each subcommand is pinned by its sha256 at 80 columns. After a
+deliberate change to the output or the work, print new tables with
 ``PYTHONPATH=src python tests/test_pinned_output.py``.
 """
 
@@ -16,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -116,6 +118,29 @@ def _counters(paths: dict[str, str], case: str) -> tuple[int, dict]:
 @pytest.mark.parametrize("case", COUNTER_CASES)
 def test_work_counters_are_pinned(paths, case):
     assert _counters(paths, case) == PINNED_COUNTERS[case]
+
+
+HELP_CASES = ["", "validate", "distances", "measure", "curvature", "bounds", "sweep"]
+
+
+def _help_digest(command: str) -> str:
+    """sha256 of ``hypercurv [command] --help`` at 80 columns.
+
+    Python 3.10 heads the option list "optional arguments:", later
+    versions "options:"; the digest is taken over the later heading.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    text = out.getvalue().replace("\noptional arguments:\n", "\noptions:\n")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", HELP_CASES)
+def test_help_text_is_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help_digest(command) == PINNED_HELP[command]
 
 
 def test_repeated_and_unit_grid_alphas_keep_their_rows(capsys):
@@ -249,6 +274,16 @@ PINNED_COUNTERS = {
     'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 221, 'pivots': 13, 'degenerate_pivots': 0, 'traced_pieces': 27, 'dual_pivots': 28, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
 }
 
+PINNED_HELP = {
+    '': 'e61e7b1a311811998c71f49df96bbc0dceede20ecd7cc8ea7f4c8dc8dd2e565a',
+    'validate': '5d5464151e9e5e47808767e1e78dc540e7199c2a27d1982d75677a97c4386fa1',
+    'distances': 'b020f833b6591451253e2254c79578da96401fffa55b8f8def2c6b5c6e2444e9',
+    'measure': '7ae8af015a6837a9f1cd36151d8e00d362bbad309a906b6729a97d2abb813d56',
+    'curvature': '3b1587ec445d50273b8bb9a91c3a4653c83f8290ee8e3c8b44b5be22b5ca624d',
+    'bounds': '483ec90af25817cf041b8477cb76db3a1ea2346bb80346986ea01e63fc427900',
+    'sweep': 'd60a0a0b86bd3f5fd1b37299647670f7beae5ea28d77c49dc6ae52cc5798fd8a',
+}
+
 
 if __name__ == "__main__":
     import tempfile
@@ -263,3 +298,8 @@ if __name__ == "__main__":
         for case in COUNTER_CASES:
             print(f"    {case!r}: {_counters(found, case)!r},")
         print("}")
+    os.environ["COLUMNS"] = "80"
+    print("PINNED_HELP = {")
+    for command in HELP_CASES:
+        print(f"    {command!r}: {_help_digest(command)!r},")
+    print("}")
