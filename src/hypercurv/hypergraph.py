@@ -10,6 +10,17 @@ Flavors
   with matching weights, which makes the shortest-path quasi-distance
   symmetric.
 
+Incidence
+---------
+Every hyperedge has a ``tail`` and a ``head``; an undirected hyperedge is
+its own tail and head, both its vertex set. One step from a vertex v enters
+a hyperedge at a tail containing v and leaves at a head vertex other than
+v. That is the whole step rule, the same for every flavor: the directed
+flavors never meet v in the head (tail and head are disjoint), and the
+undirected step reaches the co-members of v. The tail and head incidence
+lists, the neighborhoods, the weighted degrees, reachability, distances
+and walks all follow it without looking at the flavor.
+
 A :class:`Hypergraph` is immutable after :func:`build`; every query is pure
 and safe to call concurrently. Vertices are dense integer ids ``0..n-1``.
 Multi-edges (same incidence, possibly different weights) are allowed.
@@ -34,13 +45,13 @@ FLAVORS = (UNDIRECTED, DIRECTED, ORIENTED)
 class UndirectedEdge:
     """A vertex set of size >= 2 with a positive rational weight.
 
-    Equal, and hashed, by value.
+    ``tail`` and ``head`` are both the vertex set. Equal, and hashed, by value.
     """
 
-    __slots__ = ("vertices", "weight")
+    __slots__ = ("vertices", "tail", "head", "weight")
 
     def __init__(self, vertices: frozenset[int], weight: Fraction):
-        self.vertices = vertices
+        self.vertices = self.tail = self.head = vertices
         self.weight = weight
 
     def __eq__(self, other):
@@ -113,14 +124,14 @@ class Hypergraph:
         self.n_vertices = n_vertices
         self.edges = edges
         # incidence caches, filled once at build time
-        self._edges_at = ()  # undirected: edge ids per vertex
-        self._tail_edges_at = ()  # directed: edge ids with v in tail
-        self._head_edges_at = ()  # directed: edge ids with v in head
+        self._tail_edges_at = ()  # edge ids with v in tail
+        self._head_edges_at = ()  # edge ids with v in head
 
     # -- incidence ---------------------------------------------------------
 
     def edges_containing(self, v: int) -> tuple[int, ...]:
-        return self._edges_at[v]
+        """Undirected: ids of the hyperedges containing v."""
+        return self._tail_edges_at[v]
 
     def edges_with_tail(self, v: int) -> tuple[int, ...]:
         return self._tail_edges_at[v]
@@ -130,34 +141,25 @@ class Hypergraph:
 
     # -- neighborhoods -------------------------------------------------------
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Vertices adjacent to v.
-
-        Undirected: co-members of any hyperedge containing v. Oriented:
-        successors through any tail occurrence (equal to the predecessor
-        set by reversal closure).
-        """
-        if self.flavor == UNDIRECTED:
-            out: set[int] = set()
-            for e in self._edges_at[v]:
-                out.update(self.edges[e].vertices)
-            out.discard(v)
-            return frozenset(out)
-        return self.out_neighbors(v)
-
     def in_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices z lying in the tail of some edge whose head contains v."""
+        """Vertices z != v lying in the tail of some edge whose head contains v."""
         out: set[int] = set()
         for e in self._head_edges_at[v]:
             out.update(self.edges[e].tail)
+        out.discard(v)
         return frozenset(out)
 
     def out_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices z lying in the head of some edge whose tail contains v."""
+        """Vertices z != v lying in the head of some edge whose tail contains v."""
         out: set[int] = set()
         for e in self._tail_edges_at[v]:
             out.update(self.edges[e].head)
+        out.discard(v)
         return frozenset(out)
+
+    # Undirected: co-members of any hyperedge containing v. Oriented: equal
+    # to the predecessor set by reversal closure.
+    neighbors = out_neighbors
 
     def tail_in_neighborhood(self, edge_index: int) -> frozenset[int]:
         """Vertices that reach some tail vertex of the edge in one hop."""
@@ -177,17 +179,12 @@ class Hypergraph:
 
     # -- degrees ----------------------------------------------------------
 
-    def degree(self, v: int) -> Fraction:
-        """Undirected weighted degree: total weight of edges containing v."""
-        return sum((self.edges[e].weight for e in self._edges_at[v]), Fraction(0))
-
-    def in_weight(self, v: int) -> Fraction:
-        """Total weight of edges having v in their head."""
-        return sum((self.edges[e].weight for e in self._head_edges_at[v]), Fraction(0))
-
     def out_weight(self, v: int) -> Fraction:
         """Total weight of edges having v in their tail."""
         return sum((self.edges[e].weight for e in self._tail_edges_at[v]), Fraction(0))
+
+    # Undirected weighted degree: total weight of edges containing v.
+    degree = out_weight
 
     def deg_in(self, v: int) -> int:
         """Count of edges having v in their head."""
@@ -276,10 +273,12 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
         raise errors.NotOriented("symmetrize applies to the oriented flavor only")
 
     parsed = []
+    entries = 0
     if flavor == UNDIRECTED:
         for k, spec in enumerate(edges):
             vertices, weight = spec
             part = _as_vertex_part(vertices, n, f"hyperedge {k}")
+            entries += len(part)
             if len(part) < 2:
                 raise errors.EmptyEdge(f"hyperedge {k} needs at least 2 distinct vertices")
             w = as_fraction(weight)
@@ -291,6 +290,7 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
             tail, head, weight = spec
             a = _as_vertex_part(tail, n, f"hyperedge {k} tail")
             b = _as_vertex_part(head, n, f"hyperedge {k} head")
+            entries += len(a) + len(b)
             if not a or not b:
                 raise errors.EmptyEdge(f"hyperedge {k} has an empty tail or head")
             if a & b:
@@ -309,31 +309,26 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
 
     if flavor == ORIENTED:
         _check_reversal_closure(parsed)
+    check_vertex_count(flavor, n, entries)
 
     hg = Hypergraph(flavor=flavor, n_vertices=n, edges=tuple(parsed))
     _fill_incidence(hg)
-    _check_connectivity(hg)
+    # an undirected step goes both ways, so strong connectivity is connectivity
+    if not is_strongly_connected(hg):
+        raise _disconnected(flavor)
     return hg
 
 
 def _fill_incidence(hg: Hypergraph) -> None:
-    n = hg.n_vertices
-    if hg.flavor == UNDIRECTED:
-        at = [[] for _ in range(n)]
-        for k, e in enumerate(hg.edges):
-            for v in e.vertices:
-                at[v].append(k)
-        hg._edges_at = tuple(tuple(x) for x in at)
-    else:
-        tails = [[] for _ in range(n)]
-        heads = [[] for _ in range(n)]
-        for k, e in enumerate(hg.edges):
-            for v in e.tail:
-                tails[v].append(k)
-            for v in e.head:
-                heads[v].append(k)
-        hg._tail_edges_at = tuple(tuple(x) for x in tails)
-        hg._head_edges_at = tuple(tuple(x) for x in heads)
+    tails = [[] for _ in range(hg.n_vertices)]
+    heads = [[] for _ in range(hg.n_vertices)]
+    for k, e in enumerate(hg.edges):
+        for v in e.tail:
+            tails[v].append(k)
+        for v in e.head:
+            heads[v].append(k)
+    hg._tail_edges_at = tuple(map(tuple, tails))
+    hg._head_edges_at = tuple(map(tuple, heads))
 
 
 def _check_reversal_closure(edges: list[DirectedEdge]) -> None:
@@ -347,42 +342,43 @@ def _check_reversal_closure(edges: list[DirectedEdge]) -> None:
             )
 
 
-def _check_connectivity(hg: Hypergraph) -> None:
-    if hg.flavor == UNDIRECTED:
-        if not is_connected(hg):
-            raise errors.NotConnected("every vertex pair must be joined by a hyperpath")
-    else:
-        if not is_strongly_connected(hg):
-            raise errors.NotStronglyConnected(
-                "every ordered vertex pair must be joined by a directed hyperpath"
-            )
+def _disconnected(flavor: str) -> errors.HypercurvError:
+    if flavor == UNDIRECTED:
+        return errors.NotConnected("every vertex pair must be joined by a hyperpath")
+    return errors.NotStronglyConnected(
+        "every ordered vertex pair must be joined by a directed hyperpath"
+    )
+
+
+def check_vertex_count(flavor: str, n: int, entries: int) -> None:
+    """Refuse n vertices that ``entries`` hyperedge memberships cannot all cover.
+
+    A connected hypergraph puts every vertex in some hyperedge, so n above
+    the total count of vertex entries across the hyperedges fails the
+    flavor's connectivity check. Run before anything of size n is built.
+    """
+    if n > entries:
+        raise _disconnected(flavor)
 
 
 # -- connectivity ---------------------------------------------------------
 
 
-def _reachable(hg: Hypergraph, start: int, reverse: bool = False) -> set[int]:
+def _reachable(hg: Hypergraph, start: int, at, ends) -> set[int]:
+    """Vertices reached from ``start``: from v through each hyperedge ``at(v)`` to its ``ends``.
+
+    Each hyperedge is crossed once, so a search costs the total size of the
+    hyperedges, not its square.
+    """
     seen = {start}
     queue = deque([start])
     used_edges: set[int] = set()
     while queue:
-        v = queue.popleft()
-        if hg.flavor == UNDIRECTED:
-            incident = hg.edges_containing(v)
-        elif reverse:
-            incident = hg.edges_with_head(v)
-        else:
-            incident = hg.edges_with_tail(v)
-        for e in incident:
+        for e in at(queue.popleft()):
             if e in used_edges:
                 continue
             used_edges.add(e)
-            edge = hg.edges[e]
-            if hg.flavor == UNDIRECTED:
-                targets = edge.vertices
-            else:
-                targets = edge.tail if reverse else edge.head
-            for z in targets:
+            for z in ends(hg.edges[e]):
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
@@ -390,28 +386,15 @@ def _reachable(hg: Hypergraph, start: int, reverse: bool = False) -> set[int]:
 
 
 def is_connected(hg: Hypergraph) -> bool:
-    """True iff every vertex pair is joined by a hyperpath (undirected sense)."""
-    if hg.flavor != UNDIRECTED:
-        # underlying undirected structure: treat tail+head as one vertex set
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for k, e in enumerate(hg.edges):
-                members = e.tail | e.head
-                if v in members:
-                    for z in members:
-                        if z not in seen:
-                            seen.add(z)
-                            queue.append(z)
-        return len(seen) == hg.n_vertices
-    return len(_reachable(hg, 0)) == hg.n_vertices
+    """True iff every vertex pair is joined by a hyperpath, ignoring direction."""
+    members = _reachable(
+        hg, 0, lambda v: hg.edges_with_tail(v) + hg.edges_with_head(v), lambda e: e.tail | e.head
+    )
+    return len(members) == hg.n_vertices
 
 
 def is_strongly_connected(hg: Hypergraph) -> bool:
     """True iff every ordered pair is joined by a directed hyperpath."""
-    if hg.flavor == UNDIRECTED:
-        return is_connected(hg)
-    forward = _reachable(hg, 0, reverse=False)
-    backward = _reachable(hg, 0, reverse=True)
-    return len(forward) == hg.n_vertices and len(backward) == hg.n_vertices
+    forward = _reachable(hg, 0, hg.edges_with_tail, lambda e: e.head)
+    backward = _reachable(hg, 0, hg.edges_with_head, lambda e: e.tail)
+    return len(forward) == len(backward) == hg.n_vertices

@@ -1,8 +1,9 @@
 """Hyperpath distances, diameters, hyperedge lengths, and distance partitions.
 
 Distances are shortest-path costs in a bipartite expansion with node set
-``V + H``: entering a hyperedge costs its weight, leaving costs nothing.
-A vertex-to-vertex shortest path there is exactly a minimum-cost
+``V + H``: a step enters a hyperedge at a tail vertex, which costs its
+weight, and leaves at a head vertex, which costs nothing (an undirected
+hyperedge is its own tail and head). A vertex-to-vertex shortest path there is exactly a minimum-cost
 hyperpath, so no hyperedge sequences are ever enumerated. All arithmetic
 is exact: the weights are scaled once to ints by the lcm of their
 denominators (``Hypergraph.scaled_weights``), Dijkstra runs on those ints
@@ -116,20 +117,14 @@ def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> list[int | Non
         if dist[node] is None or d > dist[node]:
             continue
         if node < n:
-            if hg.flavor == UNDIRECTED:
-                incident = hg.edges_containing(node)
-            else:
-                incident = hg.edges_with_tail(node)
-            for e in incident:
+            for e in hg.edges_with_tail(node):
                 nd = d + weights[e]
                 t = n + e
                 if dist[t] is None or nd < dist[t]:
                     dist[t] = nd
                     heapq.heappush(heap, (nd, t))
         else:
-            edge = hg.edges[node - n]
-            targets = edge.vertices if hg.flavor == UNDIRECTED else edge.head
-            for z in targets:
+            for z in hg.edges[node - n].head:
                 if dist[z] is None or d < dist[z]:
                     dist[z] = d
                     heapq.heappush(heap, (d, z))
@@ -209,19 +204,14 @@ def partition_neighborhood(
     """Split the out-neighborhood of ``anchor`` by distance from ``ref``.
 
     ``ref`` is a single vertex or a set of vertices (measured by minimum
-    distance). For the undirected flavor the plain neighborhood is used.
-    The distances are compared as ints of ``oracle.table``; the base
+    distance). The distances are compared as ints of ``oracle.table``; the base
     distance and the gaps become Fractions at the end.
     """
     ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
     base = oracle._set_scaled(ref_tuple, anchor)
-    if hg.flavor == UNDIRECTED:
-        neighborhood = hg.neighbors(anchor)
-    else:
-        neighborhood = hg.out_neighbors(anchor)
     rows = [oracle.table[u] for u in ref_tuple]
     closer, level, farther = {}, [], {}
-    for z in neighborhood:
+    for z in hg.neighbors(anchor):
         dz = min(row[z] for row in rows)
         if dz < base:
             closer[z] = dz

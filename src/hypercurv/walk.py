@@ -63,21 +63,21 @@ _NO_EDGE = {
 def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     """One walk step from x at alpha = 0, as int masses over one denominator.
 
-    ``kind`` ``"undirected"``: each co-member z of a hyperedge h' containing
-    x receives ``w(h') / ((|h'|-1) * Deg(x))``. ``"in"``: each tail vertex z
-    of a hyperedge h' heading into x receives ``w(h') / (|tail h'| * w_in(x))``.
-    ``"out"``: each head vertex of a hyperedge tailing out of x, likewise
-    with heads and ``w_out(x)``. Shares accumulate over hyperedges; the
-    masses total 1. The shares are summed over the lcm of the size terms
-    times the int degree, and the result is put in lowest terms.
+    ``kind`` ``"out"``: each head vertex z != x of a hyperedge h' tailing
+    out of x receives ``w(h') / (|head h' \\ {x}| * w_out(x))``. ``"in"``:
+    each tail vertex z != x of a hyperedge h' heading into x, likewise with
+    tails and ``w_in(x)``. ``"undirected"`` is the out-walk: an undirected
+    hyperedge is its own tail and head, so z runs over the co-members of x
+    and the share is ``w(h') / ((|h'|-1) * Deg(x))``. Shares accumulate
+    over hyperedges; the masses total 1. The shares are summed over the lcm
+    of the size terms times the int degree, and the result is put in
+    lowest terms.
     """
     weights = hg.scaled_weights[0]
-    if kind == "undirected":
-        parts = [(weights[e], hg.edges[e].vertices - {x}) for e in hg.edges_containing(x)]
-    elif kind == "in":
-        parts = [(weights[e], hg.edges[e].tail) for e in hg.edges_with_head(x)]
+    if kind == "in":
+        parts = [(weights[e], hg.edges[e].tail - {x}) for e in hg.edges_with_head(x)]
     else:
-        parts = [(weights[e], hg.edges[e].head) for e in hg.edges_with_tail(x)]
+        parts = [(weights[e], hg.edges[e].head - {x}) for e in hg.edges_with_tail(x)]
     deg = sum(w for w, _part in parts)
     if deg == 0:
         raise errors.DivisionByZeroDegree(_NO_EDGE[kind].format(x))

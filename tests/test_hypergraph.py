@@ -36,6 +36,24 @@ def test_disconnected_rejected():
         build("undirected", 4, [([0, 1], 1), ([2, 3], 1)])
 
 
+@pytest.mark.parametrize(
+    "flavor, edges, error",
+    [
+        ("undirected", [([0, 1, 2], 1)], errors.NotConnected),
+        ("directed", [([0], [1, 2], 1), ([1, 2], [0], 1)], errors.NotStronglyConnected),
+        ("oriented", [([0], [1, 2], 1), ([1, 2], [0], 1)], errors.NotStronglyConnected),
+    ],
+)
+def test_vertex_count_past_the_hyperedges_fails_fast(flavor, edges, error):
+    """n above the hyperedges' vertex entries is refused before any per-vertex list is built."""
+    with pytest.raises(error):
+        build(flavor, 10**12, edges)
+    # the bound is the entry count: one vertex more than the hyperedges name
+    entries = sum(len(part) for *parts, _w in edges for part in parts)
+    with pytest.raises(error):
+        build(flavor, entries + 1, edges)
+
+
 def test_not_strongly_connected_rejected():
     # one-way chain: no path back
     with pytest.raises(errors.NotStronglyConnected):
@@ -115,6 +133,17 @@ def test_oriented_neighborhood_symmetry_and_degree_ratio(seed):
         assert b_cap * hg.deg_out(v) >= len(gamma_out) >= 0
         assert a_cap * hg.deg_in(v) >= len(gamma_in)
         assert len(gamma_out) >= 1
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_undirected_hyperedge_is_its_own_tail_and_head(seed):
+    hg = random_undirected(random.Random(seed))
+    for v in range(hg.n_vertices):
+        assert hg.neighbors(v) == hg.out_neighbors(v) == hg.in_neighbors(v)
+        assert v not in hg.neighbors(v)
+        assert hg.edges_with_tail(v) == hg.edges_with_head(v) == hg.edges_containing(v)
+        assert hg.edges_containing(v) == tuple(k for k, e in enumerate(hg.edges) if v in e.vertices)
 
 
 @given(st.integers(0, 10**6))
