@@ -91,7 +91,7 @@ def parse_document(data) -> ParsedDocument:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
             raise errors.ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise errors.ParseError("document root must be a JSON object")
@@ -115,7 +115,7 @@ def parse_document(data) -> ParsedDocument:
         n = data["n_vertices"]
         if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
             raise errors.ParseError("n_vertices: expected a positive integer")
-        names = [f"x{i + 1}" for i in range(n)]
+        names = None  # x1..xn, built once n is known to be covered
     else:
         raise errors.ParseError("document needs 'vertices' or 'n_vertices'")
 
@@ -126,6 +126,12 @@ def parse_document(data) -> ParsedDocument:
     symmetrize = data.get("symmetrize", False)
     if not isinstance(symmetrize, bool):
         raise errors.ParseError("symmetrize: expected a boolean")
+
+    if names is None:
+        keys = ("vertices",) if flavor == UNDIRECTED else ("tail", "head")
+        lists = (rec.get(key) for rec in records if isinstance(rec, dict) for key in keys)
+        hypergraph.check_vertex_count(flavor, n, sum(len(x) for x in lists if isinstance(x, list)))
+        names = [f"x{i + 1}" for i in range(n)]
 
     parsed_edges = []
     edge_names = []

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,7 +319,26 @@ def test_empty_alpha_grid_entry_is_a_parse_error(capsys, h4_path, grid):
         assert err == "ParseError: --alpha-grid: cannot read '' as a rational\n"
 
 
-@pytest.mark.parametrize("weight", ['"1e1000000"', '"' + "1" * 1001 + '"', "1e1000000"])
+# A bare JSON integer past Python's int-string limit (4300 digits) fails
+# inside json.loads, before any field is read.
+HUGE_INT = "1" * 5001
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        '"1e1000000"',
+        '"' + "1" * 1001 + '"',
+        "1e1000000",
+        pytest.param(
+            HUGE_INT,
+            id="int-5001-digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit"
+            ),
+        ),
+    ],
+)
 def test_huge_weight_literal_rejected(capsys, tmp_path, weight):
     path = tmp_path / "huge.json"
     path.write_text(
@@ -327,7 +347,30 @@ def test_huge_weight_literal_rejected(capsys, tmp_path, weight):
     )
     code, _, err = _run(capsys, ["validate", str(path)])
     assert code == 2
-    assert "ParseError" in err and "weight" in err
+    assert err.startswith("ParseError: ") and len(err.splitlines()) == 1
+    assert ("digits" if weight == HUGE_INT else "weight") in err
+
+
+@pytest.mark.parametrize(
+    "flavor, edge, error",
+    [
+        ("undirected", {"vertices": [0, 1]}, "NotConnected"),
+        ("directed", {"tail": [0], "head": [1]}, "NotStronglyConnected"),
+        ("oriented", {"tail": [0], "head": [1]}, "NotStronglyConnected"),
+    ],
+)
+def test_vertex_count_past_the_hyperedges_fails_fast(capsys, tmp_path, flavor, edge, error):
+    """n_vertices above the hyperedges' vertex entries is refused before x1..xn is built."""
+    doc = {"flavor": flavor, "n_vertices": 10**12, "hyperedges": [edge]}
+    if flavor == "oriented":
+        doc["symmetrize"] = True
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
