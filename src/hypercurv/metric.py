@@ -3,15 +3,16 @@
 Distances are shortest-path costs in a bipartite expansion with node set
 ``V + H``: a step enters a hyperedge at a tail vertex, which costs its
 weight, and leaves at a head vertex, which costs nothing (an undirected
-hyperedge is its own tail and head). A vertex-to-vertex shortest path there is exactly a minimum-cost
-hyperpath, so no hyperedge sequences are ever enumerated. All arithmetic
-is exact: the weights are scaled once to ints by the lcm of their
-denominators (``Hypergraph.scaled_weights``), Dijkstra runs on those ints
-with ties broken by smallest node index, and the table keeps that common
-denominator. Scaling changes no comparison, so the search and its tie
-order are those on Fractions. Set distances, hyperedge lengths and
-neighborhood partitions are computed on the table's ints too; each value
-handed to a caller becomes one Fraction at the end.
+hyperedge is its own tail and head). A vertex-to-vertex shortest path
+there is exactly a minimum-cost hyperpath, so no hyperedge sequences are
+ever enumerated. All arithmetic is exact: the weights are scaled once to
+ints by the lcm of their denominators (``Hypergraph.scaled_weights``),
+Dijkstra runs on those ints with ties broken by smallest node index, and
+the table keeps that common denominator. Scaling changes no comparison,
+so the search and its tie order are those on Fractions. Set distances,
+hyperedge lengths and neighborhood partitions (of the out-neighborhood,
+reached by the same step) are computed on the table's ints too; each
+value handed to a caller becomes one Fraction at the end.
 """
 
 from __future__ import annotations

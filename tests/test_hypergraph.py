@@ -143,7 +143,8 @@ def test_undirected_hyperedge_is_its_own_tail_and_head(seed):
         assert hg.neighbors(v) == hg.out_neighbors(v) == hg.in_neighbors(v)
         assert v not in hg.neighbors(v)
         assert hg.edges_with_tail(v) == hg.edges_with_head(v) == hg.edges_containing(v)
-        assert hg.edges_containing(v) == tuple(k for k, e in enumerate(hg.edges) if v in e.vertices)
+        members = tuple(k for k, e in enumerate(hg.edges) if v in e.vertices)
+        assert hg.edges_containing(v) == members
 
 
 @given(st.integers(0, 10**6))
@@ -195,7 +196,7 @@ def _weakly_connected(hg: Hypergraph) -> bool:
 
 
 def _strongly_connected(hg: Hypergraph) -> bool:
-    """Transitive closure of one step: from a tail vertex to the head (any other member if undirected)."""
+    """Closure of one step: tail to head, or member to member if undirected."""
     n = hg.n_vertices
     reach = [{v} for v in range(n)]
     for e in hg.edges:
