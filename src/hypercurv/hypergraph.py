@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from functools import cached_property
+from operator import attrgetter
 from fractions import Fraction
 
 from . import errors
@@ -364,8 +365,8 @@ def check_vertex_count(flavor: str, n: int, entries: int) -> None:
 # -- connectivity ---------------------------------------------------------
 
 
-def _reachable(hg: Hypergraph, start: int, at, ends) -> set[int]:
-    """Vertices reached from ``start``: from v through each hyperedge ``at(v)`` to its ``ends``.
+def _reachable(hg: Hypergraph, start: int, incidence, ends) -> set[int]:
+    """Vertices reached from ``start``, stepping from v to ``ends(h)`` for h in ``incidence[v]``.
 
     Each hyperedge is crossed once, so a search costs the total size of the
     hyperedges, not its square.
@@ -374,7 +375,7 @@ def _reachable(hg: Hypergraph, start: int, at, ends) -> set[int]:
     queue = deque([start])
     used_edges: set[int] = set()
     while queue:
-        for e in at(queue.popleft()):
+        for e in incidence[queue.popleft()]:
             if e in used_edges:
                 continue
             used_edges.add(e)
@@ -387,14 +388,12 @@ def _reachable(hg: Hypergraph, start: int, at, ends) -> set[int]:
 
 def is_connected(hg: Hypergraph) -> bool:
     """True iff every vertex pair is joined by a hyperpath, ignoring direction."""
-    members = _reachable(
-        hg, 0, lambda v: hg.edges_with_tail(v) + hg.edges_with_head(v), lambda e: e.tail | e.head
-    )
-    return len(members) == hg.n_vertices
+    both = [t + h for t, h in zip(hg._tail_edges_at, hg._head_edges_at)]
+    return len(_reachable(hg, 0, both, lambda e: e.tail | e.head)) == hg.n_vertices
 
 
 def is_strongly_connected(hg: Hypergraph) -> bool:
     """True iff every ordered pair is joined by a directed hyperpath."""
-    forward = _reachable(hg, 0, hg.edges_with_tail, lambda e: e.head)
-    backward = _reachable(hg, 0, hg.edges_with_head, lambda e: e.tail)
+    forward = _reachable(hg, 0, hg._tail_edges_at, attrgetter("head"))
+    backward = _reachable(hg, 0, hg._head_edges_at, attrgetter("tail"))
     return len(forward) == len(backward) == hg.n_vertices

@@ -8,8 +8,8 @@ Masses are affine functions of alpha, which the curvature limit relies on.
 Every measure is built from its two ends on ints. At alpha = 1 it is a
 point mass: the base vertex, or ``1/n`` on each of the n tail or head
 vertices of a set measure. At alpha = 0 it is a :func:`spread`: the masses
-of one step of the undirected, in- or out-walk, as ints over one int
-denominator, computed from the int edge weights of
+of one step of the in- or out-walk (the undirected walk is the out-walk),
+as ints over one int denominator, computed from the int edge weights of
 ``Hypergraph.scaled_weights``. :func:`walk_ends` gives both ends, and the
 Evaluator scales them straight into its transport families; the
 constructors below are exact ``Fraction`` views of the same ends, each
@@ -75,9 +75,14 @@ def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     """
     weights = hg.scaled_weights[0]
     if kind == "in":
-        parts = [(weights[e], hg.edges[e].tail - {x}) for e in hg.edges_with_head(x)]
+        incident, side = hg.edges_with_head(x), "tail"
     else:
-        parts = [(weights[e], hg.edges[e].head - {x}) for e in hg.edges_with_tail(x)]
+        incident, side = hg.edges_with_tail(x), "head"
+    parts = []
+    for e in incident:
+        part = getattr(hg.edges[e], side)
+        # only an undirected hyperedge holds x in the part it steps to
+        parts.append((weights[e], part - {x} if x in part else part))
     deg = sum(w for w, _part in parts)
     if deg == 0:
         raise errors.DivisionByZeroDegree(_NO_EDGE[kind].format(x))
