@@ -364,62 +364,58 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
 # -- argument parsing ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The options every subcommand takes, built once and copied into each.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("path", help="hypergraph JSON document")
-    common.add_argument("--alpha", help="laziness parameter (rational or decimal)")
-    common.add_argument(
-        "--alpha-grid", dest="alpha_grid", help="comma-separated alphas for curves"
-    )
-    common.add_argument(
-        "--variant", choices=["min", "sum", "max"], help="hyperedge length variant"
-    )
-    common.add_argument("--exact", action="store_true", help="print exact rationals p/q (default)")
-    common.add_argument(
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="hypergraph JSON document")
+    p.add_argument("--alpha", help="laziness parameter (rational or decimal)")
+    p.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated alphas for curves")
+    p.add_argument("--variant", choices=["min", "sum", "max"], help="hyperedge length variant")
+    p.add_argument("--exact", action="store_true", help="print exact rationals p/q (default)")
+    p.add_argument(
         "--float", action="store_true", help="print the exactly computed values as decimals"
     )
-    common.add_argument("--format", choices=["json", "csv", "table"], help="output format")
-    common.add_argument(
+    p.add_argument("--format", choices=["json", "csv", "table"], help="output format")
+    p.add_argument(
         "--parallel",
         type=int,
         help="accepted for compatibility (must be >= 1); targets always run serially",
     )
-    common.add_argument("--strict", action="store_true", help="not-applicable verdicts also fail")
-    common.add_argument(
+    p.add_argument("--strict", action="store_true", help="not-applicable verdicts also fail")
+    p.add_argument(
         "--stats", action="store_true", help="print evaluation counters as JSON on stderr"
     )
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercurv",
         description="Curvature toolkit for weighted undirected, directed, and oriented hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The shared options are built once and copied into each subcommand.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
-    sub.add_parser("validate", parents=[common], help="check a document against all invariants")
-    sub.add_parser("distances", parents=[common], help="all-pairs (quasi-)distance table")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=summary)
 
-    p = sub.add_parser("measure", parents=[common], help="print one walk measure as JSON")
+    add("validate", "check a document against all invariants")
+    add("distances", "all-pairs (quasi-)distance table")
+
+    p = add("measure", "print one walk measure as JSON")
     p.add_argument("--vertex", help="base vertex (undirected/oriented)")
     p.add_argument("--direction", choices=["in", "out"], default="out")
     p.add_argument("--edge", help="hyperedge name (directed/oriented)")
     p.add_argument("--side", choices=["tail", "head"], default="tail")
     p.add_argument("--index", type=int, help="constituent index within the side")
 
-    p = sub.add_parser(
-        "curvature", parents=[common], help="alpha curves and limit curvature of targets"
-    )
+    p = add("curvature", "alpha curves and limit curvature of targets")
     p.add_argument("--pair", action="append", help="vertex pair 'u,v' (repeatable)")
     p.add_argument("--edge", action="append", help="hyperedge name (repeatable)")
     p.add_argument("--all", action="store_true", help="all supported targets")
 
-    sub.add_parser(
-        "bounds", parents=[common], help="verdict ledger of every applicable inequality"
-    )
+    add("bounds", "verdict ledger of every applicable inequality")
 
-    p = sub.add_parser(
-        "sweep", parents=[common], help="CSV of (alpha, kappa, normalized) for one target"
-    )
+    p = add("sweep", "CSV of (alpha, kappa, normalized) for one target")
     p.add_argument("--pair", action="append", help="vertex pair 'u,v'")
     p.add_argument("--edge", action="append", help="hyperedge name")
 

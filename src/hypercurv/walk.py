@@ -63,15 +63,13 @@ _NO_EDGE = {
 def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     """One walk step from x at alpha = 0, as int masses over one denominator.
 
-    ``kind`` ``"out"``: each head vertex z != x of a hyperedge h' tailing
-    out of x receives ``w(h') / (|head h' \\ {x}| * w_out(x))``. ``"in"``:
-    each tail vertex z != x of a hyperedge h' heading into x, likewise with
-    tails and ``w_in(x)``. ``"undirected"`` is the out-walk: an undirected
-    hyperedge is its own tail and head, so z runs over the co-members of x
-    and the share is ``w(h') / ((|h'|-1) * Deg(x))``. Shares accumulate
-    over hyperedges; the masses total 1. The shares are summed over the lcm
-    of the size terms times the int degree, and the result is put in
-    lowest terms.
+    ``kind`` ``"out"``: each head vertex z != x of a hyperedge h' tailing out
+    of x receives ``w(h') / (|head h' \\ {x}| * w_out(x))``; ``"in"`` likewise
+    with tails and ``w_in(x)``. ``"undirected"`` is the out-walk, h' being
+    its own tail and head: ``w(h') / ((|h'|-1) * Deg(x))``. Shares
+    accumulate over hyperedges; the masses total 1. The shares are summed
+    over the lcm of the size terms times the int degree, and the result is
+    put in lowest terms.
     """
     weights = hg.scaled_weights[0]
     if kind == "in":
