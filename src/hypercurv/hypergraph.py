@@ -196,6 +196,7 @@ class Hypergraph:
         return len(self._tail_edges_at[v])
 
     def deg(self, v: int) -> int:
+        """Count of tail and head occurrences of v (an undirected edge counts twice)."""
         return self.deg_in(v) + self.deg_out(v)
 
     # -- global quantities -----------------------------------------------

@@ -205,8 +205,8 @@ def partition_neighborhood(
     """Split the out-neighborhood of ``anchor`` by distance from ``ref``.
 
     ``ref`` is a single vertex or a set of vertices (measured by minimum
-    distance). The distances are compared as ints of ``oracle.table``; the base
-    distance and the gaps become Fractions at the end.
+    distance). The distances are compared as ints of ``oracle.table``; the
+    base distance and the gaps become Fractions at the end.
     """
     ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
     base = oracle._set_scaled(ref_tuple, anchor)
