@@ -179,10 +179,6 @@ def _unchecked_hypergraph(rng: random.Random, flavor: str) -> Hypergraph:
     return hg
 
 
-def _members(hg: Hypergraph, e) -> frozenset[int]:
-    return e.vertices if hg.flavor == "undirected" else e.tail | e.head
-
-
 def _weakly_connected(hg: Hypergraph) -> bool:
     """Union-find over the members (tail and head) of every hyperedge."""
     parent = list(range(hg.n_vertices))
@@ -193,7 +189,7 @@ def _weakly_connected(hg: Hypergraph) -> bool:
         return v
 
     for e in hg.edges:
-        first, *rest = _members(hg, e)
+        first, *rest = e.vertices if hg.flavor == "undirected" else e.tail | e.head
         for z in rest:
             parent[find(z)] = find(first)
     return len({find(v) for v in range(hg.n_vertices)}) == 1
