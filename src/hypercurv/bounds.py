@@ -206,7 +206,7 @@ def check_edge_upper_bound(
             per_member = sum(max(weights[e] for e in hg.edges_containing(x)) for x in edge.vertices)
             num, den = (k - 1) * per_member, w_scale
         return _verdict("edge-upper", kappa, Fraction(scaled * num, q * den * length), target)
-    if hg.flavor == ORIENTED or oracle.symmetric:
+    if oracle.symmetric:
         if variant != "min":
             raise errors.UnsupportedVariant("directed hyperedges support the min length only")
         kappa = ev.kappa(("edge", edge_index), a)
@@ -347,7 +347,7 @@ def check_bonnet_myers(
             verdicts.append(_skip("bm-diameter", "diameter", f"well-transported floor {floor}"))
         return verdicts
 
-    if hg.flavor != ORIENTED and not oracle.symmetric:
+    if not oracle.symmetric:
         return [_skip("bonnet-myers", "instance", "asymmetric quasi-distance")]
 
     for e in range(hg.n_edges):
@@ -476,7 +476,7 @@ def verdict_ledger(
     else:
         for e in range(hg.n_edges):
             ledger.append(check_directed_edge_bound(hg, oracle, e, alpha, labels, ev)[0])
-            if hg.flavor == ORIENTED or oracle.symmetric:
+            if oracle.symmetric:
                 ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, "min", labels, ev))
         if hg.flavor == ORIENTED:
             for u, v in curvature_pairs(hg):

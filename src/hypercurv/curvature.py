@@ -1,9 +1,11 @@
 """Ollivier-type curvature for vertex pairs and hyperedges, and its Lin-Lu-Yau limit.
 
-Pair curvature is ``1 - W(mu_u, mu_v) / d(u, v)`` with the walk measures of
-the flavor at hand. Hyperedge curvature aggregates all pairwise transports
-inside the edge (undirected) or couples the tail and head set measures
-(directed/oriented).
+Every curvature is a defect sum ``kappa = sum_k (d_k - W_k) / L`` over
+transports between two walk measures. A vertex pair has one term with
+``d = L = d(u, v)``, which is ``1 - W(mu_u, mu_v) / d(u, v)``; a directed
+hyperedge has one term, from its tail-set to its head-set measure, with
+``d = L(h)``; an undirected hyperedge has one term per member pair, over
+its length variant.
 
 The Lin-Lu-Yau value is the limit of ``g(alpha) = kappa_alpha / (1-alpha)``
 as alpha approaches 1. The walk measures are affine in alpha, so W is
@@ -91,19 +93,6 @@ def _not_settled(target: tuple, k_max: int) -> errors.NoStabilization:
     )
 
 
-def _require_pair_flavor(hg: Hypergraph, oracle: DistanceOracle) -> None:
-    if hg.flavor == UNDIRECTED or hg.flavor == ORIENTED:
-        return
-    # Plain directed hypergraphs support pair curvature only when their
-    # quasi-distance happens to be symmetric; that symmetry is all the
-    # oriented constructions actually use.
-    if not oracle.symmetric:
-        raise errors.UnsupportedFlavor(
-            "pair curvature needs the undirected or oriented flavor, "
-            "or a directed instance with symmetric quasi-distance"
-        )
-
-
 class EvalStats:
     """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
 
@@ -150,7 +139,7 @@ class Limit(NamedTuple):
 
 
 class _Chain:
-    """The linear regions of one transport entry's W(alpha) found so far.
+    """The linear regions found so far of W(alpha) between two walk measures.
 
     ``lines`` holds them in alpha order as pieces, each the union of the
     neighbouring pieces traced on one line; they are contiguous, so every
@@ -204,16 +193,16 @@ class _Chain:
 class Evaluator:
     """Curvature of one hypergraph, each measure, transport and limit computed once.
 
+    A target's defect-sum terms and length are resolved once per variant.
     Walk measures are memoised at alpha 0 and 1 by (constructor, vertex or
     edge, direction or side); the measure at any other alpha is their affine
-    blend. Transport values are memoised per pair or directed edge as a
+    blend. Transport values are memoised per pair of walk measures as a
     chain of exact linear pieces of W(alpha): one solve finds the first, and
     dual pivots trace the others as far as requested. Limits are memoised by
-    (target, variant where it matters, k_max). A one-to-one directed
-    hyperedge shares the transport entry of the pair of its ends. A limit
-    that does not stabilize is remembered and raised again. Couplings are
-    never built. Build one per hypergraph and oracle and drop it with them:
-    the memo is never shared between runs.
+    (target, variant where it matters, k_max). A limit that does not
+    stabilize is remembered and raised again. Couplings are never built.
+    Build one per hypergraph and oracle and drop it with them: the memo is
+    never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -222,37 +211,36 @@ class Evaluator:
         self.stats = EvalStats()
         self._measures: dict[tuple, list] = {}
         self._transports: dict[tuple, _Chain] = {}
-        self._lengths: dict[tuple, int] = {}
+        self._targets: dict[tuple, tuple[tuple, int]] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
-    def _ends(self, kind: str, where: int, side: str | None):
-        """Int masses of one vertex's or side's walk measure at alpha 0 and 1.
+    def _ends(self, key: tuple):
+        """Int masses at alpha 0 and 1 of the walk measure ``walk_ends(hg, *key)``.
 
         Every walk measure is affine in alpha, so the measure at any alpha is
         ``(1-alpha)*mu0 + alpha*mu1`` of these two.
         """
-        key = (kind, where, side)
         ends = self._measures.get(key)
         if ends is not None:
             self.stats.measure_hits += 1
             return ends
         self.stats.measures += 2
-        ends = self._measures[key] = walk_ends(self.hg, kind, where, side)
+        ends = self._measures[key] = walk_ends(self.hg, *key)
         return ends
 
-    def _family(self, key: tuple) -> AffineFamily:
-        """Union supports and int endpoint masses of one transport entry.
+    def _chain(self, key: tuple) -> _Chain:
+        """The chain of the transport between two walk measures, made on first use.
 
-        Each end comes in lowest terms, its denominator the lcm of its
-        masses' reduced denominators, so the lcm of the four is the scale
-        that ``Fraction`` masses would bring.
+        ``key`` is the pair of their ``_ends`` keys, source first. The family
+        holds their union supports and int endpoint masses. Each end comes
+        in lowest terms, its denominator the lcm of its masses' reduced
+        denominators, so the lcm of the four is the scale that ``Fraction``
+        masses would bring.
         """
-        if key[0] == "edge":
-            ends = self._ends("set", key[1], "tail") + self._ends("set", key[1], "head")
-        elif self.hg.flavor == UNDIRECTED:
-            ends = self._ends("undirected", key[1], None) + self._ends("undirected", key[2], None)
-        else:
-            ends = self._ends("pair", key[1], "in") + self._ends("pair", key[2], "out")
+        chain = self._transports.get(key)
+        if chain is not None:
+            return chain
+        ends = self._ends(key[0]) + self._ends(key[1])
         scale = math.lcm(*[den for _mass, den in ends])
         (mu0, d0), (mu1, d1), (nu0, e0), (nu1, e1) = ends
         rows = sorted(mu0.keys() | mu1.keys())
@@ -262,7 +250,7 @@ class Evaluator:
             factor = scale // den
             return [mass.get(v, 0) * factor for v in support]
 
-        return AffineFamily(
+        family = AffineFamily(
             rows,
             cols,
             scaled(mu0, d0, rows),
@@ -271,41 +259,73 @@ class Evaluator:
             scaled(nu1, e1, cols),
             scale,
         )
-
-    def _keys(self, target: tuple) -> list[tuple]:
-        """Transport entries whose W make up the kappa of a target: the pair
-        itself, a directed edge, or every member pair of an undirected edge."""
-        if target[0] == "pair":
-            return [target[:3]]
-        if self.hg.flavor != UNDIRECTED:
-            return [("edge", target[1])]
-        vs = self.hg.edges[target[1]].sorted_vertices()
-        return [("pair", vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-
-    def _chain(self, key: tuple) -> _Chain:
-        """The chain of a pair ``("pair", u, v)`` or edge ``("edge", h)``, made on first use."""
-        if key[0] == "edge":
-            edge = self.hg.edges[key[1]]
-            if len(edge.tail) == 1 and len(edge.head) == 1:
-                # The set measures of a one-to-one hyperedge are the pair
-                # measures of its ends, so both targets share one entry.
-                key = ("pair", *edge.tail, *edge.head)
-        chain = self._transports.get(key)
-        if chain is None:
-            chain = self._transports[key] = _Chain(self._family(key))
+        chain = self._transports[key] = _Chain(family)
         return chain
 
-    def _transport(self, key: tuple, p: int, q: int) -> tuple[int, int]:
-        """W at alpha ``p/q`` of a pair ``("pair", u, v)`` or edge ``("edge", h)``.
+    def _target(self, target: tuple, variant: str) -> tuple[tuple, int]:
+        """The terms ``(chain, d)`` and the length L of a target's defect sum.
+
+        ``d`` and L are distances times ``oracle.scale``. ``variant`` is the
+        length normalizer of undirected hyperedges and is ignored elsewhere.
+        """
+        key = (target, variant)
+        found = self._targets.get(key)
+        if found is not None:
+            return found
+        hg, oracle = self.hg, self.oracle
+        table = oracle.table
+        kind = target[0]
+        if kind == "pair":
+            u, v = target[1], target[2]
+            if u == v:
+                raise errors.SamePair(
+                    f"pair curvature needs two distinct vertices, got ({u}, {v})"
+                )
+            # Undirected and oriented distances are always symmetric.
+            if not oracle.symmetric:
+                raise errors.UnsupportedFlavor(
+                    "pair curvature needs the undirected or oriented flavor, "
+                    "or a directed instance with symmetric quasi-distance"
+                )
+            # From the in-walk of u to the out-walk of v; undirected, the
+            # in-walk is the out-walk.
+            source = "out" if hg.flavor == UNDIRECTED else "in"
+            length = table[u][v]
+            terms = ((self._chain((("pair", u, source), ("pair", v, "out"))), length),)
+        elif kind != "edge":
+            raise ValueError(f"unknown target kind {kind!r}")
+        elif hg.flavor == UNDIRECTED:
+            vs = hg.edges[target[1]].sorted_vertices()
+            terms = tuple(
+                (self._chain((("pair", x, "out"), ("pair", y, "out"))), table[x][y])
+                for i, x in enumerate(vs)
+                for y in vs[i + 1 :]
+            )
+            length = scaled_edge_length(hg, oracle, target[1], variant)
+        else:
+            h = target[1]
+            edge = hg.edges[h]
+            if len(edge.tail) == 1 and len(edge.head) == 1:
+                # One-vertex set measures are the pair measures of the ends,
+                # so a one-to-one hyperedge shares the chain of that pair.
+                ends = (("pair", *edge.tail, "in"), ("pair", *edge.head, "out"))
+            else:
+                ends = (("set", h, "tail"), ("set", h, "head"))
+            length = scaled_edge_length(hg, oracle, h, "min")
+            terms = ((self._chain(ends), length),)
+        found = self._targets[key] = (terms, length)
+        return found
+
+    def _transport(self, chain: _Chain, p: int, q: int) -> tuple[int, int]:
+        """W at alpha ``p/q`` of one transport chain.
 
         Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. The
-        first request of an entry solves it at its alpha, on the union
+        first request of a chain solves it at its alpha, on the union
         supports of its endpoint measures, and ranges the optimal basis into
         the exact linear piece of W around that alpha. A later alpha on a
         stored piece is read off it; one outside the chain extends the chain
         from its nearer end by dual pivots until a piece covers the alpha.
         """
-        chain = self._chain(key)
         for line in chain.lines:
             if line.covers(p, q):
                 self.stats.solve_hits += 1
@@ -338,10 +358,10 @@ class Evaluator:
         self.stats.traced_pieces += 1
         return chain.store(basis, upward)
 
-    def _alpha_lo(self, target: tuple, floor: Fraction) -> Fraction:
+    def _alpha_lo(self, target: tuple, variant: str, floor: Fraction) -> Fraction:
         """Lower end of the final linear region of kappa for a target solved before.
 
-        That is the largest over the target's transport entries of the lower
+        That is the largest over the target's transport chains of the lower
         end of the final linear region of their W: a sum of concave terms is
         linear exactly where every term is. Each chain is traced up to 1 and
         down only as far as needed: the value is exact when it exceeds
@@ -349,10 +369,9 @@ class Evaluator:
         """
         fn, fd = floor.numerator, floor.denominator
         num, den = 0, 1
-        for key in self._keys(target):
-            chain = self._chain(key)
+        for chain, _d in self._target(target, variant)[0]:
             if chain.lines[-1].hi_num != chain.lines[-1].hi_den:
-                self._transport(key, 1, 1)
+                self._transport(chain, 1, 1)
             while len(chain.lines) == 1 and chain.lines[0].lo_num * fd > fn * chain.lines[0].lo_den:
                 self._extend(chain, upward=False)
             final = chain.lines[-1]
@@ -372,19 +391,10 @@ class Evaluator:
         return sorted(
             {
                 Fraction(line.lo_num, line.lo_den)
-                for key in self._keys(target)
-                for line in self._chain(key).lines[1:]
+                for chain, _d in self._target(target, "sum")[0]
+                for line in chain.lines[1:]
             }
         )
-
-    def _length(self, edge_index: int, variant: str) -> int:
-        """Length of a hyperedge under ``variant``, times ``oracle.scale``."""
-        key = (edge_index, variant)
-        length = self._lengths.get(key)
-        if length is None:
-            length = scaled_edge_length(self.hg, self.oracle, edge_index, variant)
-            self._lengths[key] = length
-        return length
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):
         """``kappa_alpha`` of a ``("pair", u, v)`` or ``("edge", h)`` target.
@@ -392,41 +402,23 @@ class Evaluator:
         ``variant`` is the length normalizer of undirected hyperedges and is
         ignored elsewhere.
         """
-        return self._kappa(target, as_alpha(alpha), variant)
+        return self._kappa(tuple(target), as_alpha(alpha), variant)
 
     def _kappa(self, target: tuple, alpha: Fraction, variant: str) -> Fraction:
         """``kappa`` at an alpha already checked to lie in [0, 1]."""
-        hg, oracle = self.hg, self.oracle
+        terms, length = self._target(target, variant)
         p, q = alpha.numerator, alpha.denominator
-        kind = target[0]
-        if kind == "pair":
-            u, v = target[1], target[2]
-            if u == v:
-                raise errors.SamePair(
-                    f"pair curvature needs two distinct vertices, got ({u}, {v})"
-                )
-            _require_pair_flavor(hg, oracle)
-            w, s = self._transport(("pair", u, v), p, q)
-            # 1 - W/d with W = w / (q*s*scale) and d = table[u][v] / scale.
-            den = q * s * oracle.table[u][v]
-            return Fraction(den - w, den)
-        if kind != "edge":
-            raise ValueError(f"unknown target kind {kind!r}")
-        if hg.flavor != UNDIRECTED:
-            w, s = self._transport(("edge", target[1]), p, q)
-            den = q * s * self._length(target[1], "min")
-            return Fraction(den - w, den)
-        # The defect sum of d - W over member pairs, times q * scale, is
-        # defect / den; each pair's term comes over its own mass scale s.
+        # The defect sum of d - W over the terms, times q * scale, is
+        # defect / den; each term's W comes over its own mass scale s.
         defect, den = 0, 1
-        for key in self._keys(target):
-            w, s = self._transport(key, p, q)
+        for chain, d in terms:
+            w, s = self._transport(chain, p, q)
             if den % s:
                 grown = math.lcm(den, s)
                 defect *= grown // den
                 den = grown
-            defect += (q * s * oracle.table[key[1]][key[2]] - w) * (den // s)
-        return Fraction(defect, den * q * self._length(target[1], variant))
+            defect += (q * s * d - w) * (den // s)
+        return Fraction(defect, den * q * length)
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
@@ -479,7 +471,7 @@ class Evaluator:
         # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
         # kappa from alpha to 1: by concavity constant on the final linear
         # region and strictly smaller before it.
-        k = _dyadic_index(self._alpha_lo(target, _ALPHA_2))
+        k = _dyadic_index(self._alpha_lo(target, variant, _ALPHA_2))
         if k >= k_max:
             raise _not_settled(target, k_max)
         if k == 2:
@@ -515,7 +507,7 @@ class Evaluator:
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=self._alpha_lo(target, Fraction(0)),
+            alpha_lo=self._alpha_lo(target, variant, Fraction(0)),
         )
 
 

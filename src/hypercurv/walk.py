@@ -54,7 +54,6 @@ class ProbabilityMeasure:
 
 
 _NO_EDGE = {
-    "undirected": "vertex {} has zero degree",
     "in": "vertex {} heads no hyperedge",
     "out": "vertex {} tails no hyperedge",
 }
@@ -65,8 +64,8 @@ def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
 
     ``kind`` ``"out"``: each head vertex z != x of a hyperedge h' tailing out
     of x receives ``w(h') / (|head h' \\ {x}| * w_out(x))``; ``"in"`` likewise
-    with tails and ``w_in(x)``. ``"undirected"`` is the out-walk, h' being
-    its own tail and head: ``w(h') / ((|h'|-1) * Deg(x))``. Shares
+    with tails and ``w_in(x)``. An undirected h' is its own tail and head,
+    so there both walks give ``w(h') / ((|h'|-1) * Deg(x))``. Shares
     accumulate over hyperedges; the masses total 1. The shares are summed
     over the lcm of the size terms times the int degree, and the result is
     put in lowest terms.
@@ -110,8 +109,8 @@ def walk_ends(
 ) -> tuple[IntMasses, IntMasses]:
     """The int masses of one walk measure at alpha = 0 and at alpha = 1.
 
-    ``kind`` ``"undirected"``: the walk of vertex ``where``. ``"pair"``: the
-    in- or out-walk (``side`` ``"in"``/``"out"``) of vertex ``where``.
+    ``kind`` ``"pair"``: the in- or out-walk (``side`` ``"in"``/``"out"``)
+    of vertex ``where``; on an undirected hypergraph the two are the same.
     ``"set"``: the sum of the in-walks of the tail vertices (``side``
     ``"tail"``) or the out-walks of the head vertices (``"head"``) of
     hyperedge ``where``, each of mass ``1/n`` for n vertices on that side.
@@ -120,8 +119,6 @@ def walk_ends(
     the lcm of its masses' reduced denominators. Flavors and vertex ids
     are the caller's to check.
     """
-    if kind == "undirected":
-        return spread(hg, "undirected", where), ({where: 1}, 1)
     if kind == "pair":
         return spread(hg, side, where), ({where: 1}, 1)
     edge = hg.edges[where]
@@ -166,7 +163,7 @@ def measure_undirected(hg: Hypergraph, x: int, alpha) -> ProbabilityMeasure:
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("measure_undirected needs the undirected flavor")
     a = as_alpha(alpha)
-    return _view(walk_ends(hg, "undirected", x, None), a)
+    return _view(walk_ends(hg, "pair", x, "out"), a)
 
 
 def _tail_vertex(hg: Hypergraph, edge_index: int, i: int) -> tuple[int, int]:

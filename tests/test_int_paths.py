@@ -89,22 +89,21 @@ CORPORA = {
 }
 
 
-def _family_keys(hg, oracle):
-    keys = {("edge", e) for e in range(hg.n_edges)} if hg.flavor != UNDIRECTED else set()
-    for target, _variant in curvature_targets(hg, oracle):
-        if target[0] == "pair":
-            keys.add(target)
-        elif hg.flavor == UNDIRECTED:
-            vs = hg.edges[target[1]].sorted_vertices()
-            keys.update(("pair", u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-    return sorted(keys)
+def _reference_keys(hg, target):
+    """The ``reference_family`` keys of a target's transports, in the order of its terms."""
+    if target[0] == "pair" or hg.flavor != UNDIRECTED:
+        return [target]
+    vs = hg.edges[target[1]].sorted_vertices()
+    return [("pair", u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
 
 
 def _check_families(hg):
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
-    for key in _family_keys(hg, oracle):
-        assert tuple(ev._family(key)) == reference_family(hg, key), key
+    for target, variant in curvature_targets(hg, oracle):
+        terms, _length = ev._target(target, variant)
+        for (chain, _d), key in zip(terms, _reference_keys(hg, target), strict=True):
+            assert tuple(chain.family) == reference_family(hg, key), key
 
 
 def _check_measures(hg):
