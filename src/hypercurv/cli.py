@@ -222,8 +222,8 @@ def _grid_texts(cfg: RunConfig) -> list[tuple[str, bool]]:
     return [(cfg.fmt_num(a), a == 1) for a in cfg.alpha_grid]
 
 
-def _curve_rows(report, fmt, grid_texts) -> list[tuple[str, str, str]]:
-    """(alpha, kappa, normalized) of each curve sample; normalized is "" at alpha=1.
+def _curve_rows(report, fmt, grid_texts) -> list[tuple[str, str, str | None]]:
+    """(alpha, kappa, normalized) of each curve sample; normalized is None at alpha=1.
 
     ``fmt`` is the run's ``fmt_num``; ``grid_texts`` is ``_grid_texts(cfg)``
     for the grid the report was sampled on. ``curve.normalized`` is the
@@ -231,7 +231,7 @@ def _curve_rows(report, fmt, grid_texts) -> list[tuple[str, str, str]]:
     """
     normalized = iter(report.curve.normalized)
     return [
-        (alpha, fmt(k), "" if is_one else fmt(next(normalized)[1]))
+        (alpha, fmt(k), None if is_one else fmt(next(normalized)[1]))
         for (alpha, is_one), (_a, k) in zip(grid_texts, report.curve.samples)
     ]
 

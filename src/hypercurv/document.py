@@ -21,6 +21,7 @@ positioned error.
 from __future__ import annotations
 
 import json
+import sys
 
 from . import errors, hypergraph
 from .hypergraph import FLAVORS, UNDIRECTED, Hypergraph
@@ -30,16 +31,18 @@ from .rational import as_fraction
 class ParsedDocument:
     """A validated hypergraph plus the naming needed to talk about it."""
 
-    __slots__ = ("hypergraph", "vertex_names", "edge_names")
+    __slots__ = ("hypergraph", "vertex_names", "edge_names", "_vertex_ids", "_edge_ids")
 
     def __init__(self, hypergraph: Hypergraph, vertex_names: list[str], edge_names: list[str]):
         self.hypergraph = hypergraph
         self.vertex_names = vertex_names
         self.edge_names = edge_names
+        self._vertex_ids = {name: i for i, name in enumerate(vertex_names)}
+        self._edge_ids = {name: i for i, name in enumerate(edge_names)}
 
     def vertex_id(self, token: str) -> int:
-        if token in self.vertex_names:
-            return self.vertex_names.index(token)
+        if token in self._vertex_ids:
+            return self._vertex_ids[token]
         try:
             v = int(token)
         except ValueError:
@@ -49,8 +52,8 @@ class ParsedDocument:
         raise errors.UnknownTarget(f"vertex index {v} out of range")
 
     def edge_id(self, token: str) -> int:
-        if token in self.edge_names:
-            return self.edge_names.index(token)
+        if token in self._edge_ids:
+            return self._edge_ids[token]
         try:
             e = int(token)
         except ValueError:
@@ -60,15 +63,15 @@ class ParsedDocument:
         raise errors.UnknownTarget(f"hyperedge index {e} out of range")
 
 
-def _vertex_list(raw, names: list[str], where: str) -> list[int]:
+def _vertex_list(raw, ids: dict[str, int], where: str) -> list[int]:
     if not isinstance(raw, list) or not raw:
         raise errors.ParseError(f"{where}: expected a nonempty list of vertices")
     out = []
     for pos, item in enumerate(raw):
         if isinstance(item, str):
             try:
-                out.append(names.index(item))
-            except ValueError:
+                out.append(ids[item])
+            except KeyError:
                 raise errors.ParseError(f"{where}[{pos}]: unknown vertex name {item!r}") from None
         elif isinstance(item, int) and not isinstance(item, bool):
             out.append(item)
@@ -91,8 +94,11 @@ def parse_document(data) -> ParsedDocument:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise errors.ParseError(f"invalid JSON: {exc}") from None
+        except ValueError:  # an int literal past the interpreter's digit limit
+            why = f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+            raise errors.ParseError(f"invalid JSON: {why}") from None
     if not isinstance(data, dict):
         raise errors.ParseError("document root must be a JSON object")
 
@@ -132,6 +138,7 @@ def parse_document(data) -> ParsedDocument:
         lists = (rec.get(key) for rec in records if isinstance(rec, dict) for key in keys)
         hypergraph.check_vertex_count(flavor, n, sum(len(x) for x in lists if isinstance(x, list)))
         names = [f"x{i + 1}" for i in range(n)]
+    ids = {name: i for i, name in enumerate(names)}
 
     parsed_edges = []
     edge_names = []
@@ -143,14 +150,14 @@ def parse_document(data) -> ParsedDocument:
         if flavor == UNDIRECTED:
             if "vertices" not in rec:
                 raise errors.ParseError(f"{where}: undirected records need 'vertices'")
-            parsed_edges.append((_vertex_list(rec["vertices"], names, f"{where}.vertices"), w))
+            parsed_edges.append((_vertex_list(rec["vertices"], ids, f"{where}.vertices"), w))
         else:
             if "tail" not in rec or "head" not in rec:
                 raise errors.ParseError(f"{where}: directed records need 'tail' and 'head'")
             parsed_edges.append(
                 (
-                    _vertex_list(rec["tail"], names, f"{where}.tail"),
-                    _vertex_list(rec["head"], names, f"{where}.head"),
+                    _vertex_list(rec["tail"], ids, f"{where}.tail"),
+                    _vertex_list(rec["head"], ids, f"{where}.head"),
                     w,
                 )
             )
@@ -171,7 +178,7 @@ def load_document(path: str) -> ParsedDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read {path}: {exc}") from None
     return parse_document(text)
 

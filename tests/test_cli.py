@@ -7,13 +7,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypercurv import parse_document, serialize_document
+from hypercurv import load_document, parse_document, serialize_document
 from hypercurv.cli import main
+from hypercurv.walk import measure_directed_in
 
 H4_DOC = {
     "flavor": "undirected",
@@ -284,6 +286,53 @@ def test_measure_directed_constituent(capsys, tmp_path):
     assert json.loads(out)["total"] == "1"
 
 
+LATE_LIMIT_FILE = H4_FILE.with_name("late_limit_directed.json")
+
+
+def test_measure_tail_constituent_matches_the_library(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["measure", str(LATE_LIMIT_FILE), "--edge", "h6", "--side", "tail", "--index", "0"],
+    )
+    assert code == 0
+    hg = load_document(str(LATE_LIMIT_FILE)).hypergraph
+    mu = measure_directed_in(hg, 5, 0, Fraction(1, 2))
+    assert json.loads(out) == {
+        "mode": "exact",
+        "alpha": "1/2",
+        "mass": {f"x{v + 1}": str(m) for v, m in sorted(mu.mass.items())},
+        "total": "1/4",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["validate", "{h4}", "--parallel", "0"], "ParseError"),
+        (["curvature", "{h4}", "--pair", "x1"], "UnknownTarget"),
+        (["curvature", "{h4}"], "UnknownTarget"),
+        (["sweep", "{h4}", "--pair", "x1,x2", "--edge", "h1"], "UnknownTarget"),
+        (["measure", "{late}", "--vertex", "x1"], "UnknownTarget"),
+        (["measure", "{h4}", "--edge", "h1"], "UnknownTarget"),
+        (["measure", "{h4}"], "UnknownTarget"),
+    ],
+    ids=[
+        "parallel-0",
+        "pair-without-comma",
+        "curvature-without-target",
+        "sweep-two-targets",
+        "measure-vertex-directed",
+        "measure-edge-undirected",
+        "measure-without-target",
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, error):
+    argv = [a.format(h4=H4_FILE, late=LATE_LIMIT_FILE) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+
+
 def test_distances_json_symmetry_flag(capsys, h4_path):
     code, out, _ = _run(capsys, ["distances", h4_path, "--format", "json"])
     assert code == 0
@@ -351,6 +400,47 @@ def test_huge_weight_literal_rejected(capsys, tmp_path, weight):
     assert code == 2
     assert err.startswith("ParseError: ") and len(err.splitlines()) == 1
     assert ("digits" if weight == HUGE_INT else "weight") in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_undecodable_document_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"flavor": "\xff"}')
+    code, _, err = _run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert err.startswith("ParseError: cannot read ") and len(err.splitlines()) == 1
+
+
+def _best_parse_seconds(text: str) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_document(text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_named_vertices_parse_in_linear_time():
+    """Resolving vertex names costs about what integer ids cost.
+
+    The same 8000-vertex undirected path is parsed with named vertices and
+    with ``n_vertices`` and integer ids; the ratio of the two times cancels
+    the speed of the host. A list scan per name made it about 12.
+    """
+    n = 8000
+    names = [f"v{i}" for i in range(n)]
+    named = {
+        "flavor": "undirected",
+        "vertices": names,
+        "hyperedges": [{"vertices": [names[i], names[i + 1]]} for i in range(n - 1)],
+    }
+    numbered = {
+        "flavor": "undirected",
+        "n_vertices": n,
+        "hyperedges": [{"vertices": [i, i + 1]} for i in range(n - 1)],
+    }
+    ratio = _best_parse_seconds(json.dumps(named)) / _best_parse_seconds(json.dumps(numbered))
+    assert ratio <= 3, ratio
 
 
 def _cap_address_space() -> None:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hypercurv import Evaluator, all_pairs_distances, build, errors, verdict_ledger
+from hypercurv import Evaluator, all_pairs_distances, build, errors, load_document, verdict_ledger
 from hypercurv.curvature import _dyadic_index
 
 from conftest import (
@@ -158,6 +159,30 @@ def test_alpha_lo_is_where_kappa_turns_linear(flavor):
                 assert kappa(below) < slope * (below - 1), (target, below)
                 kinked += 1
     assert kinked > 0
+
+
+LATE_LIMIT_PATH = Path(__file__).resolve().parent.parent / "data" / "late_limit_directed.json"
+
+
+def test_limit_certified_past_three_quarters():
+    """Edge h6 turns linear at 43/54, past 3/4, so its limit is read off
+    kappa at 7/8; edge h7 has curvature -4 at alpha=1 and diverges."""
+    hg = load_document(str(LATE_LIMIT_PATH)).hypergraph
+    oracle = all_pairs_distances(hg)
+    ev = Evaluator(hg, oracle)
+    rep = ev.report(("edge", 5), "sum", GRID)
+    assert (rep.lly, rep.stabilization_alpha, rep.alpha_lo) == (
+        Fraction(75, 68),
+        Fraction(7, 8),
+        Fraction(43, 54),
+    )
+    assert ev.breakpoints(("edge", 5)) == [Fraction(43, 54)]
+    assert (rep.curve.samples, rep.curve.normalized, rep.lly, rep.stabilization_alpha) == (
+        reference_lly_limit(hg, oracle, ("edge", 5), "sum", GRID)
+    )
+    assert ev.kappa(("edge", 6), 1) == -4
+    with pytest.raises(errors.NoStabilization, match="decreases without bound"):
+        ev.limit(("edge", 6))
 
 
 def test_dyadic_index_is_the_first_dyadic_alpha_at_or_past():

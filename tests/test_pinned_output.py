@@ -144,7 +144,10 @@ def test_help_text_is_pinned(monkeypatch, command):
 
 
 def test_repeated_and_unit_grid_alphas_keep_their_rows(capsys):
-    """A grid alpha given twice gets two rows; alpha=1 rows have a blank normalized value."""
+    """A grid alpha given twice gets two rows; alpha=1 rows have no normalized value.
+
+    It is a blank field in CSV and null in JSON.
+    """
     argv = ["curvature", str(H4_PATH), "--pair", "x2,x3", "--alpha-grid", "0.5,0.5,1,1"]
     assert main([*argv, "--format", "csv"]) == 0
     assert capsys.readouterr().out == (
@@ -156,6 +159,16 @@ def test_repeated_and_unit_grid_alphas_keep_their_rows(capsys):
         '"pair x2,x3",1,0,\n'
         '"pair x2,x3",3/4,,3/2\n'
     )
+    assert main([*argv, "--format", "json"]) == 0
+    curve = json.loads(capsys.readouterr().out)["results"][0]["curve"]
+    assert [row["normalized"] for row in curve] == ["3/2", "3/2", None, None]
+
+
+def test_sweep_row_of_a_limit_certified_past_three_quarters(capsys):
+    """The last sweep row is the stabilization alpha, its kappa and the limit."""
+    path = H4_PATH.with_name("late_limit_directed.json")
+    assert main(["sweep", str(path), "--edge", "h6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "7/8,75/544,75/68"
 
 
 PINNED = {
