@@ -48,7 +48,6 @@ from .metric import (
     scaled_edge_length,
 )
 from .rational import as_alpha
-from .walk import spread
 
 
 class BoundVerdict(NamedTuple):
@@ -257,12 +256,14 @@ def check_directed_edge_bound(
     scale = oracle.scale
     estimate_den = scale * w_ratio.denominator * b_max
 
+    ev = ev or Evaluator(hg, oracle)
     per_head = []
     # sum_j C_j, as c_num / (scale * c_den)
     c_num, c_den = 0, 1
     for y in heads:
-        part = partition_neighborhood(hg, oracle, ref, y)
-        walk, den = spread(hg, "out", y)
+        # The out-walk's support is y's out-neighborhood.
+        walk, den = ev.out_spread(y)
+        part = partition_neighborhood(hg, oracle, ref, y, walk)
         exact = 0  # C_j * scale * den
         estimate = 0  # the estimate of C_j, times estimate_den
         if part.closer:
@@ -286,7 +287,7 @@ def check_directed_edge_bound(
         c_den = grown
 
     length = scaled_edge_length(hg, oracle, edge_index, "min")
-    kappa = (ev or Evaluator(hg, oracle)).kappa(("edge", edge_index), a)
+    kappa = ev.kappa(("edge", edge_index), a)
     lhs = Fraction(kappa.numerator * length, kappa.denominator * scale)
     # (1 - a) * (c_num / (scale * c_den * m) + diam), with a = p/q
     p, q = a.numerator, a.denominator
@@ -412,7 +413,10 @@ def check_pair_bound_oriented(
                 raise errors.NonUnitWeights("the partition pair bound needs unit weights")
             verdicts.append(_skip("oriented-pair-upper-unit", target, "NonUnitWeights"))
         else:
-            part = partition_neighborhood(hg, oracle, u, v)
+            # The out-walk of v is a one-step walk, so its support is the
+            # out-neighborhood that the partition splits.
+            walk, den = ev.out_spread(v)
+            part = partition_neighborhood(hg, oracle, u, v, walk)
             # The closer-class count only caps the drifting mass when no
             # closer neighbor is reachable through several hyperedges at
             # once (spread weight above 1); otherwise the inequality has
@@ -420,7 +424,6 @@ def check_pair_bound_oriented(
             # weights out_weight(v) is deg_out(v), so the spread weight of z,
             # the total of 1/|head| over the hyperedges carrying v to z, is
             # its out-walk mass walk[z] / den times deg_out(v).
-            walk, den = spread(hg, "out", v)
             deg = hg.deg_out(v)
             overloaded = sorted(z for z in part.closer if walk[z] * deg > den)
             if overloaded:

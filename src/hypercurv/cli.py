@@ -188,12 +188,12 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
         elif hg.flavor == ORIENTED:
             mu = walk.measure_oriented_pair(hg, v, args.direction, cfg.alpha)
         else:
-            raise errors.UnknownTarget(
+            raise errors.UnsupportedFlavor(
                 "plain directed measures are hyperedge-based; use --edge/--side"
             )
     elif args.edge is not None:
         if hg.flavor == UNDIRECTED:
-            raise errors.UnknownTarget("undirected measures are vertex-based; use --vertex")
+            raise errors.UnsupportedFlavor("undirected measures are vertex-based; use --vertex")
         e = doc.edge_id(args.edge)
         if args.index is not None:
             if args.side == "tail":

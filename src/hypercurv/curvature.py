@@ -41,17 +41,21 @@ from . import errors
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
 from .metric import DistanceOracle, scaled_edge_length
 from .rational import as_alpha
-from .transport import AffineFamily, Basis, LinearPiece, dual_pivot, ranged_basis, wasserstein
-# The Evaluator builds its measures from ``walk_ends``; the constructors stay
+from .transport import AffineFamily, Basis, LinearPiece, dual_pivot, solve_family
+# The Evaluator solves its families with ``solve_family`` and builds its
+# measures from ``walk_ends``; ``wasserstein`` and the constructors stay
 # importable from this module, where perfbench/tracer.py wraps them.
+from .transport import wasserstein  # noqa: F401
 from .walk import (  # noqa: F401
     _pair_measure,
     measure_set,
     measure_undirected,
+    spread,
     walk_ends,
 )
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
+_DEFAULT_GRID_INTS = tuple((a.numerator, a.denominator) for a in DEFAULT_ALPHA_GRID)
 DEFAULT_K_MAX = 24
 # The first alpha of the dyadic rule, 1 - 2**-2: no limit is certified before it.
 _ALPHA_2 = Fraction(3, 4)
@@ -100,7 +104,9 @@ class EvalStats:
     first linear piece of W(alpha); ``pivots`` and ``degenerate_pivots``
     count the primal simplex pivots of those solves. Every further piece is
     traced from a neighbouring one by ``dual_pivots``; ``traced_pieces``
-    counts them. A solve hit is a transport value read off a stored piece.
+    counts them. A solve hit is a transport value read off a stored piece:
+    one per term of a target and alpha read, so a report's curve counts one
+    per term and grid alpha.
     Measures count walk measures built (two per vertex or side, at alpha 0
     and 1); a measure hit is a reuse of such a pair.
     """
@@ -189,6 +195,14 @@ class _Chain:
             self.low = basis
         return piece
 
+    def spans(self, p: int, q: int) -> bool:
+        """Whether the lines found so far reach alpha ``p/q``."""
+        lines = self.lines
+        return bool(lines) and (
+            lines[0].lo_num * q <= p * lines[0].lo_den
+            and p * lines[-1].hi_den <= lines[-1].hi_num * q
+        )
+
 
 class Evaluator:
     """Curvature of one hypergraph, each measure, transport and limit computed once.
@@ -197,12 +211,14 @@ class Evaluator:
     Walk measures are memoised at alpha 0 and 1 by (constructor, vertex or
     edge, direction or side); the measure at any other alpha is their affine
     blend. Transport values are memoised per pair of walk measures as a
-    chain of exact linear pieces of W(alpha): one solve finds the first, and
-    dual pivots trace the others as far as requested. Limits are memoised by
-    (target, variant where it matters, k_max). A limit that does not
-    stabilize is remembered and raised again. Couplings are never built.
-    Build one per hypergraph and oracle and drop it with them: the memo is
-    never shared between runs.
+    chain of exact linear pieces of W(alpha): one int solve of the family
+    (``transport.solve_family``) finds the first, and dual pivots, in place
+    on the chain's end bases, trace the others as far as requested. A
+    report's curve is read off kappa's merged int lines. Limits are
+    memoised by (target, variant where it matters, k_max). A limit that
+    does not stabilize is remembered and raised again. Couplings are never
+    built. Build one per hypergraph and oracle and drop it with them: the
+    memo is never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -213,6 +229,7 @@ class Evaluator:
         self._transports: dict[tuple, _Chain] = {}
         self._targets: dict[tuple, tuple[tuple, int]] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
+        self._out_spreads: dict[int, tuple] = {}
 
     def _ends(self, key: tuple):
         """Int masses at alpha 0 and 1 of the walk measure ``walk_ends(hg, *key)``.
@@ -227,6 +244,16 @@ class Evaluator:
         self.stats.measures += 2
         ends = self._measures[key] = walk_ends(self.hg, *key)
         return ends
+
+    def out_spread(self, v: int):
+        """``walk.spread(hg, "out", v)``, computed once per vertex.
+
+        The bounds ledger reads it for every pair and hyperedge head at v.
+        """
+        found = self._out_spreads.get(v)
+        if found is None:
+            found = self._out_spreads[v] = spread(self.hg, "out", v)
+        return found
 
     def _chain(self, key: tuple) -> _Chain:
         """The chain of the transport between two walk measures, made on first use.
@@ -319,39 +346,48 @@ class Evaluator:
     def _transport(self, chain: _Chain, p: int, q: int) -> tuple[int, int]:
         """W at alpha ``p/q`` of one transport chain.
 
-        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. The
-        first request of a chain solves it at its alpha, on the union
-        supports of its endpoint measures, and ranges the optimal basis into
-        the exact linear piece of W around that alpha. A later alpha on a
-        stored piece is read off it; one outside the chain extends the chain
-        from its nearer end by dual pivots until a piece covers the alpha.
+        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. An
+        alpha on a stored piece is read off it; any other is reached by
+        ``_reach``.
         """
         for line in chain.lines:
             if line.covers(p, q):
                 self.stats.solve_hits += 1
                 return line.at(p, q), chain.family.scale
+        return self._reach(chain, p, q).at(p, q), chain.family.scale
+
+    def _reach(self, chain: _Chain, p: int, q: int) -> LinearPiece:
+        """The linear region of W that covers alpha ``p/q``, which no stored
+        piece of the chain covers yet.
+
+        The first request of a chain solves it at its alpha, on the union
+        supports of its endpoint measures, and ranges the optimal basis into
+        the exact linear piece of W around that alpha. A later alpha extends
+        the chain from its nearer end by dual pivots until a piece covers it.
+        """
         if chain.lines:
             top = chain.lines[-1]
             upward = top.hi_num * q < p * top.hi_den
             while not (line := self._extend(chain, upward)).covers(p, q):
                 pass
-        else:
-            self.stats.solves += 1
-            result = wasserstein(*chain.family.masses(p, q), self.oracle)
-            self.stats.pivots += result.pivots
-            self.stats.degenerate_pivots += result.degenerate_pivots
-            basis = ranged_basis(chain.family, result)
-            line = chain.store(basis, upward=True)
-        return line.at(p, q), chain.family.scale
+            return line
+        self.stats.solves += 1
+        basis, sol = solve_family(chain.family, p, q, self.oracle.table)
+        self.stats.pivots += sol.pivots
+        self.stats.degenerate_pivots += sol.degenerate_pivots
+        return chain.store(basis, upward=True)
 
     def _extend(self, chain: _Chain, upward: bool) -> LinearPiece:
         """Pivot past the upper or lower end of the chain to the next piece of
         W and return the linear region at that end, grown by the piece.
         Pieces of a single alpha, met where several flows reach zero at once,
-        are passed."""
+        are passed. The pivots reuse the end's basis in place; while both
+        ends still hold the first solve's basis, they work on a copy."""
         basis = chain.high if upward else chain.low
+        in_place = chain.low is not chain.high
         while True:
-            basis = dual_pivot(chain.family, basis, upward)
+            basis = dual_pivot(chain.family, basis, upward, in_place)
+            in_place = True
             self.stats.dual_pivots += 1
             if not basis.piece.is_point():
                 break
@@ -484,23 +520,38 @@ class Evaluator:
     ) -> CurvatureReport:
         """``limit`` of the target plus its curve sampled on ``grid``.
 
-        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``.
+        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are read
+        off kappa's merged lines in one walk over the grid in ascending
+        order; ``stats.solve_hits`` counts one read per term and grid alpha.
         """
         if grid is None or grid is DEFAULT_ALPHA_GRID:
-            grid = DEFAULT_ALPHA_GRID  # checked once, not per report
+            # Checked and sorted once, not per report.
+            grid, ints, ascending = DEFAULT_ALPHA_GRID, _DEFAULT_GRID_INTS, range(11)
         else:
             grid = tuple(as_alpha(a) for a in grid)
+            ints = [(a.numerator, a.denominator) for a in grid]
+            ascending = sorted(range(len(grid)), key=grid.__getitem__)
         target = tuple(target)
         found = self.limit(target, variant, k_max)
         samples = []
         normalized = []
-        for a in grid:
-            k = self._kappa(target, a, variant)
-            samples.append((a, k))
-            p, q = a.numerator, a.denominator
-            if p != q:
-                # k / (1 - a), built from ints: 1 - a is (q - p) / q.
-                normalized.append((a, Fraction(k.numerator * q, k.denominator * (q - p))))
+        if grid:
+            terms, length = self._target(target, variant)
+            lines, den = self._merged(terms, length, ints[ascending[0]], ints[ascending[-1]])
+            self.stats.solve_hits += len(terms) * len(grid)
+            values = [0] * len(grid)
+            lines = iter(lines)
+            line = next(lines)
+            for k in ascending:
+                p, q = ints[k]
+                while line.hi_num * q < p * line.hi_den:
+                    line = next(lines)
+                values[k] = (q - p) * line.w0 + p * line.w1
+            for a, (p, q), value in zip(grid, ints, values):
+                samples.append((a, Fraction(value, q * den)))
+                if p != q:
+                    # kappa / (1 - a), and 1 - a is (q - p) / q.
+                    normalized.append((a, Fraction(value, (q - p) * den)))
         return CurvatureReport(
             target=target,
             variant=self._variant_key(target, variant),
@@ -509,6 +560,62 @@ class Evaluator:
             stabilization_alpha=found.stabilization_alpha,
             alpha_lo=self._alpha_lo(target, variant, Fraction(0)),
         )
+
+    def curve(self, target: tuple, variant: str = "sum") -> tuple[list[LinearPiece], int]:
+        """kappa's linear regions over [0, 1], in alpha order, and their denominator.
+
+        Returns ``(lines, den)``: on each line, ``kappa(p/q) = line.at(p, q)
+        / (q * den)``. Traces every transport of the target over [0, 1].
+        """
+        terms, length = self._target(tuple(target), variant)
+        return self._merged(terms, length, (0, 1), (1, 1))
+
+    def _merged(self, terms: tuple, length: int, lo: tuple, hi: tuple) -> tuple[list, int]:
+        """kappa's linear regions over ``[lo, hi]``, summed from its terms' chains.
+
+        ``lo`` and ``hi`` are alphas as ``(num, den)``; each chain is first
+        extended over them. Over the lcm S of the chains' mass scales, a
+        region's int line is the sum over the terms of ``S*d - w*(S // s)``
+        at each end, since ``kappa = sum_k (d_k - W_k) / L``. The regions
+        end where any term's line ends; returns them and ``S * L``.
+        """
+        for chain, _d in terms:
+            for p, q in (lo, hi):
+                if not chain.spans(p, q):
+                    self._reach(chain, p, q)
+        (lo_num, lo_den), (hi_num, hi_den) = lo, hi
+        scale = math.lcm(*[chain.family.scale for chain, _d in terms])
+        k0 = k1 = 0
+        cursors = []
+        for chain, d in terms:
+            lines = chain.lines
+            t = 0
+            # The first line that reaches past lo, or the last.
+            while t + 1 < len(lines) and lines[t].hi_num * lo_den <= lo_num * lines[t].hi_den:
+                t += 1
+            factor = scale // chain.family.scale
+            k0 += scale * d - lines[t].w0 * factor
+            k1 += scale * d - lines[t].w1 * factor
+            cursors.append([lines, t, factor])
+        merged = []
+        while True:
+            end_num, end_den = hi_num, hi_den
+            for lines, t, _factor in cursors:
+                line = lines[t]
+                if line.hi_num * end_den < end_num * line.hi_den:
+                    end_num, end_den = line.hi_num, line.hi_den
+            merged.append(LinearPiece(lo_num, lo_den, end_num, end_den, k0, k1))
+            if end_num * hi_den == hi_num * end_den:
+                return merged, scale * length
+            for cursor in cursors:
+                lines, t, factor = cursor
+                line = lines[t]
+                if line.hi_num * end_den == end_num * line.hi_den:
+                    after = lines[t + 1]
+                    k0 += (line.w0 - after.w0) * factor
+                    k1 += (line.w1 - after.w1) * factor
+                    cursor[1] = t + 1
+            lo_num, lo_den = end_num, end_den
 
 
 def kappa_alpha_pair(hg: Hypergraph, oracle: DistanceOracle, u: int, v: int, alpha):

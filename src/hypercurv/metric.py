@@ -200,19 +200,21 @@ def set_distance(oracle: DistanceOracle, vertices, z: int) -> Fraction:
 
 
 def partition_neighborhood(
-    hg: Hypergraph, oracle: DistanceOracle, ref, anchor: int
+    hg: Hypergraph, oracle: DistanceOracle, ref, anchor: int, neighbors=None
 ) -> NeighborhoodPartition:
     """Split the out-neighborhood of ``anchor`` by distance from ``ref``.
 
     ``ref`` is a single vertex or a set of vertices (measured by minimum
-    distance). The distances are compared as ints of ``oracle.table``; the
-    base distance and the gaps become Fractions at the end.
+    distance). ``neighbors``, when given, is ``hg.neighbors(anchor)`` known
+    beforehand, in any iterable form. The distances are compared as ints of
+    ``oracle.table``; the base distance and the gaps become Fractions at
+    the end.
     """
     ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
     base = oracle._set_scaled(ref_tuple, anchor)
     rows = [oracle.table[u] for u in ref_tuple]
     closer, level, farther = {}, [], {}
-    for z in hg.neighbors(anchor):
+    for z in hg.neighbors(anchor) if neighbors is None else neighbors:
         dz = min(row[z] for row in rows)
         if dz < base:
             closer[z] = dz

@@ -1,21 +1,25 @@
 """Exact discrete 1-Wasserstein transport with primal coupling and dual witness.
 
 The solver is a transportation simplex on the complete bipartite support
-graph: northwest-corner start, Bland entering rule on lexicographic
-(row, col) order, leaving arc chosen as the lexicographically smallest
-minimizer. Each solve scales the masses to Python ints once, by the lcm
-of their denominators, reads int costs straight from the oracle's table
-(distances times its ``scale``), pivots on ints, and builds Fractions
-only for the result: the optimum, the coupling and the dual potential are
-exact and reproducible. Scaling changes no comparison, so the pivots and
-the results are those of the same simplex run on Fractions. The coupling
-is built from the optimal basis only when it is read.
+graph: a least-cost start that allocates cells in (cost, row, col) order,
+so mass that both measures put on a vertex stays on its zero-cost cell,
+then Bland's entering rule on lexicographic (row, col) order, leaving arc
+chosen as the lexicographically smallest minimizer. Each solve scales the
+masses to Python ints once, by the lcm of their denominators, reads int
+costs straight from the oracle's table (distances times its ``scale``),
+pivots on ints, and builds Fractions only for the result: the optimum,
+the coupling and the dual potential are exact and reproducible. Scaling
+changes no comparison, so the pivots and the results are those of the
+same simplex run on Fractions. The coupling is built from the optimal
+basis only when it is read.
 
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
-convex and piecewise linear in ``b``. :func:`ranged_basis` ranges the
-optimal basis of one solve into the exact :class:`LinearPiece` of W on
-which it stays optimal, and :func:`dual_pivot` steps from a ranged basis
-across either end of its piece to the next one, without another solve.
+convex and piecewise linear in ``b``. :func:`solve_family` solves a family
+at one ``b`` straight from its int masses and ranges the simplex's final
+tree into the exact :class:`LinearPiece` of W on which it stays optimal
+(:func:`ranged_basis` does the same for a :func:`wasserstein` result), and
+:func:`dual_pivot` steps from a ranged basis across either end of its
+piece to the next one, without another solve.
 
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
@@ -71,28 +75,24 @@ class TransportResult:
         self,
         value: Fraction,
         dual_potential: dict[int, Fraction] | None,
-        pivots: int,
-        degenerate_pivots: int,
-        flows: dict,
+        sol: _Solution,
         row_ids: list,
         col_ids: list,
         mass_scale: int,
-        u: list,
-        v: list,
         cost: list,
     ):
         self.value = value
         self.dual_potential = dual_potential
-        self.pivots = pivots
-        self.degenerate_pivots = degenerate_pivots
-        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
-        self._flows = flows
+        self.pivots = sol.pivots
+        self.degenerate_pivots = sol.degenerate_pivots
+        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``, and
+        # the simplex's own tree and potentials, which ``ranged_basis`` reads.
+        self._sol = sol
+        self._flows = sol.flows
         self._row_ids = row_ids
         self._col_ids = col_ids
         self._mass_scale = mass_scale
-        # Its row and column potentials and its cost matrix, on the oracle's scale.
-        self._u = u
-        self._v = v
+        # The cost matrix, on the oracle's scale.
         self._cost = cost
 
     @cached_property
@@ -144,25 +144,24 @@ def wasserstein(
         for u in row_ids:
             for v in col_ids:
                 oracle.d(u, v)  # raises MissingDistance at the first pair off the table
-    table = oracle.table
-    cost = [[table[u][v] for v in col_ids] for u in row_ids]
+    cost = _cost_matrix(oracle.table, row_ids, col_ids)
     sol = _transportation_simplex(supply, demand, cost)
     potential = None
     if with_potential:
         potential = _dual_potential(oracle, col_ids, sol.v)
     return TransportResult(
-        value=Fraction(sol.value, mass_scale * oracle.scale),
-        dual_potential=potential,
-        pivots=sol.pivots,
-        degenerate_pivots=sol.degenerate_pivots,
-        flows=sol.flows,
-        row_ids=row_ids,
-        col_ids=col_ids,
-        mass_scale=mass_scale,
-        u=sol.u,
-        v=sol.v,
-        cost=cost,
+        Fraction(sol.value, mass_scale * oracle.scale),
+        potential,
+        sol,
+        row_ids,
+        col_ids,
+        mass_scale,
+        cost,
     )
+
+
+def _cost_matrix(table, rows, cols) -> list[list[int]]:
+    return [[line[y] for y in cols] for line in (table[x] for x in rows)]
 
 
 class LinearPiece(NamedTuple):
@@ -262,33 +261,39 @@ def ranged_basis(family: AffineFamily, result: TransportResult) -> Basis:
         and len(family.nu0) == len(family.nu1) == len(cols)
     ):
         raise ValueError("endpoint masses are not aligned with the rows and columns of the solve")
-    nr = len(rows)
-    adj = [[] for _ in range(nr + len(cols))]
-    for i, j in result._flows:
-        adj[i].append(nr + j)
-        adj[nr + j].append(i)
-    return _range(family, result._cost, adj, result._u, result._v)
+    sol = result._sol
+    return _range(family, result._cost, sol.parent, sol.order, sol.u, sol.v)
 
 
-def _range(family: AffineFamily, cost, adj, u, v) -> Basis:
-    """Hang the basis tree with adjacency ``adj`` from row 0 and range it."""
+def solve_family(family: AffineFamily, p: int, q: int, table) -> tuple[Basis, _Solution]:
+    """Solve ``family`` at ``b = p/q`` and range the optimal basis, as
+    ``ranged_basis(family, wasserstein(*family.masses(p, q), oracle))`` would.
+
+    ``table`` is the oracle's int distance table. The supplies and demands
+    are the family's int masses blended at ``b``, the cost matrix is read
+    from the table once, and the simplex's final tree is ranged as it
+    stands. Also returns the simplex run, for its pivot counts. Raises
+    MassMismatch when the two sides carry different total masses.
+    """
+    r = q - p
+    supply = [r * m0 + p * m1 for m0, m1 in zip(family.mu0, family.mu1)]
+    demand = [r * m0 + p * m1 for m0, m1 in zip(family.nu0, family.nu1)]
+    cost = _cost_matrix(table, family.rows, family.cols)
+    sol = _transportation_simplex(supply, demand, cost)
+    return _range(family, cost, sol.parent, sol.order, sol.u, sol.v), sol
+
+
+def _range(family: AffineFamily, cost, parent, order, u, v) -> Basis:
+    """Range the basis tree ``parent``, hung from row 0 and listed parents
+    first in ``order``, into its piece of W."""
     nr = len(family.rows)
     # Net supply of each tree node at each end: row masses count plus,
     # column masses minus.
     net0 = family.mu0 + [-m for m in family.nu0]
     net1 = family.mu1 + [-m for m in family.nu1]
-    parent = [-1] * len(adj)
-    order = [0]
-    for x in order:
-        up = parent[x]
-        for y in adj[x]:
-            if y != up:
-                parent[y] = x
-                order.append(y)
-    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     w0 = w1 = 0
-    f0 = [0] * len(adj)
-    f1 = [0] * len(adj)
+    f0 = [0] * len(parent)
+    f1 = [0] * len(parent)
     # Leaves first: the flow on the cell above a node carries the net supply
     # of the subtree under it (out of a row, into a column).
     for x in order[:0:-1]:
@@ -305,21 +310,28 @@ def _range(family: AffineFamily, cost, adj, u, v) -> Basis:
         f1[x] = s1
         w0 += s0 * c
         w1 += s1 * c
-        # The flow (1-b)*s0 + b*s1 stays nonnegative for b <= s0/(s0-s1) when
-        # it falls, and for b >= -s0/(s1-s0) when it rises from below zero.
+    if net0[0] or net1[0]:
+        raise errors.MassMismatch("endpoint measures carry different total masses")
+    return Basis(_piece(f0, f1, w0, w1), parent, order, f0, f1, u, v, cost)
+
+
+def _piece(f0, f1, w0: int, w1: int) -> LinearPiece:
+    """The interval of [0, 1] on which every basic flow ``(1-b)*f0 + b*f1``
+    stays nonnegative, with W's line ``w0``, ``w1`` on it."""
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
+    for s0, s1 in zip(f0, f1):
+        # The flow stays nonnegative for b <= s0/(s0-s1) when it falls, and
+        # for b >= -s0/(s1-s0) when it rises from below zero.
         if s1 < 0:
             if s0 * hi_den < hi_num * (s0 - s1):
                 hi_num, hi_den = s0, s0 - s1
         elif s0 < 0:
             if -s0 * lo_den > lo_num * (s1 - s0):
                 lo_num, lo_den = -s0, s1 - s0
-    if net0[0] or net1[0]:
-        raise errors.MassMismatch("endpoint measures carry different total masses")
-    piece = LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
-    return Basis(piece, parent, order, f0, f1, u, v, cost)
+    return LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
 
 
-def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
+def dual_pivot(family: AffineFamily, basis: Basis, upward: bool, in_place: bool = False) -> Basis:
     """The optimal basis just past one end of ``basis.piece``, ranged.
 
     ``upward`` crosses the piece's ``hi`` end, otherwise its ``lo`` end; that
@@ -335,7 +347,10 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
       reduced cost so the entering cell becomes tight. Cells crossing the
       cut the same way lose it, cells crossing the other way gain it, and
       every other reduced cost stays as it was: all stay nonnegative;
-    * the new basis is ranged again. Its piece starts at the end crossed.
+    * the leaving cell's affine flow is pushed around the cycle that the
+      entering cell closes, the cut-off subtree is re-hung from the
+      entering cell's end in it, and a ratio test over the basic cells
+      gives the new piece. It starts at the end crossed.
 
     Reduced costs do not depend on the masses, so the new basis is optimal
     wherever its flows are nonnegative, and no optimality scan is needed.
@@ -344,29 +359,42 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
     col) order on both sides: the leaving cell is the first that qualifies,
     the entering cell the first of least reduced cost. That is Bland's rule
     for the dual simplex, so a run of pivots at one end cannot cycle.
+
+    ``basis`` is left as it was unless ``in_place``, which reuses its lists
+    for the new basis.
     """
-    piece = basis.piece
+    if not in_place:
+        basis = basis._replace(
+            parent=basis.parent[:], f0=basis.f0[:], f1=basis.f1[:], u=basis.u[:], v=basis.v[:]
+        )
+    piece, parent, order, f0, f1, u, v, cost = basis
     num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
     nr = len(family.rows)
-    parent, order, f0, f1 = basis.parent, basis.order, basis.f0, basis.f1
-    # The leaving cell is the one above node ``low``.
-    low = leaving = None
-    for x in order[1:]:
-        s0, s1 = f0[x], f1[x]
-        if (s1 < s0 if upward else s1 > s0) and (den - num) * s0 + num * s1 == 0:
-            p = parent[x]
-            cell = (x, p - nr) if x < nr else (p, x - nr)
-            if leaving is None or cell < leaving:
-                low, leaving = x, cell
+    # The leaving cell is the one above node ``low``: of the cells whose flow
+    # is zero at the end and turns negative past it, the first. The root's
+    # flows are 0.
+    rest_num = den - num
+    zeros = [
+        x
+        for x, s0, s1 in zip(range(len(f0)), f0, f1)
+        if (s1 < s0 if upward else s1 > s0) and rest_num * s0 + num * s1 == 0
+    ]
+    low = zeros[0]
+    if len(zeros) > 1:
+        low = min(zeros, key=lambda x: (x, parent[x] - nr) if x < nr else (parent[x], x - nr))
+    # The subtree under ``low``, which ``order`` lists after ``low``.
     cut = [False] * len(parent)
     cut[low] = True
-    for x in order[1:]:
+    start = order.index(low)
+    rest = order[start:]
+    moved = [low]
+    for x in rest[1:]:
         if cut[parent[x]]:
             cut[x] = True
+            moved.append(x)
     # The side holding the leaving cell's column feeds the other side.
     feeds = low >= nr
-    fed = [j for j, moved in enumerate(cut[nr:]) if moved is not feeds]
-    cost, u, v = basis.cost, basis.u, basis.v
+    fed = [j for j, inside in enumerate(cut[nr:]) if inside is not feeds]
     best = entering = None
     for i in range(nr):
         if cut[i] is feeds:
@@ -375,19 +403,71 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
                 reduced = row[j] - ui - v[j]
                 if best is None or reduced < best:
                     best, entering = reduced, (i, j)
+    i, j = entering
     if best:
         shift = best if feeds else -best
-        u = [ui + shift if moved else ui for ui, moved in zip(u, cut)]
-        v = [vj - shift if moved else vj for vj, moved in zip(v, cut[nr:])]
-    adj = [[] for _ in parent]
-    for x in order[1:]:
-        if x != low:
-            adj[x].append(parent[x])
-            adj[parent[x]].append(x)
-    i, j = entering
-    adj[i].append(nr + j)
-    adj[nr + j].append(i)
-    return _range(family, cost, adj, u, v)
+        for x in moved:
+            if x < nr:
+                u[x] += shift
+            else:
+                v[x - nr] -= shift
+    # The entering cell takes d = -(the leaving flow), pushed around the
+    # cycle it closes: climbing from the entering column, a cell gains d
+    # above a row and loses it above a column; climbing from its row, the
+    # reverse. ``inner`` is the entering cell's end in the cut-off subtree;
+    # the two climbs meet at the first ancestor of ``outer`` above it. The
+    # leaving flow ends at 0.
+    d0, d1 = -f0[low], -f1[low]
+    inner, outer = (i, nr + j) if feeds else (nr + j, i)
+    path = [inner]  # from ``inner`` up to ``low``
+    while path[-1] != low:
+        path.append(parent[path[-1]])
+    above = set()
+    x = outer
+    while x >= 0:
+        above.add(x)
+        x = parent[x]
+    x = inner
+    while x not in above:
+        if (x < nr) is not feeds:
+            f0[x] += d0
+            f1[x] += d1
+        else:
+            f0[x] -= d0
+            f1[x] -= d1
+        x = parent[x]
+    meet = x
+    x = outer
+    while x != meet:
+        if (x < nr) is feeds:
+            f0[x] += d0
+            f1[x] += d1
+        else:
+            f0[x] -= d0
+            f1[x] -= d1
+        x = parent[x]
+    # Re-hang the cut-off subtree from ``inner``: each cell on the path moves
+    # to the node below it, and the entering cell hangs ``inner`` from ``outer``.
+    for below, x in zip(path[-2::-1], path[:0:-1]):
+        parent[x] = below
+        f0[x] = f0[below]
+        f1[x] = f1[below]
+    parent[inner] = outer
+    f0[inner] = d0
+    f1[inner] = d1
+    # Parents first: the path now leads the subtree, whose other nodes keep
+    # their parents.
+    on_path = set(path)
+    order = (
+        order[:start]
+        + [x for x in rest if not cut[x]]
+        + path
+        + [x for x in moved if x not in on_path]
+    )
+    # Pushing d around the cycle changes the cost by d times the entering
+    # cell's reduced cost.
+    w0, w1 = piece.w0 + d0 * best, piece.w1 + d1 * best
+    return Basis(_piece(f0, f1, w0, w1), parent, order, f0, f1, u, v, cost)
 
 
 def _as_ints(values) -> tuple[list[int], int]:
@@ -415,6 +495,8 @@ class _Solution(NamedTuple):
     flows: dict  # basic cell (i, j) -> flow; a degenerate basis keeps zeros
     u: list  # row potentials, u[0] = 0
     v: list  # column potentials; u[i] + v[j] = cost[i][j] on basic cells
+    parent: list  # the basis tree over rows then columns, hung from row 0
+    order: list  # its nodes, each after its parent
     pivots: int
     degenerate_pivots: int  # pivots that moved no mass
 
@@ -424,13 +506,18 @@ def _transportation_simplex(supply, demand, cost) -> _Solution:
 
     Runs on ints with exact comparisons. Nodes are the rows ``0..nr-1`` and
     the columns ``nr..nr+nc-1``; the basis tree hangs from row 0 and is kept
-    as adjacency sets with ``parent``/``depth`` arrays. A pivot walks both
-    ends of the entering cell up to their common ancestor to find the cycle,
-    then re-hangs only the subtree cut off by the leaving cell and shifts its
-    potentials by the entering reduced cost.
+    as adjacency sets with ``parent``/``depth`` arrays. The start is the
+    least-cost basis (``_least_cost_start``), so mass that a row and a column
+    of one vertex share sits on their zero-cost cell from the outset. Each
+    pivot prices by Bland's rule, walks both ends of the entering cell up to
+    their common ancestor to find the cycle, lets the lexicographically
+    smallest minimizer leave, then re-hangs only the subtree cut off by the
+    leaving cell and shifts its potentials by the entering reduced cost.
+    Bland's rule on both sides keeps degenerate pivots from cycling. The
+    final tree comes back as ``parent`` and ``order``, ready for ranging.
     """
     nr = len(supply)
-    flows = _northwest_corner(supply, demand)
+    flows = _least_cost_start(supply, demand, cost)
     adj = [set() for _ in range(nr + len(demand))]
     for i, j in flows:
         adj[i].add(nr + j)
@@ -439,7 +526,8 @@ def _transportation_simplex(supply, demand, cost) -> _Solution:
     depth = [0] * len(adj)
     u = [0] * nr
     v = [None] * len(demand)
-    for x in _rehang(adj, parent, depth, 0)[1:]:
+    order = _rehang(adj, parent, depth, 0)
+    for x in order[1:]:
         if x < nr:
             u[x] = cost[x][parent[x] - nr] - v[parent[x] - nr]
         else:
@@ -510,26 +598,47 @@ def _transportation_simplex(supply, demand, cost) -> _Solution:
                 v[x - nr] -= shift
 
     value = sum(q * cost[i][j] for (i, j), q in flows.items())
-    return _Solution(value, flows, u, v, pivots, degenerate)
+    if pivots:
+        order = sorted(range(len(adj)), key=depth.__getitem__)
+    return _Solution(value, flows, u, v, parent, order, pivots, degenerate)
 
 
-def _northwest_corner(supply, demand) -> dict:
-    nr, nc = len(supply), len(demand)
+def _least_cost_start(supply, demand, cost) -> dict:
+    """A starting basis that allocates cells in (cost, row, col) order.
+
+    Each allocation moves as much mass as its row and column both have
+    left and closes one of them, the row when its supply is used up (and
+    the last open column never), so the ``nr + nc - 1`` cells form a
+    spanning tree, degenerate zeros included. The last cell closes the last
+    row and column together. A closed line's mass left reads None.
+    """
+    nc = len(demand)
     s = list(supply)
     d = list(demand)
+    rows_left, cols_left = len(s), nc
+    flat = [c for row in cost for c in row]
     flows = {}
-    i = j = 0
-    while True:
-        q = s[i] if s[i] < d[j] else d[j]
+    for k in sorted(range(len(flat)), key=flat.__getitem__):
+        i = k // nc
+        si = s[i]
+        if si is None:
+            continue
+        j = k - i * nc
+        dj = d[j]
+        if dj is None:
+            continue
+        q = si if si < dj else dj
         flows[(i, j)] = q
-        s[i] -= q
-        d[j] -= q
-        if i == nr - 1 and j == nc - 1:
-            break
-        if s[i] == 0 and i < nr - 1:
-            i += 1
+        if rows_left > 1 and (cols_left == 1 or si == q):
+            s[i] = None
+            d[j] = dj - q
+            rows_left -= 1
+        elif cols_left > 1:
+            d[j] = None
+            s[i] = si - q
+            cols_left -= 1
         else:
-            j += 1
+            break
     return flows
 
 

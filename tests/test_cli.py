@@ -312,8 +312,8 @@ def test_measure_tail_constituent_matches_the_library(capsys):
         (["curvature", "{h4}", "--pair", "x1"], "UnknownTarget"),
         (["curvature", "{h4}"], "UnknownTarget"),
         (["sweep", "{h4}", "--pair", "x1,x2", "--edge", "h1"], "UnknownTarget"),
-        (["measure", "{late}", "--vertex", "x1"], "UnknownTarget"),
-        (["measure", "{h4}", "--edge", "h1"], "UnknownTarget"),
+        (["measure", "{late}", "--vertex", "x1"], "UnsupportedFlavor"),
+        (["measure", "{h4}", "--edge", "h1"], "UnsupportedFlavor"),
         (["measure", "{h4}"], "UnknownTarget"),
     ],
     ids=[
@@ -518,7 +518,10 @@ def test_stats_leave_stdout_unchanged(capsys, h4_path, argv):
         # Each transport entry is solved once and reads two measures per side.
         assert counters["solves"] > 0 and counters["measures"] <= 4 * counters["solves"]
     if argv[0] == "curvature":
-        assert counters["pivots"] > 0
+        # The least-cost start leaves the mass two walk measures share on its
+        # zero-cost cells and fills the rest along the cheapest ones; on h4
+        # that start is already optimal for every transport.
+        assert counters["pivots"] == 0
 
 
 def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
@@ -526,11 +529,30 @@ def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
     assert code == 0
     counters = json.loads(err)
     # One solve, at the dyadic 3/4: its piece [1/3, 1] is the final linear
-    # region. Two dual pivots at 1/3 trace the piece [0, 1/3] for the grid's
-    # alpha 0; the first ends on a basis that is optimal at 1/3 only. Eleven
-    # hits: the other ten grid points and the stabilization row.
-    assert counters["solves"] == 1 and counters["solve_hits"] == 11
+    # region. Two dual pivots at 1/3 trace the piece [0, 1/3], so the curve
+    # reaches the grid's alpha 0; the first ends on a basis that is optimal
+    # at 1/3 only. Twelve hits: one per grid alpha, read off kappa's merged
+    # lines, and the stabilization row.
+    assert counters["solves"] == 1 and counters["solve_hits"] == 12
     assert counters["dual_pivots"] == 2 and counters["traced_pieces"] == 1
+
+
+def test_wide_hyperedge_solves_without_primal_pivots(capsys, tmp_path):
+    """One unit hyperedge of 120 vertices is the complete graph K_120, whose
+    pairs have LLY curvature 120/119. The walk measures of x1 and x2 share
+    the mass on the other 118 vertices; the least-cost start leaves it on
+    their zero-cost cells and moves the rest along the cheapest ones, which
+    is already optimal. A north-west corner start takes 233 degenerate
+    pivots here."""
+    names = [f"x{i + 1}" for i in range(120)]
+    doc = {"flavor": "undirected", "vertices": names, "hyperedges": [{"vertices": names, "weight": "1"}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["curvature", str(path), "--pair", "x1,x2", "--stats"])
+    assert code == 0
+    assert out == "mode: exact  variant: sum\npair x1,x2: lly=120/119 stabilization_alpha=3/4\n"
+    counters = json.loads(err)
+    assert counters["solves"] == 1 and counters["pivots"] == 0
 
 
 @pytest.mark.parametrize(

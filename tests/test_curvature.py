@@ -30,7 +30,9 @@ from conftest import (
     graph_as_hypergraph,
     named_document,
     oriented_corpus,
+    random_directed,
     random_graph_edges,
+    random_oriented_unit,
     random_undirected,
     undirected_corpus,
 )
@@ -137,6 +139,69 @@ def test_kappa_concave_on_default_grid(flavor):
                 assert 2 * ev.kappa(target, (a + b) / 2, variant) >= kappa[a] + kappa[b]
                 checked += 1
     assert checked > 0
+
+
+RANDOM_INSTANCES = {
+    "undirected": random_undirected,
+    "directed": random_directed,
+    "oriented": random_oriented_unit,
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(CONCAVITY_CORPORA))
+def test_kappa_concave_over_its_merged_lines(flavor):
+    """Exact concavity of kappa, read off the lines that ``Evaluator.curve``
+    merges from its transports, on the corpus above and on a stream of
+    ``random_instances``.
+
+    The lines run contiguously from 0 to 1 and meet ``kappa`` at their
+    ends; the slopes of consecutive lines never increase. Where kappa(1) =
+    0, g = kappa / (1 - alpha) never decreases: on a line g moves with the
+    line's value at alpha = 1, which concavity keeps at or above kappa(1).
+    """
+    rng = random.Random(7211)
+    corpus = CONCAVITY_CORPORA[flavor]() + [RANDOM_INSTANCES[flavor](rng) for _ in range(6)]
+    kinks = vanishing = 0
+    for hg in corpus:
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        for target, variant in curvature_targets(hg, ev.oracle):
+            lines, den = ev.curve(target, variant)
+            assert lines[0].lo_num == 0 and lines[-1].hi_num == lines[-1].hi_den
+            ends = []
+            for line in lines:
+                lo = Fraction(line.lo_num, line.lo_den)
+                hi = Fraction(line.hi_num, line.hi_den)
+                assert lo < hi
+                for b in (lo, hi):
+                    value = line.at(b.numerator, b.denominator)
+                    assert Fraction(value, b.denominator * den) == ev.kappa(target, b, variant)
+                ends.append((lo, hi))
+            for (_lo, hi), (lo, _hi) in zip(ends, ends[1:]):
+                assert hi == lo
+            for below, above in zip(lines, lines[1:]):
+                assert above.w1 - above.w0 <= below.w1 - below.w0, (target, variant)
+                kinks += above.w1 - above.w0 < below.w1 - below.w0
+            if lines[-1].w1 == 0:
+                vanishing += 1
+                assert all(line.w1 >= 0 for line in lines), (target, variant)
+                gs = [
+                    Fraction(line.at(lo.numerator, lo.denominator), (lo.denominator - lo.numerator) * den)
+                    for line, (lo, _hi) in zip(lines, ends)
+                ]
+                assert all(g <= h for g, h in zip(gs, gs[1:])), (target, variant)
+    # Curves with kinks, and targets whose kappa vanishes at alpha = 1.
+    assert kinks > 10 and vanishing > 10
+
+
+def test_report_reads_an_unsorted_grid(h4, h4_oracle):
+    """The report walks kappa's lines in ascending alpha and puts each
+    sample back in the grid's own order, repeats included."""
+    grid = [Fraction(9, 10), Fraction(1, 10), Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    ev = Evaluator(h4, h4_oracle)
+    for target in (("pair", 1, 2), ("edge", 0), ("edge", 1)):
+        curve = ev.report(target, grid=grid).curve
+        assert curve.samples == tuple((a, ev.kappa(target, a)) for a in grid)
+        assert curve.normalized == tuple((a, ev.kappa(target, a) / (1 - a)) for a in grid if a != 1)
 
 
 def test_lower_bound_propagation():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import Evaluator, all_pairs_distances, build, verdict_ledger
+from hypercurv import Evaluator, all_pairs_distances, build, curvature, verdict_ledger
 from hypercurv.bounds import check_directed_edge_bound
 from hypercurv.hypergraph import ORIENTED, UNDIRECTED
 from hypercurv.metric import partition_neighborhood
@@ -273,6 +273,24 @@ LEDGER_DIGESTS = {
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_verdict_ledgers_are_pinned(flavor):
     assert _ledger_digest(flavor) == LEDGER_DIGESTS[flavor]
+
+
+def test_ledger_spreads_each_vertex_once(monkeypatch):
+    """The partition bounds read a vertex's out-spread for every pair and
+    hyperedge head at it; one ledger computes it once per vertex."""
+    calls = []
+    real = curvature.spread
+
+    def counted(hg, kind, x):
+        calls.append((kind, x))
+        return real(hg, kind, x)
+
+    monkeypatch.setattr(curvature, "spread", counted)
+    for hg in CORPORA["oriented"]()[:4]:
+        oracle = all_pairs_distances(hg)
+        calls.clear()
+        verdict_ledger(hg, oracle, Fraction(1, 2), ev=Evaluator(hg, oracle))
+        assert calls and len(calls) == len(set(calls)) <= hg.n_vertices
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """The integer transport core against the Fraction simplex it replaced.
 
-Both solvers use the same pricing (Bland), the same leaving rule and the
-same root, so on every instance the core must end on the same basis, in
-the same order, with equal flows, row and column duals and value. The
-ranging of an optimal basis into a linear piece of W is checked against
-fresh solves along the whole affine family, and explicit zero masses
-against the same maps without them.
+The core starts from a least-cost basis and the reference from the
+north-west corner, so the two may end on different optimal bases of a
+degenerate problem. On every instance the core must reach the reference's
+exact value, on a basis that is optimal on its own terms: a spanning tree
+of ``nr + nc - 1`` cells whose flows are nonnegative and meet every supply
+and demand, whose cells are tight under the row and column duals, and
+under which no cell has a negative reduced cost. The ranging of an
+optimal basis into a linear piece of W is checked against fresh solves
+along the whole affine family, and explicit zero masses against the same
+maps without them.
 """
 
 from __future__ import annotations
@@ -20,19 +24,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurv import DistanceOracle, all_pairs_distances, errors, measure_undirected, wasserstein
+from hypercurv import (
+    DistanceOracle,
+    all_pairs_distances,
+    curvature_pairs,
+    errors,
+    measure_undirected,
+    wasserstein,
+)
+from hypercurv.hypergraph import ORIENTED, UNDIRECTED
 from hypercurv.transport import (
     AffineFamily,
     _as_ints,
+    _range,
     _transportation_simplex,
     dual_pivot,
     dual_value,
     lipschitz_check,
     ranged_basis,
+    solve_family,
 )
 
-from conftest import random_undirected
-from oracles import reference_transportation_simplex
+from conftest import directed_corpus, oriented_corpus, random_undirected, undirected_corpus
+from oracles import (
+    brute_wasserstein,
+    lp_wasserstein,
+    reference_family,
+    reference_transportation_simplex,
+)
 
 
 @contextmanager
@@ -66,11 +85,26 @@ def _core_in_fractions(supply, demand, cost):
 def _assert_matches_reference(supply, demand, cost):
     with _deadline(10):
         value, flows, u, v, sol = _core_in_fractions(supply, demand, cost)
-    ref_value, ref_flows, ref_u, ref_v = reference_transportation_simplex(supply, demand, cost)
-    assert list(flows.items()) == list(ref_flows.items())
-    assert u == ref_u
-    assert v == ref_v
+    ref_value = reference_transportation_simplex(supply, demand, cost)[0]
     assert value == ref_value
+    nr, nc = len(supply), len(demand)
+    assert len(flows) == nr + nc - 1
+    assert all(q >= 0 for q in flows.values())
+    assert [sum(q for (i, _j), q in flows.items() if i == r) for r in range(nr)] == supply
+    assert [sum(q for (_i, j), q in flows.items() if j == c) for c in range(nc)] == demand
+    assert value == sum(q * cost[i][j] for (i, j), q in flows.items())
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            reduced = c - u[i] - v[j]
+            assert reduced >= 0 and (reduced == 0 or (i, j) not in flows)
+    # The returned tree is the basis: every cell hangs one node from another.
+    assert sol.order[0] == 0 and sol.parent[0] == -1 and sorted(sol.order) == list(range(nr + nc))
+    seen = {0}
+    for x in sol.order[1:]:
+        p = sol.parent[x]
+        assert p in seen and (x < nr) != (p < nr)
+        assert ((x, p - nr) if x < nr else (p, x - nr)) in flows
+        seen.add(x)
     assert sol.pivots >= sol.degenerate_pivots >= 0
     return sol
 
@@ -80,7 +114,8 @@ def _masses(rng, n, denominator, shared=()):
 
     Partial sums land on ``shared`` (multiples of 1/denominator) plus random
     cuts, so two calls with the same ``shared`` cuts have equal partial sums
-    there: the northwest corner then exhausts a row and a column at once.
+    there: a start that fills rows and columns in order then exhausts a row
+    and a column at once, and the basis is degenerate.
     """
     cuts = set(shared)
     while len(cuts) < n - 1:
@@ -347,6 +382,106 @@ def test_traced_pieces_match_fresh_solves():
     # breakpoints that pass through bases of a single alpha, and families
     # whose rows carry no mass at one end.
     assert pieces > 1000 and kinks > 400 and points > 100 and zero_rows > 200
+
+
+def _copy(basis):
+    return basis._replace(
+        parent=basis.parent[:], f0=basis.f0[:], f1=basis.f1[:], u=basis.u[:], v=basis.v[:]
+    )
+
+
+def test_in_place_pivots_match_a_fresh_range():
+    """A dual pivot pushes the leaving flow around one cycle and re-hangs one
+    subtree. Ranging the tree it ends on from scratch gives the same flows
+    and piece, and a pivot in place gives the basis that a copying pivot
+    gives, while the copying pivot leaves its input as it was."""
+    rng = random.Random(7307)
+    pivots = 0
+    for k in range(200):
+        ends, oracle = _affine_family(rng, k)
+        rows, cols, (m0, n0, m1, n1), scale = _aligned(ends)
+        family = AffineFamily(rows, cols, m0, m1, n0, n1, scale)
+        alpha = _interior(rng, Fraction(0), Fraction(1))
+        cold, _sol = solve_family(family, alpha.numerator, alpha.denominator, oracle.table)
+        for upward in (False, True):
+            copied, in_place = _copy(cold), _copy(cold)
+            with _deadline(10):
+                while True:
+                    piece = copied.piece
+                    num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
+                    if num == (den if upward else 0):
+                        break
+                    before = _copy(copied)
+                    stepped = dual_pivot(family, copied, upward)
+                    assert copied == before
+                    copied = stepped
+                    in_place = dual_pivot(family, in_place, upward, in_place=True)
+                    assert in_place == copied
+                    fresh = _range(family, copied.cost, copied.parent, copied.order, copied.u, copied.v)
+                    assert (fresh.f0, fresh.f1, fresh.piece) == (copied.f0, copied.f1, copied.piece)
+                    pivots += 1
+    assert pivots > 500
+
+
+def _family_keys(hg):
+    """The ``reference_family`` keys of every transport the CLI solves for ``hg``."""
+    pairs = [("pair", u, v) for u, v in curvature_pairs(hg)]
+    if hg.flavor == UNDIRECTED:
+        return pairs
+    edges = [("edge", h) for h in range(hg.n_edges)]
+    return edges + pairs if hg.flavor == ORIENTED else edges
+
+
+KERNEL_CORPORA = {
+    "undirected": lambda: undirected_corpus(7311, 4, n_max=6),
+    "directed": lambda: directed_corpus(7312, 4, n_max=5),
+    "oriented": lambda: oriented_corpus(7313, 3, n_max=5),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(KERNEL_CORPORA))
+def test_solve_family_matches_the_oracles(flavor):
+    """The Evaluator's cold solve, straight from a family's int masses,
+    against the LP and forest-enumeration optima of ``tests/oracles.py`` on
+    the families that ``reference_family`` builds. At alpha 0 and 1 the
+    union supports keep rows and columns of zero mass, and at alpha 1 a
+    pair measure sits on one vertex. The ranged piece covers the alpha,
+    its basis is optimal, and ``wasserstein`` on the same masses ends on
+    the same piece."""
+    zero_mass = one_vertex = lp = brute = 0
+    for hg in KERNEL_CORPORA[flavor]():
+        oracle = all_pairs_distances(hg)
+        for key in _family_keys(hg):
+            family = AffineFamily(*reference_family(hg, key))
+            for b in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1)):
+                p, q = b.numerator, b.denominator
+                with _deadline(10):
+                    basis, _sol = solve_family(family, p, q, oracle.table)
+                piece = basis.piece
+                assert piece.covers(p, q)
+                _assert_optimal_potentials(basis)
+                masses = family.masses(p, q)
+                mu, nu = ({v: Fraction(m, q * family.scale) for v, m in side.items()} for side in masses)
+                value = Fraction(piece.at(p, q), q * family.scale * oracle.scale)
+                # Both oracles are exponential or dense in the support sizes.
+                support = [sum(1 for m in side.values() if m) for side in (mu, nu)]
+                if support[0] * support[1] <= 16:
+                    assert value == lp_wasserstein(mu, nu, oracle.d), (key, b)
+                    lp += 1
+                if max(support) <= 3:
+                    assert value == brute_wasserstein(mu, nu, oracle.d), (key, b)
+                    brute += 1
+                assert ranged_basis(family, wasserstein(*masses, oracle)).piece == piece
+                zero_mass += 0 in mu.values() or 0 in nu.values()
+                one_vertex += min(support) == 1
+    assert zero_mass > 20 and one_vertex > 20 and lp > 20 and brute > 20, (zero_mass, one_vertex, lp, brute)
+
+
+def test_solve_family_checks_the_masses():
+    oracle = DistanceOracle(dist=((0, 1), (1, 0)), symmetric=True)
+    family = AffineFamily([0], [1], [1], [1], [2], [2], 1)
+    with pytest.raises(errors.MassMismatch):
+        solve_family(family, 1, 2, oracle.table)
 
 
 def test_explicit_zeros_are_empty_rows_and_columns():
