@@ -50,12 +50,14 @@ from .walk import (  # noqa: F401
     _pair_measure,
     measure_set,
     measure_undirected,
-    spread,
     walk_ends,
 )
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
 _DEFAULT_GRID_INTS = tuple((a.numerator, a.denominator) for a in DEFAULT_ALPHA_GRID)
+_DEFAULT_GRID_ASCENDING = tuple(
+    sorted(range(len(DEFAULT_ALPHA_GRID)), key=DEFAULT_ALPHA_GRID.__getitem__)
+)
 DEFAULT_K_MAX = 24
 # The first alpha of the dyadic rule, 1 - 2**-2: no limit is certified before it.
 _ALPHA_2 = Fraction(3, 4)
@@ -212,13 +214,12 @@ class Evaluator:
     edge, direction or side); the measure at any other alpha is their affine
     blend. Transport values are memoised per pair of walk measures as a
     chain of exact linear pieces of W(alpha): one int solve of the family
-    (``transport.solve_family``) finds the first, and dual pivots, in place
-    on the chain's end bases, trace the others as far as requested. A
-    report's curve is read off kappa's merged int lines. Limits are
-    memoised by (target, variant where it matters, k_max). A limit that
-    does not stabilize is remembered and raised again. Couplings are never
-    built. Build one per hypergraph and oracle and drop it with them: the
-    memo is never shared between runs.
+    (``transport.solve_family``) finds the first, and dual pivots trace the
+    others as far as requested. A report's curve is read off kappa's merged
+    int lines. Limits are memoised by (target, variant where it matters,
+    k_max). A limit that does not stabilize is remembered and raised again.
+    Couplings are never built. Build one per hypergraph and oracle and drop
+    it with them: the memo is never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -229,7 +230,6 @@ class Evaluator:
         self._transports: dict[tuple, _Chain] = {}
         self._targets: dict[tuple, tuple[tuple, int]] = {}
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
-        self._out_spreads: dict[int, tuple] = {}
 
     def _ends(self, key: tuple):
         """Int masses at alpha 0 and 1 of the walk measure ``walk_ends(hg, *key)``.
@@ -246,14 +246,12 @@ class Evaluator:
         return ends
 
     def out_spread(self, v: int):
-        """``walk.spread(hg, "out", v)``, computed once per vertex.
+        """``walk.spread(hg, "out", v)``: the out-walk of v at alpha 0, from
+        the memoised ends that the pair transports at v share.
 
         The bounds ledger reads it for every pair and hyperedge head at v.
         """
-        found = self._out_spreads.get(v)
-        if found is None:
-            found = self._out_spreads[v] = spread(self.hg, "out", v)
-        return found
+        return self._ends(("pair", v, "out"))[0]
 
     def _chain(self, key: tuple) -> _Chain:
         """The chain of the transport between two walk measures, made on first use.
@@ -381,13 +379,10 @@ class Evaluator:
         """Pivot past the upper or lower end of the chain to the next piece of
         W and return the linear region at that end, grown by the piece.
         Pieces of a single alpha, met where several flows reach zero at once,
-        are passed. The pivots reuse the end's basis in place; while both
-        ends still hold the first solve's basis, they work on a copy."""
+        are passed."""
         basis = chain.high if upward else chain.low
-        in_place = chain.low is not chain.high
         while True:
-            basis = dual_pivot(chain.family, basis, upward, in_place)
-            in_place = True
+            basis = dual_pivot(chain.family, basis, upward)
             self.stats.dual_pivots += 1
             if not basis.piece.is_point():
                 break
@@ -526,7 +521,7 @@ class Evaluator:
         """
         if grid is None or grid is DEFAULT_ALPHA_GRID:
             # Checked and sorted once, not per report.
-            grid, ints, ascending = DEFAULT_ALPHA_GRID, _DEFAULT_GRID_INTS, range(11)
+            grid, ints, ascending = DEFAULT_ALPHA_GRID, _DEFAULT_GRID_INTS, _DEFAULT_GRID_ASCENDING
         else:
             grid = tuple(as_alpha(a) for a in grid)
             ints = [(a.numerator, a.denominator) for a in grid]
@@ -560,15 +555,6 @@ class Evaluator:
             stabilization_alpha=found.stabilization_alpha,
             alpha_lo=self._alpha_lo(target, variant, Fraction(0)),
         )
-
-    def curve(self, target: tuple, variant: str = "sum") -> tuple[list[LinearPiece], int]:
-        """kappa's linear regions over [0, 1], in alpha order, and their denominator.
-
-        Returns ``(lines, den)``: on each line, ``kappa(p/q) = line.at(p, q)
-        / (q * den)``. Traces every transport of the target over [0, 1].
-        """
-        terms, length = self._target(tuple(target), variant)
-        return self._merged(terms, length, (0, 1), (1, 1))
 
     def _merged(self, terms: tuple, length: int, lo: tuple, hi: tuple) -> tuple[list, int]:
         """kappa's linear regions over ``[lo, hi]``, summed from its terms' chains.

@@ -16,8 +16,7 @@ basis only when it is read.
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
 convex and piecewise linear in ``b``. :func:`solve_family` solves a family
 at one ``b`` straight from its int masses and ranges the simplex's final
-tree into the exact :class:`LinearPiece` of W on which it stays optimal
-(:func:`ranged_basis` does the same for a :func:`wasserstein` result), and
+tree into the exact :class:`LinearPiece` of W on which it stays optimal, and
 :func:`dual_pivot` steps from a ranged basis across either end of its
 piece to the next one, without another solve.
 
@@ -75,25 +74,22 @@ class TransportResult:
         self,
         value: Fraction,
         dual_potential: dict[int, Fraction] | None,
-        sol: _Solution,
+        pivots: int,
+        degenerate_pivots: int,
+        flows: dict,
         row_ids: list,
         col_ids: list,
         mass_scale: int,
-        cost: list,
     ):
         self.value = value
         self.dual_potential = dual_potential
-        self.pivots = sol.pivots
-        self.degenerate_pivots = sol.degenerate_pivots
-        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``, and
-        # the simplex's own tree and potentials, which ``ranged_basis`` reads.
-        self._sol = sol
-        self._flows = sol.flows
+        self.pivots = pivots
+        self.degenerate_pivots = degenerate_pivots
+        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
+        self._flows = flows
         self._row_ids = row_ids
         self._col_ids = col_ids
         self._mass_scale = mass_scale
-        # The cost matrix, on the oracle's scale.
-        self._cost = cost
 
     @cached_property
     def coupling(self) -> Coupling:
@@ -150,13 +146,14 @@ def wasserstein(
     if with_potential:
         potential = _dual_potential(oracle, col_ids, sol.v)
     return TransportResult(
-        Fraction(sol.value, mass_scale * oracle.scale),
-        potential,
-        sol,
-        row_ids,
-        col_ids,
-        mass_scale,
-        cost,
+        value=Fraction(sol.value, mass_scale * oracle.scale),
+        dual_potential=potential,
+        pivots=sol.pivots,
+        degenerate_pivots=sol.degenerate_pivots,
+        flows=sol.flows,
+        row_ids=row_ids,
+        col_ids=col_ids,
+        mass_scale=mass_scale,
     )
 
 
@@ -241,39 +238,21 @@ class Basis(NamedTuple):
     cost: list
 
 
-def ranged_basis(family: AffineFamily, result: TransportResult) -> Basis:
-    """The optimal basis of ``result``, a solve of ``family`` at some ``b`` in [0, 1].
-
-    ``result`` must have a row for every row of the family and a column for
-    every column, zero masses kept, as ``wasserstein(*family.masses(p, q))``
-    gives. Reduced costs do not depend on the masses, and the basic flows
-    are affine in ``b``: the basis stays optimal, and W stays affine,
-    exactly where those flows stay nonnegative. The flows are pushed
-    through the basis tree for both endpoints, and a ratio test over the
-    basic cells gives the piece's ``[lo, hi]``. Since W is convex in ``b``,
-    the piece extended to [0, 1] never exceeds W.
-    """
-    rows, cols = family.rows, family.cols
-    if result._row_ids != rows or result._col_ids != cols:
-        raise ValueError("the solve's rows and columns are not the family's supports")
-    if not (
-        len(family.mu0) == len(family.mu1) == len(rows)
-        and len(family.nu0) == len(family.nu1) == len(cols)
-    ):
-        raise ValueError("endpoint masses are not aligned with the rows and columns of the solve")
-    sol = result._sol
-    return _range(family, result._cost, sol.parent, sol.order, sol.u, sol.v)
-
-
 def solve_family(family: AffineFamily, p: int, q: int, table) -> tuple[Basis, _Solution]:
-    """Solve ``family`` at ``b = p/q`` and range the optimal basis, as
-    ``ranged_basis(family, wasserstein(*family.masses(p, q), oracle))`` would.
+    """Solve ``family`` at ``b = p/q`` and range the optimal basis into its piece of W.
 
     ``table`` is the oracle's int distance table. The supplies and demands
     are the family's int masses blended at ``b``, the cost matrix is read
     from the table once, and the simplex's final tree is ranged as it
     stands. Also returns the simplex run, for its pivot counts. Raises
     MassMismatch when the two sides carry different total masses.
+
+    Reduced costs do not depend on the masses, and the basic flows are
+    affine in ``b``: the basis stays optimal, and W stays affine, exactly
+    where those flows stay nonnegative. The flows are pushed through the
+    basis tree for both endpoints, and a ratio test over the basic cells
+    gives the piece's ``[lo, hi]``. Since W is convex in ``b``, the piece
+    extended to [0, 1] never exceeds W.
     """
     r = q - p
     supply = [r * m0 + p * m1 for m0, m1 in zip(family.mu0, family.mu1)]
@@ -291,6 +270,7 @@ def _range(family: AffineFamily, cost, parent, order, u, v) -> Basis:
     # column masses minus.
     net0 = family.mu0 + [-m for m in family.nu0]
     net1 = family.mu1 + [-m for m in family.nu1]
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     w0 = w1 = 0
     f0 = [0] * len(parent)
     f1 = [0] * len(parent)
@@ -310,28 +290,21 @@ def _range(family: AffineFamily, cost, parent, order, u, v) -> Basis:
         f1[x] = s1
         w0 += s0 * c
         w1 += s1 * c
-    if net0[0] or net1[0]:
-        raise errors.MassMismatch("endpoint measures carry different total masses")
-    return Basis(_piece(f0, f1, w0, w1), parent, order, f0, f1, u, v, cost)
-
-
-def _piece(f0, f1, w0: int, w1: int) -> LinearPiece:
-    """The interval of [0, 1] on which every basic flow ``(1-b)*f0 + b*f1``
-    stays nonnegative, with W's line ``w0``, ``w1`` on it."""
-    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
-    for s0, s1 in zip(f0, f1):
-        # The flow stays nonnegative for b <= s0/(s0-s1) when it falls, and
-        # for b >= -s0/(s1-s0) when it rises from below zero.
+        # The flow (1-b)*s0 + b*s1 stays nonnegative for b <= s0/(s0-s1) when
+        # it falls, and for b >= -s0/(s1-s0) when it rises from below zero.
         if s1 < 0:
             if s0 * hi_den < hi_num * (s0 - s1):
                 hi_num, hi_den = s0, s0 - s1
         elif s0 < 0:
             if -s0 * lo_den > lo_num * (s1 - s0):
                 lo_num, lo_den = -s0, s1 - s0
-    return LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
+    if net0[0] or net1[0]:
+        raise errors.MassMismatch("endpoint measures carry different total masses")
+    piece = LinearPiece(lo_num, lo_den, hi_num, hi_den, w0, w1)
+    return Basis(piece, parent, order, f0, f1, u, v, cost)
 
 
-def dual_pivot(family: AffineFamily, basis: Basis, upward: bool, in_place: bool = False) -> Basis:
+def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
     """The optimal basis just past one end of ``basis.piece``, ranged.
 
     ``upward`` crosses the piece's ``hi`` end, otherwise its ``lo`` end; that
@@ -347,10 +320,7 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool, in_place: bool 
       reduced cost so the entering cell becomes tight. Cells crossing the
       cut the same way lose it, cells crossing the other way gain it, and
       every other reduced cost stays as it was: all stay nonnegative;
-    * the leaving cell's affine flow is pushed around the cycle that the
-      entering cell closes, the cut-off subtree is re-hung from the
-      entering cell's end in it, and a ratio test over the basic cells
-      gives the new piece. It starts at the end crossed.
+    * the new basis is ranged again. Its piece starts at the end crossed.
 
     Reduced costs do not depend on the masses, so the new basis is optimal
     wherever its flows are nonnegative, and no optimality scan is needed.
@@ -359,42 +329,29 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool, in_place: bool 
     col) order on both sides: the leaving cell is the first that qualifies,
     the entering cell the first of least reduced cost. That is Bland's rule
     for the dual simplex, so a run of pivots at one end cannot cycle.
-
-    ``basis`` is left as it was unless ``in_place``, which reuses its lists
-    for the new basis.
     """
-    if not in_place:
-        basis = basis._replace(
-            parent=basis.parent[:], f0=basis.f0[:], f1=basis.f1[:], u=basis.u[:], v=basis.v[:]
-        )
-    piece, parent, order, f0, f1, u, v, cost = basis
+    piece = basis.piece
     num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
     nr = len(family.rows)
-    # The leaving cell is the one above node ``low``: of the cells whose flow
-    # is zero at the end and turns negative past it, the first. The root's
-    # flows are 0.
-    rest_num = den - num
-    zeros = [
-        x
-        for x, s0, s1 in zip(range(len(f0)), f0, f1)
-        if (s1 < s0 if upward else s1 > s0) and rest_num * s0 + num * s1 == 0
-    ]
-    low = zeros[0]
-    if len(zeros) > 1:
-        low = min(zeros, key=lambda x: (x, parent[x] - nr) if x < nr else (parent[x], x - nr))
-    # The subtree under ``low``, which ``order`` lists after ``low``.
+    parent, order, f0, f1 = basis.parent, basis.order, basis.f0, basis.f1
+    # The leaving cell is the one above node ``low``.
+    low = leaving = None
+    for x in order[1:]:
+        s0, s1 = f0[x], f1[x]
+        if (s1 < s0 if upward else s1 > s0) and (den - num) * s0 + num * s1 == 0:
+            p = parent[x]
+            cell = (x, p - nr) if x < nr else (p, x - nr)
+            if leaving is None or cell < leaving:
+                low, leaving = x, cell
     cut = [False] * len(parent)
     cut[low] = True
-    start = order.index(low)
-    rest = order[start:]
-    moved = [low]
-    for x in rest[1:]:
+    for x in order[1:]:
         if cut[parent[x]]:
             cut[x] = True
-            moved.append(x)
     # The side holding the leaving cell's column feeds the other side.
     feeds = low >= nr
-    fed = [j for j, inside in enumerate(cut[nr:]) if inside is not feeds]
+    fed = [j for j, moved in enumerate(cut[nr:]) if moved is not feeds]
+    cost, u, v = basis.cost, basis.u, basis.v
     best = entering = None
     for i in range(nr):
         if cut[i] is feeds:
@@ -403,71 +360,27 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool, in_place: bool 
                 reduced = row[j] - ui - v[j]
                 if best is None or reduced < best:
                     best, entering = reduced, (i, j)
-    i, j = entering
     if best:
         shift = best if feeds else -best
-        for x in moved:
-            if x < nr:
-                u[x] += shift
-            else:
-                v[x - nr] -= shift
-    # The entering cell takes d = -(the leaving flow), pushed around the
-    # cycle it closes: climbing from the entering column, a cell gains d
-    # above a row and loses it above a column; climbing from its row, the
-    # reverse. ``inner`` is the entering cell's end in the cut-off subtree;
-    # the two climbs meet at the first ancestor of ``outer`` above it. The
-    # leaving flow ends at 0.
-    d0, d1 = -f0[low], -f1[low]
-    inner, outer = (i, nr + j) if feeds else (nr + j, i)
-    path = [inner]  # from ``inner`` up to ``low``
-    while path[-1] != low:
-        path.append(parent[path[-1]])
-    above = set()
-    x = outer
-    while x >= 0:
-        above.add(x)
-        x = parent[x]
-    x = inner
-    while x not in above:
-        if (x < nr) is not feeds:
-            f0[x] += d0
-            f1[x] += d1
-        else:
-            f0[x] -= d0
-            f1[x] -= d1
-        x = parent[x]
-    meet = x
-    x = outer
-    while x != meet:
-        if (x < nr) is feeds:
-            f0[x] += d0
-            f1[x] += d1
-        else:
-            f0[x] -= d0
-            f1[x] -= d1
-        x = parent[x]
-    # Re-hang the cut-off subtree from ``inner``: each cell on the path moves
-    # to the node below it, and the entering cell hangs ``inner`` from ``outer``.
-    for below, x in zip(path[-2::-1], path[:0:-1]):
-        parent[x] = below
-        f0[x] = f0[below]
-        f1[x] = f1[below]
-    parent[inner] = outer
-    f0[inner] = d0
-    f1[inner] = d1
-    # Parents first: the path now leads the subtree, whose other nodes keep
-    # their parents.
-    on_path = set(path)
-    order = (
-        order[:start]
-        + [x for x in rest if not cut[x]]
-        + path
-        + [x for x in moved if x not in on_path]
-    )
-    # Pushing d around the cycle changes the cost by d times the entering
-    # cell's reduced cost.
-    w0, w1 = piece.w0 + d0 * best, piece.w1 + d1 * best
-    return Basis(_piece(f0, f1, w0, w1), parent, order, f0, f1, u, v, cost)
+        u = [ui + shift if moved else ui for ui, moved in zip(u, cut)]
+        v = [vj - shift if moved else vj for vj, moved in zip(v, cut[nr:])]
+    adj = [[] for _ in parent]
+    for x in order[1:]:
+        if x != low:
+            adj[x].append(parent[x])
+            adj[parent[x]].append(x)
+    i, j = entering
+    adj[i].append(nr + j)
+    adj[nr + j].append(i)
+    # Hang the new tree from row 0, parents first.
+    parent = [-1] * len(adj)
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    return _range(family, cost, parent, order, u, v)
 
 
 def _as_ints(values) -> tuple[list[int], int]:

@@ -150,9 +150,9 @@ RANDOM_INSTANCES = {
 
 @pytest.mark.parametrize("flavor", sorted(CONCAVITY_CORPORA))
 def test_kappa_concave_over_its_merged_lines(flavor):
-    """Exact concavity of kappa, read off the lines that ``Evaluator.curve``
-    merges from its transports, on the corpus above and on a stream of
-    ``random_instances``.
+    """Exact concavity of kappa, read off the lines that ``Evaluator._merged``
+    sums from its transports over [0, 1], on the corpus above and on a
+    stream of ``random_instances``.
 
     The lines run contiguously from 0 to 1 and meet ``kappa`` at their
     ends; the slopes of consecutive lines never increase. Where kappa(1) =
@@ -165,7 +165,7 @@ def test_kappa_concave_over_its_merged_lines(flavor):
     for hg in corpus:
         ev = Evaluator(hg, all_pairs_distances(hg))
         for target, variant in curvature_targets(hg, ev.oracle):
-            lines, den = ev.curve(target, variant)
+            lines, den = ev._merged(*ev._target(target, variant), (0, 1), (1, 1))
             assert lines[0].lo_num == 0 and lines[-1].hi_num == lines[-1].hi_den
             ends = []
             for line in lines:

@@ -277,20 +277,22 @@ def test_verdict_ledgers_are_pinned(flavor):
 
 def test_ledger_spreads_each_vertex_once(monkeypatch):
     """The partition bounds read a vertex's out-spread for every pair and
-    hyperedge head at it; one ledger computes it once per vertex."""
+    hyperedge head at it; one ledger builds it once per vertex, as the
+    out-walk that the pair curvatures share."""
     calls = []
-    real = curvature.spread
+    real = curvature.walk_ends
 
-    def counted(hg, kind, x):
-        calls.append((kind, x))
-        return real(hg, kind, x)
+    def counted(hg, *key):
+        calls.append(key)
+        return real(hg, *key)
 
-    monkeypatch.setattr(curvature, "spread", counted)
+    monkeypatch.setattr(curvature, "walk_ends", counted)
     for hg in CORPORA["oriented"]()[:4]:
         oracle = all_pairs_distances(hg)
         calls.clear()
         verdict_ledger(hg, oracle, Fraction(1, 2), ev=Evaluator(hg, oracle))
-        assert calls and len(calls) == len(set(calls)) <= hg.n_vertices
+        outs = [key for key in calls if key[0] == "pair" and key[2] == "out"]
+        assert outs and len(calls) == len(set(calls))
 
 
 if __name__ == "__main__":

@@ -281,8 +281,8 @@ PINNED = {
 PINNED_COUNTERS = {
     'h4 bounds': (0, {'solves': 6, 'solve_hits': 9, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 8, 'measure_hits': 8, 'limits': 6, 'limit_hits': 4}),
     'h4 curvature --all': (0, {'solves': 6, 'solve_hits': 114, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 9, 'dual_pivots': 11, 'measures': 8, 'measure_hits': 8, 'limits': 8, 'limit_hits': 0}),
-    'directed bounds': (0, {'solves': 4, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 16, 'measure_hits': 0, 'limits': 0, 'limit_hits': 0}),
-    'oriented bounds': (0, {'solves': 22, 'solve_hits': 71, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 28, 'measure_hits': 30, 'limits': 32, 'limit_hits': 24}),
+    'directed bounds': (0, {'solves': 4, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 16, 'measure_hits': 4, 'limits': 0, 'limit_hits': 0}),
+    'oriented bounds': (0, {'solves': 22, 'solve_hits': 71, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
     'oriented curvature --all': (0, {'solves': 22, 'solve_hits': 400, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 45, 'dual_pivots': 55, 'measures': 28, 'measure_hits': 30, 'limits': 34, 'limit_hits': 0}),
     'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 230, 'pivots': 1, 'degenerate_pivots': 0, 'traced_pieces': 27, 'dual_pivots': 27, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
 }
