@@ -455,6 +455,10 @@ def main(argv=None) -> int:
     except errors.HypercurvError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A valid document too large to evaluate is huge input, not a verdict.
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     finally:
         if args.stats:
             counters = (ev.stats if ev else EvalStats()).as_dict()

@@ -23,8 +23,12 @@ a decimal is left to the caller.
 One transport solve, ranged over the basis it ends on, gives the exact W
 on a whole interval of alpha, and the neighbouring intervals are reached
 from that basis by dual-simplex pivots, so each transport is solved once.
-The solves, the pieces and the curvature numerators are ints; each kappa
-becomes one Fraction at the end.
+The solves and the pieces are ints. Summing a target's pieces gives
+kappa's own int lines, and every answer is read off them: a point value
+is one line over ``[alpha, alpha]``, the limit and its certificate come
+from the final line over ``[3/4, 1]``, and a report's curve, ``alpha_lo``
+and the breakpoints from the lines over ``[0, 1]``. Each kappa becomes
+one Fraction at the end.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -59,8 +63,6 @@ _DEFAULT_GRID_ASCENDING = tuple(
     sorted(range(len(DEFAULT_ALPHA_GRID)), key=DEFAULT_ALPHA_GRID.__getitem__)
 )
 DEFAULT_K_MAX = 24
-# The first alpha of the dyadic rule, 1 - 2**-2: no limit is certified before it.
-_ALPHA_2 = Fraction(3, 4)
 
 
 class AlphaCurve(NamedTuple):
@@ -106,9 +108,9 @@ class EvalStats:
     first linear piece of W(alpha); ``pivots`` and ``degenerate_pivots``
     count the primal simplex pivots of those solves. Every further piece is
     traced from a neighbouring one by ``dual_pivots``; ``traced_pieces``
-    counts them. A solve hit is a transport value read off a stored piece:
-    one per term of a target and alpha read, so a report's curve counts one
-    per term and grid alpha.
+    counts them. Every answer reads kappa's lines over some range of alpha;
+    a solve hit is a term of the target whose chain already spanned that
+    range, so that its part of the read needed no solve and no pivot.
     Measures count walk measures built (two per vertex or side, at alpha 0
     and 1); a measure hit is a reuse of such a pair.
     """
@@ -165,9 +167,8 @@ class _Chain:
         self.low: Basis | None = None
         self.high: Basis | None = None
 
-    def store(self, basis: Basis, upward: bool) -> LinearPiece:
-        """Add the piece of ``basis`` at the upper or lower end and return the
-        linear region it ends up in.
+    def store(self, basis: Basis, upward: bool) -> None:
+        """Add the piece of ``basis`` at the upper or lower end.
 
         A piece on the line of the region it adjoins, met where a pivot kept
         every potential, extends that region; so does any piece next to the
@@ -180,9 +181,9 @@ class _Chain:
             lines.append(piece)
         elif old.is_point() or (old.w0, old.w1) == (piece.w0, piece.w1):
             if upward:
-                piece = lines[end] = piece._replace(lo_num=old.lo_num, lo_den=old.lo_den)
+                lines[end] = piece._replace(lo_num=old.lo_num, lo_den=old.lo_den)
             else:
-                piece = lines[end] = piece._replace(hi_num=old.hi_num, hi_den=old.hi_den)
+                lines[end] = piece._replace(hi_num=old.hi_num, hi_den=old.hi_den)
         elif upward:
             lines.append(piece)
         else:
@@ -195,31 +196,32 @@ class _Chain:
             self.high = basis
         else:
             self.low = basis
-        return piece
 
-    def spans(self, p: int, q: int) -> bool:
-        """Whether the lines found so far reach alpha ``p/q``."""
+    def spans(self, lo: tuple, hi: tuple) -> bool:
+        """Whether the lines found so far reach over ``[lo, hi]``, alphas as ``(num, den)``."""
         lines = self.lines
         return bool(lines) and (
-            lines[0].lo_num * q <= p * lines[0].lo_den
-            and p * lines[-1].hi_den <= lines[-1].hi_num * q
+            lines[0].lo_num * lo[1] <= lo[0] * lines[0].lo_den
+            and hi[0] * lines[-1].hi_den <= lines[-1].hi_num * hi[1]
         )
 
 
 class Evaluator:
     """Curvature of one hypergraph, each measure, transport and limit computed once.
 
-    A target's defect-sum terms and length are resolved once per variant.
-    Walk measures are memoised at alpha 0 and 1 by (constructor, vertex or
-    edge, direction or side); the measure at any other alpha is their affine
-    blend. Transport values are memoised per pair of walk measures as a
-    chain of exact linear pieces of W(alpha): one int solve of the family
-    (``transport.solve_family``) finds the first, and dual pivots trace the
-    others as far as requested. A report's curve is read off kappa's merged
-    int lines. Limits are memoised by (target, variant where it matters,
-    k_max). A limit that does not stabilize is remembered and raised again.
-    Couplings are never built. Build one per hypergraph and oracle and drop
-    it with them: the memo is never shared between runs.
+    A target's defect-sum terms and length are resolved once per target and
+    variant where it matters. Walk measures are memoised at alpha 0 and 1 by
+    (constructor, vertex or edge, direction or side); the measure at any
+    other alpha is their affine blend. Transport values are memoised per
+    pair of walk measures as a chain of exact linear pieces of W(alpha):
+    one int solve of the family (``transport.solve_family``) finds the
+    first, and dual pivots trace the others as far as requested. Every
+    answer, a point value, a limit, a report or the breakpoints, is read
+    off kappa's int lines, which ``_merged`` sums from the chains. Limits
+    are memoised by (target, variant where it matters, k_max). A limit that
+    does not stabilize is remembered and raised again. Couplings are never
+    built. Build one per hypergraph and oracle and drop it with them: the
+    memo is never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -293,7 +295,7 @@ class Evaluator:
         ``d`` and L are distances times ``oracle.scale``. ``variant`` is the
         length normalizer of undirected hyperedges and is ignored elsewhere.
         """
-        key = (target, variant)
+        key = (target, self._variant_key(target, variant))
         found = self._targets.get(key)
         if found is not None:
             return found
@@ -341,45 +343,30 @@ class Evaluator:
         found = self._targets[key] = (terms, length)
         return found
 
-    def _transport(self, chain: _Chain, p: int, q: int) -> tuple[int, int]:
-        """W at alpha ``p/q`` of one transport chain.
-
-        Returns ints ``(w, s)`` with ``W = w / (q * s * oracle.scale)``. An
-        alpha on a stored piece is read off it; any other is reached by
-        ``_reach``.
-        """
-        for line in chain.lines:
-            if line.covers(p, q):
-                self.stats.solve_hits += 1
-                return line.at(p, q), chain.family.scale
-        return self._reach(chain, p, q).at(p, q), chain.family.scale
-
-    def _reach(self, chain: _Chain, p: int, q: int) -> LinearPiece:
-        """The linear region of W that covers alpha ``p/q``, which no stored
-        piece of the chain covers yet.
+    def _reach(self, chain: _Chain, alpha: tuple) -> None:
+        """Extend the chain until its lines reach ``alpha``, given as ``(num, den)``.
 
         The first request of a chain solves it at its alpha, on the union
         supports of its endpoint measures, and ranges the optimal basis into
         the exact linear piece of W around that alpha. A later alpha extends
-        the chain from its nearer end by dual pivots until a piece covers it.
+        the chain from its nearer end by dual pivots.
         """
-        if chain.lines:
-            top = chain.lines[-1]
-            upward = top.hi_num * q < p * top.hi_den
-            while not (line := self._extend(chain, upward)).covers(p, q):
-                pass
-            return line
-        self.stats.solves += 1
-        basis, sol = solve_family(chain.family, p, q, self.oracle.table)
-        self.stats.pivots += sol.pivots
-        self.stats.degenerate_pivots += sol.degenerate_pivots
-        return chain.store(basis, upward=True)
+        p, q = alpha
+        if not chain.lines:
+            self.stats.solves += 1
+            basis, sol = solve_family(chain.family, p, q, self.oracle.table)
+            self.stats.pivots += sol.pivots
+            self.stats.degenerate_pivots += sol.degenerate_pivots
+            chain.store(basis, upward=True)
+        top = chain.lines[-1]
+        upward = top.hi_num * q < p * top.hi_den
+        while not chain.spans(alpha, alpha):
+            self._extend(chain, upward)
 
-    def _extend(self, chain: _Chain, upward: bool) -> LinearPiece:
+    def _extend(self, chain: _Chain, upward: bool) -> None:
         """Pivot past the upper or lower end of the chain to the next piece of
-        W and return the linear region at that end, grown by the piece.
-        Pieces of a single alpha, met where several flows reach zero at once,
-        are passed."""
+        W and store it. Pieces of a single alpha, met where several flows
+        reach zero at once, are passed."""
         basis = chain.high if upward else chain.low
         while True:
             basis = dual_pivot(chain.family, basis, upward)
@@ -387,45 +374,16 @@ class Evaluator:
             if not basis.piece.is_point():
                 break
         self.stats.traced_pieces += 1
-        return chain.store(basis, upward)
-
-    def _alpha_lo(self, target: tuple, variant: str, floor: Fraction) -> Fraction:
-        """Lower end of the final linear region of kappa for a target solved before.
-
-        That is the largest over the target's transport chains of the lower
-        end of the final linear region of their W: a sum of concave terms is
-        linear exactly where every term is. Each chain is traced up to 1 and
-        down only as far as needed: the value is exact when it exceeds
-        ``floor``; otherwise it is some alpha at or below ``floor``.
-        """
-        fn, fd = floor.numerator, floor.denominator
-        num, den = 0, 1
-        for chain, _d in self._target(target, variant)[0]:
-            if chain.lines[-1].hi_num != chain.lines[-1].hi_den:
-                self._transport(chain, 1, 1)
-            while len(chain.lines) == 1 and chain.lines[0].lo_num * fd > fn * chain.lines[0].lo_den:
-                self._extend(chain, upward=False)
-            final = chain.lines[-1]
-            if final.lo_num * den > num * final.lo_den:
-                num, den = final.lo_num, final.lo_den
-        return Fraction(num, den)
+        chain.store(basis, upward)
 
     def breakpoints(self, target: tuple) -> list[Fraction]:
         """Alphas in (0, 1) where ``kappa_alpha`` of the target changes slope, ascending.
 
-        Traces every transport of the target over [0, 1]; there are
+        They are the boundaries between kappa's lines over [0, 1]; there are
         ``len(breakpoints) + 1`` linear parts.
         """
-        target = tuple(target)
-        self._kappa(target, Fraction(0), "sum")
-        self._kappa(target, Fraction(1), "sum")
-        return sorted(
-            {
-                Fraction(line.lo_num, line.lo_den)
-                for chain, _d in self._target(target, "sum")[0]
-                for line in chain.lines[1:]
-            }
-        )
+        lines, _den = self._merged(*self._target(tuple(target), "sum"), (0, 1), (1, 1))
+        return [Fraction(line.lo_num, line.lo_den) for line in lines[1:]]
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):
         """``kappa_alpha`` of a ``("pair", u, v)`` or ``("edge", h)`` target.
@@ -433,23 +391,10 @@ class Evaluator:
         ``variant`` is the length normalizer of undirected hyperedges and is
         ignored elsewhere.
         """
-        return self._kappa(tuple(target), as_alpha(alpha), variant)
-
-    def _kappa(self, target: tuple, alpha: Fraction, variant: str) -> Fraction:
-        """``kappa`` at an alpha already checked to lie in [0, 1]."""
-        terms, length = self._target(target, variant)
+        alpha = as_alpha(alpha)
         p, q = alpha.numerator, alpha.denominator
-        # The defect sum of d - W over the terms, times q * scale, is
-        # defect / den; each term's W comes over its own mass scale s.
-        defect, den = 0, 1
-        for chain, d in terms:
-            w, s = self._transport(chain, p, q)
-            if den % s:
-                grown = math.lcm(den, s)
-                defect *= grown // den
-                den = grown
-            defect += (q * s * d - w) * (den // s)
-        return Fraction(defect, den * q * length)
+        (line,), den = self._merged(*self._target(tuple(target), variant), (p, q), (p, q))
+        return Fraction(line.at(p, q), q * den)
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
@@ -482,33 +427,32 @@ class Evaluator:
         return found
 
     def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
-        # The first solve of each transport lands where the dyadic rule
-        # looked first; its piece mostly reaches 1 and below 3/4 already.
-        kappa_2 = self._kappa(target, _ALPHA_2, variant)
-        # At alpha=1 the measures of a pair are point masses at its ends, so
-        # kappa vanishes there for pairs and undirected hyperedges.
-        if target[0] == "edge" and self.hg.flavor != UNDIRECTED:
-            kappa_one = self._kappa(target, Fraction(1), variant)
-            if kappa_one < 0:
-                raise errors.NoStabilization(
-                    f"target {target} has curvature {kappa_one} at alpha=1; "
-                    "the normalized curve decreases without bound"
-                )
-            if kappa_one:
-                # g is then kappa_one/(1-alpha) minus a chord slope of kappa
-                # that concavity keeps from growing: it rises without bound
-                # and takes no value twice.
-                raise _not_settled(target, k_max)
+        # A transport not solved before is solved at 3/4, where the dyadic
+        # rule looks first. Every boundary between kappa's lines is a
+        # breakpoint, so the final line over [3/4, 1] starts at alpha_lo
+        # when alpha_lo is past 3/4, and at 3/4 otherwise.
+        lines, den = self._merged(*self._target(target, variant), (3, 4), (1, 1))
+        final = lines[-1]
+        # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
+        # masses at its ends, so it vanishes for pairs and undirected
+        # hyperedges, but not always for a directed hyperedge.
+        if final.w1 < 0:
+            raise errors.NoStabilization(
+                f"target {target} has curvature {Fraction(final.w1, den)} at alpha=1; "
+                "the normalized curve decreases without bound"
+            )
+        if final.w1:
+            # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
+            # concavity keeps from growing: it rises without bound and takes
+            # no value twice.
+            raise _not_settled(target, k_max)
         # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
-        # kappa from alpha to 1: by concavity constant on the final linear
-        # region and strictly smaller before it.
-        k = _dyadic_index(self._alpha_lo(target, variant, _ALPHA_2))
+        # kappa from alpha to 1: by concavity constant, w0 / den, on the
+        # final linear region and strictly smaller before it.
+        k = _dyadic_index(Fraction(final.lo_num, final.lo_den))
         if k >= k_max:
             raise _not_settled(target, k_max)
-        if k == 2:
-            return Limit(lly=kappa_2 * 4, stabilization_alpha=_ALPHA_2)
-        a = Fraction(2**k - 1, 2**k)
-        return Limit(lly=self._kappa(target, a, variant) / (1 - a), stabilization_alpha=a)
+        return Limit(lly=Fraction(final.w0, den), stabilization_alpha=Fraction(2**k - 1, 2**k))
 
     def report(
         self, target: tuple, variant: str = "sum", grid=None, k_max: int = DEFAULT_K_MAX
@@ -516,8 +460,8 @@ class Evaluator:
         """``limit`` of the target plus its curve sampled on ``grid``.
 
         ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are read
-        off kappa's merged lines in one walk over the grid in ascending
-        order; ``stats.solve_hits`` counts one read per term and grid alpha.
+        off kappa's lines over [0, 1] in one walk over the grid in ascending
+        order, and ``alpha_lo`` is where the last of those lines starts.
         """
         if grid is None or grid is DEFAULT_ALPHA_GRID:
             # Checked and sorted once, not per report.
@@ -528,47 +472,53 @@ class Evaluator:
             ascending = sorted(range(len(grid)), key=grid.__getitem__)
         target = tuple(target)
         found = self.limit(target, variant, k_max)
+        lines, den = self._merged(*self._target(target, variant), (0, 1), (1, 1))
+        values = [0] * len(grid)
+        walk = iter(lines)
+        line = next(walk)
+        for k in ascending:
+            p, q = ints[k]
+            while line.hi_num * q < p * line.hi_den:
+                line = next(walk)
+            values[k] = line.at(p, q)
         samples = []
         normalized = []
-        if grid:
-            terms, length = self._target(target, variant)
-            lines, den = self._merged(terms, length, ints[ascending[0]], ints[ascending[-1]])
-            self.stats.solve_hits += len(terms) * len(grid)
-            values = [0] * len(grid)
-            lines = iter(lines)
-            line = next(lines)
-            for k in ascending:
-                p, q = ints[k]
-                while line.hi_num * q < p * line.hi_den:
-                    line = next(lines)
-                values[k] = (q - p) * line.w0 + p * line.w1
-            for a, (p, q), value in zip(grid, ints, values):
-                samples.append((a, Fraction(value, q * den)))
-                if p != q:
-                    # kappa / (1 - a), and 1 - a is (q - p) / q.
-                    normalized.append((a, Fraction(value, (q - p) * den)))
+        for a, (p, q), value in zip(grid, ints, values):
+            samples.append((a, Fraction(value, q * den)))
+            if p != q:
+                # kappa / (1 - a), and 1 - a is (q - p) / q.
+                normalized.append((a, Fraction(value, (q - p) * den)))
         return CurvatureReport(
             target=target,
             variant=self._variant_key(target, variant),
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=self._alpha_lo(target, variant, Fraction(0)),
+            alpha_lo=Fraction(lines[-1].lo_num, lines[-1].lo_den),
         )
 
     def _merged(self, terms: tuple, length: int, lo: tuple, hi: tuple) -> tuple[list, int]:
         """kappa's linear regions over ``[lo, hi]``, summed from its terms' chains.
 
         ``lo`` and ``hi`` are alphas as ``(num, den)``; each chain is first
-        extended over them. Over the lcm S of the chains' mass scales, a
-        region's int line is the sum over the terms of ``S*d - w*(S // s)``
-        at each end, since ``kappa = sum_k (d_k - W_k) / L``. The regions
-        end where any term's line ends; returns them and ``S * L``.
+        extended over them, and one that spans them already counts a solve
+        hit. Over the lcm S of the chains' mass scales, a region's int line
+        is the sum over the terms of ``S*d - w*(S // s)`` at each end, since
+        ``kappa = sum_k (d_k - W_k) / L``. The regions end where any term's
+        line ends; returns them and ``S * L``, so that kappa at ``p/q`` in a
+        region is ``region.at(p, q) / (q * S * L)``.
+
+        A chain stores each maximal linear region of its W as one line, so
+        every boundary of a term is a breakpoint of its W; each term is
+        concave, so every boundary between two returned regions is a
+        breakpoint of kappa.
         """
         for chain, _d in terms:
-            for p, q in (lo, hi):
-                if not chain.spans(p, q):
-                    self._reach(chain, p, q)
+            if chain.spans(lo, hi):
+                self.stats.solve_hits += 1
+            else:
+                self._reach(chain, lo)
+                self._reach(chain, hi)
         (lo_num, lo_den), (hi_num, hi_den) = lo, hi
         scale = math.lcm(*[chain.family.scale for chain, _d in terms])
         k0 = k1 = 0

@@ -333,6 +333,19 @@ def test_usage_errors_exit_2(capsys, argv, error):
     assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["distances"], ["curvature", "--all"], ["bounds"]])
+def test_running_out_of_memory_exits_2(capsys, monkeypatch, h4_path, argv):
+    """A document too large for memory is huge input: exit 2 and one line
+    on stderr, not exit 1 (a violated verdict) with a traceback."""
+
+    def exhausted(hg):
+        raise MemoryError
+
+    monkeypatch.setattr("hypercurv.cli.all_pairs_distances", exhausted)
+    code, out, err = _run(capsys, [argv[0], h4_path, *argv[1:]])
+    assert (code, out, err) == (2, "", "MemoryError: out of memory\n")
+
+
 def test_distances_json_symmetry_flag(capsys, h4_path):
     code, out, _ = _run(capsys, ["distances", h4_path, "--format", "json"])
     assert code == 0
@@ -531,9 +544,9 @@ def test_sweep_reuses_the_stabilization_solve(capsys, h4_path):
     # One solve, at the dyadic 3/4: its piece [1/3, 1] is the final linear
     # region. Two dual pivots at 1/3 trace the piece [0, 1/3], so the curve
     # reaches the grid's alpha 0; the first ends on a basis that is optimal
-    # at 1/3 only. Twelve hits: one per grid alpha, read off kappa's merged
-    # lines, and the stabilization row.
-    assert counters["solves"] == 1 and counters["solve_hits"] == 12
+    # at 1/3 only. One hit: the stabilization row reads the chain the curve
+    # already traced over [0, 1], with no solve and no pivot.
+    assert counters["solves"] == 1 and counters["solve_hits"] == 1
     assert counters["dual_pivots"] == 2 and counters["traced_pieces"] == 1
 
 

@@ -212,3 +212,29 @@ def test_limit_at_small_k_max_matches_dyadic_reference(flavor):
                         ev.limit(target, variant, k_max)
                     continue
                 assert tuple(ev.limit(target, variant, k_max)) == expected
+
+
+
+@pytest.mark.parametrize("flavor", sorted(CORPORA))
+def test_answers_do_not_depend_on_request_order_or_grid(flavor):
+    """A grid that starts above ``alpha_lo``, a point value first, and the
+    default grid all give one limit, certificate and ``alpha_lo``, which is
+    the last breakpoint of kappa. Each order runs on a fresh Evaluator."""
+    orders = [(None, (Fraction(99, 100),)), (Fraction(1, 10), None), (None, None)]
+    for hg in CORPORA[flavor]():
+        oracle = all_pairs_distances(hg)
+        for target, variant in curvature_targets(hg, oracle):
+            answers = []
+            for point, grid in orders:
+                ev = Evaluator(hg, oracle)
+                try:
+                    if point is not None:
+                        ev.kappa(target, point, variant)
+                    rep = ev.report(target, variant, grid)
+                except errors.NoStabilization as exc:
+                    answers.append(str(exc))
+                    continue
+                answers.append((rep.lly, rep.stabilization_alpha, rep.alpha_lo))
+                kinks = ev.breakpoints(target)
+                assert rep.alpha_lo == max(kinks, default=Fraction(0)), target
+            assert len(set(answers)) == 1, (target, answers)
