@@ -354,9 +354,9 @@ class Evaluator:
         p, q = alpha
         if not chain.lines:
             self.stats.solves += 1
-            basis, sol = solve_family(chain.family, p, q, self.oracle.table)
-            self.stats.pivots += sol.pivots
-            self.stats.degenerate_pivots += sol.degenerate_pivots
+            basis, pivots, degenerate = solve_family(chain.family, p, q, self.oracle.table)
+            self.stats.pivots += pivots
+            self.stats.degenerate_pivots += degenerate
             chain.store(basis, upward=True)
         top = chain.lines[-1]
         upward = top.hi_num * q < p * top.hi_den

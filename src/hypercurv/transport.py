@@ -15,10 +15,15 @@ basis only when it is read.
 
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
 convex and piecewise linear in ``b``. :func:`solve_family` solves a family
-at one ``b`` straight from its int masses and ranges the simplex's final
-tree into the exact :class:`LinearPiece` of W on which it stays optimal, and
-:func:`dual_pivot` steps from a ranged basis across either end of its
-piece to the next one, without another solve.
+at one ``b`` straight from its int masses, and :func:`dual_pivot` steps
+from an optimal basis across either end of its piece of W to the next
+one, without another solve. Both simplexes run on one ranged
+:class:`Basis`, which carries the exact :class:`LinearPiece` of W on which
+its flows stay nonnegative, and change it by one tree exchange
+(``_exchange``): drop the cell above one node, add one cell, then hang,
+price and range the new tree afresh. They differ only in how they choose
+the two cells. :func:`wasserstein` is :func:`solve_family` on a family
+constant in ``b``.
 
 Ground costs come from a :class:`~hypercurv.metric.DistanceOracle` and may
 be asymmetric; they are used as-is, no symmetrization ever happens.
@@ -76,31 +81,27 @@ class TransportResult:
         dual_potential: dict[int, Fraction] | None,
         pivots: int,
         degenerate_pivots: int,
-        flows: dict,
-        row_ids: list,
-        col_ids: list,
-        mass_scale: int,
+        family: AffineFamily,
+        basis: Basis,
     ):
         self.value = value
         self.dual_potential = dual_potential
         self.pivots = pivots
         self.degenerate_pivots = degenerate_pivots
-        # The optimal basis: cell (i, j) -> flow times ``_mass_scale``.
-        self._flows = flows
-        self._row_ids = row_ids
-        self._col_ids = col_ids
-        self._mass_scale = mass_scale
+        # The optimal basis of a family that is constant in b.
+        self._family = family
+        self._basis = basis
 
     @cached_property
     def coupling(self) -> Coupling:
-        rows, cols, scale = self._row_ids, self._col_ids, self._mass_scale
-        return Coupling(
-            entries={
-                (rows[i], cols[j]): Fraction(q, scale)
-                for (i, j), q in sorted(self._flows.items())
-                if q
-            }
-        )
+        family, basis = self._family, self._basis
+        rows, cols, nr = family.rows, family.cols, len(family.rows)
+        entries = {}
+        for x in basis.order[1:]:
+            if q := basis.f0[x]:
+                i, j = _cell(x, basis.parent[x], nr)
+                entries[rows[i], cols[j]] = Fraction(q, family.scale)
+        return Coupling(entries=dict(sorted(entries.items())))
 
 
 def _mass_map(mu) -> dict:
@@ -140,20 +141,18 @@ def wasserstein(
         for u in row_ids:
             for v in col_ids:
                 oracle.d(u, v)  # raises MissingDistance at the first pair off the table
-    cost = _cost_matrix(oracle.table, row_ids, col_ids)
-    sol = _transportation_simplex(supply, demand, cost)
+    family = AffineFamily(row_ids, col_ids, supply, supply, demand, demand, mass_scale)
+    basis, pivots, degenerate = solve_family(family, 0, 1, oracle.table)
     potential = None
     if with_potential:
-        potential = _dual_potential(oracle, col_ids, sol.v)
+        potential = _dual_potential(oracle, col_ids, basis.v)
     return TransportResult(
-        value=Fraction(sol.value, mass_scale * oracle.scale),
+        value=Fraction(basis.piece.w0, mass_scale * oracle.scale),
         dual_potential=potential,
-        pivots=sol.pivots,
-        degenerate_pivots=sol.degenerate_pivots,
-        flows=sol.flows,
-        row_ids=row_ids,
-        col_ids=col_ids,
-        mass_scale=mass_scale,
+        pivots=pivots,
+        degenerate_pivots=degenerate,
+        family=family,
+        basis=basis,
     )
 
 
@@ -215,7 +214,7 @@ class AffineFamily(NamedTuple):
 
 
 class Basis(NamedTuple):
-    """An optimal basis of an :class:`AffineFamily`, ranged into its piece of W.
+    """A basis of an :class:`AffineFamily`, ranged into its piece of W.
 
     The basis is a spanning tree over the nodes, the rows ``0..nr-1`` and
     then the columns, hung from row 0: ``parent[x]`` is the node above x
@@ -224,8 +223,10 @@ class Basis(NamedTuple):
     ``f0[x]``/``f1[x]`` are that cell's flow at b = 0 and b = 1 of the
     basis' affine extension, on the family's scale. ``u`` and ``v`` are
     the row and column potentials and ``cost`` the family's cost matrix, on
-    the oracle's scale: ``u[i] + v[j]`` is the cost of every basic cell and
-    no more than the cost of any cell.
+    the oracle's scale: ``u[0]`` is 0 and ``u[i] + v[j]`` is the cost of
+    every basic cell. ``piece`` is W where the basic flows are nonnegative.
+    The bases that :func:`solve_family` and :func:`dual_pivot` return are
+    optimal: no cell costs less than ``u[i] + v[j]``.
     """
 
     piece: LinearPiece
@@ -238,34 +239,113 @@ class Basis(NamedTuple):
     cost: list
 
 
-def solve_family(family: AffineFamily, p: int, q: int, table) -> tuple[Basis, _Solution]:
-    """Solve ``family`` at ``b = p/q`` and range the optimal basis into its piece of W.
+def solve_family(family: AffineFamily, p: int, q: int, table) -> tuple[Basis, int, int]:
+    """An optimal basis of ``family`` at ``b = p/q``, ranged into its piece of W,
+    with the number of primal pivots it took and of those that moved no mass.
 
-    ``table`` is the oracle's int distance table. The supplies and demands
-    are the family's int masses blended at ``b``, the cost matrix is read
-    from the table once, and the simplex's final tree is ranged as it
-    stands. Also returns the simplex run, for its pivot counts. Raises
-    MassMismatch when the two sides carry different total masses.
+    ``table`` is the oracle's int distance table; the cost matrix is read
+    from it once. The supplies and demands are the family's int masses
+    blended at ``b``. Raises MassMismatch when the two sides carry
+    different total masses.
+
+    The primal simplex runs on the ranged :class:`Basis` itself, on ints
+    with exact comparisons. It starts from the least-cost basis
+    (``_least_cost_start``), so mass that a row and a column of one vertex
+    share sits on their zero-cost cell from the outset. Each pivot prices
+    by Bland's rule, climbs from both ends of the entering cell to their
+    common ancestor to find the cycle, and lets the cell that loses flow
+    on it with the least flow at ``b`` leave, ties to the smallest (row,
+    col); :func:`_exchange` swaps the two. Bland's rule on both sides keeps
+    degenerate pivots from cycling.
 
     Reduced costs do not depend on the masses, and the basic flows are
-    affine in ``b``: the basis stays optimal, and W stays affine, exactly
-    where those flows stay nonnegative. The flows are pushed through the
-    basis tree for both endpoints, and a ratio test over the basic cells
-    gives the piece's ``[lo, hi]``. Since W is convex in ``b``, the piece
-    extended to [0, 1] never exceeds W.
+    affine in ``b``: the final basis stays optimal, and W stays affine,
+    exactly where those flows stay nonnegative, which is its piece. Since
+    W is convex in ``b``, the piece extended to [0, 1] never exceeds W.
     """
     r = q - p
     supply = [r * m0 + p * m1 for m0, m1 in zip(family.mu0, family.mu1)]
     demand = [r * m0 + p * m1 for m0, m1 in zip(family.nu0, family.nu1)]
     cost = _cost_matrix(table, family.rows, family.cols)
-    sol = _transportation_simplex(supply, demand, cost)
-    return _range(family, cost, sol.parent, sol.order, sol.u, sol.v), sol
+    nr = len(supply)
+    adj = [[] for _ in range(nr + len(demand))]
+    for i, j in _least_cost_start(supply, demand, cost):
+        adj[i].append(nr + j)
+        adj[nr + j].append(i)
+    basis = _hang(family, cost, adj)
+    pivots = degenerate = 0
+    while (entering := _bland_entering(cost, basis.u, basis.v)) is not None:
+        parent, f0, f1 = basis.parent, basis.f0, basis.f1
+        position = [0] * len(parent)
+        for k, x in enumerate(basis.order):
+            position[x] = k
+        # Climb from both ends to the common ancestor, always from the end
+        # hung later. Flow leaves the cells above rows on the row's side and
+        # above columns on the column's.
+        a, b = entering[0], nr + entering[1]
+        low = leaving = None
+        while a != b:
+            if position[a] > position[b]:
+                x = a
+                a = parent[x]
+                minus = x < nr
+            else:
+                x = b
+                b = parent[x]
+                minus = x >= nr
+            if minus:
+                key = (r * f0[x] + p * f1[x], _cell(x, parent[x], nr))
+                if leaving is None or key < leaving:
+                    low, leaving = x, key
+        pivots += 1
+        degenerate += leaving[0] == 0
+        basis = _exchange(family, basis, low, entering)
+    return basis, pivots, degenerate
 
 
-def _range(family: AffineFamily, cost, parent, order, u, v) -> Basis:
-    """Range the basis tree ``parent``, hung from row 0 and listed parents
-    first in ``order``, into its piece of W."""
+def _cell(x: int, p: int, nr: int) -> tuple[int, int]:
+    """The (row, col) cell between node ``x`` and the node ``p`` above it."""
+    return (x, p - nr) if x < nr else (p, x - nr)
+
+
+def _exchange(family: AffineFamily, basis: Basis, low: int, entering: tuple) -> Basis:
+    """``basis`` with the cell above node ``low`` swapped for the ``entering`` cell.
+
+    The one change of basis, for the primal and the dual pivot alike. The
+    new tree is hung from row 0, priced and ranged afresh: its potentials
+    differ from the old ones only on the side that the leaving cell cuts
+    off from row 0, rows by plus and columns by minus the entering cell's
+    reduced cost, so that cell becomes tight.
+    """
     nr = len(family.rows)
+    parent = basis.parent
+    adj = [[] for _ in parent]
+    for x in basis.order[1:]:
+        if x != low:
+            adj[x].append(parent[x])
+            adj[parent[x]].append(x)
+    i, j = entering
+    adj[i].append(nr + j)
+    adj[nr + j].append(i)
+    return _hang(family, basis.cost, adj)
+
+
+def _hang(family: AffineFamily, cost, adj) -> Basis:
+    """The spanning tree ``adj`` hung from row 0, priced and ranged into its piece of W."""
+    nr = len(family.rows)
+    parent = [-1] * len(adj)
+    order = [0]
+    u = [0] * nr
+    v = [0] * (len(adj) - nr)
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+                if y < nr:
+                    u[y] = cost[y][x - nr] - v[x - nr]
+                else:
+                    v[y - nr] = cost[x][y - nr] - u[x]
     # Net supply of each tree node at each end: row masses count plus,
     # column masses minus.
     net0 = family.mu0 + [-m for m in family.nu0]
@@ -316,11 +396,12 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
       supply of its row's side, which past the end turns negative, so the
       entering cell runs from a row on the column's side into a column on
       the row's side: of those, the one with the least reduced cost;
-    * the potentials of the side cut off from the root are shifted by that
-      reduced cost so the entering cell becomes tight. Cells crossing the
-      cut the same way lose it, cells crossing the other way gain it, and
-      every other reduced cost stays as it was: all stay nonnegative;
-    * the new basis is ranged again. Its piece starts at the end crossed.
+    * :func:`_exchange` swaps the two cells. The entering cell becomes
+      tight, which moves the potentials of the side cut off from row 0 by
+      its reduced cost. Cells crossing the cut the same way lose it, cells
+      crossing the other way gain it, and every other reduced cost stays
+      as it was: all stay nonnegative. The new piece starts at the end
+      crossed.
 
     Reduced costs do not depend on the masses, so the new basis is optimal
     wherever its flows are nonnegative, and no optimality scan is needed.
@@ -339,8 +420,7 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
     for x in order[1:]:
         s0, s1 = f0[x], f1[x]
         if (s1 < s0 if upward else s1 > s0) and (den - num) * s0 + num * s1 == 0:
-            p = parent[x]
-            cell = (x, p - nr) if x < nr else (p, x - nr)
+            cell = _cell(x, parent[x], nr)
             if leaving is None or cell < leaving:
                 low, leaving = x, cell
     cut = [False] * len(parent)
@@ -360,27 +440,7 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
                 reduced = row[j] - ui - v[j]
                 if best is None or reduced < best:
                     best, entering = reduced, (i, j)
-    if best:
-        shift = best if feeds else -best
-        u = [ui + shift if moved else ui for ui, moved in zip(u, cut)]
-        v = [vj - shift if moved else vj for vj, moved in zip(v, cut[nr:])]
-    adj = [[] for _ in parent]
-    for x in order[1:]:
-        if x != low:
-            adj[x].append(parent[x])
-            adj[parent[x]].append(x)
-    i, j = entering
-    adj[i].append(nr + j)
-    adj[nr + j].append(i)
-    # Hang the new tree from row 0, parents first.
-    parent = [-1] * len(adj)
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-    return _range(family, cost, parent, order, u, v)
+    return _exchange(family, basis, low, entering)
 
 
 def _as_ints(values) -> tuple[list[int], int]:
@@ -401,123 +461,8 @@ def _dual_potential(oracle, col_ids, duals_v):
     }
 
 
-class _Solution(NamedTuple):
-    """Optimal basis of one simplex run, in the units of its inputs."""
-
-    value: object  # sum of flow * cost over the basis
-    flows: dict  # basic cell (i, j) -> flow; a degenerate basis keeps zeros
-    u: list  # row potentials, u[0] = 0
-    v: list  # column potentials; u[i] + v[j] = cost[i][j] on basic cells
-    parent: list  # the basis tree over rows then columns, hung from row 0
-    order: list  # its nodes, each after its parent
-    pivots: int
-    degenerate_pivots: int  # pivots that moved no mass
-
-
-def _transportation_simplex(supply, demand, cost) -> _Solution:
-    """Primal network simplex on a spanning-tree basis of the bipartite support.
-
-    Runs on ints with exact comparisons. Nodes are the rows ``0..nr-1`` and
-    the columns ``nr..nr+nc-1``; the basis tree hangs from row 0 and is kept
-    as adjacency sets with ``parent``/``depth`` arrays. The start is the
-    least-cost basis (``_least_cost_start``), so mass that a row and a column
-    of one vertex share sits on their zero-cost cell from the outset. Each
-    pivot prices by Bland's rule, walks both ends of the entering cell up to
-    their common ancestor to find the cycle, lets the lexicographically
-    smallest minimizer leave, then re-hangs only the subtree cut off by the
-    leaving cell and shifts its potentials by the entering reduced cost.
-    Bland's rule on both sides keeps degenerate pivots from cycling. The
-    final tree comes back as ``parent`` and ``order``, ready for ranging.
-    """
-    nr = len(supply)
-    flows = _least_cost_start(supply, demand, cost)
-    adj = [set() for _ in range(nr + len(demand))]
-    for i, j in flows:
-        adj[i].add(nr + j)
-        adj[nr + j].add(i)
-    parent = [-1] * len(adj)
-    depth = [0] * len(adj)
-    u = [0] * nr
-    v = [None] * len(demand)
-    order = _rehang(adj, parent, depth, 0)
-    for x in order[1:]:
-        if x < nr:
-            u[x] = cost[x][parent[x] - nr] - v[parent[x] - nr]
-        else:
-            v[x - nr] = cost[parent[x]][x - nr] - u[parent[x]]
-
-    pivots = degenerate = 0
-    while (entering := _bland_entering(cost, u, v, flows)) is not None:
-        i, j = entering
-        reduced = cost[i][j] - u[i] - v[j]
-        # Climb from both ends to the common ancestor. Flow leaves the cells
-        # above rows on the row's side and above columns on the column's.
-        a, b = i, nr + j
-        row_side, col_side = [], []
-        while depth[a] > depth[b]:
-            row_side.append(a)
-            a = parent[a]
-        while depth[b] > depth[a]:
-            col_side.append(b)
-            b = parent[b]
-        while a != b:
-            row_side.append(a)
-            a = parent[a]
-            col_side.append(b)
-            b = parent[b]
-        minus, plus = [], []
-        for x in row_side:
-            if x < nr:
-                minus.append((x, parent[x] - nr))
-            else:
-                plus.append((parent[x], x - nr))
-        for x in col_side:
-            if x < nr:
-                plus.append((x, parent[x] - nr))
-            else:
-                minus.append((parent[x], x - nr))
-        theta, leaving = min((flows[c], c) for c in minus)
-        pivots += 1
-        if theta == 0:
-            degenerate += 1
-        else:
-            for c in plus:
-                flows[c] += theta
-            for c in minus:
-                flows[c] -= theta
-        flows[entering] = theta
-        del flows[leaving]
-
-        # The leaving cell cuts off the subtree under its lower end; that
-        # subtree holds exactly one end of the entering cell and is re-hung
-        # from it. Its potentials move by the entering reduced cost so the
-        # entering cell becomes tight: rows by +shift, columns by -shift.
-        low = leaving[0] if parent[leaving[0]] == nr + leaving[1] else nr + leaving[1]
-        adj[low].discard(parent[low])
-        adj[parent[low]].discard(low)
-        adj[i].add(nr + j)
-        adj[nr + j].add(i)
-        if low in row_side:
-            top, shift = i, reduced
-            parent[i] = nr + j
-        else:
-            top, shift = nr + j, -reduced
-            parent[nr + j] = i
-        depth[top] = depth[parent[top]] + 1
-        for x in _rehang(adj, parent, depth, top):
-            if x < nr:
-                u[x] += shift
-            else:
-                v[x - nr] -= shift
-
-    value = sum(q * cost[i][j] for (i, j), q in flows.items())
-    if pivots:
-        order = sorted(range(len(adj)), key=depth.__getitem__)
-    return _Solution(value, flows, u, v, parent, order, pivots, degenerate)
-
-
-def _least_cost_start(supply, demand, cost) -> dict:
-    """A starting basis that allocates cells in (cost, row, col) order.
+def _least_cost_start(supply, demand, cost) -> list[tuple[int, int]]:
+    """The cells of a starting basis, allocated in (cost, row, col) order.
 
     Each allocation moves as much mass as its row and column both have
     left and closes one of them, the row when its supply is used up (and
@@ -530,7 +475,7 @@ def _least_cost_start(supply, demand, cost) -> dict:
     d = list(demand)
     rows_left, cols_left = len(s), nc
     flat = [c for row in cost for c in row]
-    flows = {}
+    cells = []
     for k in sorted(range(len(flat)), key=flat.__getitem__):
         i = k // nc
         si = s[i]
@@ -541,7 +486,7 @@ def _least_cost_start(supply, demand, cost) -> dict:
         if dj is None:
             continue
         q = si if si < dj else dj
-        flows[(i, j)] = q
+        cells.append((i, j))
         if rows_left > 1 and (cols_left == 1 or si == q):
             s[i] = None
             d[j] = dj - q
@@ -552,27 +497,17 @@ def _least_cost_start(supply, demand, cost) -> dict:
             cols_left -= 1
         else:
             break
-    return flows
+    return cells
 
 
-def _rehang(adj, parent, depth, top) -> list[int]:
-    """Nodes hanging from ``top`` in breadth-first order, with their ``parent``
-    and ``depth`` reset from ``top`` down; ``top``'s own entries are the caller's."""
-    order = [top]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
-    return order
+def _bland_entering(cost, u, v):
+    """First cell in (row, col) order with a negative reduced cost.
 
-
-def _bland_entering(cost, u, v, flows):
-    """First nonbasic cell in (row, col) order with a negative reduced cost."""
+    Basic cells have reduced cost 0, so only a nonbasic cell can qualify.
+    """
     for i, (row, ui) in enumerate(zip(cost, u)):
         for j, (c, vj) in enumerate(zip(row, v)):
-            if c - ui - vj < 0 and (i, j) not in flows:
+            if c - ui - vj < 0:
                 return i, j
     return None
 

@@ -29,6 +29,9 @@ from hypercurv.cli import main
 from conftest import named_document, random_directed, random_oriented_unit, random_undirected
 
 H4_PATH = Path(__file__).resolve().parent.parent / "data" / "h4.json"
+# A seeded undirected document whose cold solves make degenerate primal
+# pivots, which none of the documents below does.
+PIVOTING_PATH = H4_PATH.with_name("pivoting_undirected.json")
 
 # One seeded document per flavor, small enough to run every case in-process,
 # and a directed one whose hyperedge h5 has no LLY limit (exit 3).
@@ -62,6 +65,8 @@ def _cases():
     yield "oriented", ["bounds", "--alpha", "1/3", "--float"]
     yield "undirected", ["curvature", "--edge", "h1", "--variant", "max", "--format", "csv"]
     yield "h4", ["sweep", "--pair", "x2,x3", "--alpha-grid", "0,1/3,1"]
+    yield "pivoting", ["curvature", "--all", "--format", "json"]
+    yield "pivoting", ["bounds"]
 
 
 CASES = [f"{doc} {' '.join(argv)}" for doc, argv in _cases()]
@@ -72,11 +77,13 @@ COUNTER_CASES = [
     "oriented bounds",
     "oriented curvature --all",
     "undirected curvature --all",
+    "pivoting curvature --all",
+    "pivoting bounds",
 ]
 
 
 def _write_documents(directory: Path) -> dict[str, str]:
-    paths = {"h4": str(H4_PATH)}
+    paths = {"h4": str(H4_PATH), "pivoting": str(PIVOTING_PATH)}
     for name, make in DOCUMENTS.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(serialize_document(named_document(make()))))
@@ -162,6 +169,12 @@ def test_repeated_and_unit_grid_alphas_keep_their_rows(capsys):
     assert main([*argv, "--format", "json"]) == 0
     curve = json.loads(capsys.readouterr().out)["results"][0]["curve"]
     assert [row["normalized"] for row in curve] == ["3/2", "3/2", None, None]
+
+
+def test_pivoting_document_is_the_seeded_one():
+    """``data/pivoting_undirected.json`` is the seeded conftest document it claims to be."""
+    made = serialize_document(named_document(random_undirected(random.Random(33), n_max=7)))
+    assert json.loads(PIVOTING_PATH.read_text()) == made
 
 
 def test_sweep_row_of_a_limit_certified_past_three_quarters(capsys):
@@ -276,6 +289,8 @@ PINNED = {
     'oriented bounds --alpha 1/3 --float': (0, '3fdc24d76ae06046cf87cfc1d19850931f549e36d12a2a9f8576399ce4c60c45', ''),
     'undirected curvature --edge h1 --variant max --format csv': (0, 'b8d1c378235b08eab842817ece12db150027cd2cc63c3125d40426920b24ac6a', ''),
     'h4 sweep --pair x2,x3 --alpha-grid 0,1/3,1': (0, 'aa157c884c2eb3dca39c3f2a88b8a31897b5b73e96ffd90fa86ccbf82a6bcc1d', ''),
+    'pivoting curvature --all --format json': (0, 'bd99438183477fe6db5148aa806e1168b0b6f338eb411c0a3d6a86faac7f2c66', ''),
+    'pivoting bounds': (0, '72bf2d266a8826ba9abd4c4e0d797f536ff47b16a6b9d4ba5d84af184f213728', ''),
 }
 
 PINNED_COUNTERS = {
@@ -285,6 +300,8 @@ PINNED_COUNTERS = {
     'oriented bounds': (0, {'solves': 22, 'solve_hits': 57, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
     'oriented curvature --all': (0, {'solves': 22, 'solve_hits': 24, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 45, 'dual_pivots': 55, 'measures': 28, 'measure_hits': 30, 'limits': 34, 'limit_hits': 0}),
     'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 21, 'pivots': 1, 'degenerate_pivots': 0, 'traced_pieces': 27, 'dual_pivots': 27, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
+    'pivoting curvature --all': (0, {'solves': 21, 'solve_hits': 42, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 68, 'dual_pivots': 75, 'measures': 14, 'measure_hits': 35, 'limits': 29, 'limit_hits': 0}),
+    'pivoting bounds': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
 }
 
 PINNED_HELP = {
