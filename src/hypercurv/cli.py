@@ -9,6 +9,13 @@ and limit is computed once. ``curvature --all`` takes the pairs of
 ``bounds.verdict_ledger``. ``--parallel`` is accepted and validated but
 does not change how a run is evaluated. Every number is computed exactly;
 ``--float`` only prints it as a decimal.
+
+``curvature`` and ``sweep`` print each curve sample from the ints of
+``Evaluator.curve_ints``, reduced by one gcd (or divided once under
+``--float``), with no Fraction per sample; the ``curvature`` table prints
+only limits, so it reads no curve. Curvature JSON is written result by
+result from a fixed text template; ``_json_text`` prints every other JSON
+payload.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -31,27 +39,44 @@ from .metric import all_pairs_distances
 from .rational import as_alpha
 
 
+def _exact_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, after one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _float_text(num: int, den: int) -> str:
+    """``repr(float(Fraction(num, den)))``: int division rounds the exact quotient once."""
+    return repr(num / den)
+
+
 class RunConfig:
     """Knobs shared by every subcommand, and when its evaluation ended.
 
-    ``fmt_num`` prints one exact value: ``str`` gives ``p/q``; under
-    ``--float`` (``mode`` "float") it gives the repr of the nearest float.
-    A subcommand sets ``evaluated_at`` (``time.perf_counter()``) once every
-    value it prints is computed; what follows is rendering (``--stats``
-    reports it as ``render_s``).
+    ``fmt_ratio`` prints the exact value ``num / den`` of two ints, with
+    ``den > 0``, as ``p/q`` in lowest terms, or under ``--float`` (``mode``
+    "float") as the repr of its nearest float; ``fmt_num`` prints a Fraction
+    or int by the same rule. A subcommand sets ``evaluated_at``
+    (``time.perf_counter()``) once every value it prints is computed; what
+    follows is rendering (``--stats`` reports it as ``render_s``).
     """
 
-    __slots__ = ("alpha", "alpha_grid", "variant", "mode", "fmt_num", "fmt", "strict", "evaluated_at")
+    __slots__ = (
+        "alpha", "alpha_grid", "variant", "mode", "fmt_ratio", "fmt", "strict", "evaluated_at"
+    )
 
     def __init__(self):
         self.alpha = Fraction(1, 2)
         self.alpha_grid = DEFAULT_ALPHA_GRID
         self.variant = "sum"
         self.mode = "exact"
-        self.fmt_num = str
+        self.fmt_ratio = _exact_text
         self.fmt = "table"
         self.strict = False
         self.evaluated_at = None
+
+    def fmt_num(self, x) -> str:
+        return self.fmt_ratio(x.numerator, x.denominator)
 
 
 def _cli_alpha(flag: str, text: str) -> Fraction:
@@ -72,7 +97,7 @@ def _config_from_args(args) -> RunConfig:
         cfg.variant = args.variant
     if args.float:
         cfg.mode = "float"
-        cfg.fmt_num = lambda x: repr(float(x))
+        cfg.fmt_ratio = _float_text
     if args.format:
         cfg.fmt = args.format
     if args.parallel is not None and args.parallel < 1:
@@ -217,23 +242,49 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
 _CURVE_HEADER = ["alpha", "kappa", "normalized"]
 
 
-def _grid_texts(cfg: RunConfig) -> list[tuple[str, bool]]:
-    """Each alpha of the run's grid as printed, and whether it is 1."""
-    return [(cfg.fmt_num(a), a == 1) for a in cfg.alpha_grid]
+def _grid_factors(cfg: RunConfig) -> list[tuple[str, int, int]]:
+    """Each alpha ``p/q`` of the run's grid as printed, with ``q`` and ``q - p``.
 
-
-def _curve_rows(report, fmt, grid_texts) -> list[tuple[str, str, str | None]]:
-    """(alpha, kappa, normalized) of each curve sample; normalized is None at alpha=1.
-
-    ``fmt`` is the run's ``fmt_num``; ``grid_texts`` is ``_grid_texts(cfg)``
-    for the grid the report was sampled on. ``curve.normalized`` is the
-    samples off alpha=1 in order, so it is read alongside them.
+    A curve value ``v`` over ``den`` (``Evaluator.curve_ints``) is kappa
+    ``v / (q * den)`` and normalized ``v / ((q - p) * den)``; ``q - p`` is 0
+    at alpha=1, which has no normalized value.
     """
-    normalized = iter(report.curve.normalized)
     return [
-        (alpha, fmt(k), None if is_one else fmt(next(normalized)[1]))
-        for (alpha, is_one), (_a, k) in zip(grid_texts, report.curve.samples)
+        (cfg.fmt_num(a), a.denominator, a.denominator - a.numerator) for a in cfg.alpha_grid
     ]
+
+
+def _sample_rows(cfg: RunConfig, grid, curve) -> list[tuple[str, str, str | None]]:
+    """(alpha, kappa, normalized) texts of each sample of ``curve = (values, den)``."""
+    ratio = cfg.fmt_ratio
+    values, den = curve
+    return [
+        (a, ratio(v, q * den), ratio(v, r * den) if r else None)
+        for (a, q, r), v in zip(grid, values)
+    ]
+
+
+def _curvature_json(cfg: RunConfig, grid, results) -> str:
+    """``_json_text`` of the curvature payload, written result by result from a template.
+
+    Number texts hold only digits, ``-``, ``/``, ``.``, ``e`` and ``+``, so
+    they are written between quotes as they are; names are JSON-encoded.
+    """
+    fmt = cfg.fmt_num
+    records = []
+    for name, found, curve in results:
+        samples = ",\n".join(
+            f'        {{\n          "alpha": "{a}",\n          "kappa": "{k}",\n'
+            f'          "normalized": {"null" if g is None else _json_str(g)}\n        }}'
+            for a, k, g in _sample_rows(cfg, grid, curve)
+        )
+        records.append(
+            f'    {{\n      "target": {_json_str(name)},\n      "lly": "{fmt(found.lly)}",\n'
+            f'      "stabilization_alpha": "{fmt(found.stabilization_alpha)}",\n'
+            f'      "curve": [\n{samples}\n      ]\n    }}'
+        )
+    head = f'{{\n  "mode": "{cfg.mode}",\n  "variant": "{cfg.variant}",\n  "results": [\n'
+    return head + ",\n".join(records) + "\n  ]\n}"
 
 
 def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
@@ -265,43 +316,33 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
 
 
 def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
-    reports = [
-        (name, ev.report(target, cfg.variant, cfg.alpha_grid))
+    # The table prints only limits, so it reads no curve.
+    table = cfg.fmt == "table"
+    results = [
+        (
+            name,
+            ev.limit(target, cfg.variant),
+            None if table else ev.curve_ints(target, cfg.variant, cfg.alpha_grid),
+        )
         for name, target in _resolve_targets(doc, args)
     ]
     cfg.evaluated_at = time.perf_counter()
     fmt = cfg.fmt_num
-    grid_texts = _grid_texts(cfg)
-    # Read once by the one printer that runs. The table prints no curve, so
-    # curve rows are built where they print.
-    rows = ((name, fmt(rep.lly), fmt(rep.stabilization_alpha), rep) for name, rep in reports)
+    if table:
+        lines = [f"mode: {cfg.mode}  variant: {cfg.variant}"]
+        lines.extend(
+            f"{name}: lly={fmt(found.lly)} stabilization_alpha={fmt(found.stabilization_alpha)}"
+            for name, found, _curve in results
+        )
+        return 0, "\n".join(lines)
+    grid = _grid_factors(cfg)
     if cfg.fmt == "json":
-        payload = {
-            "mode": cfg.mode,
-            "variant": cfg.variant,
-            "results": [
-                {
-                    "target": name,
-                    "lly": lly,
-                    "stabilization_alpha": stab,
-                    "curve": [
-                        {"alpha": a, "kappa": k, "normalized": g}
-                        for a, k, g in _curve_rows(rep, fmt, grid_texts)
-                    ],
-                }
-                for name, lly, stab, rep in rows
-            ],
-        }
-        return 0, _json_text(payload)
-    if cfg.fmt == "csv":
-        records = []
-        for name, lly, stab, rep in rows:
-            records.extend((name, *sample) for sample in _curve_rows(rep, fmt, grid_texts))
-            records.append((name, stab, None, lly))
-        return 0, _csv_text(f"# mode={cfg.mode}", ["target", *_CURVE_HEADER], records)
-    lines = [f"mode: {cfg.mode}  variant: {cfg.variant}"]
-    lines.extend(f"{name}: lly={lly} stabilization_alpha={stab}" for name, lly, stab, _ in rows)
-    return 0, "\n".join(lines)
+        return 0, _curvature_json(cfg, grid, results)
+    records = []
+    for name, found, curve in results:
+        records.extend((name, *sample) for sample in _sample_rows(cfg, grid, curve))
+        records.append((name, fmt(found.stabilization_alpha), None, fmt(found.lly)))
+    return 0, _csv_text(f"# mode={cfg.mode}", ["target", *_CURVE_HEADER], records)
 
 
 def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
@@ -351,13 +392,14 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
     if len(targets) != 1:
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
-    report = ev.report(target, cfg.variant, cfg.alpha_grid)
-    stab = report.stabilization_alpha
+    found = ev.limit(target, cfg.variant)
+    curve = ev.curve_ints(target, cfg.variant, cfg.alpha_grid)
+    stab = found.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)
     cfg.evaluated_at = time.perf_counter()
     fmt = cfg.fmt_num
-    rows = _curve_rows(report, fmt, _grid_texts(cfg))
-    rows.append((fmt(stab), fmt(kappa_stab), fmt(report.lly)))
+    rows = _sample_rows(cfg, _grid_factors(cfg), curve)
+    rows.append((fmt(stab), fmt(kappa_stab), fmt(found.lly)))
     return 0, _csv_text(f"# mode={cfg.mode} target={name}", _CURVE_HEADER, rows)
 
 
@@ -450,7 +492,7 @@ def main(argv=None) -> int:
                 code, text = cmd_sweep(doc, args, cfg, ev)
         render_s = time.perf_counter() - cfg.evaluated_at
     except errors.NoStabilization as exc:
-        print(f"NoStabilization: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except errors.HypercurvError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -26,9 +26,14 @@ from that basis by dual-simplex pivots, so each transport is solved once.
 The solves and the pieces are ints. Summing a target's pieces gives
 kappa's own int lines, and every answer is read off them: a point value
 is one line over ``[alpha, alpha]``, the limit and its certificate come
-from the final line over ``[3/4, 1]``, and a report's curve, ``alpha_lo``
-and the breakpoints from the lines over ``[0, 1]``. Each kappa becomes
-one Fraction at the end.
+from the final line over ``[3/4, 1]``, a curve from the lines over
+``[min(grid), 1]`` as one int per grid alpha over a common denominator,
+and the breakpoints from the lines over ``[0, 1]``. A report's
+``alpha_lo`` traces each chain down only as far as the start of kappa's
+final line needs. Every boundary between kappa's lines is checked to
+bend it down, so a curve that is not concave raises rather than
+certifying a limit. A value becomes a Fraction only when it leaves the
+Evaluator; the CLI prints the curve's ints directly.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -58,11 +63,23 @@ from .walk import (  # noqa: F401
 )
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
-_DEFAULT_GRID_INTS = tuple((a.numerator, a.denominator) for a in DEFAULT_ALPHA_GRID)
-_DEFAULT_GRID_ASCENDING = tuple(
-    sorted(range(len(DEFAULT_ALPHA_GRID)), key=DEFAULT_ALPHA_GRID.__getitem__)
-)
 DEFAULT_K_MAX = 24
+
+
+def _sampling_grid(grid) -> tuple[tuple, tuple, tuple]:
+    """The grid's alphas, each as ``(num, den)``, and their indices in ascending order.
+
+    ``None`` is ``DEFAULT_ALPHA_GRID``; any other alpha is checked by ``as_alpha``.
+    """
+    if grid is None or grid is DEFAULT_ALPHA_GRID:
+        return _DEFAULT_GRID
+    alphas = tuple(as_alpha(a) for a in grid)
+    ints = tuple((a.numerator, a.denominator) for a in alphas)
+    return alphas, ints, tuple(sorted(range(len(alphas)), key=alphas.__getitem__))
+
+
+# Checked and sorted once, not per curve.
+_DEFAULT_GRID = _sampling_grid(list(DEFAULT_ALPHA_GRID))
 
 
 class AlphaCurve(NamedTuple):
@@ -216,8 +233,9 @@ class Evaluator:
     pair of walk measures as a chain of exact linear pieces of W(alpha):
     one int solve of the family (``transport.solve_family``) finds the
     first, and dual pivots trace the others as far as requested. Every
-    answer, a point value, a limit, a report or the breakpoints, is read
-    off kappa's int lines, which ``_merged`` sums from the chains. Limits
+    answer, a point value, a limit, a curve or the breakpoints, is read
+    off kappa's int lines, which ``_merged`` sums from the chains; a
+    report's ``alpha_lo`` is where the chains' final lines start. Limits
     are memoised by (target, variant where it matters, k_max). A limit that
     does not stabilize is remembered and raised again. Couplings are never
     built. Build one per hypergraph and oracle and drop it with them: the
@@ -415,7 +433,7 @@ class Evaluator:
         if found is not None:
             self.stats.limit_hits += 1
             if isinstance(found, errors.NoStabilization):
-                raise errors.NoStabilization(*found.args)
+                raise type(found)(*found.args)
             return found
         self.stats.limits += 1
         try:
@@ -459,31 +477,17 @@ class Evaluator:
     ) -> CurvatureReport:
         """``limit`` of the target plus its curve sampled on ``grid``.
 
-        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are read
-        off kappa's lines over [0, 1] in one walk over the grid in ascending
-        order, and ``alpha_lo`` is where the last of those lines starts.
+        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are the ints
+        of ``curve_ints`` as Fractions, and ``alpha_lo`` is where kappa's
+        final line starts.
         """
-        if grid is None or grid is DEFAULT_ALPHA_GRID:
-            # Checked and sorted once, not per report.
-            grid, ints, ascending = DEFAULT_ALPHA_GRID, _DEFAULT_GRID_INTS, _DEFAULT_GRID_ASCENDING
-        else:
-            grid = tuple(as_alpha(a) for a in grid)
-            ints = [(a.numerator, a.denominator) for a in grid]
-            ascending = sorted(range(len(grid)), key=grid.__getitem__)
+        alphas, ints, _ascending = _sampling_grid(grid)
         target = tuple(target)
         found = self.limit(target, variant, k_max)
-        lines, den = self._merged(*self._target(target, variant), (0, 1), (1, 1))
-        values = [0] * len(grid)
-        walk = iter(lines)
-        line = next(walk)
-        for k in ascending:
-            p, q = ints[k]
-            while line.hi_num * q < p * line.hi_den:
-                line = next(walk)
-            values[k] = line.at(p, q)
+        values, den = self.curve_ints(target, variant, alphas)
         samples = []
         normalized = []
-        for a, (p, q), value in zip(grid, ints, values):
+        for a, (p, q), value in zip(alphas, ints, values):
             samples.append((a, Fraction(value, q * den)))
             if p != q:
                 # kappa / (1 - a), and 1 - a is (q - p) / q.
@@ -494,8 +498,48 @@ class Evaluator:
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=Fraction(lines[-1].lo_num, lines[-1].lo_den),
+            alpha_lo=self._alpha_lo(self._target(target, variant)[0]),
         )
+
+    def curve_ints(self, target: tuple, variant: str = "sum", grid=None) -> tuple[list, int]:
+        """kappa of the target at each alpha of ``grid``, as ints over one denominator.
+
+        Returns ``(values, den)``: kappa at ``grid[k] = p/q`` (lowest terms)
+        is ``values[k] / (q * den)``, and ``kappa / (1 - p/q)`` is
+        ``values[k] / ((q - p) * den)``. ``grid`` defaults to
+        ``DEFAULT_ALPHA_GRID``. The values are read off kappa's lines over
+        ``[min(grid), 1]`` in one walk over the grid in ascending order.
+        """
+        _alphas, ints, ascending = _sampling_grid(grid)
+        lo = ints[ascending[0]] if ints else (1, 1)
+        lines, den = self._merged(*self._target(tuple(target), variant), lo, (1, 1))
+        values = [0] * len(ints)
+        walk = iter(lines)
+        line = next(walk)
+        for k in ascending:
+            p, q = ints[k]
+            while line.hi_num * q < p * line.hi_den:
+                line = next(walk)
+            values[k] = line.at(p, q)
+        return values, den
+
+    def _alpha_lo(self, terms: tuple) -> Fraction:
+        """Where kappa's final line starts: the latest start of its terms' final lines.
+
+        Every chain reaches up to 1. A chain's last line starts at a
+        breakpoint of its W once a line lies below it. A chain of one line is
+        traced down only while that line starts past the latest start found
+        so far: a start at or below that one cannot be the latest.
+        """
+        lo_num, lo_den = 0, 1
+        for chain, _d in terms:
+            lines = chain.lines
+            while len(lines) == 1 and lo_num * lines[0].lo_den < lines[0].lo_num * lo_den:
+                self._extend(chain, upward=False)
+            last = lines[-1]
+            if lo_num * last.lo_den < last.lo_num * lo_den:
+                lo_num, lo_den = last.lo_num, last.lo_den
+        return Fraction(lo_num, lo_den)
 
     def _merged(self, terms: tuple, length: int, lo: tuple, hi: tuple) -> tuple[list, int]:
         """kappa's linear regions over ``[lo, hi]``, summed from its terms' chains.
@@ -511,7 +555,9 @@ class Evaluator:
         A chain stores each maximal linear region of its W as one line, so
         every boundary of a term is a breakpoint of its W; each term is
         concave, so every boundary between two returned regions is a
-        breakpoint of kappa.
+        breakpoint of kappa. That concavity is checked once per region: its
+        slope ``k1 - k0`` must not exceed the one before it, or NotConcave
+        is raised.
         """
         for chain, _d in terms:
             if chain.spans(lo, hi):
@@ -540,6 +586,11 @@ class Evaluator:
                 line = lines[t]
                 if line.hi_num * end_den < end_num * line.hi_den:
                     end_num, end_den = line.hi_num, line.hi_den
+            if merged and k1 - k0 > merged[-1].w1 - merged[-1].w0:
+                raise errors.NotConcave(
+                    f"kappa is not concave in alpha: its slope rises at "
+                    f"{Fraction(lo_num, lo_den)}, so no limit is certified"
+                )
             merged.append(LinearPiece(lo_num, lo_den, end_num, end_den, k0, k1))
             if end_num * hi_den == hi_num * end_den:
                 return merged, scale * length

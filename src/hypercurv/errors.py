@@ -103,6 +103,13 @@ class NoStabilization(HypercurvError):
     """The normalized curvature never settled on the sampled dyadic grid."""
 
 
+class NotConcave(NoStabilization):
+    """kappa's lines over alpha bend up somewhere, so no limit may be certified.
+
+    Exact transports make kappa concave; this guards the certificate.
+    """
+
+
 # -- bounds -----------------------------------------------------------------
 
 class NonUnitWeights(HypercurvError):

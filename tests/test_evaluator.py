@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from hypercurv import Evaluator, all_pairs_distances, build, errors, load_document, verdict_ledger
-from hypercurv.curvature import _dyadic_index
+from hypercurv.cli import main
+from hypercurv.curvature import _Chain, _dyadic_index
+from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
+from hypercurv.transport import AffineFamily, LinearPiece
 
 from conftest import (
     curvature_targets,
@@ -238,3 +241,64 @@ def test_answers_do_not_depend_on_request_order_or_grid(flavor):
                 kinks = ev.breakpoints(target)
                 assert rep.alpha_lo == max(kinks, default=Fraction(0)), target
             assert len(set(answers)) == 1, (target, answers)
+
+
+def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
+    """``report(t, grid=(99/100,))`` gives the ``alpha_lo`` of kappa's lines
+    over [0, 1] on 75 ``random_instances`` documents (three flavors, seeds
+    0-24), tracing a chain down only until the start of kappa's final line
+    is known. That takes 1214 dual pivots, as many as before kappa had one
+    reader; tracing every chain to 0 took 1553."""
+    pivots = 0
+    for make in (random_undirected, random_directed, random_oriented_unit):
+        for seed in range(25):
+            hg = make(random.Random(seed))
+            oracle = all_pairs_distances(hg)
+            ev, full = Evaluator(hg, oracle), Evaluator(hg, oracle)
+            for target, variant in curvature_targets(hg, oracle):
+                try:
+                    alpha_lo = ev.report(target, variant, (Fraction(99, 100),)).alpha_lo
+                except errors.NoStabilization:
+                    continue
+                lines, _den = full._merged(*full._target(target, variant), (0, 1), (1, 1))
+                assert alpha_lo == Fraction(lines[-1].lo_num, lines[-1].lo_den), target
+            pivots += ev.stats.dual_pivots
+    assert pivots <= 1214
+
+
+def _bent_terms():
+    """One hand-made term whose W bends down at 7/8, where W must be convex.
+
+    W is ``8 - 4*alpha`` up to 7/8 and ``36*(1 - alpha)`` after, so kappa's
+    slope rises there.
+    """
+    chain = _Chain(AffineFamily([0], [1], [1], [1], [1], [1], 1))
+    chain.lines = [LinearPiece(0, 1, 7, 8, 8, 4), LinearPiece(7, 8, 1, 1, 36, 0)]
+    return ((chain, 36),), 36
+
+
+def test_merged_refuses_lines_that_bend_kappa_up(h4, h4_oracle, monkeypatch):
+    terms, length = _bent_terms()
+    ev = Evaluator(h4, h4_oracle)
+    with pytest.raises(errors.NotConcave, match="rises at 7/8"):
+        ev._merged(terms, length, (0, 1), (1, 1))
+    # One line has no neighbour to compare with.
+    assert len(ev._merged(terms, length, (0, 1), (1, 2))[0]) == 1
+    monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: _bent_terms())
+    for _ in range(2):
+        # A remembered failure is raised again with its own type.
+        with pytest.raises(errors.NotConcave):
+            ev.limit(("pair", 1, 2))
+    assert (ev.stats.limits, ev.stats.limit_hits) == (1, 1)
+
+
+def test_cli_exits_3_on_a_curve_that_is_not_concave(capsys, monkeypatch):
+    monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: _bent_terms())
+    path = Path(__file__).resolve().parent.parent / "data" / "h4.json"
+    assert main(["curvature", str(path), "--pair", "x2,x3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "NotConcave: kappa is not concave in alpha: its slope rises at 7/8, "
+        "so no limit is certified\n"
+    )
