@@ -186,7 +186,8 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
     cfg.evaluated_at = time.perf_counter()
     names = doc.vertex_names
     vertices = range(hg.n_vertices)
-    cells = [[cfg.fmt_num(oracle.d(u, v)) for v in vertices] for u in vertices]
+    scale, fmt_ratio = oracle.scale, cfg.fmt_ratio
+    cells = [[fmt_ratio(x, scale) for x in row] for row in oracle.table]
     if cfg.fmt == "csv":
         rows = ((names[u], names[v], cells[u][v]) for u in vertices for v in vertices)
         return 0, _csv_text(f"# mode={cfg.mode}", ["u", "v", "distance"], rows)

@@ -20,13 +20,14 @@ negative has no finite limit, and the limit search reports that instead
 of truncating silently. Every value is an exact rational; printing it as
 a decimal is left to the caller.
 
-One transport solve, ranged over the basis it ends on, gives the exact W
-on a whole interval of alpha, and the neighbouring intervals are reached
-from that basis by dual-simplex pivots, so each transport is solved once.
-The solves and the pieces are ints. Summing a target's pieces gives
-kappa's own int lines, and every answer is read off them: a point value
-is one line over ``[alpha, alpha]``, the limit and its certificate come
-from the final line over ``[3/4, 1]``, a curve from the lines over
+Each transport is solved once, at alpha = 3/4, where the limit search
+looks first; the optimal basis, ranged, gives the exact W on a whole
+interval of alpha. Dual-simplex pivots trace the pieces above it up to 1
+at once, and those below it only as far as a read reaches. The solves
+and the pieces are ints. Summing a target's pieces gives kappa's own int
+lines, and every answer reads them over some ``[lo, 1]``: a point value
+is the first line over ``[alpha, 1]``, the limit and its certificate
+come from the final line over ``[3/4, 1]``, a curve from the lines over
 ``[min(grid), 1]`` as one int per grid alpha over a common denominator,
 and the breakpoints from the lines over ``[0, 1]``. A report's
 ``alpha_lo`` traces each chain down only as far as the start of kappa's
@@ -64,6 +65,9 @@ from .walk import (  # noqa: F401
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
 DEFAULT_K_MAX = 24
+# Where every transport is solved cold, as ``(num, den)``: the first dyadic
+# alpha ``1 - 2**-2``, at which the limit search reads kappa's final line.
+_COLD_ALPHA = (3, 4)
 
 
 def _sampling_grid(grid) -> tuple[tuple, tuple, tuple]:
@@ -169,27 +173,26 @@ class _Chain:
     """The linear regions found so far of W(alpha) between two walk measures.
 
     ``lines`` holds them in alpha order as pieces, each the union of the
-    neighbouring pieces traced on one line; they are contiguous, so every
-    boundary between two of them is a breakpoint of W. ``low`` and ``high``
-    are the optimal bases at the two ends of the chain, from which it is
-    extended by dual pivots, until the chain spans [0, 1] and they are
-    dropped.
+    neighbouring pieces traced on one line; they are contiguous, end at
+    alpha = 1 and grow only downward, so every boundary between two of
+    them is a breakpoint of W. ``low`` is the optimal basis at their lower
+    end, from which the chain is extended by dual pivots, until the lines
+    reach 0 and it is dropped.
     """
 
-    __slots__ = ("family", "lines", "low", "high")
+    __slots__ = ("family", "lines", "low")
 
     def __init__(self, family: AffineFamily):
         self.family = family
         self.lines: list[LinearPiece] = []
         self.low: Basis | None = None
-        self.high: Basis | None = None
 
     def store(self, basis: Basis, upward: bool) -> None:
         """Add the piece of ``basis`` at the upper or lower end.
 
         A piece on the line of the region it adjoins, met where a pivot kept
         every potential, extends that region; so does any piece next to the
-        single-alpha piece of a degenerate first solve.
+        single-alpha piece of a degenerate cold solve.
         """
         lines, piece = self.lines, basis.piece
         end = -1 if upward else 0
@@ -205,22 +208,15 @@ class _Chain:
             lines.append(piece)
         else:
             lines.insert(0, piece)
-        if lines[0].lo_num == 0 and lines[-1].hi_num == lines[-1].hi_den:
-            self.low = self.high = None
-        elif old is None:
-            self.low = self.high = basis
-        elif upward:
-            self.high = basis
-        else:
+        if old is None or not upward:
             self.low = basis
+        if lines[0].lo_num == 0:
+            self.low = None
 
-    def spans(self, lo: tuple, hi: tuple) -> bool:
-        """Whether the lines found so far reach over ``[lo, hi]``, alphas as ``(num, den)``."""
+    def spans(self, lo: tuple) -> bool:
+        """Whether the lines found so far reach down to ``lo``, an alpha as ``(num, den)``."""
         lines = self.lines
-        return bool(lines) and (
-            lines[0].lo_num * lo[1] <= lo[0] * lines[0].lo_den
-            and hi[0] * lines[-1].hi_den <= lines[-1].hi_num * hi[1]
-        )
+        return bool(lines) and lines[0].lo_num * lo[1] <= lo[0] * lines[0].lo_den
 
 
 class Evaluator:
@@ -231,15 +227,16 @@ class Evaluator:
     (constructor, vertex or edge, direction or side); the measure at any
     other alpha is their affine blend. Transport values are memoised per
     pair of walk measures as a chain of exact linear pieces of W(alpha):
-    one int solve of the family (``transport.solve_family``) finds the
-    first, and dual pivots trace the others as far as requested. Every
-    answer, a point value, a limit, a curve or the breakpoints, is read
-    off kappa's int lines, which ``_merged`` sums from the chains; a
-    report's ``alpha_lo`` is where the chains' final lines start. Limits
-    are memoised by (target, variant where it matters, k_max). A limit that
-    does not stabilize is remembered and raised again. Couplings are never
-    built. Build one per hypergraph and oracle and drop it with them: the
-    memo is never shared between runs.
+    one int solve of the family (``transport.solve_family``) at 3/4 finds
+    the first, and dual pivots trace the others up to 1 and down as far as
+    requested. Every answer, a point value, a limit, a curve or the
+    breakpoints, is read off kappa's int lines over some ``[lo, 1]``,
+    which ``_merged`` sums from the chains; a report's ``alpha_lo`` is
+    where the chains' final lines start. Limits are memoised by (target,
+    variant where it matters, k_max). A limit that does not stabilize is
+    remembered and raised again. Couplings are never built. Build one per
+    hypergraph and oracle and drop it with them: the memo is never shared
+    between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -361,31 +358,31 @@ class Evaluator:
         found = self._targets[key] = (terms, length)
         return found
 
-    def _reach(self, chain: _Chain, alpha: tuple) -> None:
-        """Extend the chain until its lines reach ``alpha``, given as ``(num, den)``.
+    def _reach(self, chain: _Chain, lo: tuple) -> None:
+        """Extend the chain until its lines reach down to ``lo``, given as ``(num, den)``.
 
-        The first request of a chain solves it at its alpha, on the union
-        supports of its endpoint measures, and ranges the optimal basis into
-        the exact linear piece of W around that alpha. A later alpha extends
-        the chain from its nearer end by dual pivots.
+        The first request of a chain solves it at 3/4, on the union supports
+        of its endpoint measures, ranges the optimal basis into the exact
+        linear piece of W around 3/4 and traces the pieces above it up to 1.
+        Every later request extends the chain downward from ``low``.
         """
-        p, q = alpha
         if not chain.lines:
             self.stats.solves += 1
-            basis, pivots, degenerate = solve_family(chain.family, p, q, self.oracle.table)
+            basis, pivots, degenerate = solve_family(
+                chain.family, *_COLD_ALPHA, self.oracle.table
+            )
             self.stats.pivots += pivots
             self.stats.degenerate_pivots += degenerate
             chain.store(basis, upward=True)
-        top = chain.lines[-1]
-        upward = top.hi_num * q < p * top.hi_den
-        while not chain.spans(alpha, alpha):
-            self._extend(chain, upward)
+            while basis.piece.hi_num != basis.piece.hi_den:
+                basis = self._extend(chain, basis, upward=True)
+        while not chain.spans(lo):
+            self._extend(chain, chain.low, upward=False)
 
-    def _extend(self, chain: _Chain, upward: bool) -> None:
-        """Pivot past the upper or lower end of the chain to the next piece of
-        W and store it. Pieces of a single alpha, met where several flows
-        reach zero at once, are passed."""
-        basis = chain.high if upward else chain.low
+    def _extend(self, chain: _Chain, basis: Basis, upward: bool) -> Basis:
+        """Pivot from ``basis`` past the upper or lower end of its piece to the
+        next piece of W, store it and return its basis. Pieces of a single
+        alpha, met where several flows reach zero at once, are passed."""
         while True:
             basis = dual_pivot(chain.family, basis, upward)
             self.stats.dual_pivots += 1
@@ -393,6 +390,7 @@ class Evaluator:
                 break
         self.stats.traced_pieces += 1
         chain.store(basis, upward)
+        return basis
 
     def breakpoints(self, target: tuple) -> list[Fraction]:
         """Alphas in (0, 1) where ``kappa_alpha`` of the target changes slope, ascending.
@@ -400,7 +398,7 @@ class Evaluator:
         They are the boundaries between kappa's lines over [0, 1]; there are
         ``len(breakpoints) + 1`` linear parts.
         """
-        lines, _den = self._merged(*self._target(tuple(target), "sum"), (0, 1), (1, 1))
+        lines, _den = self._merged(*self._target(tuple(target), "sum"), (0, 1))
         return [Fraction(line.lo_num, line.lo_den) for line in lines[1:]]
 
     def kappa(self, target: tuple, alpha, variant: str = "sum"):
@@ -411,8 +409,8 @@ class Evaluator:
         """
         alpha = as_alpha(alpha)
         p, q = alpha.numerator, alpha.denominator
-        (line,), den = self._merged(*self._target(tuple(target), variant), (p, q), (p, q))
-        return Fraction(line.at(p, q), q * den)
+        lines, den = self._merged(*self._target(tuple(target), variant), (p, q))
+        return Fraction(lines[0].at(p, q), q * den)
 
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
@@ -445,11 +443,10 @@ class Evaluator:
         return found
 
     def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
-        # A transport not solved before is solved at 3/4, where the dyadic
-        # rule looks first. Every boundary between kappa's lines is a
-        # breakpoint, so the final line over [3/4, 1] starts at alpha_lo
-        # when alpha_lo is past 3/4, and at 3/4 otherwise.
-        lines, den = self._merged(*self._target(target, variant), (3, 4), (1, 1))
+        # Every boundary between kappa's lines is a breakpoint, so the final
+        # line over [3/4, 1] starts at alpha_lo when alpha_lo is past 3/4,
+        # and at 3/4 otherwise.
+        lines, den = self._merged(*self._target(target, variant), _COLD_ALPHA)
         final = lines[-1]
         # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
         # masses at its ends, so it vanishes for pairs and undirected
@@ -512,7 +509,7 @@ class Evaluator:
         """
         _alphas, ints, ascending = _sampling_grid(grid)
         lo = ints[ascending[0]] if ints else (1, 1)
-        lines, den = self._merged(*self._target(tuple(target), variant), lo, (1, 1))
+        lines, den = self._merged(*self._target(tuple(target), variant), lo)
         values = [0] * len(ints)
         walk = iter(lines)
         line = next(walk)
@@ -526,7 +523,7 @@ class Evaluator:
     def _alpha_lo(self, terms: tuple) -> Fraction:
         """Where kappa's final line starts: the latest start of its terms' final lines.
 
-        Every chain reaches up to 1. A chain's last line starts at a
+        Every chain ends at 1. A chain's last line starts at a
         breakpoint of its W once a line lies below it. A chain of one line is
         traced down only while that line starts past the latest start found
         so far: a start at or below that one cannot be the latest.
@@ -535,19 +532,19 @@ class Evaluator:
         for chain, _d in terms:
             lines = chain.lines
             while len(lines) == 1 and lo_num * lines[0].lo_den < lines[0].lo_num * lo_den:
-                self._extend(chain, upward=False)
+                self._extend(chain, chain.low, upward=False)
             last = lines[-1]
             if lo_num * last.lo_den < last.lo_num * lo_den:
                 lo_num, lo_den = last.lo_num, last.lo_den
         return Fraction(lo_num, lo_den)
 
-    def _merged(self, terms: tuple, length: int, lo: tuple, hi: tuple) -> tuple[list, int]:
-        """kappa's linear regions over ``[lo, hi]``, summed from its terms' chains.
+    def _merged(self, terms: tuple, length: int, lo: tuple) -> tuple[list, int]:
+        """kappa's linear regions over ``[lo, 1]``, summed from its terms' chains.
 
-        ``lo`` and ``hi`` are alphas as ``(num, den)``; each chain is first
-        extended over them, and one that spans them already counts a solve
-        hit. Over the lcm S of the chains' mass scales, a region's int line
-        is the sum over the terms of ``S*d - w*(S // s)`` at each end, since
+        ``lo`` is an alpha as ``(num, den)``; each chain is first extended
+        down to it, and one that reaches it already counts a solve hit.
+        Over the lcm S of the chains' mass scales, a region's int line is
+        the sum over the terms of ``S*d - w*(S // s)`` at each end, since
         ``kappa = sum_k (d_k - W_k) / L``. The regions end where any term's
         line ends; returns them and ``S * L``, so that kappa at ``p/q`` in a
         region is ``region.at(p, q) / (q * S * L)``.
@@ -560,12 +557,11 @@ class Evaluator:
         is raised.
         """
         for chain, _d in terms:
-            if chain.spans(lo, hi):
+            if chain.spans(lo):
                 self.stats.solve_hits += 1
             else:
                 self._reach(chain, lo)
-                self._reach(chain, hi)
-        (lo_num, lo_den), (hi_num, hi_den) = lo, hi
+        lo_num, lo_den = lo
         scale = math.lcm(*[chain.family.scale for chain, _d in terms])
         k0 = k1 = 0
         cursors = []
@@ -581,7 +577,7 @@ class Evaluator:
             cursors.append([lines, t, factor])
         merged = []
         while True:
-            end_num, end_den = hi_num, hi_den
+            end_num, end_den = 1, 1
             for lines, t, _factor in cursors:
                 line = lines[t]
                 if line.hi_num * end_den < end_num * line.hi_den:
@@ -592,7 +588,7 @@ class Evaluator:
                     f"{Fraction(lo_num, lo_den)}, so no limit is certified"
                 )
             merged.append(LinearPiece(lo_num, lo_den, end_num, end_den, k0, k1))
-            if end_num * hi_den == hi_num * end_den:
+            if end_num == end_den:
                 return merged, scale * length
             for cursor in cursors:
                 lines, t, factor = cursor

@@ -165,7 +165,7 @@ def test_kappa_concave_over_its_merged_lines(flavor):
     for hg in corpus:
         ev = Evaluator(hg, all_pairs_distances(hg))
         for target, variant in curvature_targets(hg, ev.oracle):
-            lines, den = ev._merged(*ev._target(target, variant), (0, 1), (1, 1))
+            lines, den = ev._merged(*ev._target(target, variant), (0, 1))
             assert lines[0].lo_num == 0 and lines[-1].hi_num == lines[-1].hi_den
             ends = []
             for line in lines:

@@ -10,7 +10,7 @@ import pytest
 
 from hypercurv import Evaluator, all_pairs_distances, build, errors, load_document, verdict_ledger
 from hypercurv.cli import main
-from hypercurv.curvature import _Chain, _dyadic_index
+from hypercurv.curvature import DEFAULT_ALPHA_GRID, _Chain, _dyadic_index
 from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 from hypercurv.transport import AffineFamily, LinearPiece
 
@@ -243,6 +243,106 @@ def test_answers_do_not_depend_on_request_order_or_grid(flavor):
             assert len(set(answers)) == 1, (target, answers)
 
 
+# A sampling grid that starts above 3/4, where every chain is solved.
+HIGH_GRID = (Fraction(99, 100), Fraction(7, 8), Fraction(9, 10))
+
+
+def _one_ended_reads(hg, oracle) -> list[tuple]:
+    """Every read of the one-ended contract test, each with the lowest alpha it reads.
+
+    Per target: kappa at 0, 1/3, 9/10 and 1, the limit, the curve on the
+    default grid and on ``HIGH_GRID``, and the breakpoints.
+    """
+    reads = []
+    for target, variant in curvature_targets(hg, oracle):
+        for alpha in (Fraction(0), Fraction(1, 3), Fraction(9, 10), Fraction(1)):
+            reads.append((target, variant, "kappa", alpha))
+        reads.append((target, variant, "limit", Fraction(3, 4)))
+        reads.append((target, variant, "curve", Fraction(0)))
+        reads.append((target, variant, "high curve", min(HIGH_GRID)))
+        reads.append((target, variant, "breakpoints", Fraction(0)))
+    return reads
+
+
+def _read(ev, target, variant, what, alpha):
+    if what == "kappa":
+        return ev.kappa(target, alpha, variant)
+    if what == "limit":
+        try:
+            return ev.limit(target, variant)
+        except errors.NoStabilization as exc:
+            return str(exc)
+    if what == "curve":
+        return ev.curve_ints(target, variant)
+    if what == "high curve":
+        return ev.curve_ints(target, variant, HIGH_GRID)
+    return ev.breakpoints(target)
+
+
+def _check_chain(chain: _Chain, lowest: Fraction) -> None:
+    """The chain's lines are contiguous, end at 1 and start at or below
+    ``min(3/4, lowest)``; ``low`` is the basis at their start, or None
+    exactly when they start at 0."""
+    lines = chain.lines
+    assert lines[-1].hi_num == lines[-1].hi_den
+    for below, above in zip(lines, lines[1:]):
+        assert below.hi_num * above.lo_den == above.lo_num * below.hi_den
+    start = Fraction(lines[0].lo_num, lines[0].lo_den)
+    assert start <= min(Fraction(3, 4), lowest)
+    assert (chain.low is None) == (start == 0)
+    if chain.low is not None:
+        piece = chain.low.piece
+        assert Fraction(piece.lo_num, piece.lo_den) == start
+
+
+def test_chains_are_one_ended_and_their_work_does_not_depend_on_read_order():
+    """Every chain is solved cold at 3/4, traced up to 1 at once and only ever
+    extended downward, so two orders of one set of reads give the same
+    answers and the same solves and pivots, on 75 ``random_instances``
+    documents (three flavors, seeds 0-24). After every read, each chain the
+    read touched is checked with ``_check_chain``. When the cold solve
+    landed at the first alpha read, the work of 53 of them depended on the
+    order (of 22 in solves and primal pivots alone)."""
+    work = ("solves", "pivots", "degenerate_pivots", "dual_pivots", "traced_pieces")
+    for make in (random_undirected, random_directed, random_oriented_unit):
+        for seed in range(25):
+            hg = make(random.Random(seed))
+            oracle = all_pairs_distances(hg)
+            runs = []
+            for order in (1, 2):
+                reads = _one_ended_reads(hg, oracle)
+                random.Random(order).shuffle(reads)
+                ev = Evaluator(hg, oracle)
+                lowest = {}
+                answers = {}
+                for read in reads:
+                    answers[read] = _read(ev, *read)
+                    target, variant, _what, alpha = read
+                    # Every variant of a target has the same chains.
+                    for chain, _d in ev._target(target, variant)[0]:
+                        lowest[id(chain)] = min(lowest.get(id(chain), alpha), alpha)
+                        _check_chain(chain, lowest[id(chain)])
+                runs.append((answers, [getattr(ev.stats, name) for name in work]))
+            assert runs[0] == runs[1], (make.__name__, seed)
+
+
+def test_curve_ints_match_fresh_solves():
+    """``curve_ints`` on the default grid and on ``HIGH_GRID`` equals kappa
+    from transports solved afresh at each alpha, on ``random_instances``
+    documents of all three flavors (seeds 0-11)."""
+    for make in (random_undirected, random_directed, random_oriented_unit):
+        for seed in range(12):
+            hg = make(random.Random(seed))
+            oracle = all_pairs_distances(hg)
+            ev = Evaluator(hg, oracle)
+            for target, variant in curvature_targets(hg, oracle):
+                for grid in (DEFAULT_ALPHA_GRID, HIGH_GRID):
+                    values, den = ev.curve_ints(target, variant, grid)
+                    for alpha, value in zip(grid, values):
+                        expected = reference_kappa(hg, oracle, target, alpha, variant)
+                        assert Fraction(value, alpha.denominator * den) == expected, target
+
+
 def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
     """``report(t, grid=(99/100,))`` gives the ``alpha_lo`` of kappa's lines
     over [0, 1] on 75 ``random_instances`` documents (three flavors, seeds
@@ -260,7 +360,7 @@ def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
                     alpha_lo = ev.report(target, variant, (Fraction(99, 100),)).alpha_lo
                 except errors.NoStabilization:
                     continue
-                lines, _den = full._merged(*full._target(target, variant), (0, 1), (1, 1))
+                lines, _den = full._merged(*full._target(target, variant), (0, 1))
                 assert alpha_lo == Fraction(lines[-1].lo_num, lines[-1].lo_den), target
             pivots += ev.stats.dual_pivots
     assert pivots <= 1214
@@ -281,9 +381,9 @@ def test_merged_refuses_lines_that_bend_kappa_up(h4, h4_oracle, monkeypatch):
     terms, length = _bent_terms()
     ev = Evaluator(h4, h4_oracle)
     with pytest.raises(errors.NotConcave, match="rises at 7/8"):
-        ev._merged(terms, length, (0, 1), (1, 1))
+        ev._merged(terms, length, (0, 1))
     # One line has no neighbour to compare with.
-    assert len(ev._merged(terms, length, (0, 1), (1, 2))[0]) == 1
+    assert len(ev._merged(terms, length, (7, 8))[0]) == 1
     monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: _bent_terms())
     for _ in range(2):
         # A remembered failure is raised again with its own type.

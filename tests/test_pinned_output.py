@@ -67,6 +67,9 @@ def _cases():
     yield "h4", ["sweep", "--pair", "x2,x3", "--alpha-grid", "0,1/3,1"]
     yield "pivoting", ["curvature", "--all", "--format", "json"]
     yield "pivoting", ["bounds"]
+    # The ledger at alpha = 1 reads every chain at its upper end only.
+    yield "oriented", ["bounds", "--alpha", "1"]
+    yield "pivoting", ["bounds", "--alpha", "1"]
 
 
 CASES = [f"{doc} {' '.join(argv)}" for doc, argv in _cases()]
@@ -79,6 +82,8 @@ COUNTER_CASES = [
     "undirected curvature --all",
     "pivoting curvature --all",
     "pivoting bounds",
+    "oriented bounds --alpha 1",
+    "pivoting bounds --alpha 1",
 ]
 
 
@@ -291,17 +296,21 @@ PINNED = {
     'h4 sweep --pair x2,x3 --alpha-grid 0,1/3,1': (0, 'aa157c884c2eb3dca39c3f2a88b8a31897b5b73e96ffd90fa86ccbf82a6bcc1d', ''),
     'pivoting curvature --all --format json': (0, 'bd99438183477fe6db5148aa806e1168b0b6f338eb411c0a3d6a86faac7f2c66', ''),
     'pivoting bounds': (0, '72bf2d266a8826ba9abd4c4e0d797f536ff47b16a6b9d4ba5d84af184f213728', ''),
+    'oriented bounds --alpha 1': (0, '3bc8fc41326cdb2dc33e66d0585976589d11a238a6b74849b565c1f55446c503', ''),
+    'pivoting bounds --alpha 1': (0, 'f377c1332b261cb7e3f6549a8044d901c97c9d6ec344ba40f1b5f9120c01dafb', ''),
 }
 
 PINNED_COUNTERS = {
-    'h4 bounds': (0, {'solves': 6, 'solve_hits': 9, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 8, 'measure_hits': 8, 'limits': 6, 'limit_hits': 4}),
+    'h4 bounds': (0, {'solves': 6, 'solve_hits': 10, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 8, 'measure_hits': 8, 'limits': 6, 'limit_hits': 4}),
     'h4 curvature --all': (0, {'solves': 6, 'solve_hits': 4, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 8, 'measure_hits': 8, 'limits': 8, 'limit_hits': 0}),
     'directed bounds': (0, {'solves': 4, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 16, 'measure_hits': 4, 'limits': 0, 'limit_hits': 0}),
-    'oriented bounds': (0, {'solves': 22, 'solve_hits': 57, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 1, 'dual_pivots': 1, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
+    'oriented bounds': (0, {'solves': 22, 'solve_hits': 58, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
     'oriented curvature --all': (0, {'solves': 22, 'solve_hits': 12, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 30, 'limits': 34, 'limit_hits': 0}),
     'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 10, 'pivots': 1, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
     'pivoting curvature --all': (0, {'solves': 21, 'solve_hits': 20, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 29, 'limit_hits': 0}),
     'pivoting bounds': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
+    'oriented bounds --alpha 1': (0, {'solves': 22, 'solve_hits': 58, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
+    'pivoting bounds --alpha 1': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
 }
 
 PINNED_HELP = {
