@@ -14,8 +14,8 @@ does not change how a run is evaluated. Every number is computed exactly;
 ``Evaluator.curve_ints``, reduced by one gcd (or divided once under
 ``--float``), with no Fraction per sample; the ``curvature`` table prints
 only limits, so it reads no curve. Curvature JSON is written result by
-result from a fixed text template; ``_json_text`` prints every other JSON
-payload.
+result from a fixed text template; every other JSON payload is printed by
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ def _config_from_args(args) -> RunConfig:
     if args.variant:
         cfg.variant = args.variant
     if args.float:
+        if args.exact:
+            raise errors.ParseError("--exact and --float exclude each other")
         cfg.mode = "float"
         cfg.fmt_ratio = _float_text
     if args.format:
@@ -118,56 +120,6 @@ def _csv_text(comment: str, header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()[:-1]
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a tree of dicts and lists.
-
-    The leaves are str, int, bool and None; any other type raises
-    TypeError. ``json.dumps`` runs its pure-Python encoder whenever
-    ``indent`` is set; this walk takes about half its time on curvature
-    payloads. Strings go through the same C ``encode_basestring_ascii``.
-    """
-    parts: list[str] = []
-    append = parts.append
-
-    def walk(x, pad: str) -> None:
-        if isinstance(x, str):
-            append(_json_str(x))
-        elif x is None or isinstance(x, bool):
-            append("null" if x is None else "true" if x else "false")
-        elif isinstance(x, int):
-            append(int.__repr__(x))
-        elif isinstance(x, dict):
-            if not x:
-                append("{}")
-                return
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for k, v in x.items():
-                if type(v) is str:  # the common leaf, without a call
-                    append(f"{sep}{_json_str(k)}: {_json_str(v)}")
-                else:
-                    append(f"{sep}{_json_str(k)}: ")
-                    walk(v, inner)
-                sep = ",\n" + inner
-            append(f"\n{pad}}}")
-        elif isinstance(x, list):
-            if not x:
-                append("[]")
-                return
-            inner = pad + "  "
-            sep = "[\n" + inner
-            for v in x:
-                append(sep)
-                walk(v, inner)
-                sep = ",\n" + inner
-            append(f"\n{pad}]")
-        else:
-            raise TypeError(f"cannot print {type(x).__name__} as JSON")
-
-    walk(value, "")
-    return "".join(parts)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -197,7 +149,7 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
             "symmetric": oracle.symmetric,
             "distances": {names[u]: dict(zip(names, cells[u])) for u in vertices},
         }
-        return 0, _json_text(payload)
+        return 0, json.dumps(payload, indent=2)
     width = max(len(c) for c in [*names, *(c for row in cells for c in row)]) + 2
     lines = [f"mode: {cfg.mode}  symmetric: {oracle.symmetric}"]
     for name, row in [("", names), *zip(names, cells)]:
@@ -237,7 +189,7 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
         "mass": {doc.vertex_names[v]: cfg.fmt_num(m) for v, m in sorted(mu.mass.items())},
         "total": cfg.fmt_num(mu.total()),
     }
-    return 0, _json_text(payload)
+    return 0, json.dumps(payload, indent=2)
 
 
 _CURVE_HEADER = ["alpha", "kappa", "normalized"]
@@ -266,7 +218,8 @@ def _sample_rows(cfg: RunConfig, grid, curve) -> list[tuple[str, str, str | None
 
 
 def _curvature_json(cfg: RunConfig, grid, results) -> str:
-    """``_json_text`` of the curvature payload, written result by result from a template.
+    """``json.dumps(payload, indent=2)`` of the curvature payload, written result by
+    result from a template.
 
     Number texts hold only digits, ``-``, ``/``, ``.``, ``e`` and ``+``, so
     they are written between quotes as they are; names are JSON-encoded.
@@ -377,7 +330,7 @@ def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int,
             "violated": len(violated),
             "not_applicable": len(skipped),
         }
-        return code, _json_text(payload)
+        return code, json.dumps(payload, indent=2)
     if cfg.fmt == "csv":
         return code, _csv_text(f"# mode={cfg.mode}", header, rows)
     lines = [f"mode: {cfg.mode}  alpha: {fmt(cfg.alpha)}"]

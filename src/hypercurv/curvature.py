@@ -20,21 +20,20 @@ negative has no finite limit, and the limit search reports that instead
 of truncating silently. Every value is an exact rational; printing it as
 a decimal is left to the caller.
 
-Each transport is solved once, at alpha = 3/4, where the limit search
-looks first; the optimal basis, ranged, gives the exact W on a whole
-interval of alpha. Dual-simplex pivots trace the pieces above it up to 1
-at once, and those below it only as far as a read reaches. The solves
-and the pieces are ints. Summing a target's pieces gives kappa's own int
-lines, and every answer reads them over some ``[lo, 1]``: a point value
-is the first line over ``[alpha, 1]``, the limit and its certificate
-come from the final line over ``[3/4, 1]``, a curve from the lines over
-``[min(grid), 1]`` as one int per grid alpha over a common denominator,
-and the breakpoints from the lines over ``[0, 1]``. A report's
-``alpha_lo`` traces each chain down only as far as the start of kappa's
-final line needs. Every boundary between kappa's lines is checked to
-bend it down, so a curve that is not concave raises rather than
-certifying a limit. A value becomes a Fraction only when it leaves the
-Evaluator; the CLI prints the curve's ints directly.
+Each transport is solved once, just below alpha = 1, where the optimal
+basis, ranged, gives the exact W on the final interval ``[lo, 1]`` of
+alpha. Dual-simplex pivots trace the pieces below it only as far as a
+read reaches. The solves and the pieces are ints. Summing a target's
+pieces gives kappa's own int lines, and every answer reads them over
+some ``[lo, 1]``: a point value is the first line over ``[alpha, 1]``,
+the limit and its certificate come from the final line over ``[3/4, 1]``,
+a curve from the lines over ``[min(grid), 1]`` as one int per grid alpha
+over a common denominator, and the breakpoints from the lines over
+``[0, 1]``. A report's ``alpha_lo`` traces each chain down only as far
+as the start of kappa's final line needs. Every boundary between kappa's
+lines is checked to bend it down, so a curve that is not concave raises
+rather than certifying a limit. A value becomes a Fraction only when it
+leaves the Evaluator; the CLI prints the curve's ints directly.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes; the module-level
@@ -65,9 +64,9 @@ from .walk import (  # noqa: F401
 
 DEFAULT_ALPHA_GRID = tuple(Fraction(k, 10) for k in range(10)) + (Fraction(99, 100),)
 DEFAULT_K_MAX = 24
-# Where every transport is solved cold, as ``(num, den)``: the first dyadic
-# alpha ``1 - 2**-2``, at which the limit search reads kappa's final line.
-_COLD_ALPHA = (3, 4)
+# The lower end, as ``(num, den)``, of the lines the limit search reads: the
+# first dyadic alpha ``1 - 2**-2``, where it certifies kappa's final line.
+_LIMIT_LO = (3, 4)
 
 
 def _sampling_grid(grid) -> tuple[tuple, tuple, tuple]:
@@ -126,12 +125,13 @@ class EvalStats:
     """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
 
     A solve is the one cold transport solve of a target, which yields its
-    first linear piece of W(alpha); ``pivots`` and ``degenerate_pivots``
-    count the primal simplex pivots of those solves. Every further piece is
-    traced from a neighbouring one by ``dual_pivots``; ``traced_pieces``
-    counts them. Every answer reads kappa's lines over some range of alpha;
-    a solve hit is a term of the target whose chain already spanned that
-    range, so that its part of the read needed no solve and no pivot.
+    final linear piece of W(alpha), the one ending at 1; ``pivots`` and
+    ``degenerate_pivots`` count the primal simplex pivots of those solves.
+    Every further piece is traced from the one above it by
+    ``dual_pivots``; ``traced_pieces`` counts them. Every answer reads
+    kappa's lines over some range of alpha; a solve hit is a term of the
+    target whose chain already spanned that range, so that its part of the
+    read needed no solve and no pivot.
     Measures count walk measures built (two per vertex or side, at alpha 0
     and 1); a measure hit is a reuse of such a pair.
     """
@@ -173,11 +173,12 @@ class _Chain:
     """The linear regions found so far of W(alpha) between two walk measures.
 
     ``lines`` holds them in alpha order as pieces, each the union of the
-    neighbouring pieces traced on one line; they are contiguous, end at
-    alpha = 1 and grow only downward, so every boundary between two of
-    them is a breakpoint of W. ``low`` is the optimal basis at their lower
-    end, from which the chain is extended by dual pivots, until the lines
-    reach 0 and it is dropped.
+    neighbouring pieces traced on one line; they are contiguous, start
+    with the final piece of the cold solve, which ends at alpha = 1, and
+    grow only downward, so every boundary between two of them is a
+    breakpoint of W. ``low`` is the optimal basis at their lower end, from
+    which the chain is extended by dual pivots, until the lines reach 0
+    and it is dropped.
     """
 
     __slots__ = ("family", "lines", "low")
@@ -187,31 +188,18 @@ class _Chain:
         self.lines: list[LinearPiece] = []
         self.low: Basis | None = None
 
-    def store(self, basis: Basis, upward: bool) -> None:
-        """Add the piece of ``basis`` at the upper or lower end.
+    def store(self, basis: Basis) -> None:
+        """Add the piece of ``basis`` below the lines found so far.
 
-        A piece on the line of the region it adjoins, met where a pivot kept
-        every potential, extends that region; so does any piece next to the
-        single-alpha piece of a degenerate cold solve.
+        A piece on the line of the lowest region, met where a pivot kept
+        every potential, widens that region; any other piece starts a new one.
         """
         lines, piece = self.lines, basis.piece
-        end = -1 if upward else 0
-        old = lines[end] if lines else None
-        if old is None:
-            lines.append(piece)
-        elif old.is_point() or (old.w0, old.w1) == (piece.w0, piece.w1):
-            if upward:
-                lines[end] = piece._replace(lo_num=old.lo_num, lo_den=old.lo_den)
-            else:
-                lines[end] = piece._replace(hi_num=old.hi_num, hi_den=old.hi_den)
-        elif upward:
-            lines.append(piece)
+        if lines and (lines[0].w0, lines[0].w1) == (piece.w0, piece.w1):
+            lines[0] = piece._replace(hi_num=lines[0].hi_num, hi_den=lines[0].hi_den)
         else:
             lines.insert(0, piece)
-        if old is None or not upward:
-            self.low = basis
-        if lines[0].lo_num == 0:
-            self.low = None
+        self.low = None if piece.lo_num == 0 else basis
 
     def spans(self, lo: tuple) -> bool:
         """Whether the lines found so far reach down to ``lo``, an alpha as ``(num, den)``."""
@@ -227,8 +215,8 @@ class Evaluator:
     (constructor, vertex or edge, direction or side); the measure at any
     other alpha is their affine blend. Transport values are memoised per
     pair of walk measures as a chain of exact linear pieces of W(alpha):
-    one int solve of the family (``transport.solve_family``) at 3/4 finds
-    the first, and dual pivots trace the others up to 1 and down as far as
+    one int solve of the family (``transport.solve_family``) just below 1
+    finds the final one, and dual pivots trace the others down as far as
     requested. Every answer, a point value, a limit, a curve or the
     breakpoints, is read off kappa's int lines over some ``[lo, 1]``,
     which ``_merged`` sums from the chains; a report's ``alpha_lo`` is
@@ -361,36 +349,43 @@ class Evaluator:
     def _reach(self, chain: _Chain, lo: tuple) -> None:
         """Extend the chain until its lines reach down to ``lo``, given as ``(num, den)``.
 
-        The first request of a chain solves it at 3/4, on the union supports
-        of its endpoint measures, ranges the optimal basis into the exact
-        linear piece of W around 3/4 and traces the pieces above it up to 1.
-        Every later request extends the chain downward from ``low``.
+        The first request of a chain solves it at ``b* = D/(D+1)``, on the
+        union supports of its endpoint measures, where ``D = sum(mu0) +
+        sum(mu1)`` is the family's total int mass, ``2 * scale`` for walk
+        measures. The optimal basis there ranges into W's final piece
+        ``[lo, 1]``, with ``lo < b* < 1``. Each basic flow
+        ``(1-b)*s0 + b*s1`` is the net supply of a subtree, so
+        ``|s0 - s1| <= D``. A flow that falls to 0 before 1 has
+        ``s1 <= -1`` and does so at ``s0/(s0-s1) <= 1 - 1/D < b*``, where
+        it would be negative; so no basic flow falls, and the piece ends
+        at 1. A flow that rises from below 0 crosses 0 at a ratio whose
+        denominator is at most D, never at ``b*``, whose lowest-terms
+        denominator is D + 1; so the piece starts below ``b*``. Every
+        later request extends the chain downward from ``low``.
         """
         if not chain.lines:
+            family = chain.family
+            total = sum(family.mu0) + sum(family.mu1)
             self.stats.solves += 1
-            basis, pivots, degenerate = solve_family(
-                chain.family, *_COLD_ALPHA, self.oracle.table
-            )
+            basis, pivots, degenerate = solve_family(family, total, total + 1, self.oracle.table)
             self.stats.pivots += pivots
             self.stats.degenerate_pivots += degenerate
-            chain.store(basis, upward=True)
-            while basis.piece.hi_num != basis.piece.hi_den:
-                basis = self._extend(chain, basis, upward=True)
+            chain.store(basis)
         while not chain.spans(lo):
-            self._extend(chain, chain.low, upward=False)
+            self._extend(chain)
 
-    def _extend(self, chain: _Chain, basis: Basis, upward: bool) -> Basis:
-        """Pivot from ``basis`` past the upper or lower end of its piece to the
-        next piece of W, store it and return its basis. Pieces of a single
-        alpha, met where several flows reach zero at once, are passed."""
+    def _extend(self, chain: _Chain) -> None:
+        """Pivot from ``chain.low`` past the lower end of its piece to the next
+        piece of W down and store it. Pieces of a single alpha, met where
+        several flows reach zero at once, are passed."""
+        basis = chain.low
         while True:
-            basis = dual_pivot(chain.family, basis, upward)
+            basis = dual_pivot(chain.family, basis)
             self.stats.dual_pivots += 1
             if not basis.piece.is_point():
                 break
         self.stats.traced_pieces += 1
-        chain.store(basis, upward)
-        return basis
+        chain.store(basis)
 
     def breakpoints(self, target: tuple) -> list[Fraction]:
         """Alphas in (0, 1) where ``kappa_alpha`` of the target changes slope, ascending.
@@ -446,7 +441,7 @@ class Evaluator:
         # Every boundary between kappa's lines is a breakpoint, so the final
         # line over [3/4, 1] starts at alpha_lo when alpha_lo is past 3/4,
         # and at 3/4 otherwise.
-        lines, den = self._merged(*self._target(target, variant), _COLD_ALPHA)
+        lines, den = self._merged(*self._target(target, variant), _LIMIT_LO)
         final = lines[-1]
         # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
         # masses at its ends, so it vanishes for pairs and undirected
@@ -532,7 +527,7 @@ class Evaluator:
         for chain, _d in terms:
             lines = chain.lines
             while len(lines) == 1 and lo_num * lines[0].lo_den < lines[0].lo_num * lo_den:
-                self._extend(chain, chain.low, upward=False)
+                self._extend(chain)
             last = lines[-1]
             if lo_num * last.lo_den < last.lo_num * lo_den:
                 lo_num, lo_den = last.lo_num, last.lo_den

@@ -16,8 +16,8 @@ basis only when it is read.
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
 convex and piecewise linear in ``b``. :func:`solve_family` solves a family
 at one ``b`` straight from its int masses, and :func:`dual_pivot` steps
-from an optimal basis across either end of its piece of W to the next
-one, without another solve. Both simplexes run on one ranged
+from an optimal basis across the lower end of its piece of W to the next
+one down, without another solve. Both simplexes run on one ranged
 :class:`Basis`, which carries the exact :class:`LinearPiece` of W on which
 its flows stay nonnegative, and change it by one tree exchange
 (``_exchange``): drop the cell above one node, add one cell, then hang,
@@ -384,42 +384,43 @@ def _hang(family: AffineFamily, cost, adj) -> Basis:
     return Basis(piece, parent, order, f0, f1, u, v, cost)
 
 
-def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
-    """The optimal basis just past one end of ``basis.piece``, ranged.
+def dual_pivot(family: AffineFamily, basis: Basis) -> Basis:
+    """The optimal basis just past the ``lo`` end of ``basis.piece``, ranged.
 
-    ``upward`` crosses the piece's ``hi`` end, otherwise its ``lo`` end; that
-    end must lie strictly inside (0, 1). One parametric dual-simplex pivot:
+    That end must lie strictly inside (0, 1). One parametric dual-simplex
+    pivot:
 
     * the leaving cell is a basic cell whose flow is zero at the end and
-      would turn negative past it;
+      would turn negative below it;
     * removing it cuts the tree in two. The flow it carried is the net
-      supply of its row's side, which past the end turns negative, so the
+      supply of its row's side, which below the end turns negative, so the
       entering cell runs from a row on the column's side into a column on
       the row's side: of those, the one with the least reduced cost;
     * :func:`_exchange` swaps the two cells. The entering cell becomes
       tight, which moves the potentials of the side cut off from row 0 by
       its reduced cost. Cells crossing the cut the same way lose it, cells
       crossing the other way gain it, and every other reduced cost stays
-      as it was: all stay nonnegative. The new piece starts at the end
-      crossed.
+      as it was: all stay nonnegative. The new piece ends where the old
+      one started.
 
     Reduced costs do not depend on the masses, so the new basis is optimal
     wherever its flows are nonnegative, and no optimality scan is needed.
     Where several flows reach zero at the end, the new piece may be that
     single point, and the caller pivots again. Ties are broken in (row,
     col) order on both sides: the leaving cell is the first that qualifies,
-    the entering cell the first of least reduced cost. That is Bland's rule
-    for the dual simplex, so a run of pivots at one end cannot cycle.
+    the entering cell the first of least reduced cost. None is negative, so
+    the scan stops at the first crossing cell that is already tight. That
+    is Bland's rule for the dual simplex, so a run of pivots at one end
+    cannot cycle.
     """
-    piece = basis.piece
-    num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
+    num, den = basis.piece.lo_num, basis.piece.lo_den
     nr = len(family.rows)
     parent, order, f0, f1 = basis.parent, basis.order, basis.f0, basis.f1
     # The leaving cell is the one above node ``low``.
     low = leaving = None
     for x in order[1:]:
         s0, s1 = f0[x], f1[x]
-        if (s1 < s0 if upward else s1 > s0) and (den - num) * s0 + num * s1 == 0:
+        if s1 > s0 and (den - num) * s0 + num * s1 == 0:
             cell = _cell(x, parent[x], nr)
             if leaving is None or cell < leaving:
                 low, leaving = x, cell
@@ -440,6 +441,8 @@ def dual_pivot(family: AffineFamily, basis: Basis, upward: bool) -> Basis:
                 reduced = row[j] - ui - v[j]
                 if best is None or reduced < best:
                     best, entering = reduced, (i, j)
+                    if not best:
+                        return _exchange(family, basis, low, entering)
     return _exchange(family, basis, low, entering)
 
 

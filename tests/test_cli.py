@@ -315,6 +315,7 @@ def test_measure_tail_constituent_matches_the_library(capsys):
         (["measure", "{late}", "--vertex", "x1"], "UnsupportedFlavor"),
         (["measure", "{h4}", "--edge", "h1"], "UnsupportedFlavor"),
         (["measure", "{h4}"], "UnknownTarget"),
+        (["distances", "{h4}", "--exact", "--float"], "ParseError"),
     ],
     ids=[
         "parallel-0",
@@ -324,6 +325,7 @@ def test_measure_tail_constituent_matches_the_library(capsys):
         "measure-vertex-directed",
         "measure-edge-undirected",
         "measure-without-target",
+        "exact-and-float",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, error):

@@ -243,7 +243,7 @@ def test_answers_do_not_depend_on_request_order_or_grid(flavor):
             assert len(set(answers)) == 1, (target, answers)
 
 
-# A sampling grid that starts above 3/4, where every chain is solved.
+# A sampling grid that starts above 3/4, where the limit search reads.
 HIGH_GRID = (Fraction(99, 100), Fraction(7, 8), Fraction(9, 10))
 
 
@@ -296,8 +296,8 @@ def _check_chain(chain: _Chain, lowest: Fraction) -> None:
 
 
 def test_chains_are_one_ended_and_their_work_does_not_depend_on_read_order():
-    """Every chain is solved cold at 3/4, traced up to 1 at once and only ever
-    extended downward, so two orders of one set of reads give the same
+    """Every chain is solved cold just below 1, into its final piece, and
+    only ever extended downward, so two orders of one set of reads give the same
     answers and the same solves and pivots, on 75 ``random_instances``
     documents (three flavors, seeds 0-24). After every read, each chain the
     read touched is checked with ``_check_chain``. When the cold solve

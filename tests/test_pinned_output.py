@@ -32,6 +32,8 @@ H4_PATH = Path(__file__).resolve().parent.parent / "data" / "h4.json"
 # A seeded undirected document whose cold solves make degenerate primal
 # pivots, which none of the documents below does.
 PIVOTING_PATH = H4_PATH.with_name("pivoting_undirected.json")
+# A directed document whose final lines start past 3/4.
+LATE_PATH = H4_PATH.with_name("late_limit_directed.json")
 
 # One seeded document per flavor, small enough to run every case in-process,
 # and a directed one whose hyperedge h5 has no LLY limit (exit 3).
@@ -84,11 +86,15 @@ COUNTER_CASES = [
     "pivoting bounds",
     "oriented bounds --alpha 1",
     "pivoting bounds --alpha 1",
+    # A directed ledger reads kappa only at its alpha: at 9/10 the pieces
+    # of the cold solves cover it, at 1/3 the chains are traced down.
+    "late bounds --alpha 1/3",
+    "late bounds --alpha 9/10",
 ]
 
 
 def _write_documents(directory: Path) -> dict[str, str]:
-    paths = {"h4": str(H4_PATH), "pivoting": str(PIVOTING_PATH)}
+    paths = {"h4": str(H4_PATH), "pivoting": str(PIVOTING_PATH), "late": str(LATE_PATH)}
     for name, make in DOCUMENTS.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(serialize_document(named_document(make()))))
@@ -184,8 +190,7 @@ def test_pivoting_document_is_the_seeded_one():
 
 def test_sweep_row_of_a_limit_certified_past_three_quarters(capsys):
     """The last sweep row is the stabilization alpha, its kappa and the limit."""
-    path = H4_PATH.with_name("late_limit_directed.json")
-    assert main(["sweep", str(path), "--edge", "h6"]) == 0
+    assert main(["sweep", str(LATE_PATH), "--edge", "h6"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "7/8,75/544,75/68"
 
 
@@ -311,6 +316,8 @@ PINNED_COUNTERS = {
     'pivoting bounds': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
     'oriented bounds --alpha 1': (0, {'solves': 22, 'solve_hits': 58, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
     'pivoting bounds --alpha 1': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
+    'late bounds --alpha 1/3': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 7, 'dual_pivots': 7, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
+    'late bounds --alpha 9/10': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
 }
 
 PINNED_HELP = {

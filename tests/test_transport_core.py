@@ -318,20 +318,18 @@ def test_linear_piece_matches_fresh_solves():
     assert proper > 500 and degenerate > 300 and zero_rows > 250
 
 
-def _trace(family, basis, upward):
-    """Bases from ``basis`` by dual pivots until a piece reaches 1 (or 0).
+def _trace(family, basis):
+    """Bases from a piece reaching 0 up to ``basis``, by dual pivots down from it.
 
     The families here have at most 7 rows and columns, and their chains at
     most a few dozen bases; a pivot rule that wanders fails at the bound.
     """
     bases = [basis]
-    while len(bases) < 200:
-        piece = bases[-1].piece
-        num, den = (piece.hi_num, piece.hi_den) if upward else (piece.lo_num, piece.lo_den)
-        if num == (den if upward else 0):
-            return bases
-        bases.append(dual_pivot(family, bases[-1], upward))
-    raise AssertionError("no end of [0, 1] after 200 dual pivots")
+    while bases[-1].piece.lo_num:
+        if len(bases) == 200:
+            raise AssertionError("no end of [0, 1] after 200 dual pivots")
+        bases.append(dual_pivot(family, bases[-1]))
+    return bases[::-1]
 
 
 def _assert_optimal_potentials(basis):
@@ -346,9 +344,11 @@ def _assert_optimal_potentials(basis):
 
 
 def test_traced_pieces_match_fresh_solves():
-    """From one solve at an interior alpha, at 0 or at 1, dual pivots trace a
-    chain of pieces that is contiguous from the solve down to 0 and up to 1,
-    and every piece equals a fresh solve at its two ends and inside."""
+    """From one solve at ``b* = D/(D+1)``, D the family's total int mass, and
+    one at an interior alpha, at 0 or at 1, dual pivots trace chains of
+    pieces that are contiguous from the solve down to 0. The chain from
+    ``b*`` ends at 1, and every piece equals a fresh solve at its two ends
+    and inside."""
     rng = random.Random(7306)
     pieces = points = kinks = zero_rows = 0
     for k in range(300):
@@ -360,28 +360,33 @@ def test_traced_pieces_match_fresh_solves():
         def w(b):
             return wasserstein(_blend(mu0, mu1, b), _blend(nu0, nu1, b), oracle).value
 
+        total = sum(m0) + sum(m1)
+        top = Fraction(total, total + 1)
         alpha = (_interior(rng, Fraction(0), Fraction(1)), Fraction(0), Fraction(1))[k % 3]
-        with _deadline(10):
-            cold = solve_family(family, alpha.numerator, alpha.denominator, oracle.table)[0]
-            chain = _trace(family, cold, False)[::-1] + _trace(family, cold, True)[1:]
         zero_rows += 0 in m0 or 0 in m1
-        traced = [b.piece for b in chain]
-        assert traced[0].lo_num == 0 and traced[-1].hi_num == traced[-1].hi_den
-        for below, above in zip(traced, traced[1:]):
-            assert Fraction(below.hi_num, below.hi_den) == Fraction(above.lo_num, above.lo_den)
-        assert cold.piece.covers(alpha.numerator, alpha.denominator)
-        for basis in chain:
-            _assert_optimal_potentials(basis)
-            piece = basis.piece
-            lo = Fraction(piece.lo_num, piece.lo_den)
-            hi = Fraction(piece.hi_num, piece.hi_den)
-            for b in {lo, hi, _interior(rng, lo, hi)}:
-                value = piece.at(b.numerator, b.denominator)
-                assert Fraction(value, b.denominator * scale * oracle.scale) == w(b), (k, b, piece)
-            pieces += 1
-            points += lo == hi
-        proper = [piece for piece in traced if not piece.is_point()]
-        kinks += sum((a.w0, a.w1) != (b.w0, b.w1) for a, b in zip(proper, proper[1:]))
+        for start in (top, alpha):
+            with _deadline(10):
+                cold = solve_family(family, start.numerator, start.denominator, oracle.table)[0]
+                chain = _trace(family, cold)
+            traced = [b.piece for b in chain]
+            assert traced[0].lo_num == 0
+            assert start != top or traced[-1].hi_num == traced[-1].hi_den
+            for below, above in zip(traced, traced[1:]):
+                assert Fraction(below.hi_num, below.hi_den) == Fraction(above.lo_num, above.lo_den)
+            assert cold.piece.covers(start.numerator, start.denominator)
+            for basis in chain:
+                _assert_optimal_potentials(basis)
+                piece = basis.piece
+                lo = Fraction(piece.lo_num, piece.lo_den)
+                hi = Fraction(piece.hi_num, piece.hi_den)
+                for b in {lo, hi, _interior(rng, lo, hi)}:
+                    value = piece.at(b.numerator, b.denominator)
+                    value = Fraction(value, b.denominator * scale * oracle.scale)
+                    assert value == w(b), (k, b, piece)
+                pieces += 1
+                points += lo == hi
+            proper = [piece for piece in traced if not piece.is_point()]
+            kinks += sum((a.w0, a.w1) != (b.w0, b.w1) for a, b in zip(proper, proper[1:]))
     # Chains of several pieces, with breakpoints where W kinks, degenerate
     # breakpoints that pass through bases of a single alpha, and families
     # whose rows carry no mass at one end.
@@ -440,6 +445,38 @@ def test_solve_family_matches_the_oracles(flavor):
                 zero_mass += 0 in mu.values() or 0 in nu.values()
                 one_vertex += min(support) == 1
     assert zero_mass > 20 and one_vertex > 20 and lp > 20 and brute > 20, (zero_mass, one_vertex, lp, brute)
+
+
+def _final_piece_checked(family, table):
+    """Solve ``family`` at ``b* = D/(D+1)``, D its total int mass, and check
+    that the ranged piece is W's final one, ``[lo, 1]`` with ``lo < b*``."""
+    total = sum(family.mu0) + sum(family.mu1)
+    with _deadline(10):
+        piece = solve_family(family, total, total + 1, table)[0].piece
+    assert not piece.is_point() and piece.hi_num == piece.hi_den, (family, piece)
+    assert piece.lo_num * (total + 1) < total * piece.lo_den, (family, piece)
+    return piece.lo_num == 0
+
+
+def test_solve_at_b_star_ranges_into_the_final_piece():
+    """The cold solve of a chain, at ``b* = D/(D+1)``, ranges into a piece
+    that ends at 1 and starts below ``b*``, on the ``_affine_family``
+    families and on the ``reference_family`` of every transport of the
+    ``KERNEL_CORPORA`` documents. Enough of the pieces stop short of 0 for
+    a solve that ranged [0, 1] everywhere to fail."""
+    rng = random.Random(7308)
+    short = 0
+    for k in range(300):
+        ends, oracle = _affine_family(rng, k)
+        rows, cols, (m0, n0, m1, n1), scale = _aligned(ends)
+        family = AffineFamily(rows, cols, m0, m1, n0, n1, scale)
+        short += not _final_piece_checked(family, oracle.table)
+    for flavor in sorted(KERNEL_CORPORA):
+        for hg in KERNEL_CORPORA[flavor]():
+            table = all_pairs_distances(hg).table
+            for key in _family_keys(hg):
+                short += not _final_piece_checked(AffineFamily(*reference_family(hg, key)), table)
+    assert short > 250
 
 
 def test_solve_family_checks_the_masses():
