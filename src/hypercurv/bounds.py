@@ -6,11 +6,13 @@ emitted even when a hypothesis fails. ``holds is None`` marks a verdict
 whose hypothesis is not met (not applicable), which is distinct from a
 violated inequality.
 
-The partition constants and the sides of the upper bounds are computed on
+Every upper bound on ``kappa_alpha`` has the form ``(1 - alpha) * N / D``.
+The partition constants and each bound's ``N`` and ``D`` are computed on
 ints: the distances of ``oracle.table``, the int edge weights and the int
-walk spreads of :mod:`hypercurv.walk`. Each becomes one Fraction at the
-end. The Bonnet-Myers and vertex-count sides divide by limit curvatures
-and stay on Fractions.
+walk spreads of :mod:`hypercurv.walk`. One helper turns them, with
+``alpha = p/q``, into the side ``Fraction((q - p) * N, q * D)``. The
+Bonnet-Myers and vertex-count sides divide by limit curvatures and stay
+on Fractions.
 
 Each check takes ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the
 instance, so a ledger of many checks shares measures, transports and
@@ -108,6 +110,18 @@ def _on_scale(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
+def _side(a: Fraction, num: int, den: int) -> Fraction:
+    """The upper bound ``(1 - a) * num / den`` on ``kappa_a``, from its ints."""
+    p, q = a.numerator, a.denominator
+    return Fraction((q - p) * num, q * den)
+
+
+def _weight_side(hg: Hypergraph, oracle: DistanceOracle, a: Fraction, length: int) -> Fraction:
+    """``(1 - a) * 2 max w / d``, with ``d = length / oracle.scale``."""
+    top = hg.max_weight()
+    return _side(a, 2 * top.numerator * oracle.scale, top.denominator * length)
+
+
 class Labels:
     """Optional display names for verdict targets; ids by default."""
 
@@ -148,24 +162,17 @@ def check_pair_upper_bound(
         raise errors.UnsupportedFlavor("pair upper bounds here are undirected; see the oriented check")
     a = as_alpha(alpha)
     kappa = (ev or Evaluator(hg, oracle)).kappa(("pair", u, v), a)
-    # Each side is (1 - a) * numerator / d on ints: a = p/q, d = d_u_v / scale.
-    p, q = a.numerator, a.denominator
-    scaled = (q - p) * oracle.scale
     d_u_v = oracle._scaled(u, v)
     target = f"{labels.pair(u, v)} alpha={a}"
-    top = hg.max_weight()
     weights, w_scale = hg.scaled_weights
     local = max(weights[e] for e in hg.edges_containing(u)) + max(
         weights[e] for e in hg.edges_containing(v)
     )
     return [
+        _verdict("pair-upper-global", kappa, _weight_side(hg, oracle, a, d_u_v), target),
         _verdict(
-            "pair-upper-global",
-            kappa,
-            Fraction(scaled * 2 * top.numerator, q * top.denominator * d_u_v),
-            target,
+            "pair-upper-local", kappa, _side(a, local * oracle.scale, w_scale * d_u_v), target
         ),
-        _verdict("pair-upper-local", kappa, Fraction(scaled * local, q * w_scale * d_u_v), target),
     ]
 
 
@@ -188,30 +195,25 @@ def check_edge_upper_bound(
     a = as_alpha(alpha)
     ev = ev or Evaluator(hg, oracle)
     target = f"{labels.edge(edge_index)} alpha={a} variant={variant}"
-    # The side is (1 - a) * numerator / length on ints: a = p/q, the length
-    # over oracle.scale and the numerator over its own denominator.
-    p, q = a.numerator, a.denominator
-    scaled = (q - p) * oracle.scale
-    top = hg.max_weight()
     if hg.flavor == UNDIRECTED:
         kappa = ev.kappa(("edge", edge_index), a, variant)
         edge = hg.edges[edge_index]
         k = len(edge)
         length = scaled_edge_length(hg, oracle, edge_index, variant)
         if variant == "min":
+            top = hg.max_weight()
             num, den = (k - 1) * k * top.numerator, top.denominator
         else:
             weights, w_scale = hg.scaled_weights
             per_member = sum(max(weights[e] for e in hg.edges_containing(x)) for x in edge.vertices)
             num, den = (k - 1) * per_member, w_scale
-        return _verdict("edge-upper", kappa, Fraction(scaled * num, q * den * length), target)
+        return _verdict("edge-upper", kappa, _side(a, num * oracle.scale, den * length), target)
     if oracle.symmetric:
         if variant != "min":
             raise errors.UnsupportedVariant("directed hyperedges support the min length only")
         kappa = ev.kappa(("edge", edge_index), a)
         length = scaled_edge_length(hg, oracle, edge_index, "min")
-        rhs = Fraction(scaled * 2 * top.numerator, q * top.denominator * length)
-        return _verdict("edge-upper", kappa, rhs, target)
+        return _verdict("edge-upper", kappa, _weight_side(hg, oracle, a, length), target)
     raise errors.UnsupportedFlavor(
         "asymmetric directed hyperedges use check_directed_edge_bound"
     )
@@ -289,10 +291,8 @@ def check_directed_edge_bound(
     length = scaled_edge_length(hg, oracle, edge_index, "min")
     kappa = ev.kappa(("edge", edge_index), a)
     lhs = Fraction(kappa.numerator * length, kappa.denominator * scale)
-    # (1 - a) * (c_num / (scale * c_den * m) + diam), with a = p/q
-    p, q = a.numerator, a.denominator
-    diam_scaled = _on_scale(diam, scale)
-    rhs = Fraction((q - p) * (c_num + diam_scaled * c_den * m), q * scale * c_den * m)
+    # (1 - a) * (c_num / (scale * c_den * m) + diam)
+    rhs = _side(a, c_num + _on_scale(diam, scale) * c_den * m, scale * c_den * m)
     verdict = _verdict("directed-edge-upper", lhs, rhs, f"{labels.edge(edge_index)} alpha={a}")
     return verdict, DirectedBoundData(per_head=tuple(per_head), diameter=diam, head_size=m)
 
@@ -307,6 +307,11 @@ def _in_edge_pairs(hg: Hypergraph) -> list[tuple[int, int]]:
             for v in edge.head:
                 pairs.add((u, v))
     return sorted(pairs)
+
+
+def _least_limit(ev: Evaluator, pairs: list[tuple[int, int]]) -> Fraction | None:
+    """The least limit curvature over the vertex pairs, None if there are none."""
+    return min((ev.limit(("pair", u, v)).lly for u, v in pairs), default=None)
 
 
 def check_bonnet_myers(
@@ -336,44 +341,32 @@ def check_bonnet_myers(
                 verdicts.append(_verdict("bm-pair", oracle.d(u, v), two_max / kappa, target))
             else:
                 verdicts.append(_skip("bm-pair", target, f"kappa={kappa} not positive"))
-        floor = None
-        for (u, v, _e) in well_transported_pairs(hg, oracle):
-            kappa = ev.limit(("pair", u, v), variant).lly
-            floor = kappa if floor is None else min(floor, kappa)
-        if floor is not None and floor > 0:
-            verdicts.append(
-                _verdict("bm-diameter", oracle.diameter(), two_max / floor, f"floor {floor}")
-            )
-        else:
-            verdicts.append(_skip("bm-diameter", "diameter", f"well-transported floor {floor}"))
-        return verdicts
-
-    if not oracle.symmetric:
+        floor_pairs = [(u, v) for u, v, _e in well_transported_pairs(hg, oracle)]
+        floor_of = "well-transported"
+    elif not oracle.symmetric:
         return [_skip("bonnet-myers", "instance", "asymmetric quasi-distance")]
+    else:
+        for e in range(hg.n_edges):
+            target = labels.edge(e)
+            try:
+                kappa = ev.limit(("edge", e)).lly
+            except errors.NoStabilization:
+                verdicts.append(_skip("bm-edge", target, "normalized curvature diverges"))
+                continue
+            if kappa > 0:
+                length = edge_length(hg, oracle, e, "min").value
+                verdicts.append(_verdict("bm-edge", length, two_max / kappa, target))
+            else:
+                verdicts.append(_skip("bm-edge", target, f"kappa={kappa} not positive"))
+        floor_pairs, floor_of = _in_edge_pairs(hg), "tail-to-head"
 
-    for e in range(hg.n_edges):
-        target = labels.edge(e)
-        try:
-            kappa = ev.limit(("edge", e)).lly
-        except errors.NoStabilization:
-            verdicts.append(_skip("bm-edge", target, "normalized curvature diverges"))
-            continue
-        if kappa > 0:
-            length = edge_length(hg, oracle, e, "min").value
-            verdicts.append(_verdict("bm-edge", length, two_max / kappa, target))
-        else:
-            verdicts.append(_skip("bm-edge", target, f"kappa={kappa} not positive"))
-
-    floor = None
-    for (u, v) in _in_edge_pairs(hg):
-        kappa = ev.limit(("pair", u, v)).lly
-        floor = kappa if floor is None else min(floor, kappa)
+    floor = _least_limit(ev, floor_pairs)
     if floor is not None and floor > 0:
         verdicts.append(
             _verdict("bm-diameter", oracle.diameter(), two_max / floor, f"floor {floor}")
         )
     else:
-        verdicts.append(_skip("bm-diameter", "diameter", f"tail-to-head floor {floor}"))
+        verdicts.append(_skip("bm-diameter", "diameter", f"{floor_of} floor {floor}"))
     return verdicts
 
 
@@ -383,70 +376,57 @@ def check_pair_bound_oriented(
     u: int,
     v: int,
     alpha,
-    form: str = "both",
     labels: Labels = DEFAULT_LABELS,
     ev: Evaluator | None = None,
 ) -> list[BoundVerdict]:
     """Upper bounds on oriented pair curvature.
 
-    ``form`` selects the unit-weight partition bound (``"sym"``), the
-    weighted ``2 max w / d`` bound (``"weighted"``), or both. The
-    partition bound is checked at the given alpha and at the limit.
+    Returns the unit-weight partition bound, checked at the given alpha and
+    at the limit, then the weighted ``2 max w / d`` bound. With non-unit
+    weights the partition bound is a single not-applicable verdict.
     """
     if hg.flavor != ORIENTED:
         raise errors.UnsupportedFlavor("oriented pair bounds need the oriented flavor")
-    if form not in ("both", "sym", "weighted"):
-        raise ValueError(f"unknown form {form!r}")
     a = as_alpha(alpha)
     ev = ev or Evaluator(hg, oracle)
     d_u_v = oracle._scaled(u, v)
     kappa_a = ev.kappa(("pair", u, v), a)
     target = f"{labels.pair(u, v)} alpha={a}"
     verdicts = []
-    # The sides are (1 - a) * bound on ints: a = p/q, d(u, v) = d_u_v / scale.
-    p, q = a.numerator, a.denominator
-    scale = oracle.scale
-
-    if form in ("both", "sym"):
-        if not hg.is_unit_weight():
-            if form == "sym":
-                raise errors.NonUnitWeights("the partition pair bound needs unit weights")
-            verdicts.append(_skip("oriented-pair-upper-unit", target, "NonUnitWeights"))
+    if not hg.is_unit_weight():
+        verdicts.append(_skip("oriented-pair-upper-unit", target, "NonUnitWeights"))
+    else:
+        # The out-walk of v is a one-step walk, so its support is the
+        # out-neighborhood that the partition splits.
+        walk, den = ev.out_spread(v)
+        part = partition_neighborhood(hg, oracle, u, v, walk)
+        # The closer-class count only caps the drifting mass when no
+        # closer neighbor is reachable through several hyperedges at
+        # once (spread weight above 1); otherwise the inequality has
+        # no backing and the verdict is reported inapplicable. With unit
+        # weights out_weight(v) is deg_out(v), so the spread weight of z,
+        # the total of 1/|head| over the hyperedges carrying v to z, is
+        # its out-walk mass walk[z] / den times deg_out(v).
+        deg = hg.deg_out(v)
+        overloaded = sorted(z for z in part.closer if walk[z] * deg > den)
+        if overloaded:
+            why = f"closer neighbors {overloaded} multiply covered (spread > 1)"
+            verdicts.append(_skip("oriented-pair-upper-unit", target, why))
+            verdicts.append(_skip("oriented-pair-upper-unit-lly", labels.pair(u, v), why))
         else:
-            # The out-walk of v is a one-step walk, so its support is the
-            # out-neighborhood that the partition splits.
-            walk, den = ev.out_spread(v)
-            part = partition_neighborhood(hg, oracle, u, v, walk)
-            # The closer-class count only caps the drifting mass when no
-            # closer neighbor is reachable through several hyperedges at
-            # once (spread weight above 1); otherwise the inequality has
-            # no backing and the verdict is reported inapplicable. With unit
-            # weights out_weight(v) is deg_out(v), so the spread weight of z,
-            # the total of 1/|head| over the hyperedges carrying v to z, is
-            # its out-walk mass walk[z] / den times deg_out(v).
-            deg = hg.deg_out(v)
-            overloaded = sorted(z for z in part.closer if walk[z] * deg > den)
-            if overloaded:
-                why = f"closer neighbors {overloaded} multiply covered (spread > 1)"
-                verdicts.append(_skip("oriented-pair-upper-unit", target, why))
-                verdicts.append(_skip("oriented-pair-upper-unit-lly", labels.pair(u, v), why))
-            else:
-                b_h = hg.max_head_size()
-                # (1 + gap / deg) / d with gap = |closer| - |farther| / b_h
-                bound_num = (b_h * deg + len(part.closer) * b_h - len(part.farther)) * scale
-                bound_den = b_h * deg * d_u_v
-                rhs = Fraction((q - p) * bound_num, q * bound_den)
-                verdicts.append(_verdict("oriented-pair-upper-unit", kappa_a, rhs, target))
-                kappa_lim = ev.limit(("pair", u, v)).lly
-                bound = Fraction(bound_num, bound_den)
-                verdicts.append(
-                    _verdict("oriented-pair-upper-unit-lly", kappa_lim, bound, labels.pair(u, v))
-                )
-
-    if form in ("both", "weighted"):
-        top = hg.max_weight()
-        rhs = Fraction((q - p) * 2 * top.numerator * scale, q * top.denominator * d_u_v)
-        verdicts.append(_verdict("oriented-pair-upper-weight", kappa_a, rhs, target))
+            b_h = hg.max_head_size()
+            # (1 + gap / deg) / d with gap = |closer| - |farther| / b_h
+            bound_num = (b_h * deg + len(part.closer) * b_h - len(part.farther)) * oracle.scale
+            bound_den = b_h * deg * d_u_v
+            rhs = _side(a, bound_num, bound_den)
+            verdicts.append(_verdict("oriented-pair-upper-unit", kappa_a, rhs, target))
+            kappa_lim = ev.limit(("pair", u, v)).lly
+            bound = Fraction(bound_num, bound_den)
+            verdicts.append(
+                _verdict("oriented-pair-upper-unit-lly", kappa_lim, bound, labels.pair(u, v))
+            )
+    rhs = _weight_side(hg, oracle, a, d_u_v)
+    verdicts.append(_verdict("oriented-pair-upper-weight", kappa_a, rhs, target))
     return verdicts
 
 
@@ -483,9 +463,7 @@ def verdict_ledger(
                 ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, "min", labels, ev))
         if hg.flavor == ORIENTED:
             for u, v in curvature_pairs(hg):
-                ledger.extend(
-                    check_pair_bound_oriented(hg, oracle, u, v, alpha, labels=labels, ev=ev)
-                )
+                ledger.extend(check_pair_bound_oriented(hg, oracle, u, v, alpha, labels, ev))
             if hg.is_unit_weight():
                 ledger.append(check_vertex_count(hg, oracle, ev=ev))
             else:
@@ -538,7 +516,7 @@ def check_vertex_count(
     if not hg.is_unit_weight():
         raise errors.NonUnitWeights("the vertex-count bound needs unit weights")
     ev = ev or Evaluator(hg, oracle)
-    observed = min(ev.limit(("pair", u, v)).lly for (u, v) in _in_edge_pairs(hg))
+    observed = _least_limit(ev, _in_edge_pairs(hg))
     if kappa0 is None:
         kappa0 = observed
     elif observed < kappa0:

@@ -244,9 +244,7 @@ def test_oriented_pair_bound_gated_on_multiple_coverage():
 def test_oriented_pair_bound_nonunit_weights():
     hg = build("oriented", 2, [([0], [1], 2)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    with pytest.raises(errors.NonUnitWeights):
-        check_pair_bound_oriented(hg, oracle, 0, 1, Fraction(1, 2), form="sym")
-    verdicts = check_pair_bound_oriented(hg, oracle, 0, 1, Fraction(1, 2), form="both")
+    verdicts = check_pair_bound_oriented(hg, oracle, 0, 1, Fraction(1, 2))
     unit = [v for v in verdicts if v.name == "oriented-pair-upper-unit"]
     assert unit and unit[0].holds is None and unit[0].witness == "NonUnitWeights"
     weighted = [v for v in verdicts if v.name == "oriented-pair-upper-weight"]

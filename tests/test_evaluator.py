@@ -279,51 +279,68 @@ def _read(ev, target, variant, what, alpha):
     return ev.breakpoints(target)
 
 
-def _check_chain(chain: _Chain, lowest: Fraction) -> None:
-    """The chain's lines are contiguous, end at 1 and start at or below
-    ``min(3/4, lowest)``; ``low`` is the basis at their start, or None
-    exactly when they start at 0."""
+def _check_chain(chain: _Chain, lowest: Fraction) -> Fraction:
+    """The chain's lines are contiguous, end at 1 and start below the cold
+    solve's ``b* = D/(D+1)`` and at or below ``lowest``; ``low`` is the
+    basis at their start, or None exactly when they start at 0. Returns
+    the start."""
     lines = chain.lines
     assert lines[-1].hi_num == lines[-1].hi_den
     for below, above in zip(lines, lines[1:]):
         assert below.hi_num * above.lo_den == above.lo_num * below.hi_den
     start = Fraction(lines[0].lo_num, lines[0].lo_den)
-    assert start <= min(Fraction(3, 4), lowest)
+    total = sum(chain.family.mu0) + sum(chain.family.mu1)
+    assert start < Fraction(total, total + 1)
+    assert start <= lowest
     assert (chain.low is None) == (start == 0)
     if chain.low is not None:
         piece = chain.low.piece
         assert Fraction(piece.lo_num, piece.lo_den) == start
+    return start
 
 
 def test_chains_are_one_ended_and_their_work_does_not_depend_on_read_order():
     """Every chain is solved cold just below 1, into its final piece, and
-    only ever extended downward, so two orders of one set of reads give the same
-    answers and the same solves and pivots, on 75 ``random_instances``
-    documents (three flavors, seeds 0-24). After every read, each chain the
-    read touched is checked with ``_check_chain``. When the cold solve
-    landed at the first alpha read, the work of 53 of them depended on the
-    order (of 22 in solves and primal pivots alone)."""
+    only ever extended downward, so three orders of one set of reads give the
+    same answers and the same solves and pivots, on 75 ``random_instances``
+    documents (three flavors, seeds 0-24) and on the late-limit document.
+    Two orders are shuffled; the third reads the highest alpha first, so
+    each chain's first read is at alpha = 1. After every read, each chain
+    the read touched is checked with ``_check_chain``. A chain read first
+    above 3/4 may start above 3/4: on the late-limit document some do. When
+    the cold solve landed at the first alpha read, the work of 53 of the
+    random documents depended on the order (of 22 in solves and primal
+    pivots alone)."""
     work = ("solves", "pivots", "degenerate_pivots", "dual_pivots", "traced_pieces")
-    for make in (random_undirected, random_directed, random_oriented_unit):
-        for seed in range(25):
-            hg = make(random.Random(seed))
-            oracle = all_pairs_distances(hg)
-            runs = []
-            for order in (1, 2):
-                reads = _one_ended_reads(hg, oracle)
+    documents = [
+        ((make.__name__, seed), make(random.Random(seed)))
+        for make in (random_undirected, random_directed, random_oriented_unit)
+        for seed in range(25)
+    ]
+    documents.append((LATE_LIMIT_PATH.name, load_document(str(LATE_LIMIT_PATH)).hypergraph))
+    starts = []
+    for name, hg in documents:
+        oracle = all_pairs_distances(hg)
+        runs = []
+        for order in (1, 2, None):
+            reads = _one_ended_reads(hg, oracle)
+            if order is None:
+                reads.sort(key=lambda read: -read[3])
+            else:
                 random.Random(order).shuffle(reads)
-                ev = Evaluator(hg, oracle)
-                lowest = {}
-                answers = {}
-                for read in reads:
-                    answers[read] = _read(ev, *read)
-                    target, variant, _what, alpha = read
-                    # Every variant of a target has the same chains.
-                    for chain, _d in ev._target(target, variant)[0]:
-                        lowest[id(chain)] = min(lowest.get(id(chain), alpha), alpha)
-                        _check_chain(chain, lowest[id(chain)])
-                runs.append((answers, [getattr(ev.stats, name) for name in work]))
-            assert runs[0] == runs[1], (make.__name__, seed)
+            ev = Evaluator(hg, oracle)
+            lowest = {}
+            answers = {}
+            for read in reads:
+                answers[read] = _read(ev, *read)
+                target, variant, _what, alpha = read
+                # Every variant of a target has the same chains.
+                for chain, _d in ev._target(target, variant)[0]:
+                    lowest[id(chain)] = min(lowest.get(id(chain), alpha), alpha)
+                    starts.append(_check_chain(chain, lowest[id(chain)]))
+            runs.append((answers, [getattr(ev.stats, name) for name in work]))
+        assert runs[0] == runs[1] == runs[2], name
+    assert max(starts) > Fraction(3, 4)
 
 
 def test_curve_ints_match_fresh_solves():

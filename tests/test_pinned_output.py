@@ -34,6 +34,9 @@ H4_PATH = Path(__file__).resolve().parent.parent / "data" / "h4.json"
 PIVOTING_PATH = H4_PATH.with_name("pivoting_undirected.json")
 # A directed document whose final lines start past 3/4.
 LATE_PATH = H4_PATH.with_name("late_limit_directed.json")
+# An oriented document with non-unit weights, whose ledger takes every
+# not-applicable branch of the oriented checks.
+WEIGHTED_PATH = H4_PATH.with_name("weighted_oriented.json")
 
 # One seeded document per flavor, small enough to run every case in-process,
 # and a directed one whose hyperedge h5 has no LLY limit (exit 3).
@@ -72,6 +75,9 @@ def _cases():
     # The ledger at alpha = 1 reads every chain at its upper end only.
     yield "oriented", ["bounds", "--alpha", "1"]
     yield "pivoting", ["bounds", "--alpha", "1"]
+    yield "weighted", ["bounds"]
+    yield "weighted", ["bounds", "--format", "json", "--float"]
+    yield "weighted", ["bounds", "--strict", "--format", "csv"]
 
 
 CASES = [f"{doc} {' '.join(argv)}" for doc, argv in _cases()]
@@ -90,11 +96,17 @@ COUNTER_CASES = [
     # of the cold solves cover it, at 1/3 the chains are traced down.
     "late bounds --alpha 1/3",
     "late bounds --alpha 9/10",
+    "weighted bounds",
 ]
 
 
 def _write_documents(directory: Path) -> dict[str, str]:
-    paths = {"h4": str(H4_PATH), "pivoting": str(PIVOTING_PATH), "late": str(LATE_PATH)}
+    paths = {
+        "h4": str(H4_PATH),
+        "pivoting": str(PIVOTING_PATH),
+        "late": str(LATE_PATH),
+        "weighted": str(WEIGHTED_PATH),
+    }
     for name, make in DOCUMENTS.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(serialize_document(named_document(make()))))
@@ -303,6 +315,9 @@ PINNED = {
     'pivoting bounds': (0, '72bf2d266a8826ba9abd4c4e0d797f536ff47b16a6b9d4ba5d84af184f213728', ''),
     'oriented bounds --alpha 1': (0, '3bc8fc41326cdb2dc33e66d0585976589d11a238a6b74849b565c1f55446c503', ''),
     'pivoting bounds --alpha 1': (0, 'f377c1332b261cb7e3f6549a8044d901c97c9d6ec344ba40f1b5f9120c01dafb', ''),
+    'weighted bounds': (0, 'dcf32202e73a51fed40d14cb9b6a18e477a3f37c72176ee3529205b3e8a66990', ''),
+    'weighted bounds --format json --float': (0, '377bdb715ab57b9f9277528037d526de4f4f8edddd80695601b5eea95b3f8376', ''),
+    'weighted bounds --strict --format csv': (1, '8e4d01954fe1d92369995f4e6ae5c5689f6582a4f560e3e7ed6c8346007b718e', ''),
 }
 
 PINNED_COUNTERS = {
@@ -318,6 +333,7 @@ PINNED_COUNTERS = {
     'pivoting bounds --alpha 1': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
     'late bounds --alpha 1/3': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 7, 'dual_pivots': 7, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
     'late bounds --alpha 9/10': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
+    'weighted bounds': (0, {'solves': 22, 'solve_hits': 48, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 43, 'limits': 26, 'limit_hits': 0}),
 }
 
 PINNED_HELP = {
