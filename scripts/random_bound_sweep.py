@@ -41,15 +41,14 @@ def sweep_instance(hg, tally):
     The variant is a length normalizer of undirected hyperedges only, so a
     directed or oriented instance runs the ledger for one variant.
     """
-    oracle = all_pairs_distances(hg)
-    ev = Evaluator(hg, oracle)
+    ev = Evaluator(hg, all_pairs_distances(hg))
     variants = VARIANTS if hg.flavor == UNDIRECTED else VARIANTS[:1]
     # A dict, not a set: it drops repeats and keeps the ledger's order.
     verdicts = dict.fromkeys(
         v
         for a in ALPHAS
         for variant in variants
-        for v in verdict_ledger(hg, oracle, a, variant, ev=ev)
+        for v in verdict_ledger(ev, a, variant)
     )
     bad = []
     for v in verdicts:

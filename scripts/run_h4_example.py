@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hypercurv import (
+    Evaluator,
     all_pairs_distances,
     build,
     curvature_pairs,
@@ -58,7 +59,7 @@ def main() -> None:
     ])
 
     print("\nbound ledger at alpha = 1/2:")
-    for verdict in verdict_ledger(hg, oracle, a):
+    for verdict in verdict_ledger(Evaluator(hg, oracle), a):
         status = "holds" if verdict.holds else ("n/a" if verdict.holds is None else "VIOLATED")
         print(f"  {status:>8}  {verdict.name:<22} {verdict.target:<22} {verdict.lhs} <= {verdict.rhs}")
 

@@ -14,9 +14,9 @@ walk spreads of :mod:`hypercurv.walk`. One helper turns them, with
 Bonnet-Myers and vertex-count sides divide by limit curvatures and stay
 on Fractions.
 
-Each check takes ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the
-instance, so a ledger of many checks shares measures, transports and
-limits; by default a check evaluates with a fresh one of its own. Limits
+Each check reads the instance, its distance oracle and every curvature
+from ``ev``, the :class:`~hypercurv.curvature.Evaluator` of the instance,
+so a ledger of many checks shares measures, transports and limits. Limits
 are read without sampling any alpha curve. :func:`verdict_ledger` runs
 every check that applies to an instance, on the pairs of
 :func:`~hypercurv.curvature.curvature_pairs`; it is the ledger that
@@ -145,23 +145,18 @@ DEFAULT_LABELS = Labels()
 
 
 def check_pair_upper_bound(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    u: int,
-    v: int,
-    alpha,
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, u: int, v: int, alpha, labels: Labels = DEFAULT_LABELS
 ) -> list[BoundVerdict]:
     """Upper bounds on pair curvature from edge weights.
 
     Returns the coarse form with the global maximum weight and the sharper
     form with the two per-vertex maxima.
     """
+    hg, oracle = ev.hg, ev.oracle
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("pair upper bounds here are undirected; see the oriented check")
     a = as_alpha(alpha)
-    kappa = (ev or Evaluator(hg, oracle)).kappa(("pair", u, v), a)
+    kappa = ev.kappa(("pair", u, v), a)
     d_u_v = oracle._scaled(u, v)
     target = f"{labels.pair(u, v)} alpha={a}"
     weights, w_scale = hg.scaled_weights
@@ -177,13 +172,7 @@ def check_pair_upper_bound(
 
 
 def check_edge_upper_bound(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    edge_index: int,
-    alpha,
-    variant: str = "sum",
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, edge_index: int, alpha, variant: str = "sum", labels: Labels = DEFAULT_LABELS
 ) -> BoundVerdict:
     """Variant-matched upper bound on hyperedge curvature.
 
@@ -192,8 +181,8 @@ def check_edge_upper_bound(
     per-member-maxima numerator. Oriented (or symmetric directed):
     ``2 * max w`` over the tail-to-head length.
     """
+    hg, oracle = ev.hg, ev.oracle
     a = as_alpha(alpha)
-    ev = ev or Evaluator(hg, oracle)
     target = f"{labels.edge(edge_index)} alpha={a} variant={variant}"
     if hg.flavor == UNDIRECTED:
         kappa = ev.kappa(("edge", edge_index), a, variant)
@@ -223,12 +212,7 @@ def check_edge_upper_bound(
 
 
 def check_directed_edge_bound(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    edge_index: int,
-    alpha,
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, edge_index: int, alpha, labels: Labels = DEFAULT_LABELS
 ) -> tuple[BoundVerdict, DirectedBoundData]:
     """Partition-based upper bound on directed hyperedge curvature.
 
@@ -245,6 +229,7 @@ def check_directed_edge_bound(
     constants and both sides are computed on ints, and each becomes one
     Fraction.
     """
+    hg, oracle = ev.hg, ev.oracle
     if hg.flavor == UNDIRECTED:
         raise errors.UnsupportedFlavor("the partition bound applies to directed flavors")
     a = as_alpha(alpha)
@@ -258,7 +243,6 @@ def check_directed_edge_bound(
     scale = oracle.scale
     estimate_den = scale * w_ratio.denominator * b_max
 
-    ev = ev or Evaluator(hg, oracle)
     per_head = []
     # sum_j C_j, as c_num / (scale * c_den)
     c_num, c_den = 0, 1
@@ -315,11 +299,7 @@ def _least_limit(ev: Evaluator, pairs: list[tuple[int, int]]) -> Fraction | None
 
 
 def check_bonnet_myers(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    variant: str = "sum",
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, variant: str = "sum", labels: Labels = DEFAULT_LABELS
 ) -> list[BoundVerdict]:
     """Distance and diameter bounds implied by positive limit curvature.
 
@@ -330,7 +310,7 @@ def check_bonnet_myers(
     hyperedge length takes the pair role, and the diameter clause uses the
     floor over tail-to-head vertex pairs.
     """
-    ev = ev or Evaluator(hg, oracle)
+    hg, oracle = ev.hg, ev.oracle
     verdicts: list[BoundVerdict] = []
     two_max = 2 * hg.max_weight()
     if hg.flavor == UNDIRECTED:
@@ -371,13 +351,7 @@ def check_bonnet_myers(
 
 
 def check_pair_bound_oriented(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    u: int,
-    v: int,
-    alpha,
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, u: int, v: int, alpha, labels: Labels = DEFAULT_LABELS
 ) -> list[BoundVerdict]:
     """Upper bounds on oriented pair curvature.
 
@@ -385,10 +359,10 @@ def check_pair_bound_oriented(
     at the limit, then the weighted ``2 max w / d`` bound. With non-unit
     weights the partition bound is a single not-applicable verdict.
     """
+    hg, oracle = ev.hg, ev.oracle
     if hg.flavor != ORIENTED:
         raise errors.UnsupportedFlavor("oriented pair bounds need the oriented flavor")
     a = as_alpha(alpha)
-    ev = ev or Evaluator(hg, oracle)
     d_u_v = oracle._scaled(u, v)
     kappa_a = ev.kappa(("pair", u, v), a)
     target = f"{labels.pair(u, v)} alpha={a}"
@@ -431,12 +405,7 @@ def check_pair_bound_oriented(
 
 
 def verdict_ledger(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    alpha,
-    variant: str = "sum",
-    labels: Labels = DEFAULT_LABELS,
-    ev: Evaluator | None = None,
+    ev: Evaluator, alpha, variant: str = "sum", labels: Labels = DEFAULT_LABELS
 ) -> list[BoundVerdict]:
     """Every verdict that applies to the instance, in a fixed order.
 
@@ -445,30 +414,31 @@ def verdict_ledger(
     partition bound on each hyperedge, with the ``min`` upper bound where
     the quasi-distance is symmetric; oriented adds the pair bounds on each
     curvature pair and the vertex-count bound (unit weights only). Last,
-    Bonnet-Myers, whose undirected pair limits take ``variant``. Each check
-    evaluates with ``ev``, or with a fresh Evaluator of its own if None.
+    Bonnet-Myers, whose undirected pair limits take ``variant``. Every check
+    reads the instance and its curvatures from ``ev``, so they share one memo.
     """
     # The checks are looked up in this module's globals at call time, where
     # perfbench/tracer.py replaces them with timed wrappers.
+    hg = ev.hg
     ledger: list[BoundVerdict] = []
     if hg.flavor == UNDIRECTED:
         for u, v in curvature_pairs(hg):
-            ledger.extend(check_pair_upper_bound(hg, oracle, u, v, alpha, labels, ev))
+            ledger.extend(check_pair_upper_bound(ev, u, v, alpha, labels))
         for e in range(hg.n_edges):
-            ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, variant, labels, ev))
+            ledger.append(check_edge_upper_bound(ev, e, alpha, variant, labels))
     else:
         for e in range(hg.n_edges):
-            ledger.append(check_directed_edge_bound(hg, oracle, e, alpha, labels, ev)[0])
-            if oracle.symmetric:
-                ledger.append(check_edge_upper_bound(hg, oracle, e, alpha, "min", labels, ev))
+            ledger.append(check_directed_edge_bound(ev, e, alpha, labels)[0])
+            if ev.oracle.symmetric:
+                ledger.append(check_edge_upper_bound(ev, e, alpha, "min", labels))
         if hg.flavor == ORIENTED:
             for u, v in curvature_pairs(hg):
-                ledger.extend(check_pair_bound_oriented(hg, oracle, u, v, alpha, labels, ev))
+                ledger.extend(check_pair_bound_oriented(ev, u, v, alpha, labels))
             if hg.is_unit_weight():
-                ledger.append(check_vertex_count(hg, oracle, ev=ev))
+                ledger.append(check_vertex_count(ev))
             else:
                 ledger.append(_skip("vertex-count", "instance", "NonUnitWeights"))
-    ledger.extend(check_bonnet_myers(hg, oracle, variant, labels, ev))
+    ledger.extend(check_bonnet_myers(ev, variant, labels))
     return ledger
 
 
@@ -498,12 +468,7 @@ def vertex_count_bound(delta: int, b_h: int, kappa0: Fraction) -> Fraction:
     return total
 
 
-def check_vertex_count(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    kappa0: Fraction | None = None,
-    ev: Evaluator | None = None,
-) -> BoundVerdict:
+def check_vertex_count(ev: Evaluator, kappa0: Fraction | None = None) -> BoundVerdict:
     """Vertex-count bound for unit-weight oriented instances with a curvature floor.
 
     ``kappa0`` defaults to the computed minimum limit curvature over
@@ -511,11 +476,11 @@ def check_vertex_count(
     explicit floor is verified first and raising on violation keeps the
     bound from being evaluated vacuously.
     """
+    hg = ev.hg
     if hg.flavor != ORIENTED:
         raise errors.UnsupportedFlavor("the vertex-count bound needs the oriented flavor")
     if not hg.is_unit_weight():
         raise errors.NonUnitWeights("the vertex-count bound needs unit weights")
-    ev = ev or Evaluator(hg, oracle)
     observed = _least_limit(ev, _in_edge_pairs(hg))
     if kappa0 is None:
         kappa0 = observed

@@ -301,9 +301,7 @@ def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> t
 
 def cmd_bounds(doc: ParsedDocument, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
     labels = bounds_mod.Labels(vertex=doc.vertex_names, edge=doc.edge_names)
-    ledger = bounds_mod.verdict_ledger(
-        doc.hypergraph, ev.oracle, cfg.alpha, cfg.variant, labels, ev
-    )
+    ledger = bounds_mod.verdict_ledger(ev, cfg.alpha, cfg.variant, labels)
     cfg.evaluated_at = time.perf_counter()
     violated = [v for v in ledger if v.holds is False]
     skipped = [v for v in ledger if v.holds is None]

@@ -115,9 +115,9 @@ def _dyadic_index(alpha_lo: Fraction) -> int:
     return max(2, (-(-den // (den - num)) - 1).bit_length())
 
 
-def _not_settled(target: tuple, k_max: int) -> errors.NoStabilization:
+def _not_settled(target: tuple) -> errors.NoStabilization:
     return errors.NoStabilization(
-        f"normalized curvature of {target} did not settle within k <= {k_max}"
+        f"normalized curvature of {target} did not settle within k <= {DEFAULT_K_MAX}"
     )
 
 
@@ -220,8 +220,8 @@ class Evaluator:
     requested. Every answer, a point value, a limit, a curve or the
     breakpoints, is read off kappa's int lines over some ``[lo, 1]``,
     which ``_merged`` sums from the chains; a report's ``alpha_lo`` is
-    where the chains' final lines start. Limits are memoised by (target,
-    variant where it matters, k_max). A limit that does not stabilize is
+    where the chains' final lines start. Limits are memoised by target and
+    variant where it matters. A limit that does not stabilize is
     remembered and raised again. Couplings are never built. Build one per
     hypergraph and oracle and drop it with them: the memo is never shared
     between runs.
@@ -410,18 +410,18 @@ class Evaluator:
     def _variant_key(self, target: tuple, variant: str) -> str | None:
         return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
 
-    def limit(self, target: tuple, variant: str = "sum", k_max: int = DEFAULT_K_MAX) -> Limit:
+    def limit(self, target: tuple, variant: str = "sum") -> Limit:
         """Normalized-curvature limit of a target, without sampling any alpha grid.
 
         The limit is ``g = kappa_alpha / (1-alpha)`` on the final linear
         region ``[alpha_lo, 1]`` of kappa, certified at the first
         ``alpha_k = 1 - 2**-k`` (k >= 2) at or past ``alpha_lo``. Raises
-        NoStabilization when that k would exceed ``k_max - 1``, where the
+        NoStabilization when that k would reach ``DEFAULT_K_MAX``, where the
         dyadic rule would stop, or immediately when the target provably
         diverges.
         """
         target = tuple(target)
-        key = (target, self._variant_key(target, variant), k_max)
+        key = (target, self._variant_key(target, variant))
         found = self._limits.get(key)
         if found is not None:
             self.stats.limit_hits += 1
@@ -430,14 +430,14 @@ class Evaluator:
             return found
         self.stats.limits += 1
         try:
-            found = self._search(target, variant, k_max)
+            found = self._search(target, variant)
         except errors.NoStabilization as exc:
             self._limits[key] = exc
             raise
         self._limits[key] = found
         return found
 
-    def _search(self, target: tuple, variant: str, k_max: int) -> Limit:
+    def _search(self, target: tuple, variant: str) -> Limit:
         # Every boundary between kappa's lines is a breakpoint, so the final
         # line over [3/4, 1] starts at alpha_lo when alpha_lo is past 3/4,
         # and at 3/4 otherwise.
@@ -455,18 +455,16 @@ class Evaluator:
             # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
             # concavity keeps from growing: it rises without bound and takes
             # no value twice.
-            raise _not_settled(target, k_max)
+            raise _not_settled(target)
         # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
         # kappa from alpha to 1: by concavity constant, w0 / den, on the
         # final linear region and strictly smaller before it.
         k = _dyadic_index(Fraction(final.lo_num, final.lo_den))
-        if k >= k_max:
-            raise _not_settled(target, k_max)
+        if k >= DEFAULT_K_MAX:
+            raise _not_settled(target)
         return Limit(lly=Fraction(final.w0, den), stabilization_alpha=Fraction(2**k - 1, 2**k))
 
-    def report(
-        self, target: tuple, variant: str = "sum", grid=None, k_max: int = DEFAULT_K_MAX
-    ) -> CurvatureReport:
+    def report(self, target: tuple, variant: str = "sum", grid=None) -> CurvatureReport:
         """``limit`` of the target plus its curve sampled on ``grid``.
 
         ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are the ints
@@ -475,7 +473,7 @@ class Evaluator:
         """
         alphas, ints, _ascending = _sampling_grid(grid)
         target = tuple(target)
-        found = self.limit(target, variant, k_max)
+        found = self.limit(target, variant)
         values, den = self.curve_ints(target, variant, alphas)
         samples = []
         normalized = []
@@ -630,19 +628,14 @@ def kappa_alpha_edge_directed(hg: Hypergraph, oracle: DistanceOracle, edge_index
 
 
 def lly_limit(
-    hg: Hypergraph,
-    oracle: DistanceOracle,
-    target: tuple,
-    variant: str = "sum",
-    alpha_grid=None,
-    k_max: int = DEFAULT_K_MAX,
+    hg: Hypergraph, oracle: DistanceOracle, target: tuple, variant: str = "sum", alpha_grid=None
 ) -> CurvatureReport:
     """Normalized-curvature limit of a ``("pair", u, v)`` or ``("edge", h)`` target.
 
     The limit search is :meth:`Evaluator.limit`; the report adds the curve
     sampled on ``alpha_grid`` (default ``DEFAULT_ALPHA_GRID``).
     """
-    return Evaluator(hg, oracle).report(target, variant, alpha_grid, k_max)
+    return Evaluator(hg, oracle).report(target, variant, alpha_grid)
 
 
 def curvature_pairs(hg: Hypergraph) -> list[tuple[int, int]]:

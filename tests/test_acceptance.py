@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from hypercurv import (
+    Evaluator,
     all_pairs_distances,
     build,
     check_directed_edge_bound,
@@ -144,7 +145,7 @@ def test_criterion_03_directed_partition_bound(c3_corpus):
             assert hg.n_vertices <= 7 and hg.n_edges <= 8
             for e in range(hg.n_edges):
                 for a in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
-                    verdict, _data = check_directed_edge_bound(hg, oracle, e, a)
+                    verdict, _data = check_directed_edge_bound(Evaluator(hg, oracle), e, a)
                     assert verdict.holds, (e, a, verdict)
 
 
@@ -270,7 +271,7 @@ def test_criterion_08_vertex_count(c3_corpus):
             )
             if floor <= 0:
                 continue
-            verdict = check_vertex_count(hg, oracle, kappa0=floor)
+            verdict = check_vertex_count(Evaluator(hg, oracle), kappa0=floor)
             assert verdict.holds, (hg.n_vertices, floor, verdict)
             kept += 1
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypercurv import (
+    Evaluator,
     all_pairs_distances,
     build,
     check_bonnet_myers,
@@ -35,16 +36,16 @@ ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
 def test_h4_pair_upper_bounds(h4, h4_oracle):
     for a in ALPHAS:
-        for v in check_pair_upper_bound(h4, h4_oracle, 1, 2, a):
+        for v in check_pair_upper_bound(Evaluator(h4, h4_oracle), 1, 2, a):
             assert v.holds
-    at_one = check_pair_upper_bound(h4, h4_oracle, 1, 2, 1)
+    at_one = check_pair_upper_bound(Evaluator(h4, h4_oracle), 1, 2, 1)
     assert all(v.lhs == 0 and v.rhs == 0 for v in at_one)
     # the limit 3/2 stays below the normalized global bound 2
     assert lly_limit(h4, h4_oracle, ("pair", 1, 2)).lly <= 2
 
 
 def test_h4_edge_upper_bound_sum(h4, h4_oracle):
-    v = check_edge_upper_bound(h4, h4_oracle, 0, Fraction(1, 2), "sum")
+    v = check_edge_upper_bound(Evaluator(h4, h4_oracle), 0, Fraction(1, 2), "sum")
     assert v.holds
     # normalized form of the same bound: 5/6 <= (k-1) * sum of member maxima / L_sum = 2
     assert lly_limit(h4, h4_oracle, ("edge", 0), variant="sum").lly <= 2
@@ -58,10 +59,11 @@ def test_pair_and_edge_bounds_random_sweep():
         for a in ALPHAS:
             for u in range(hg.n_vertices):
                 for v in range(u + 1, hg.n_vertices):
-                    assert all(x.holds for x in check_pair_upper_bound(hg, oracle, u, v, a))
+                    verdicts = check_pair_upper_bound(Evaluator(hg, oracle), u, v, a)
+                    assert all(x.holds for x in verdicts)
             for e in range(hg.n_edges):
                 for variant in ("min", "sum", "max"):
-                    assert check_edge_upper_bound(hg, oracle, e, a, variant).holds
+                    assert check_edge_upper_bound(Evaluator(hg, oracle), e, a, variant).holds
 
 
 def test_directed_edge_bound_random_sweep():
@@ -71,7 +73,7 @@ def test_directed_edge_bound_random_sweep():
         oracle = all_pairs_distances(hg)
         for a in ALPHAS:
             for e in range(hg.n_edges):
-                verdict, data = check_directed_edge_bound(hg, oracle, e, a)
+                verdict, data = check_directed_edge_bound(Evaluator(hg, oracle), e, a)
                 assert verdict.holds, (e, a)
                 assert data.head_size == len(hg.edges[e].head)
                 assert data.diameter == oracle.diameter()
@@ -80,14 +82,14 @@ def test_directed_edge_bound_random_sweep():
 def test_directed_edge_bound_alpha_one_trivial():
     hg = build("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)])
     oracle = all_pairs_distances(hg)
-    verdict, _ = check_directed_edge_bound(hg, oracle, 0, 1)
+    verdict, _ = check_directed_edge_bound(Evaluator(hg, oracle), 0, 1)
     assert verdict.holds and verdict.rhs == 0 and verdict.lhs <= 0
 
 
 def test_directed_bound_data_partition_constants():
     hg = build("oriented", 3, [([0], [1], 1), ([1], [2], 1)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    _, data = check_directed_edge_bound(hg, oracle, 0, Fraction(1, 2))
+    _, data = check_directed_edge_bound(Evaluator(hg, oracle), 0, Fraction(1, 2))
     (head,) = data.per_head
     assert head.vertex == 1
     assert head.partition.closer == frozenset({0})
@@ -113,7 +115,7 @@ def test_directed_estimate_may_undershoot_exact_constant():
         ],
     )
     oracle = all_pairs_distances(hg)
-    verdict, data = check_directed_edge_bound(hg, oracle, 0, Fraction(1, 2))
+    verdict, data = check_directed_edge_bound(Evaluator(hg, oracle), 0, Fraction(1, 2))
     (head,) = data.per_head
     assert head.partition.farther == frozenset({2, 3, 4})
     assert head.c_exact == Fraction(-1)
@@ -123,7 +125,7 @@ def test_directed_estimate_may_undershoot_exact_constant():
 
 
 def test_bonnet_myers_h4(h4, h4_oracle):
-    verdicts = check_bonnet_myers(h4, h4_oracle)
+    verdicts = check_bonnet_myers(Evaluator(h4, h4_oracle))
     diam = [v for v in verdicts if v.name == "bm-diameter"]
     assert len(diam) == 1 and diam[0].holds
     assert diam[0].lhs == 2 and diam[0].rhs == 4
@@ -133,7 +135,7 @@ def test_bonnet_myers_h4(h4, h4_oracle):
 def test_bonnet_myers_skips_nonpositive_pairs():
     hg = build("undirected", 5, [([i, i + 1], 1) for i in range(4)])
     oracle = all_pairs_distances(hg)
-    verdicts = check_bonnet_myers(hg, oracle)
+    verdicts = check_bonnet_myers(Evaluator(hg, oracle))
     skipped = [v for v in verdicts if v.holds is None]
     assert skipped, "a path graph has nonpositive endpoint curvature"
     assert all(v.holds for v in verdicts if v.holds is not None)
@@ -144,7 +146,7 @@ def test_bonnet_myers_random_positive_oriented():
     for _ in range(6):
         hg = random_oriented_dense(rng)
         oracle = all_pairs_distances(hg)
-        verdicts = check_bonnet_myers(hg, oracle)
+        verdicts = check_bonnet_myers(Evaluator(hg, oracle))
         assert all(v.holds for v in verdicts if v.holds is not None)
 
 
@@ -183,13 +185,13 @@ ORIENTED_PAIR = ["oriented-pair-upper-unit", "oriented-pair-upper-unit-lly", "or
 )
 def test_verdict_ledger_runs_the_checks_of_the_flavor(hg, names):
     oracle = all_pairs_distances(hg)
-    assert [v.name for v in verdict_ledger(hg, oracle, Fraction(1, 2))] == names
+    assert [v.name for v in verdict_ledger(Evaluator(hg, oracle), Fraction(1, 2))] == names
 
 
 def test_oriented_pair_bounds_single_pair():
     hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    verdicts = check_pair_bound_oriented(hg, oracle, 0, 1, Fraction(1, 2))
+    verdicts = check_pair_bound_oriented(Evaluator(hg, oracle), 0, 1, Fraction(1, 2))
     assert {v.name for v in verdicts} == {
         "oriented-pair-upper-unit",
         "oriented-pair-upper-unit-lly",
@@ -208,7 +210,8 @@ def test_oriented_pair_bounds_random_sweep():
         for u in range(hg.n_vertices):
             for v in range(hg.n_vertices):
                 if u != v:
-                    for verdict in check_pair_bound_oriented(hg, oracle, u, v, Fraction(1, 2)):
+                    ev = Evaluator(hg, oracle)
+                    for verdict in check_pair_bound_oriented(ev, u, v, Fraction(1, 2)):
                         assert verdict.holds is not False, (u, v, verdict)
                         applicable += verdict.holds is True
     assert applicable > 50
@@ -225,7 +228,7 @@ def test_oriented_pair_bound_gated_on_multiple_coverage():
         symmetrize=True,
     )
     oracle = all_pairs_distances(hg)
-    verdicts = check_pair_bound_oriented(hg, oracle, 1, 3, Fraction(1, 2))
+    verdicts = check_pair_bound_oriented(Evaluator(hg, oracle), 1, 3, Fraction(1, 2))
     by_name = {v.name: v for v in verdicts}
     assert by_name["oriented-pair-upper-unit"].holds is None
     assert "multiply covered" in by_name["oriented-pair-upper-unit"].witness
@@ -244,7 +247,7 @@ def test_oriented_pair_bound_gated_on_multiple_coverage():
 def test_oriented_pair_bound_nonunit_weights():
     hg = build("oriented", 2, [([0], [1], 2)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    verdicts = check_pair_bound_oriented(hg, oracle, 0, 1, Fraction(1, 2))
+    verdicts = check_pair_bound_oriented(Evaluator(hg, oracle), 0, 1, Fraction(1, 2))
     unit = [v for v in verdicts if v.name == "oriented-pair-upper-unit"]
     assert unit and unit[0].holds is None and unit[0].witness == "NonUnitWeights"
     weighted = [v for v in verdicts if v.name == "oriented-pair-upper-weight"]
@@ -268,16 +271,16 @@ def test_vertex_count_bound_formula():
 def test_vertex_count_single_pair():
     hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    verdict = check_vertex_count(hg, oracle)
+    verdict = check_vertex_count(Evaluator(hg, oracle))
     assert verdict.holds and verdict.lhs == 2
     with pytest.raises(errors.HypothesisNotMet):
-        check_vertex_count(hg, oracle, kappa0=Fraction(5))
+        check_vertex_count(Evaluator(hg, oracle), kappa0=Fraction(5))
 
 
 def test_vertex_count_not_applicable_when_floor_nonpositive():
     hg = build("oriented", 5, [([i], [i + 1], 1) for i in range(4)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    verdict = check_vertex_count(hg, oracle)
+    verdict = check_vertex_count(Evaluator(hg, oracle))
     assert verdict.holds is None
     assert "not positive" in verdict.witness
 
@@ -316,6 +319,6 @@ def test_vertex_count_bound_capped():
     with pytest.raises(errors.HypothesisNotMet):
         vertex_count_bound(2, 2, Fraction(2, cap + 1))
     hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
-    verdict = check_vertex_count(hg, all_pairs_distances(hg), kappa0=Fraction(1, 10**6))
+    verdict = check_vertex_count(Evaluator(hg, all_pairs_distances(hg)), kappa0=Fraction(1, 10**6))
     assert verdict.holds is None
     assert f"cap of {cap}" in verdict.witness

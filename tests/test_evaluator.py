@@ -122,11 +122,22 @@ def test_divergent_edge_raises_again_from_memo():
 
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
-def test_ledger_with_shared_evaluator_equals_fresh_per_check(flavor):
+def test_warm_memo_never_changes_a_verdict(flavor):
+    """An Evaluator that has run the ledgers at alpha 0 and 1, under every
+    variant, and every limit gives the same ledger at 1/2 as a fresh one."""
     alpha = Fraction(1, 2)
     for hg in CORPORA[flavor]()[:3]:
-        ev = Evaluator(hg, all_pairs_distances(hg))
-        assert verdict_ledger(hg, ev.oracle, alpha, ev=ev) == verdict_ledger(hg, ev.oracle, alpha)
+        oracle = all_pairs_distances(hg)
+        warm = Evaluator(hg, oracle)
+        for a in (Fraction(0), Fraction(1)):
+            for variant in ("min", "max", "sum"):
+                verdict_ledger(warm, a, variant)
+        for target, variant in curvature_targets(hg, oracle):
+            try:
+                warm.limit(target, variant)
+            except errors.NoStabilization:
+                pass
+        assert verdict_ledger(warm, alpha) == verdict_ledger(Evaluator(hg, oracle), alpha)
 
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
@@ -200,21 +211,29 @@ def test_dyadic_index_is_the_first_dyadic_alpha_at_or_past():
         assert _dyadic_index(lo) == k, lo
 
 
-@pytest.mark.parametrize("flavor", sorted(CORPORA))
-def test_limit_at_small_k_max_matches_dyadic_reference(flavor):
-    """Where the dyadic rule runs out of samples the limit raises, and only there."""
-    for hg in CORPORA[flavor]()[:3]:
-        oracle = all_pairs_distances(hg)
-        ev = Evaluator(hg, oracle)
-        for target, variant in curvature_targets(hg, oracle):
-            for k_max in (1, 2, 3):
-                try:
-                    expected = reference_lly_limit(hg, oracle, target, variant, (), k_max)[2:]
-                except errors.NoStabilization:
-                    with pytest.raises(errors.NoStabilization):
-                        ev.limit(target, variant, k_max)
-                    continue
-                assert tuple(ev.limit(target, variant, k_max)) == expected
+def _final_line_terms(lo: Fraction):
+    """One hand-made term whose W is ``lo`` up to ``lo`` and ``alpha`` after,
+    so kappa's final line, ``1 - alpha``, starts at ``lo``."""
+    n, d = lo.numerator, lo.denominator
+    chain = _Chain(AffineFamily([0], [1], [1], [1], [1], [1], d))
+    chain.lines = [LinearPiece(0, 1, n, d, n, n), LinearPiece(n, d, 1, 1, 0, d)]
+    return ((chain, 1),), 1
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["at-cap", "past-cap"])
+def test_limit_is_certified_up_to_the_cap_and_no_further(h4, h4_oracle, monkeypatch, late):
+    """The dyadic rule samples ``1 - 2**-k`` for k <= 24, so the last alpha
+    that it certifies is ``1 - 2**-23``; a final line that starts past it
+    does not settle."""
+    last = 1 - Fraction(1, 2**23)
+    lo = last + Fraction(1, 2**60) if late else last
+    monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: _final_line_terms(lo))
+    ev = Evaluator(h4, h4_oracle)
+    if late:
+        with pytest.raises(errors.NoStabilization, match=r"did not settle within k <= 24$"):
+            ev.limit(("pair", 1, 2))
+    else:
+        assert ev.limit(("pair", 1, 2)) == (1, last)
 
 
 

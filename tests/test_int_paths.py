@@ -161,7 +161,7 @@ def _check_head_constants(hg):
     w_ratio = hg.max_weight() / hg.min_weight()
     b_max = max(len(edge.head) for edge in hg.edges)
     for e, edge in enumerate(hg.edges):
-        _verdict, data = check_directed_edge_bound(hg, oracle, e, Fraction(1, 3), ev=ev)
+        _verdict, data = check_directed_edge_bound(ev, e, Fraction(1, 3))
         assert [h.vertex for h in data.per_head] == sorted(edge.head)
         for head in data.per_head:
             y = head.vertex
@@ -255,10 +255,10 @@ def _ledger_digest(flavor):
         ev = Evaluator(hg, oracle)
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
             for variant in ("min", "sum", "max"):
-                lines.extend(repr(_plain(v)) for v in verdict_ledger(hg, oracle, a, variant, ev=ev))
+                lines.extend(repr(_plain(v)) for v in verdict_ledger(ev, a, variant))
             if hg.flavor != UNDIRECTED:
                 for e in range(hg.n_edges):
-                    lines.append(repr(_plain(check_directed_edge_bound(hg, oracle, e, a, ev=ev))))
+                    lines.append(repr(_plain(check_directed_edge_bound(ev, e, a))))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -290,7 +290,7 @@ def test_ledger_spreads_each_vertex_once(monkeypatch):
     for hg in CORPORA["oriented"]()[:4]:
         oracle = all_pairs_distances(hg)
         calls.clear()
-        verdict_ledger(hg, oracle, Fraction(1, 2), ev=Evaluator(hg, oracle))
+        verdict_ledger(Evaluator(hg, oracle), Fraction(1, 2))
         outs = [key for key in calls if key[0] == "pair" and key[2] == "out"]
         assert outs and len(calls) == len(set(calls))
 
