@@ -298,9 +298,7 @@ def _least_limit(ev: Evaluator, pairs: list[tuple[int, int]]) -> Fraction | None
     return min((ev.limit(("pair", u, v)).lly for u, v in pairs), default=None)
 
 
-def check_bonnet_myers(
-    ev: Evaluator, variant: str = "sum", labels: Labels = DEFAULT_LABELS
-) -> list[BoundVerdict]:
+def check_bonnet_myers(ev: Evaluator, labels: Labels = DEFAULT_LABELS) -> list[BoundVerdict]:
     """Distance and diameter bounds implied by positive limit curvature.
 
     Undirected: every pair with positive limit curvature obeys
@@ -315,7 +313,7 @@ def check_bonnet_myers(
     two_max = 2 * hg.max_weight()
     if hg.flavor == UNDIRECTED:
         for u, v in curvature_pairs(hg):
-            kappa = ev.limit(("pair", u, v), variant).lly
+            kappa = ev.limit(("pair", u, v)).lly
             target = labels.pair(u, v)
             if kappa > 0:
                 verdicts.append(_verdict("bm-pair", oracle.d(u, v), two_max / kappa, target))
@@ -414,8 +412,9 @@ def verdict_ledger(
     partition bound on each hyperedge, with the ``min`` upper bound where
     the quasi-distance is symmetric; oriented adds the pair bounds on each
     curvature pair and the vertex-count bound (unit weights only). Last,
-    Bonnet-Myers, whose undirected pair limits take ``variant``. Every check
-    reads the instance and its curvatures from ``ev``, so they share one memo.
+    Bonnet-Myers, which reads only pair and directed hyperedge limits, so
+    ``variant`` does not change it. Every check reads the instance and its
+    curvatures from ``ev``, so they share one memo.
     """
     # The checks are looked up in this module's globals at call time, where
     # perfbench/tracer.py replaces them with timed wrappers.
@@ -438,7 +437,7 @@ def verdict_ledger(
                 ledger.append(check_vertex_count(ev))
             else:
                 ledger.append(_skip("vertex-count", "instance", "NonUnitWeights"))
-    ledger.extend(check_bonnet_myers(ev, variant, labels))
+    ledger.extend(check_bonnet_myers(ev, labels))
     return ledger
 
 

@@ -36,8 +36,11 @@ rather than certifying a limit. A value becomes a Fraction only when it
 leaves the Evaluator; the CLI prints the curve's ints directly.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
-measure, transport value and limit it computes; the module-level
-functions are one-shot wrappers over a fresh Evaluator.
+measure, transport value and limit it computes. A walk measure is named
+by its sorted vertex set and direction. Where the flavor is not directed,
+a transport and its reverse are one, so on an oriented hypergraph
+``kappa(u, v) = kappa(v, u)``. The module-level functions are one-shot
+wrappers over a fresh Evaluator.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import errors
-from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
+from .hypergraph import DIRECTED, ORIENTED, UNDIRECTED, Hypergraph
 from .metric import DistanceOracle, scaled_edge_length
 from .rational import as_alpha
 from .transport import AffineFamily, Basis, LinearPiece, dual_pivot, solve_family
@@ -124,16 +127,17 @@ def _not_settled(target: tuple) -> errors.NoStabilization:
 class EvalStats:
     """Work counters of one Evaluator: computations done, memo hits, simplex pivots.
 
-    A solve is the one cold transport solve of a target, which yields its
-    final linear piece of W(alpha), the one ending at 1; ``pivots`` and
-    ``degenerate_pivots`` count the primal simplex pivots of those solves.
+    A solve is the one cold solve of a transport (and of its reverse where
+    the flavor is not directed), which yields its final linear piece of
+    W(alpha), the one ending at 1; ``pivots`` and ``degenerate_pivots``
+    count the primal simplex pivots of those solves.
     Every further piece is traced from the one above it by
     ``dual_pivots``; ``traced_pieces`` counts them. Every answer reads
     kappa's lines over some range of alpha; a solve hit is a term of the
     target whose chain already spanned that range, so that its part of the
     read needed no solve and no pivot.
-    Measures count walk measures built (two per vertex or side, at alpha 0
-    and 1); a measure hit is a reuse of such a pair.
+    Measures count walk measures built (two per vertex set and direction,
+    at alpha 0 and 1); a measure hit is a reuse of such a pair.
     """
 
     # In the order ``--stats`` prints them.
@@ -212,19 +216,19 @@ class Evaluator:
 
     A target's defect-sum terms and length are resolved once per target and
     variant where it matters. Walk measures are memoised at alpha 0 and 1 by
-    (constructor, vertex or edge, direction or side); the measure at any
-    other alpha is their affine blend. Transport values are memoised per
-    pair of walk measures as a chain of exact linear pieces of W(alpha):
-    one int solve of the family (``transport.solve_family``) just below 1
-    finds the final one, and dual pivots trace the others down as far as
-    requested. Every answer, a point value, a limit, a curve or the
-    breakpoints, is read off kappa's int lines over some ``[lo, 1]``,
-    which ``_merged`` sums from the chains; a report's ``alpha_lo`` is
-    where the chains' final lines start. Limits are memoised by target and
-    variant where it matters. A limit that does not stabilize is
-    remembered and raised again. Couplings are never built. Build one per
-    hypergraph and oracle and drop it with them: the memo is never shared
-    between runs.
+    (sorted vertex set, direction); the measure at any other alpha is their
+    affine blend. Transport values are memoised per pair of walk measures,
+    in sorted order where the flavor is not directed (see ``_chain``), as a
+    chain of exact linear pieces of W(alpha): one int solve of the family
+    (``transport.solve_family``) just below 1 finds the final one, and dual
+    pivots trace the others down as far as requested. Every answer, a
+    point value, a limit, a curve or the breakpoints, is read off kappa's
+    int lines over some ``[lo, 1]``, which ``_merged`` sums from the
+    chains; a report's ``alpha_lo`` is where the chains' final lines
+    start. Limits are memoised by target and variant where it matters. A
+    limit that does not stabilize is remembered and raised again.
+    Couplings are never built. Build one per hypergraph and oracle and
+    drop it with them: the memo is never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):
@@ -237,7 +241,7 @@ class Evaluator:
         self._limits: dict[tuple, Limit | errors.NoStabilization] = {}
 
     def _ends(self, key: tuple):
-        """Int masses at alpha 0 and 1 of the walk measure ``walk_ends(hg, *key)``.
+        """Int masses at alpha 0 and 1 of the walk measure ``key = (part, direction)``.
 
         Every walk measure is affine in alpha, so the measure at any alpha is
         ``(1-alpha)*mu0 + alpha*mu1`` of these two.
@@ -256,17 +260,25 @@ class Evaluator:
 
         The bounds ledger reads it for every pair and hyperedge head at v.
         """
-        return self._ends(("pair", v, "out"))[0]
+        return self._ends(((v,), "out"))[0]
 
-    def _chain(self, key: tuple) -> _Chain:
-        """The chain of the transport between two walk measures, made on first use.
+    def _chain(self, tail: tuple, head: tuple) -> _Chain:
+        """The chain of the transport from the in-walk of vertex set ``tail``
+        to the out-walk of ``head``, each a sorted tuple, made on first use.
 
-        ``key`` is the pair of their ``_ends`` keys, source first. The family
-        holds their union supports and int endpoint masses. Each end comes
-        in lowest terms, its denominator the lcm of its masses' reduced
-        denominators, so the lcm of the four is the scale that ``Fraction``
-        masses would bring.
+        Directed, its key is ``((tail, "in"), (head, "out"))``. Otherwise
+        both walks are out-walks (oriented, reversal closure makes each
+        vertex's two spreads equal) and distances are symmetric, so
+        ``W(mu, nu) = W(nu, mu)``: the key is the sorted pair of ``_ends``
+        keys, and a transport and its reverse are one chain. The family
+        holds the key's union supports and int endpoint masses. Each end
+        comes in lowest terms, so the lcm of the four denominators is the
+        scale that ``Fraction`` masses would bring.
         """
+        if self.hg.flavor == DIRECTED:
+            key = ((tail, "in"), (head, "out"))
+        else:
+            key = tuple(sorted(((tail, "out"), (head, "out"))))
         chain = self._transports.get(key)
         if chain is not None:
             return chain
@@ -317,32 +329,22 @@ class Evaluator:
                     "pair curvature needs the undirected or oriented flavor, "
                     "or a directed instance with symmetric quasi-distance"
                 )
-            # From the in-walk of u to the out-walk of v; undirected, the
-            # in-walk is the out-walk.
-            source = "out" if hg.flavor == UNDIRECTED else "in"
             length = table[u][v]
-            terms = ((self._chain((("pair", u, source), ("pair", v, "out"))), length),)
+            terms = ((self._chain((u,), (v,)), length),)
         elif kind != "edge":
             raise ValueError(f"unknown target kind {kind!r}")
         elif hg.flavor == UNDIRECTED:
             vs = hg.edges[target[1]].sorted_vertices()
             terms = tuple(
-                (self._chain((("pair", x, "out"), ("pair", y, "out"))), table[x][y])
+                (self._chain((x,), (y,)), table[x][y])
                 for i, x in enumerate(vs)
                 for y in vs[i + 1 :]
             )
             length = scaled_edge_length(hg, oracle, target[1], variant)
         else:
-            h = target[1]
-            edge = hg.edges[h]
-            if len(edge.tail) == 1 and len(edge.head) == 1:
-                # One-vertex set measures are the pair measures of the ends,
-                # so a one-to-one hyperedge shares the chain of that pair.
-                ends = (("pair", *edge.tail, "in"), ("pair", *edge.head, "out"))
-            else:
-                ends = (("set", h, "tail"), ("set", h, "head"))
-            length = scaled_edge_length(hg, oracle, h, "min")
-            terms = ((self._chain(ends), length),)
+            edge = hg.edges[target[1]]
+            length = scaled_edge_length(hg, oracle, target[1], "min")
+            terms = ((self._chain(edge.sorted_tail(), edge.sorted_head()), length),)
         found = self._targets[key] = (terms, length)
         return found
 

@@ -5,11 +5,14 @@ base vertex and spreads the rest over the declared neighborhood,
 proportionally to hyperedge weights and inversely to hyperedge sizes.
 Masses are affine functions of alpha, which the curvature limit relies on.
 
-Every measure is built from its two ends on ints. At alpha = 1 it is a
-point mass: the base vertex, or ``1/n`` on each of the n tail or head
-vertices of a set measure. At alpha = 0 it is a :func:`spread`: the masses
-of one step of the in- or out-walk (the undirected walk is the out-walk),
-as ints over one int denominator, computed from the int edge weights of
+Every measure is the walk of a vertex set in one direction, "in" or
+"out"; a single vertex is the one-vertex set, and a hyperedge's tail and
+head sets take the in- and the out-walk. It is built from its two ends
+on ints. At alpha = 1 it is ``1/n`` on each of the set's n vertices. At
+alpha = 0 it is the mean of their spreads (:func:`spread`): the masses of
+one step of the in- or out-walk (the undirected walk is the out-walk; on an
+oriented hypergraph, closed under reversal, the two are equal), as ints
+over one int denominator, computed from the int edge weights of
 ``Hypergraph.scaled_weights``. :func:`walk_ends` gives both ends, and the
 Evaluator scales them straight into its transport families; the
 constructors below are exact ``Fraction`` views of the same ends, each
@@ -104,30 +107,17 @@ def _lowest(mass: dict[int, int], den: int) -> IntMasses:
     return {v: m // g for v, m in mass.items()}, den // g
 
 
-def walk_ends(
-    hg: Hypergraph, kind: str, where: int, side: str | None
-) -> tuple[IntMasses, IntMasses]:
-    """The int masses of one walk measure at alpha = 0 and at alpha = 1.
+def walk_ends(hg: Hypergraph, part: tuple, direction: str) -> tuple[IntMasses, IntMasses]:
+    """The int masses at alpha = 0 and at alpha = 1 of the walk measure of a vertex set.
 
-    ``kind`` ``"pair"``: the in- or out-walk (``side`` ``"in"``/``"out"``)
-    of vertex ``where``; on an undirected hypergraph the two are the same.
-    ``"set"``: the sum of the in-walks of the tail vertices (``side``
-    ``"tail"``) or the out-walks of the head vertices (``"head"``) of
-    hyperedge ``where``, each of mass ``1/n`` for n vertices on that side.
-    The measure at alpha is ``(1-alpha)`` times the first plus ``alpha``
-    times the second. Each end is in lowest terms, so its denominator is
-    the lcm of its masses' reduced denominators. Flavors and vertex ids
-    are the caller's to check.
+    ``part`` is a sorted tuple of n vertices, a single vertex being the
+    one-vertex set, and ``direction`` is ``"in"`` or ``"out"``. At alpha = 0
+    the measure is the mean of the ``direction`` spreads of its vertices;
+    at alpha = 1 it is ``1/n`` on each vertex. The measure at alpha is
+    ``(1-alpha)`` times the first plus ``alpha`` times the second. Each end
+    is in lowest terms, so its denominator is the lcm of its masses'
+    reduced denominators. Flavors and vertex ids are the caller's to check.
     """
-    if kind == "pair":
-        return spread(hg, side, where), ({where: 1}, 1)
-    edge = hg.edges[where]
-    if side == "tail":
-        part, direction = edge.tail, "in"
-    elif side == "head":
-        part, direction = edge.head, "out"
-    else:
-        raise ValueError(f"side must be 'tail' or 'head', got {side!r}")
     parts = [spread(hg, direction, x) for x in part]
     common = math.lcm(*{den for _mass, den in parts})
     mass: dict[int, int] = {}
@@ -163,21 +153,14 @@ def measure_undirected(hg: Hypergraph, x: int, alpha) -> ProbabilityMeasure:
     if hg.flavor != UNDIRECTED:
         raise errors.UnsupportedFlavor("measure_undirected needs the undirected flavor")
     a = as_alpha(alpha)
-    return _view(walk_ends(hg, "pair", x, "out"), a)
+    return _view(walk_ends(hg, (x,), "out"), a)
 
 
-def _tail_vertex(hg: Hypergraph, edge_index: int, i: int) -> tuple[int, int]:
-    tail = hg.edges[edge_index].sorted_tail()
-    if not (0 <= i < len(tail)):
-        raise errors.IndexOutOfRange(f"tail index {i} out of range for size {len(tail)}")
-    return tail[i], len(tail)
-
-
-def _head_vertex(hg: Hypergraph, edge_index: int, j: int) -> tuple[int, int]:
-    head = hg.edges[edge_index].sorted_head()
-    if not (0 <= j < len(head)):
-        raise errors.IndexOutOfRange(f"head index {j} out of range for size {len(head)}")
-    return head[j], len(head)
+def _member(members: tuple[int, ...], side: str, i: int) -> tuple[int, int]:
+    """The i-th of a hyperedge's sorted ``side`` members, and how many there are."""
+    if not (0 <= i < len(members)):
+        raise errors.IndexOutOfRange(f"{side} index {i} out of range for size {len(members)}")
+    return members[i], len(members)
 
 
 def _require_directed(hg: Hypergraph) -> None:
@@ -193,8 +176,8 @@ def measure_directed_in(hg: Hypergraph, edge_index: int, i: int, alpha) -> Proba
     """
     _require_directed(hg)
     a = as_alpha(alpha)
-    x, n = _tail_vertex(hg, edge_index, i)
-    return _view(walk_ends(hg, "pair", x, "in"), a, n)
+    x, n = _member(hg.edges[edge_index].sorted_tail(), "tail", i)
+    return _view(walk_ends(hg, (x,), "in"), a, n)
 
 
 def measure_directed_out(hg: Hypergraph, edge_index: int, j: int, alpha) -> ProbabilityMeasure:
@@ -205,8 +188,8 @@ def measure_directed_out(hg: Hypergraph, edge_index: int, j: int, alpha) -> Prob
     """
     _require_directed(hg)
     a = as_alpha(alpha)
-    y, m = _head_vertex(hg, edge_index, j)
-    return _view(walk_ends(hg, "pair", y, "out"), a, m)
+    y, m = _member(hg.edges[edge_index].sorted_head(), "head", j)
+    return _view(walk_ends(hg, (y,), "out"), a, m)
 
 
 def measure_set(hg: Hypergraph, edge_index: int, side: str, alpha) -> ProbabilityMeasure:
@@ -217,7 +200,14 @@ def measure_set(hg: Hypergraph, edge_index: int, side: str, alpha) -> Probabilit
     """
     _require_directed(hg)
     a = as_alpha(alpha)
-    return _view(walk_ends(hg, "set", edge_index, side), a)
+    edge = hg.edges[edge_index]
+    if side == "tail":
+        ends = walk_ends(hg, edge.sorted_tail(), "in")
+    elif side == "head":
+        ends = walk_ends(hg, edge.sorted_head(), "out")
+    else:
+        raise ValueError(f"side must be 'tail' or 'head', got {side!r}")
+    return _view(ends, a)
 
 
 def measure_oriented_pair(hg: Hypergraph, u: int, direction: str, alpha) -> ProbabilityMeasure:
@@ -236,4 +226,4 @@ def _pair_measure(hg: Hypergraph, u: int, direction: str, alpha) -> ProbabilityM
     a = as_alpha(alpha)
     if direction != "in" and direction != "out":
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    return _view(walk_ends(hg, "pair", u, direction), a)
+    return _view(walk_ends(hg, (u,), direction), a)

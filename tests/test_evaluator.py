@@ -2,22 +2,33 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypercurv import Evaluator, all_pairs_distances, build, errors, load_document, verdict_ledger
+from hypercurv import (
+    Evaluator,
+    all_pairs_distances,
+    build,
+    curvature_pairs,
+    errors,
+    load_document,
+    verdict_ledger,
+)
 from hypercurv.cli import main
 from hypercurv.curvature import DEFAULT_ALPHA_GRID, _Chain, _dyadic_index
 from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 from hypercurv.transport import AffineFamily, LinearPiece
+from hypercurv.walk import spread
 
 from conftest import (
     curvature_targets,
     directed_corpus,
     oriented_corpus,
+    random_oriented_dense,
     undirected_corpus,
 )
 from oracles import reference_kappa, reference_lly_limit
@@ -438,3 +449,77 @@ def test_cli_exits_3_on_a_curve_that_is_not_concave(capsys, monkeypatch):
         "NotConcave: kappa is not concave in alpha: its slope rises at 7/8, "
         "so no limit is certified\n"
     )
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+SYMMETRY_ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1))
+
+
+def _oriented_symmetry_corpus():
+    """Oriented documents, each holding every reversal with its weight."""
+    hgs = [random_oriented_unit(random.Random(seed)) for seed in range(30)]
+    hgs += [random_oriented_dense(random.Random(seed)) for seed in range(20)]
+    for name in ("oriented_small.json", "weighted_oriented.json"):
+        hgs.append(load_document(str(DATA / name)).hypergraph)
+    return hgs
+
+
+def _reversal(hg, e: int) -> int:
+    edge = hg.edges[e]
+    return next(
+        r
+        for r, other in enumerate(hg.edges)
+        if (other.tail, other.head, other.weight) == (edge.head, edge.tail, edge.weight)
+    )
+
+
+def _only_chain(ev, target):
+    [(chain, _d)] = ev._target(target, "sum")[0]
+    return chain
+
+
+def test_oriented_transport_and_its_reverse_share_one_chain():
+    """On an oriented hypergraph each vertex's in-walk is its out-walk and
+    the distance is symmetric, so a pair and its reverse, and a hyperedge
+    and its reversal, read one chain; both orders match fresh solves of the
+    real in-walk at the first end."""
+    for hg in _oriented_symmetry_corpus():
+        for v in range(hg.n_vertices):
+            assert spread(hg, "in", v) == spread(hg, "out", v)
+        oracle = all_pairs_distances(hg)
+        ev = Evaluator(hg, oracle)
+        targets = [("pair", u, v) for u, v in curvature_pairs(hg)]
+        targets += [("edge", e) for e in range(hg.n_edges)]
+        for target in targets:
+            if target[0] == "pair":
+                reverse = ("pair", target[2], target[1])
+            else:
+                reverse = ("edge", _reversal(hg, target[1]))
+            assert _only_chain(ev, target) is _only_chain(ev, reverse), target
+            for a in SYMMETRY_ALPHAS:
+                expected = reference_kappa(hg, oracle, target, a, "sum")
+                assert ev.kappa(target, a) == expected, (target, a)
+
+
+def _symmetric_directed():
+    """Directed, with a symmetric quasi-distance: every arc has its reversal,
+    but the hyperedge {0, 1} -> 2 has none, so vertex 0's out-walk differs
+    from its in-walk."""
+    arcs = [([u], [v], 1) for u in range(3) for v in range(3) if u != v]
+    return build("directed", 3, arcs + [([0, 1], [2], 1)])
+
+
+def test_directed_pair_orders_keep_their_own_walks():
+    hg = _symmetric_directed()
+    oracle = all_pairs_distances(hg)
+    assert oracle.symmetric
+    assert spread(hg, "in", 0) != spread(hg, "out", 0)
+    ev = Evaluator(hg, oracle)
+    differ = 0
+    for u, v in itertools.permutations(range(hg.n_vertices), 2):
+        assert _only_chain(ev, ("pair", u, v)) is not _only_chain(ev, ("pair", v, u))
+        for a in SYMMETRY_ALPHAS:
+            kappa = ev.kappa(("pair", u, v), a)
+            assert kappa == reference_kappa(hg, oracle, ("pair", u, v), a, "sum"), (u, v, a)
+            differ += kappa != ev.kappa(("pair", v, u), a)
+    assert differ

@@ -324,16 +324,16 @@ PINNED_COUNTERS = {
     'h4 bounds': (0, {'solves': 6, 'solve_hits': 10, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 8, 'measure_hits': 8, 'limits': 6, 'limit_hits': 4}),
     'h4 curvature --all': (0, {'solves': 6, 'solve_hits': 4, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 8, 'measure_hits': 8, 'limits': 8, 'limit_hits': 0}),
     'directed bounds': (0, {'solves': 4, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 16, 'measure_hits': 4, 'limits': 0, 'limit_hits': 0}),
-    'oriented bounds': (0, {'solves': 22, 'solve_hits': 58, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
-    'oriented curvature --all': (0, {'solves': 22, 'solve_hits': 12, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 30, 'limits': 34, 'limit_hits': 0}),
+    'oriented bounds': (0, {'solves': 11, 'solve_hits': 69, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 51, 'limits': 32, 'limit_hits': 24}),
+    'oriented curvature --all': (0, {'solves': 11, 'solve_hits': 23, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 15, 'limits': 34, 'limit_hits': 0}),
     'undirected curvature --all': (0, {'solves': 10, 'solve_hits': 10, 'pivots': 1, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 10, 'measure_hits': 15, 'limits': 16, 'limit_hits': 0}),
     'pivoting curvature --all': (0, {'solves': 21, 'solve_hits': 20, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 29, 'limit_hits': 0}),
     'pivoting bounds': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
-    'oriented bounds --alpha 1': (0, {'solves': 22, 'solve_hits': 58, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 66, 'limits': 32, 'limit_hits': 24}),
+    'oriented bounds --alpha 1': (0, {'solves': 11, 'solve_hits': 69, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 51, 'limits': 32, 'limit_hits': 24}),
     'pivoting bounds --alpha 1': (0, {'solves': 21, 'solve_hits': 41, 'pivots': 16, 'degenerate_pivots': 3, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 14, 'measure_hits': 35, 'limits': 21, 'limit_hits': 17}),
-    'late bounds --alpha 1/3': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 7, 'dual_pivots': 7, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
-    'late bounds --alpha 9/10': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 10, 'limits': 0, 'limit_hits': 0}),
-    'weighted bounds': (0, {'solves': 22, 'solve_hits': 48, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 28, 'measure_hits': 43, 'limits': 26, 'limit_hits': 0}),
+    'late bounds --alpha 1/3': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 7, 'dual_pivots': 7, 'measures': 24, 'measure_hits': 12, 'limits': 0, 'limit_hits': 0}),
+    'late bounds --alpha 9/10': (0, {'solves': 7, 'solve_hits': 0, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 24, 'measure_hits': 12, 'limits': 0, 'limit_hits': 0}),
+    'weighted bounds': (0, {'solves': 11, 'solve_hits': 59, 'pivots': 0, 'degenerate_pivots': 0, 'traced_pieces': 0, 'dual_pivots': 0, 'measures': 12, 'measure_hits': 29, 'limits': 26, 'limit_hits': 0}),
 }
 
 PINNED_HELP = {
