@@ -41,7 +41,6 @@ from .hypergraph import (
     Hypergraph,
     UndirectedEdge,
     build,
-    is_connected,
     is_strongly_connected,
 )
 from .metric import (
@@ -49,10 +48,8 @@ from .metric import (
     EdgeLength,
     NeighborhoodPartition,
     all_pairs_distances,
-    diameter,
     edge_length,
     partition_neighborhood,
-    set_distance,
 )
 from .transport import (
     Coupling,

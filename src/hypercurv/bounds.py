@@ -494,13 +494,3 @@ def check_vertex_count(ev: Evaluator, kappa0: Fraction | None = None) -> BoundVe
     except errors.HypothesisNotMet as exc:
         return _skip("vertex-count", "instance", str(exc))
     return _verdict("vertex-count", Fraction(hg.n_vertices), bound, f"floor {kappa0}")
-
-
-def distance_layers(oracle: DistanceOracle, u: int) -> dict[Fraction, int]:
-    """Count of vertices at each exact distance from u (u itself excluded)."""
-    counts: dict[int, int] = {}
-    for z in range(oracle.n):
-        if z != u:
-            d = oracle._scaled(u, z)
-            counts[d] = counts.get(d, 0) + 1
-    return {Fraction(d, oracle.scale): count for d, count in counts.items()}

@@ -269,13 +269,21 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
     return targets
 
 
+def _limit(ev: Evaluator, name: str, target: tuple, variant: str):
+    """``ev.limit(target, variant)``; a NoStabilization names the target as stdout does."""
+    try:
+        return ev.limit(target, variant)
+    except errors.NoStabilization as exc:
+        raise exc.named(name) from None
+
+
 def cmd_curvature(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple[int, str]:
     # The table prints only limits, so it reads no curve.
     table = cfg.fmt == "table"
     results = [
         (
             name,
-            ev.limit(target, cfg.variant),
+            _limit(ev, name, target, cfg.variant),
             None if table else ev.curve_ints(target, cfg.variant, cfg.alpha_grid),
         )
         for name, target in _resolve_targets(doc, args)
@@ -344,7 +352,7 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
     if len(targets) != 1:
         raise errors.UnknownTarget("sweep expects exactly one --pair or --edge target")
     name, target = targets[0]
-    found = ev.limit(target, cfg.variant)
+    found = _limit(ev, name, target, cfg.variant)
     curve = ev.curve_ints(target, cfg.variant, cfg.alpha_grid)
     stab = found.stabilization_alpha
     kappa_stab = ev.kappa(target, stab, cfg.variant)

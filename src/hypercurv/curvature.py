@@ -120,7 +120,7 @@ def _dyadic_index(alpha_lo: Fraction) -> int:
 
 def _not_settled(target: tuple) -> errors.NoStabilization:
     return errors.NoStabilization(
-        f"normalized curvature of {target} did not settle within k <= {DEFAULT_K_MAX}"
+        f"normalized curvature of {{}} did not settle within k <= {DEFAULT_K_MAX}", target
     )
 
 
@@ -450,8 +450,9 @@ class Evaluator:
         # hyperedges, but not always for a directed hyperedge.
         if final.w1 < 0:
             raise errors.NoStabilization(
-                f"target {target} has curvature {Fraction(final.w1, den)} at alpha=1; "
-                "the normalized curve decreases without bound"
+                f"target {{}} has curvature {Fraction(final.w1, den)} at alpha=1; "
+                "the normalized curve decreases without bound",
+                target,
             )
         if final.w1:
             # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that

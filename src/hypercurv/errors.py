@@ -100,7 +100,24 @@ class UnsupportedFlavor(HypercurvError):
 
 
 class NoStabilization(HypercurvError):
-    """The normalized curvature never settled on the sampled dyadic grid."""
+    """The normalized curvature never settled on the sampled dyadic grid.
+
+    ``text`` is the message with ``{}`` where the target goes, and
+    ``target`` fills it in: the target tuple, or the caller's name for the
+    target once :meth:`named` has set one.
+    """
+
+    def __init__(self, text: str, target=None):
+        super().__init__(text, target)
+        self.text = text
+        self.target = target
+
+    def __str__(self) -> str:
+        return self.text.format(self.target)
+
+    def named(self, name: str) -> "NoStabilization":
+        """The same error, naming the target ``name``."""
+        return type(self)(self.text, name)
 
 
 class NotConcave(NoStabilization):

@@ -162,22 +162,6 @@ class Hypergraph:
     # to the predecessor set by reversal closure.
     neighbors = out_neighbors
 
-    def tail_in_neighborhood(self, edge_index: int) -> frozenset[int]:
-        """Vertices that reach some tail vertex of the edge in one hop."""
-        h = self.edges[edge_index]
-        out: set[int] = set()
-        for x in h.tail:
-            out.update(self.in_neighbors(x))
-        return frozenset(out)
-
-    def head_out_neighborhood(self, edge_index: int) -> frozenset[int]:
-        """Vertices reachable from some head vertex of the edge in one hop."""
-        h = self.edges[edge_index]
-        out: set[int] = set()
-        for y in h.head:
-            out.update(self.out_neighbors(y))
-        return frozenset(out)
-
     # -- degrees ----------------------------------------------------------
 
     def out_weight(self, v: int) -> Fraction:
@@ -231,18 +215,11 @@ class Hypergraph:
         return max(len(e.head) for e in self.edges)
 
     @cached_property
-    def _max_tail_size(self) -> int:
-        return max(len(e.tail) for e in self.edges)
-
-    @cached_property
     def _max_degree(self) -> int:
         return max(self.deg(v) for v in range(self.n_vertices))
 
     def max_head_size(self) -> int:
         return self._max_head_size
-
-    def max_tail_size(self) -> int:
-        return self._max_tail_size
 
     def max_degree(self) -> int:
         return self._max_degree
@@ -385,12 +362,6 @@ def _reachable(hg: Hypergraph, start: int, incidence, ends) -> set[int]:
                     seen.add(z)
                     queue.append(z)
     return seen
-
-
-def is_connected(hg: Hypergraph) -> bool:
-    """True iff every vertex pair is joined by a hyperpath, ignoring direction."""
-    both = [t + h for t, h in zip(hg._tail_edges_at, hg._head_edges_at)]
-    return len(_reachable(hg, 0, both, lambda e: e.tail | e.head)) == hg.n_vertices
 
 
 def is_strongly_connected(hg: Hypergraph) -> bool:

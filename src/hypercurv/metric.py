@@ -150,11 +150,6 @@ def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
     return DistanceOracle._from_table(tuple(table), scale, sym)
 
 
-def diameter(hg: Hypergraph, oracle: DistanceOracle | None = None) -> Fraction:
-    oracle = oracle or all_pairs_distances(hg)
-    return oracle.diameter()
-
-
 def edge_length(
     hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str = "min"
 ) -> EdgeLength:
@@ -193,10 +188,6 @@ def scaled_edge_length(
     if variant == "max":
         return max(pairwise)
     return sum(pairwise)
-
-
-def set_distance(oracle: DistanceOracle, vertices, z: int) -> Fraction:
-    return oracle.set_distance(vertices, z)
 
 
 def partition_neighborhood(

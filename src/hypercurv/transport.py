@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 from . import errors
 from .metric import DistanceOracle
+from .rational import as_fraction
 
 
 class Coupling:
@@ -174,10 +175,6 @@ class LinearPiece(NamedTuple):
     hi_den: int
     w0: int
     w1: int
-
-    def covers(self, p: int, q: int) -> bool:
-        """Whether ``p/q`` lies in the piece's interval."""
-        return self.lo_num * q <= p * self.lo_den and p * self.hi_den <= self.hi_num * q
 
     def at(self, p: int, q: int) -> int:
         """``W(p/q) * q * scale``."""
@@ -554,7 +551,7 @@ def interpolate_coupling(pi_a, pi_c, lam) -> Coupling:
     input marginals, which is what makes interpolated couplings feasible
     for interpolated walk measures.
     """
-    lam = Fraction(lam) if not isinstance(lam, float) else Fraction(lam).limit_denominator(2**32)
+    lam = as_fraction(lam)
     if lam < 0 or lam > 1:
         raise errors.AlphaOutOfRange(f"interpolation weight must be in [0, 1], got {lam}")
     if pi_a.total() != pi_c.total():

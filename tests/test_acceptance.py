@@ -22,7 +22,9 @@ from hypercurv import (
     build,
     check_directed_edge_bound,
     check_vertex_count,
+    curvature_pairs,
     dual_value,
+    errors,
     interpolate_coupling,
     lipschitz_check,
     lly_limit,
@@ -43,7 +45,9 @@ from conftest import (
     graph_as_hypergraph,
     named_document,
     random_graph_edges,
+    random_directed,
     random_oriented_dense,
+    random_oriented_unit,
     random_undirected,
     undirected_corpus,
 )
@@ -209,6 +213,39 @@ def test_criterion_05_monotone_and_concave(h4, h4_oracle, c5_corpus):
                     for c in GRID[i + 1 :]:
                         mid = (a + c) / 2
                         assert 2 * values[mid] >= values[a] + values[c], (target, a, c)
+
+
+def test_normalized_curve_monotone_exactly_when_kappa_at_one_is_nonnegative():
+    """Monotonicity read off kappa's exact lines, not sampled on a grid.
+
+    Extend a line of kappa to alpha = 1, where it takes the value B. On that
+    line ``kappa / (1 - alpha)`` has derivative ``B / (1 - alpha)**2``, so
+    the normalized curve is nondecreasing on [0, 1) exactly when every
+    line's B is >= 0. Concavity puts the least B on the last line, whose B
+    is kappa(1); where kappa(1) < 0 the limit search gives up.
+    """
+    diverging = 0
+    for generate in (random_undirected, random_directed, random_oriented_unit):
+        rng = random.Random(11)
+        for _ in range(60):
+            hg = generate(rng)
+            ev = Evaluator(hg, all_pairs_distances(hg))
+            targets = [("edge", e) for e in range(hg.n_edges)]
+            targets += [("pair", u, v) for u, v in curvature_pairs(hg)]
+            for target in targets:
+                ends = [Fraction(0), *ev.breakpoints(target), Fraction(1)]
+                kappa = [ev.kappa(target, a) for a in ends]
+                at_one = [
+                    k0 + (k1 - k0) * (1 - a0) / (a1 - a0)
+                    for a0, a1, k0, k1 in zip(ends, ends[1:], kappa, kappa[1:])
+                ]
+                assert at_one[-1] == kappa[-1], target
+                assert all(b >= 0 for b in at_one) == (kappa[-1] >= 0), target
+                if kappa[-1] < 0:
+                    with pytest.raises(errors.NoStabilization):
+                        ev.limit(target)
+                    diverging += 1
+    assert diverging  # the directed corpus reaches kappa(1) < 0
 
 
 def test_criterion_06_duality(c3_corpus):

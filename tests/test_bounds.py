@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from hypercurv import (
     verdict_ledger,
     vertex_count_bound,
 )
-from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS, distance_layers
+from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS
 
 from conftest import (
     random_directed,
@@ -303,7 +304,8 @@ def test_layer_growth_under_curvature_floor():
         b_h = hg.max_head_size()
         delta = hg.max_degree()
         for u in range(hg.n_vertices):
-            layers = distance_layers(oracle, u)
+            # vertices at each exact distance from u, u itself excluded
+            layers = Counter(oracle.d(u, z) for z in range(hg.n_vertices) if z != u)
             i = Fraction(1)
             while i in layers:
                 nxt = layers.get(i + 1, 0)

@@ -134,6 +134,20 @@ def test_curvature_exit_3_on_divergence(capsys, tmp_path):
     assert "NoStabilization" in err
 
 
+@pytest.mark.parametrize(
+    "name, edge, kappa_at_one",
+    [("late_limit_directed.json", "h7", "-4"), ("weighted_oriented.json", "h6", "-1/8")],
+)
+def test_divergence_names_the_target_as_stdout_does(capsys, name, edge, kappa_at_one):
+    path = str(H4_FILE.with_name(name))
+    err = (
+        f"NoStabilization: target edge {edge} has curvature {kappa_at_one} at alpha=1; "
+        "the normalized curve decreases without bound\n"
+    )
+    for argv in (["curvature", path, "--all"], ["sweep", path, "--edge", edge]):
+        assert _run(capsys, argv) == (3, "", err), argv
+
+
 def test_bounds_h4_all_hold(capsys, h4_path):
     code, out, _ = _run(capsys, ["bounds", h4_path])
     assert code == 0

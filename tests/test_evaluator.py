@@ -523,3 +523,60 @@ def test_directed_pair_orders_keep_their_own_walks():
             assert kappa == reference_kappa(hg, oracle, ("pair", u, v), a, "sum"), (u, v, a)
             differ += kappa != ev.kappa(("pair", v, u), a)
     assert differ
+
+
+def _graph(n, edges):
+    return build("undirected", n, [([u, v], 1) for u, v in edges])
+
+
+def _complete(n):
+    return _graph(n, itertools.combinations(range(n), 2)), (0, 1)
+
+
+def _cycle(n):
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)]), (0, 1)
+
+
+def _hypercube(d):
+    n = 2**d
+    edges = [(u, u | 1 << i) for u in range(n) for i in range(d) if not u >> i & 1]
+    return _graph(n, edges), (0, 1)
+
+
+def _complete_bipartite(m, n):
+    return _graph(m + n, [(u, m + v) for u in range(m) for v in range(n)]), (0, m)
+
+
+# The standard LLY curvatures of unit-weight graph families (Lin, Lu and
+# Yau, Tohoku Math. J. 2011), at sizes past those the reference oracles reach.
+CLOSED_FORMS = (
+    [(_complete, (n,), Fraction(n, n - 1)) for n in (3, 5, 8, 20)]
+    + [(_cycle, (4,), 1), (_cycle, (5,), Fraction(1, 2))]
+    + [(_cycle, (n,), 0) for n in (6, 9, 40)]
+    + [(_hypercube, (d,), Fraction(2, d)) for d in (2, 3, 4, 6)]
+    + [(_complete_bipartite, mn, Fraction(2, max(mn))) for mn in ((2, 3), (3, 3), (3, 5))]
+)
+
+
+@pytest.mark.parametrize(
+    "family, size, lly",
+    CLOSED_FORMS,
+    ids=["-".join([family.__name__[1:], *map(str, size)]) for family, size, _ in CLOSED_FORMS],
+)
+def test_graph_families_meet_their_closed_forms(family, size, lly):
+    hg, (u, v) = family(*size)
+    assert Evaluator(hg, all_pairs_distances(hg)).limit(("pair", u, v)).lly == lly
+
+
+@pytest.mark.parametrize("k", [3, 10, 50, 200])
+def test_one_hyperedge_meets_its_closed_curve(k):
+    """One unit hyperedge of k vertices: the walk of x1 keeps alpha on x1 and
+    spreads the rest evenly over the other k-1, so kappa of (x1, x2) is
+    ``1 - |alpha - (1-alpha)/(k-1)|``, with one breakpoint at 1/k."""
+    hg = build("undirected", k, [(range(k), 1)])
+    ev = Evaluator(hg, all_pairs_distances(hg))
+    target = ("pair", 0, 1)
+    assert ev.limit(target).lly == Fraction(k, k - 1)
+    assert ev.breakpoints(target) == [Fraction(1, k)]
+    for alpha in (0, Fraction(1, 2 * k), Fraction(1, k), Fraction(1, 3), Fraction(3, 4), 1):
+        assert ev.kappa(target, alpha) == 1 - abs(alpha - (1 - alpha) / Fraction(k - 1)), alpha

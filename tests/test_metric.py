@@ -11,7 +11,6 @@ from hypercurv import (
     DistanceOracle,
     all_pairs_distances,
     build,
-    diameter,
     edge_length,
     errors,
     partition_neighborhood,
@@ -32,12 +31,12 @@ def test_h4_distances(h4, h4_oracle):
     assert h4_oracle.d(1, 2) == 1
     assert all(h4_oracle.d(u, u) == 0 for u in range(4))
     assert h4_oracle.symmetric
-    assert diameter(h4, h4_oracle) == 2
+    assert h4_oracle.diameter() == 2
 
 
 def test_single_edge_diameter():
     hg = build("undirected", 2, [([0, 1], 3)])
-    assert diameter(hg) == 3
+    assert all_pairs_distances(hg).diameter() == 3
 
 
 def test_directed_cycle_diameter_and_asymmetry():

@@ -303,8 +303,8 @@ PINNED = {
     'oriented sweep --pair x1,x2 --float': (0, '5535e6a62cbc02a2dd3c251bbe2ab0cc0de3039490a5a7c7c78af209242cba49', ''),
     'oriented bounds --strict --format csv': (1, '66845c450abd6bab9d4aa0524d81378269099dc593df6315361b93747fce13b5', ''),
     'oriented curvature --edge h99': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "UnknownTarget: unknown hyperedge 'h99'\n"),
-    'diverging curvature --all --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target ('edge', 4) has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
-    'diverging sweep --edge h5 --float': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target ('edge', 4) has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
+    'diverging curvature --all --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target edge h5 has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
+    'diverging sweep --edge h5 --float': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target edge h5 has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
     'oriented measure --vertex x1 --direction in': (0, 'fd82410e8831826b03fcb37bca2bad3312d38634d147f572e98244ae1f85f3f3', ''),
     'directed measure --edge h1 --side head --index 0': (0, '41752de4c5124c96f319abffdf1206baec3e2cee136e692c2f0b31018fc8101f', ''),
     'h4 bounds --alpha 1/3 --format json': (0, '9186b25cfb6422b9fedf5d538c06f576233c03356c910ac5a00c5cfe3fcd5f49', ''),

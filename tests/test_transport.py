@@ -185,6 +185,12 @@ def test_interpolate_coupling_endpoints_and_marginals():
     assert interpolate_coupling(pi_a, pi_c, 0).entries == pi_c.entries
     lam = Fraction(1, 2)
     pi_b = interpolate_coupling(pi_a, pi_c, lam)
+    # a weight is read as every rational input is: a float snaps to 1/2, a bool is refused
+    assert interpolate_coupling(pi_a, pi_c, 0.5).entries == pi_b.entries
+    with pytest.raises(TypeError):
+        interpolate_coupling(pi_a, pi_c, True)
+    with pytest.raises(errors.AlphaOutOfRange):
+        interpolate_coupling(pi_a, pi_c, 1.5)
     mu_b = measure_set(hg, e, "tail", Fraction(1, 2))
     nu_b = measure_set(hg, e, "head", Fraction(1, 2))
     assert pi_b.left_marginal() == mu_b.mass

@@ -269,6 +269,11 @@ def _interior(rng, lo, hi):
     return lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
 
 
+def _covers(piece, p, q):
+    """Whether ``p/q`` (``q > 0``) lies in the piece's interval, compared on ints."""
+    return piece.lo_num * q <= p * piece.lo_den and p * piece.hi_den <= piece.hi_num * q
+
+
 def test_linear_piece_matches_fresh_solves():
     """Pieces ranged from solves on the union supports, at an interior alpha
     and at 0 and 1, where the rows and columns of the other endpoint carry no
@@ -294,14 +299,14 @@ def test_linear_piece_matches_fresh_solves():
                 lo = Fraction(piece.lo_num, piece.lo_den)
                 hi = Fraction(piece.hi_num, piece.hi_den)
                 assert lo <= alpha <= hi
-                assert piece.covers(alpha.numerator, alpha.denominator)
+                assert _covers(piece, alpha.numerator, alpha.denominator)
 
                 def at(b):
                     value = piece.at(b.numerator, b.denominator)
                     return Fraction(value, b.denominator * scale * oracle.scale)
 
                 for b in (lo, hi, alpha, _interior(rng, lo, hi)):
-                    assert piece.covers(b.numerator, b.denominator)
+                    assert _covers(piece, b.numerator, b.denominator)
                     assert at(b) == w(b), (k, b, piece)
                 # W is convex, so its supporting line never lies above it.
                 outside = [Fraction(0), Fraction(1)]
@@ -373,7 +378,7 @@ def test_traced_pieces_match_fresh_solves():
             assert start != top or traced[-1].hi_num == traced[-1].hi_den
             for below, above in zip(traced, traced[1:]):
                 assert Fraction(below.hi_num, below.hi_den) == Fraction(above.lo_num, above.lo_den)
-            assert cold.piece.covers(start.numerator, start.denominator)
+            assert _covers(cold.piece, start.numerator, start.denominator)
             for basis in chain:
                 _assert_optimal_potentials(basis)
                 piece = basis.piece
@@ -428,7 +433,7 @@ def test_solve_family_matches_the_oracles(flavor):
                 with _deadline(10):
                     basis = solve_family(family, p, q, oracle.table)[0]
                 piece = basis.piece
-                assert piece.covers(p, q)
+                assert _covers(piece, p, q)
                 _assert_optimal_potentials(basis)
                 masses = family.masses(p, q)
                 mu, nu = ({v: Fraction(m, q * family.scale) for v, m in side.items()} for side in masses)
