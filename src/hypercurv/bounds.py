@@ -30,15 +30,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import errors
-# The kappa_alpha_* and lly_limit names stay importable from this module,
-# where perfbench/tracer.py wraps them; the checks evaluate through ``ev``.
+# The kappa_alpha_* names stay importable from this module, where
+# perfbench/tracer.py wraps them; the checks evaluate through ``ev``.
 from .curvature import (  # noqa: F401
     Evaluator,
     curvature_pairs,
     kappa_alpha_edge_directed,
     kappa_alpha_edge_undirected,
     kappa_alpha_pair,
-    lly_limit,
     well_transported_pairs,
 )
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph

@@ -6,9 +6,10 @@ flags) pairs across runs. Targets are evaluated one after another, in
 sorted target order, by one Evaluator per run, so each measure, transport
 and limit is computed once. ``curvature --all`` takes the pairs of
 ``curvature.curvature_pairs`` and ``bounds`` prints
-``bounds.verdict_ledger``. ``--parallel`` is accepted and validated but
-does not change how a run is evaluated. Every number is computed exactly;
-``--float`` only prints it as a decimal.
+``bounds.verdict_ledger``. Each subcommand takes only the options it
+reads; any other is a usage error (exit 2). ``curvature --parallel`` is
+accepted and validated but does not change how a run is evaluated. Every
+number is computed exactly; ``--float`` only prints it as a decimal.
 
 ``curvature`` and ``sweep`` print each curve sample from the ints of
 ``Evaluator.curve_ints``, reduced by one gcd (or divided once under
@@ -51,7 +52,7 @@ def _float_text(num: int, den: int) -> str:
 
 
 class RunConfig:
-    """Knobs shared by every subcommand, and when its evaluation ended.
+    """The knobs a subcommand reads, and when its evaluation ended.
 
     ``fmt_ratio`` prints the exact value ``num / den`` of two ints, with
     ``den > 0``, as ``p/q`` in lowest terms, or under ``--float`` (``mode``
@@ -87,24 +88,26 @@ def _cli_alpha(flag: str, text: str) -> Fraction:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run's knobs from the options its subcommand declares; the rest keep their defaults."""
+    opts = vars(args)
     cfg = RunConfig()
-    if args.alpha is not None:
-        cfg.alpha = _cli_alpha("--alpha", args.alpha)
-    if args.alpha_grid is not None:
-        tokens = args.alpha_grid.split(",")
+    if opts.get("alpha") is not None:
+        cfg.alpha = _cli_alpha("--alpha", opts["alpha"])
+    if opts.get("alpha_grid") is not None:
+        tokens = opts["alpha_grid"].split(",")
         cfg.alpha_grid = tuple(_cli_alpha("--alpha-grid", tok) for tok in tokens)
-    if args.variant:
-        cfg.variant = args.variant
-    if args.float:
-        if args.exact:
+    if opts.get("variant"):
+        cfg.variant = opts["variant"]
+    if opts.get("float"):
+        if opts["exact"]:
             raise errors.ParseError("--exact and --float exclude each other")
         cfg.mode = "float"
         cfg.fmt_ratio = _float_text
-    if args.format:
-        cfg.fmt = args.format
-    if args.parallel is not None and args.parallel < 1:
+    if opts.get("format"):
+        cfg.fmt = opts["format"]
+    if opts.get("parallel") is not None and opts["parallel"] < 1:
         raise errors.ParseError("parallelism degree must be >= 1")
-    cfg.strict = args.strict
+    cfg.strict = opts.get("strict", False)
     return cfg
 
 
@@ -160,11 +163,14 @@ def cmd_distances(doc: ParsedDocument, cfg: RunConfig) -> tuple[int, str]:
 def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
     hg = doc.hypergraph
     if args.vertex is not None:
+        if args.side is not None or args.index is not None:
+            raise errors.ParseError("--side and --index need --edge")
         v = doc.vertex_id(args.vertex)
         if hg.flavor == UNDIRECTED:
             mu = walk.measure_undirected(hg, v, cfg.alpha)
         elif hg.flavor == ORIENTED:
-            mu = walk.measure_oriented_pair(hg, v, args.direction, cfg.alpha)
+            # Reversal closure makes the in-walk equal the out-walk.
+            mu = walk.measure_oriented_pair(hg, v, "out", cfg.alpha)
         else:
             raise errors.UnsupportedFlavor(
                 "plain directed measures are hyperedge-based; use --edge/--side"
@@ -174,12 +180,12 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
             raise errors.UnsupportedFlavor("undirected measures are vertex-based; use --vertex")
         e = doc.edge_id(args.edge)
         if args.index is not None:
-            if args.side == "tail":
+            if args.side != "head":
                 mu = walk.measure_directed_in(hg, e, args.index, cfg.alpha)
             else:
                 mu = walk.measure_directed_out(hg, e, args.index, cfg.alpha)
         else:
-            mu = walk.measure_set(hg, e, args.side, cfg.alpha)
+            mu = walk.measure_set(hg, e, args.side or "tail", cfg.alpha)
     else:
         raise errors.UnknownTarget("measure needs --vertex or --edge")
     cfg.evaluated_at = time.perf_counter()
@@ -262,7 +268,8 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
             raise errors.SamePair(f"pair target needs two distinct vertices, got {token!r}")
         targets.append((pair_name(u, v), ("pair", u, v)))
     for token in getattr(args, "edge", None) or []:
-        targets.append((f"edge {token}", ("edge", doc.edge_id(token))))
+        e = doc.edge_id(token)
+        targets.append((f"edge {doc.edge_names[e]}", ("edge", e)))
     if not targets:
         raise errors.UnknownTarget("no curvature targets: use --pair, --edge, or --all")
     targets.sort(key=lambda t: t[0])
@@ -366,25 +373,39 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="hypergraph JSON document")
-    p.add_argument("--alpha", help="laziness parameter (rational or decimal)")
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated alphas for curves")
-    p.add_argument("--variant", choices=["min", "sum", "max"], help="hyperedge length variant")
-    p.add_argument("--exact", action="store_true", help="print exact rationals p/q (default)")
-    p.add_argument(
-        "--float", action="store_true", help="print the exactly computed values as decimals"
-    )
-    p.add_argument("--format", choices=["json", "csv", "table"], help="output format")
-    p.add_argument(
-        "--parallel",
-        type=int,
-        help="accepted for compatibility (must be >= 1); targets always run serially",
-    )
-    p.add_argument("--strict", action="store_true", help="not-applicable verdicts also fail")
-    p.add_argument(
-        "--stats", action="store_true", help="print evaluation counters as JSON on stderr"
-    )
+# Each option that some subcommand reads, declared once. A subcommand takes
+# only the options it reads; argparse refuses any other (exit 2).
+_OPTIONS = {
+    "--alpha": {"help": "laziness parameter (rational or decimal)"},
+    "--alpha-grid": {"help": "comma-separated alphas for curves"},
+    "--variant": {"choices": ["min", "sum", "max"], "help": "hyperedge length variant"},
+    "--exact": {"action": "store_true", "help": "print exact rationals p/q (default)"},
+    "--float": {"action": "store_true", "help": "print the exactly computed values as decimals"},
+    "--format": {"choices": ["json", "csv", "table"], "help": "output format"},
+    "--parallel": {
+        "type": int,
+        "help": "accepted for compatibility (must be >= 1); targets always run serially",
+    },
+    "--strict": {"action": "store_true", "help": "not-applicable verdicts also fail"},
+}
+_NUMBERS = ("--exact", "--float")
+_SUBCOMMANDS = {
+    "validate": ("check a document against all invariants", ()),
+    "distances": ("all-pairs (quasi-)distance table", (*_NUMBERS, "--format")),
+    "measure": ("print one walk measure as JSON", ("--alpha", *_NUMBERS)),
+    "curvature": (
+        "alpha curves and limit curvature of targets",
+        ("--alpha-grid", "--variant", *_NUMBERS, "--format", "--parallel"),
+    ),
+    "bounds": (
+        "verdict ledger of every applicable inequality",
+        ("--alpha", "--variant", *_NUMBERS, "--format", "--strict"),
+    ),
+    "sweep": (
+        "CSV of (alpha, kappa, normalized) for one target",
+        ("--alpha-grid", "--variant", *_NUMBERS),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,34 +414,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curvature toolkit for weighted undirected, directed, and oriented hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # The shared options are built once and copied into each subcommand.
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
+    parsers = {}
+    for name, (summary, options) in _SUBCOMMANDS.items():
+        # No abbreviations: on curvature, --alpha would be read as --alpha-grid.
+        p = parsers[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("path", help="hypergraph JSON document")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.add_argument(
+            "--stats", action="store_true", help="print evaluation counters as JSON on stderr"
+        )
 
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=summary)
+    p = parsers["measure"]
+    origin = p.add_mutually_exclusive_group()
+    origin.add_argument("--vertex", help="base vertex (undirected/oriented)")
+    origin.add_argument("--edge", help="hyperedge name (directed/oriented)")
+    p.add_argument("--side", choices=["tail", "head"], help="side of --edge (default tail)")
+    p.add_argument("--index", type=int, help="constituent index within the side of --edge")
 
-    add("validate", "check a document against all invariants")
-    add("distances", "all-pairs (quasi-)distance table")
-
-    p = add("measure", "print one walk measure as JSON")
-    p.add_argument("--vertex", help="base vertex (undirected/oriented)")
-    p.add_argument("--direction", choices=["in", "out"], default="out")
-    p.add_argument("--edge", help="hyperedge name (directed/oriented)")
-    p.add_argument("--side", choices=["tail", "head"], default="tail")
-    p.add_argument("--index", type=int, help="constituent index within the side")
-
-    p = add("curvature", "alpha curves and limit curvature of targets")
-    p.add_argument("--pair", action="append", help="vertex pair 'u,v' (repeatable)")
-    p.add_argument("--edge", action="append", help="hyperedge name (repeatable)")
-    p.add_argument("--all", action="store_true", help="all supported targets")
-
-    add("bounds", "verdict ledger of every applicable inequality")
-
-    p = add("sweep", "CSV of (alpha, kappa, normalized) for one target")
-    p.add_argument("--pair", action="append", help="vertex pair 'u,v'")
-    p.add_argument("--edge", action="append", help="hyperedge name")
-
+    for name, many in (("curvature", " (repeatable)"), ("sweep", "")):
+        parsers[name].add_argument("--pair", action="append", help=f"vertex pair 'u,v'{many}")
+        parsers[name].add_argument("--edge", action="append", help=f"hyperedge name{many}")
+    parsers["curvature"].add_argument("--all", action="store_true", help="all supported targets")
     return parser
 
 

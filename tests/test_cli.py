@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hypercurv import load_document, parse_document, serialize_document
-from hypercurv.cli import main
+from hypercurv.cli import build_parser, main
 from hypercurv.walk import measure_directed_in
 
 H4_DOC = {
@@ -257,6 +258,137 @@ def test_tol_is_a_usage_error(capsys, h4_path):
     assert "unrecognized arguments: --tol 0.5" in out.err
 
 
+# A valid run of each subcommand on data/h4.json, after the path.
+VALID_RUNS = {
+    "validate": [],
+    "distances": [],
+    "measure": ["--vertex", "x1"],
+    "curvature": ["--all"],
+    "bounds": [],
+    "sweep": ["--pair", "x2,x3"],
+}
+# What each option that a subcommand does not read was given before it was refused.
+REFUSED_VALUES = {
+    "--alpha": ["1/3"],
+    "--alpha-grid": ["0,1"],
+    "--variant": ["max"],
+    "--exact": [],
+    "--float": [],
+    "--format": ["json"],
+    "--parallel": ["2"],
+    "--strict": [],
+    "--direction": ["in"],
+}
+# The options each subcommand does not read: 27 pairs.
+REFUSED = [
+    (command, flag)
+    for command, flags in {
+        "validate": [flag for flag in REFUSED_VALUES if flag != "--direction"],
+        "distances": ["--alpha", "--alpha-grid", "--variant", "--parallel", "--strict"],
+        "measure": [
+            "--alpha-grid", "--variant", "--parallel", "--strict", "--format", "--direction"
+        ],
+        "curvature": ["--alpha", "--strict"],
+        "bounds": ["--alpha-grid", "--parallel"],
+        "sweep": ["--alpha", "--parallel", "--strict", "--format"],
+    }.items()
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED, ids=[" ".join(c) for c in REFUSED])
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag):
+    """Each of these options changed nothing on its subcommand, so argparse refuses it.
+
+    Abbreviations are off too: ``curvature --alpha`` is not read as ``--alpha-grid``.
+    """
+    argv = [command, str(H4_FILE), *VALID_RUNS[command]]
+    assert _run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, *REFUSED_VALUES[flag]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("flags", [["--edge", "h1"], ["--index", "0"], ["--side", "head"]])
+def test_measure_takes_one_origin(capsys, flags):
+    """``--vertex`` excludes ``--edge``, and ``--side``/``--index`` need ``--edge``."""
+    try:
+        code = main(["measure", str(H4_FILE), "--vertex", "x1", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err
+
+
+# For each option a subcommand declares: a document, a run without the option,
+# and the option with its value. Adding the option must change stdout or the
+# exit code. --exact (the default) and --parallel (validated, never acted on)
+# are the deliberate exceptions, and --stats writes only to stderr.
+EFFECTS = {
+    ("distances", "--float"): ("h4.json", [], ["--float"]),
+    ("distances", "--format"): ("h4.json", [], ["--format", "json"]),
+    ("measure", "--alpha"): ("h4.json", ["--vertex", "x1"], ["--alpha", "1/3"]),
+    ("measure", "--float"): ("h4.json", ["--vertex", "x1"], ["--float"]),
+    ("measure", "--vertex"): ("h4.json", [], ["--vertex", "x1"]),
+    ("measure", "--edge"): ("late_limit_directed.json", [], ["--edge", "h6"]),
+    ("measure", "--side"): ("late_limit_directed.json", ["--edge", "h6"], ["--side", "head"]),
+    ("measure", "--index"): ("late_limit_directed.json", ["--edge", "h6"], ["--index", "0"]),
+    ("curvature", "--alpha-grid"): (
+        "h4.json", ["--pair", "x2,x3", "--format", "json"], ["--alpha-grid", "0,1"]
+    ),
+    ("curvature", "--variant"): ("h4.json", ["--edge", "h1"], ["--variant", "max"]),
+    ("curvature", "--float"): ("h4.json", ["--all"], ["--float"]),
+    ("curvature", "--format"): ("h4.json", ["--all"], ["--format", "csv"]),
+    ("curvature", "--pair"): ("h4.json", [], ["--pair", "x2,x3"]),
+    ("curvature", "--edge"): ("h4.json", [], ["--edge", "h1"]),
+    ("curvature", "--all"): ("h4.json", [], ["--all"]),
+    ("bounds", "--alpha"): ("h4.json", [], ["--alpha", "1/3"]),
+    ("bounds", "--variant"): ("h4.json", [], ["--variant", "max"]),
+    ("bounds", "--float"): ("h4.json", [], ["--float"]),
+    ("bounds", "--format"): ("h4.json", [], ["--format", "json"]),
+    ("bounds", "--strict"): ("weighted_oriented.json", [], ["--strict"]),
+    ("sweep", "--alpha-grid"): ("h4.json", ["--pair", "x2,x3"], ["--alpha-grid", "0,1"]),
+    ("sweep", "--variant"): ("h4.json", ["--edge", "h1"], ["--variant", "max"]),
+    ("sweep", "--float"): ("h4.json", ["--pair", "x2,x3"], ["--float"]),
+    ("sweep", "--pair"): ("h4.json", [], ["--pair", "x2,x3"]),
+    ("sweep", "--edge"): ("h4.json", [], ["--edge", "h1"]),
+}
+
+
+def test_every_declared_option_acts(capsys):
+    """Walk each subcommand's parser: an option it declares changes stdout or the exit code."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            flags = [f for f in action.option_strings if f.startswith("--")]
+            if flags and flags[0] not in ("--help", "--stats", "--exact", "--parallel"):
+                declared.add((command, flags[0]))
+    assert declared == set(EFFECTS)
+    for (command, flag), (name, base, extra) in EFFECTS.items():
+        argv = [command, str(H4_FILE.with_name(name)), *base]
+        without, with_flag = _run(capsys, argv)[:2], _run(capsys, [*argv, *extra])[:2]
+        assert without != with_flag, (command, flag)
+
+
+def test_an_edge_given_by_index_is_named_as_the_document_names_it(capsys):
+    """``--edge 0`` names hyperedge h1 as ``--all`` does, on stdout and in exit 3's line."""
+    h4 = str(H4_FILE)
+    code, out, _ = _run(capsys, ["curvature", h4, "--edge", "0", "--edge", "h1"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["edge h1: lly=5/6 stabilization_alpha=3/4"] * 2
+    code, out, _ = _run(capsys, ["sweep", h4, "--edge", "0"])
+    assert (code, out.splitlines()[0]) == (0, "# mode=exact target=edge h1")
+    code, out, err = _run(capsys, ["curvature", str(LATE_LIMIT_FILE), "--edge", "6"])
+    assert (code, out) == (3, "")
+    assert err.startswith("NoStabilization: target edge h7 has curvature -4 at alpha=1;")
+
+
 def test_threads_variable_is_ignored(capsys, h4_path, monkeypatch):
     """``HYPERCURV_THREADS`` never changed a result and is no longer read."""
     argv = ["curvature", h4_path, "--all", "--format", "json"]
@@ -322,7 +454,7 @@ def test_measure_tail_constituent_matches_the_library(capsys):
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["validate", "{h4}", "--parallel", "0"], "ParseError"),
+        (["curvature", "{h4}", "--all", "--parallel", "0"], "ParseError"),
         (["curvature", "{h4}", "--pair", "x1"], "UnknownTarget"),
         (["curvature", "{h4}"], "UnknownTarget"),
         (["sweep", "{h4}", "--pair", "x1,x2", "--edge", "h1"], "UnknownTarget"),
@@ -384,7 +516,11 @@ def test_bounds_csv_format(capsys, h4_path):
     [["--alpha", "abc"], ["--alpha", "1/0"], ["--alpha-grid", "0,x"], ["--alpha", "1e100000"]],
 )
 def test_unreadable_alpha_is_a_parse_error(capsys, h4_path, flags):
-    code, out, err = _run(capsys, ["curvature", h4_path, "--pair", "x2,x3", *flags])
+    # bounds reads --alpha, curvature reads --alpha-grid.
+    argv = ["curvature", h4_path, "--pair", "x2,x3"]
+    if flags[0] == "--alpha":
+        argv = ["bounds", h4_path]
+    code, out, err = _run(capsys, [*argv, *flags])
     assert code == 2
     assert out == ""
     assert err.startswith("ParseError: ") and len(err.splitlines()) == 1

@@ -99,7 +99,9 @@ def test_cli_survives_random_and_mutated_documents(
         text = text[: rng.randrange(len(text))]
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(text)
-    argv = [command[0], str(path), *command[1:], "--format", fmt]
+    argv = [command[0], str(path), *command[1:]]
+    if command[0] != "sweep":  # sweep prints CSV and takes no --format
+        argv += ["--format", fmt]
     if decimal:
         argv.append("--float")
     out, err = io.StringIO(), io.StringIO()

@@ -76,7 +76,7 @@ def _commands(path, undirected):
         ["curvature", path, "--all", "--format", "json"],
         ["bounds", path, "--format", "json"],
         ["distances", path, "--format", "json"],
-        ["sweep", path, *target, "--format", "json"],
+        ["sweep", path, *target],
     ]
 
 

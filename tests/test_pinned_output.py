@@ -64,7 +64,6 @@ def _cases():
         yield doc, ["curvature", "--edge", "h99"]
     yield "diverging", ["curvature", "--all", "--format", "json"]
     yield "diverging", ["sweep", "--edge", "h5", "--float"]
-    yield "oriented", ["measure", "--vertex", "x1", "--direction", "in"]
     yield "directed", ["measure", "--edge", "h1", "--side", "head", "--index", "0"]
     yield "h4", ["bounds", "--alpha", "1/3", "--format", "json"]
     yield "oriented", ["bounds", "--alpha", "1/3", "--float"]
@@ -305,7 +304,6 @@ PINNED = {
     'oriented curvature --edge h99': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "UnknownTarget: unknown hyperedge 'h99'\n"),
     'diverging curvature --all --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target edge h5 has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
     'diverging sweep --edge h5 --float': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "NoStabilization: target edge h5 has curvature -3/2 at alpha=1; the normalized curve decreases without bound\n"),
-    'oriented measure --vertex x1 --direction in': (0, 'fd82410e8831826b03fcb37bca2bad3312d38634d147f572e98244ae1f85f3f3', ''),
     'directed measure --edge h1 --side head --index 0': (0, '41752de4c5124c96f319abffdf1206baec3e2cee136e692c2f0b31018fc8101f', ''),
     'h4 bounds --alpha 1/3 --format json': (0, '9186b25cfb6422b9fedf5d538c06f576233c03356c910ac5a00c5cfe3fcd5f49', ''),
     'oriented bounds --alpha 1/3 --float': (0, '3fdc24d76ae06046cf87cfc1d19850931f549e36d12a2a9f8576399ce4c60c45', ''),
@@ -338,12 +336,12 @@ PINNED_COUNTERS = {
 
 PINNED_HELP = {
     '': 'e61e7b1a311811998c71f49df96bbc0dceede20ecd7cc8ea7f4c8dc8dd2e565a',
-    'validate': '5d5464151e9e5e47808767e1e78dc540e7199c2a27d1982d75677a97c4386fa1',
-    'distances': 'b020f833b6591451253e2254c79578da96401fffa55b8f8def2c6b5c6e2444e9',
-    'measure': '7ae8af015a6837a9f1cd36151d8e00d362bbad309a906b6729a97d2abb813d56',
-    'curvature': '3b1587ec445d50273b8bb9a91c3a4653c83f8290ee8e3c8b44b5be22b5ca624d',
-    'bounds': '483ec90af25817cf041b8477cb76db3a1ea2346bb80346986ea01e63fc427900',
-    'sweep': 'd60a0a0b86bd3f5fd1b37299647670f7beae5ea28d77c49dc6ae52cc5798fd8a',
+    'validate': '2c39763cebae8407b1a928f09c02d17569e59484baa1628e2dafcf7d5f850b34',
+    'distances': '2db0c5acf53c428d9072e87bd95941b8c23cc22b062d85d2a359dad23e14140b',
+    'measure': 'e7e17ecb6f6d8440cb6041ad50119c2a3493f4014b1b788f4692fc76a87ef8b8',
+    'curvature': 'a8a8f158485c5d43690bae942056e2a6d3a69f65a1ea815efc52901f40aaff87',
+    'bounds': 'aceea58031743950276bc7359cd71f5704da6096f5d7e5217c610f807be5fc32',
+    'sweep': '32b905312e623310735c8ea376078b9584872300e792be2cf6dc74bb922be357',
 }
 
 

@@ -14,6 +14,7 @@ maps without them.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import signal
@@ -26,12 +27,17 @@ from hypothesis import strategies as st
 
 from hypercurv import (
     DistanceOracle,
+    Evaluator,
     all_pairs_distances,
+    build,
     curvature_pairs,
     errors,
     measure_undirected,
+    serialize_document,
     wasserstein,
 )
+from hypercurv import curvature as curvature_mod
+from hypercurv.cli import main
 from hypercurv.hypergraph import ORIENTED, UNDIRECTED
 from hypercurv.transport import (
     AffineFamily,
@@ -43,7 +49,15 @@ from hypercurv.transport import (
     solve_family,
 )
 
-from conftest import directed_corpus, oriented_corpus, random_undirected, undirected_corpus
+from conftest import (
+    directed_corpus,
+    named_document,
+    oriented_corpus,
+    random_directed,
+    random_oriented_unit,
+    random_undirected,
+    undirected_corpus,
+)
 from oracles import (
     brute_wasserstein,
     lp_wasserstein,
@@ -522,3 +536,81 @@ def test_explicit_zeros_are_empty_rows_and_columns():
         wasserstein({0: Fraction(0), 1: 0}, {0: Fraction(1)}, oracle)
     with pytest.raises(errors.MassMismatch):
         wasserstein({0: Fraction(1)}, {2: 0}, oracle)
+
+
+def _assert_feasible_flows(family, basis):
+    """The primal half of the certificate: the basic flows meet the family's
+    masses at b = 0 and at b = 1, are nonnegative at both ends of
+    ``basis.piece``, and price to its ``w0`` and ``w1``. With
+    :func:`_assert_optimal_potentials` this certifies the whole piece."""
+    nr, piece = len(family.rows), basis.piece
+    for flows, mu, nu, w in (
+        (basis.f0, family.mu0, family.nu0, piece.w0),
+        (basis.f1, family.mu1, family.nu1, piece.w1),
+    ):
+        rows, cols, priced = [0] * nr, [0] * len(family.cols), 0
+        for x in basis.order[1:]:
+            i, j = _cell(x, basis.parent[x], nr)
+            rows[i] += flows[x]
+            cols[j] += flows[x]
+            priced += flows[x] * basis.cost[i][j]
+        assert (rows, cols, priced) == (mu, nu, w)
+    for num, den in ((piece.lo_num, piece.lo_den), (piece.hi_num, piece.hi_den)):
+        assert all((den - num) * basis.f0[x] + num * basis.f1[x] >= 0 for x in basis.order[1:])
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """Certify every basis that ``solve_family`` and ``dual_pivot`` return to
+    the Evaluator, and count them by the function that returned them."""
+    counts = {"solve_family": 0, "dual_pivot": 0}
+
+    def certify(name, family, basis):
+        _assert_optimal_potentials(basis)
+        _assert_feasible_flows(family, basis)
+        counts[name] += 1
+
+    def solve(family, p, q, table):
+        found = solve_family(family, p, q, table)
+        certify("solve_family", family, found[0])
+        return found
+
+    def pivot(family, basis):
+        found = dual_pivot(family, basis)
+        certify("dual_pivot", family, found)
+        return found
+
+    monkeypatch.setattr(curvature_mod, "solve_family", solve)
+    monkeypatch.setattr(curvature_mod, "dual_pivot", pivot)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "make",
+    [random_undirected, random_directed, random_oriented_unit],
+    ids=["undirected", "directed", "oriented"],
+)
+def test_every_basis_the_evaluator_reads_is_certified(certified, capsys, tmp_path, make):
+    """Every basis behind ``curvature --all`` and ``bounds`` on seeded
+    ``random_instances`` documents has tight potentials with no negative
+    reduced cost, and flows that meet the masses and stay nonnegative over
+    its piece."""
+    rng = random.Random(7314)
+    path = tmp_path / "doc.json"
+    for _ in range(40):
+        path.write_text(json.dumps(serialize_document(named_document(make(rng)))))
+        for argv in (["curvature", str(path), "--all", "--format", "json"], ["bounds", str(path)]):
+            assert main(argv) in (0, 1, 3)
+    capsys.readouterr()
+    # Directed documents have only hyperedge targets, and 15 of these 40
+    # exit 3 at the first curve that decreases without bound.
+    assert certified["solve_family"] > 400 and certified["dual_pivot"] > 100, certified
+
+
+def test_a_wide_hyperedge_curve_is_certified(certified):
+    """The curve of a pair on one unit hyperedge of 100 vertices over [0, 1]:
+    one solve and 99 dual pivots on a 100 x 100 basis, each certified."""
+    hg = build("undirected", 100, [(list(range(100)), 1)])
+    ev = Evaluator(hg, all_pairs_distances(hg))
+    ev.curve_ints(("pair", 0, 1), "sum", (Fraction(0), Fraction(1)))
+    assert certified == {"solve_family": 1, "dual_pivot": 99}
