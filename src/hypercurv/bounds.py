@@ -466,26 +466,18 @@ def vertex_count_bound(delta: int, b_h: int, kappa0: Fraction) -> Fraction:
     return total
 
 
-def check_vertex_count(ev: Evaluator, kappa0: Fraction | None = None) -> BoundVerdict:
+def check_vertex_count(ev: Evaluator) -> BoundVerdict:
     """Vertex-count bound for unit-weight oriented instances with a curvature floor.
 
-    ``kappa0`` defaults to the computed minimum limit curvature over
-    tail-to-head vertex pairs; the check is then self-contained. An
-    explicit floor is verified first and raising on violation keeps the
-    bound from being evaluated vacuously.
+    The floor ``kappa0`` is the least limit curvature over tail-to-head
+    vertex pairs, so the check is self-contained.
     """
     hg = ev.hg
     if hg.flavor != ORIENTED:
         raise errors.UnsupportedFlavor("the vertex-count bound needs the oriented flavor")
     if not hg.is_unit_weight():
         raise errors.NonUnitWeights("the vertex-count bound needs unit weights")
-    observed = _least_limit(ev, _in_edge_pairs(hg))
-    if kappa0 is None:
-        kappa0 = observed
-    elif observed < kappa0:
-        raise errors.HypothesisNotMet(
-            f"asserted floor {kappa0} exceeds the observed minimum {observed}"
-        )
+    kappa0 = _least_limit(ev, _in_edge_pairs(hg))
     if kappa0 <= 0:
         return _skip("vertex-count", "instance", f"curvature floor {kappa0} not positive")
     try:

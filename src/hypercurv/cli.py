@@ -169,8 +169,7 @@ def cmd_measure(doc: ParsedDocument, args, cfg: RunConfig) -> tuple[int, str]:
         if hg.flavor == UNDIRECTED:
             mu = walk.measure_undirected(hg, v, cfg.alpha)
         elif hg.flavor == ORIENTED:
-            # Reversal closure makes the in-walk equal the out-walk.
-            mu = walk.measure_oriented_pair(hg, v, "out", cfg.alpha)
+            mu = walk.measure_oriented_pair(hg, v, cfg.alpha)
         else:
             raise errors.UnsupportedFlavor(
                 "plain directed measures are hyperedge-based; use --edge/--side"
@@ -408,12 +407,39 @@ _SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses each ``--`` option its subcommand does not read, under its own
+    usage line and with the value typed for it: the next token where
+    ``_OPTIONS`` says the option takes one, or, for an option it does not
+    know, where that token is no option. So a value is never read as the path.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        argv = list(sys.argv[1:] if args is None else args)
+        kept, refused = [], []
+        while argv and argv[0] != "--":
+            token = argv.pop(0)
+            flag, eq, _value = token.partition("=")
+            if not token.startswith("--") or flag in self._option_string_actions:
+                kept.append(token)
+                continue
+            refused.append(token)
+            known = _OPTIONS.get(flag)
+            if argv and not eq and (
+                "action" not in known if known else not argv[0].startswith("-")
+            ):
+                refused.append(argv.pop(0))
+        if refused:
+            self.error("unrecognized arguments: " + " ".join(refused))
+        return super().parse_known_args(kept + argv, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercurv",
         description="Curvature toolkit for weighted undirected, directed, and oriented hypergraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     parsers = {}
     for name, (summary, options) in _SUBCOMMANDS.items():
         # No abbreviations: on curvature, --alpha would be read as --alpha-grid.

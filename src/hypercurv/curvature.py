@@ -29,8 +29,8 @@ some ``[lo, 1]``: a point value is the first line over ``[alpha, 1]``,
 the limit and its certificate come from the final line over ``[3/4, 1]``,
 a curve from the lines over ``[min(grid), 1]`` as one int per grid alpha
 over a common denominator, and the breakpoints from the lines over
-``[0, 1]``. A report's ``alpha_lo`` traces each chain down only as far
-as the start of kappa's final line needs. Every boundary between kappa's
+``[0, 1]``. A report samples the default grid, which starts at 0, and its
+``alpha_lo`` is the last breakpoint. Every boundary between kappa's
 lines is checked to bend it down, so a curve that is not concave raises
 rather than certifying a limit. A value becomes a Fraction only when it
 leaves the Evaluator; the CLI prints the curve's ints directly.
@@ -39,8 +39,9 @@ leaves the Evaluator; the CLI prints the curve's ints directly.
 measure, transport value and limit it computes. A walk measure is named
 by its sorted vertex set and direction. Where the flavor is not directed,
 a transport and its reverse are one, so on an oriented hypergraph
-``kappa(u, v) = kappa(v, u)``. The module-level functions are one-shot
-wrappers over a fresh Evaluator.
+``kappa(u, v) = kappa(v, u)``. A limit is named by the transports and the
+length it reads, so targets that read the same ones share one search. The
+module-level functions are one-shot wrappers over a fresh Evaluator.
 """
 
 from __future__ import annotations
@@ -118,10 +119,7 @@ def _dyadic_index(alpha_lo: Fraction) -> int:
     return max(2, (-(-den // (den - num)) - 1).bit_length())
 
 
-def _not_settled(target: tuple) -> errors.NoStabilization:
-    return errors.NoStabilization(
-        f"normalized curvature of {{}} did not settle within k <= {DEFAULT_K_MAX}", target
-    )
+_NOT_SETTLED = f"normalized curvature of {{}} did not settle within k <= {DEFAULT_K_MAX}"
 
 
 class EvalStats:
@@ -224,9 +222,10 @@ class Evaluator:
     pivots trace the others down as far as requested. Every answer, a
     point value, a limit, a curve or the breakpoints, is read off kappa's
     int lines over some ``[lo, 1]``, which ``_merged`` sums from the
-    chains; a report's ``alpha_lo`` is where the chains' final lines
-    start. Limits are memoised by target and variant where it matters. A
-    limit that does not stabilize is remembered and raised again.
+    chains. Limits are memoised by the terms and length that ``_target``
+    resolves, so an oriented pair and its reverse, or a two-vertex
+    hyperedge and its pair, share one search. A limit that does not
+    stabilize is remembered and raised again, naming the target asked for.
     Couplings are never built. Build one per hypergraph and oracle and
     drop it with them: the memo is never shared between runs.
     """
@@ -423,27 +422,26 @@ class Evaluator:
         diverges.
         """
         target = tuple(target)
-        key = (target, self._variant_key(target, variant))
+        key = self._target(target, variant)
         found = self._limits.get(key)
-        if found is not None:
+        if found is None:
+            self.stats.limits += 1
+            try:
+                found = self._search(*key)
+            except errors.NoStabilization as exc:
+                found = exc
+            self._limits[key] = found
+        else:
             self.stats.limit_hits += 1
-            if isinstance(found, errors.NoStabilization):
-                raise type(found)(*found.args)
-            return found
-        self.stats.limits += 1
-        try:
-            found = self._search(target, variant)
-        except errors.NoStabilization as exc:
-            self._limits[key] = exc
-            raise
-        self._limits[key] = found
+        if isinstance(found, errors.NoStabilization):
+            raise found.named(target)
         return found
 
-    def _search(self, target: tuple, variant: str) -> Limit:
+    def _search(self, terms: tuple, length: int) -> Limit:
         # Every boundary between kappa's lines is a breakpoint, so the final
         # line over [3/4, 1] starts at alpha_lo when alpha_lo is past 3/4,
         # and at 3/4 otherwise.
-        lines, den = self._merged(*self._target(target, variant), _LIMIT_LO)
+        lines, den = self._merged(terms, length, _LIMIT_LO)
         final = lines[-1]
         # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
         # masses at its ends, so it vanishes for pairs and undirected
@@ -451,33 +449,34 @@ class Evaluator:
         if final.w1 < 0:
             raise errors.NoStabilization(
                 f"target {{}} has curvature {Fraction(final.w1, den)} at alpha=1; "
-                "the normalized curve decreases without bound",
-                target,
+                "the normalized curve decreases without bound"
             )
         if final.w1:
             # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
             # concavity keeps from growing: it rises without bound and takes
             # no value twice.
-            raise _not_settled(target)
+            raise errors.NoStabilization(_NOT_SETTLED)
         # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
         # kappa from alpha to 1: by concavity constant, w0 / den, on the
         # final linear region and strictly smaller before it.
         k = _dyadic_index(Fraction(final.lo_num, final.lo_den))
         if k >= DEFAULT_K_MAX:
-            raise _not_settled(target)
+            raise errors.NoStabilization(_NOT_SETTLED)
         return Limit(lly=Fraction(final.w0, den), stabilization_alpha=Fraction(2**k - 1, 2**k))
 
-    def report(self, target: tuple, variant: str = "sum", grid=None) -> CurvatureReport:
-        """``limit`` of the target plus its curve sampled on ``grid``.
+    def report(self, target: tuple, variant: str = "sum") -> CurvatureReport:
+        """``limit`` of the target plus its curve sampled on ``DEFAULT_ALPHA_GRID``.
 
-        ``grid`` defaults to ``DEFAULT_ALPHA_GRID``. The samples are the ints
-        of ``curve_ints`` as Fractions, and ``alpha_lo`` is where kappa's
-        final line starts.
+        The samples are the ints of ``curve_ints`` as Fractions. The grid
+        starts at 0, so the curve traces every chain down to 0, and
+        ``alpha_lo``, where kappa's final line starts, is its last
+        breakpoint (0 when it has none). A curve on another grid is
+        ``curve_ints(target, variant, grid)``.
         """
-        alphas, ints, _ascending = _sampling_grid(grid)
+        alphas, ints, _ascending = _DEFAULT_GRID
         target = tuple(target)
         found = self.limit(target, variant)
-        values, den = self.curve_ints(target, variant, alphas)
+        values, den = self.curve_ints(target, variant)
         samples = []
         normalized = []
         for a, (p, q), value in zip(alphas, ints, values):
@@ -491,7 +490,7 @@ class Evaluator:
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=self._alpha_lo(self._target(target, variant)[0]),
+            alpha_lo=max(self.breakpoints(target), default=Fraction(0)),
         )
 
     def curve_ints(self, target: tuple, variant: str = "sum", grid=None) -> tuple[list, int]:
@@ -515,24 +514,6 @@ class Evaluator:
                 line = next(walk)
             values[k] = line.at(p, q)
         return values, den
-
-    def _alpha_lo(self, terms: tuple) -> Fraction:
-        """Where kappa's final line starts: the latest start of its terms' final lines.
-
-        Every chain ends at 1. A chain's last line starts at a
-        breakpoint of its W once a line lies below it. A chain of one line is
-        traced down only while that line starts past the latest start found
-        so far: a start at or below that one cannot be the latest.
-        """
-        lo_num, lo_den = 0, 1
-        for chain, _d in terms:
-            lines = chain.lines
-            while len(lines) == 1 and lo_num * lines[0].lo_den < lines[0].lo_num * lo_den:
-                self._extend(chain)
-            last = lines[-1]
-            if lo_num * last.lo_den < last.lo_num * lo_den:
-                lo_num, lo_den = last.lo_num, last.lo_den
-        return Fraction(lo_num, lo_den)
 
     def _merged(self, terms: tuple, length: int, lo: tuple) -> tuple[list, int]:
         """kappa's linear regions over ``[lo, 1]``, summed from its terms' chains.
@@ -631,14 +612,14 @@ def kappa_alpha_edge_directed(hg: Hypergraph, oracle: DistanceOracle, edge_index
 
 
 def lly_limit(
-    hg: Hypergraph, oracle: DistanceOracle, target: tuple, variant: str = "sum", alpha_grid=None
+    hg: Hypergraph, oracle: DistanceOracle, target: tuple, variant: str = "sum"
 ) -> CurvatureReport:
     """Normalized-curvature limit of a ``("pair", u, v)`` or ``("edge", h)`` target.
 
     The limit search is :meth:`Evaluator.limit`; the report adds the curve
-    sampled on ``alpha_grid`` (default ``DEFAULT_ALPHA_GRID``).
+    sampled on ``DEFAULT_ALPHA_GRID``.
     """
-    return Evaluator(hg, oracle).report(target, variant, alpha_grid)
+    return Evaluator(hg, oracle).report(target, variant)
 
 
 def curvature_pairs(hg: Hypergraph) -> list[tuple[int, int]]:

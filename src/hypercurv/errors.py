@@ -134,7 +134,7 @@ class NonUnitWeights(HypercurvError):
 
 
 class HypothesisNotMet(HypercurvError):
-    """An asserted curvature floor is violated by some required pair."""
+    """A bound cannot be evaluated as stated: its sum would take more terms than the cap."""
 
 
 # -- cli ----------------------------------------------------------------------

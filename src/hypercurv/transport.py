@@ -10,8 +10,8 @@ costs straight from the oracle's table (distances times its ``scale``),
 pivots on ints, and builds Fractions only for the result: the optimum,
 the coupling and the dual potential are exact and reproducible. Scaling
 changes no comparison, so the pivots and the results are those of the
-same simplex run on Fractions. The coupling is built from the optimal
-basis only when it is read.
+same simplex run on Fractions. The coupling and the dual potential are
+built from the optimal basis only when they are read.
 
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
 convex and piecewise linear in ``b``. :func:`solve_family` solves a family
@@ -69,29 +69,30 @@ class Coupling:
 
 
 class TransportResult:
-    """Optimal value, an optimal coupling, and (optionally) a dual potential.
+    """Optimal value, an optimal coupling, and a dual potential.
 
-    The coupling is built from the optimal basis the first time it is read,
-    so a caller that needs only the value never pays for it. No
-    ``__slots__``: ``cached_property`` stores into the instance dict.
+    The coupling and the potential are built from the optimal basis the
+    first time each is read, so a caller that needs only the value never
+    pays for them. No ``__slots__``: ``cached_property`` stores into the
+    instance dict.
     """
 
     def __init__(
         self,
         value: Fraction,
-        dual_potential: dict[int, Fraction] | None,
         pivots: int,
         degenerate_pivots: int,
         family: AffineFamily,
         basis: Basis,
+        oracle: DistanceOracle,
     ):
         self.value = value
-        self.dual_potential = dual_potential
         self.pivots = pivots
         self.degenerate_pivots = degenerate_pivots
         # The optimal basis of a family that is constant in b.
         self._family = family
         self._basis = basis
+        self._oracle = oracle
 
     @cached_property
     def coupling(self) -> Coupling:
@@ -104,27 +105,34 @@ class TransportResult:
                 entries[rows[i], cols[j]] = Fraction(q, family.scale)
         return Coupling(entries=dict(sorted(entries.items())))
 
+    @cached_property
+    def dual_potential(self) -> dict[int, Fraction]:
+        """A function f on all oracle vertices with f(u) - f(v) <= d(u, v) for
+        every ordered pair, whose objective meets the value."""
+        # One-sided transform of the column prices: f(z) = min_j d(z, y_j) - v_j.
+        # The triangle inequality makes f feasible for every ordered pair, and
+        # complementary slackness makes its objective meet the primal value.
+        # The prices and the table share the oracle's scale.
+        cols, prices, oracle = self._family.cols, self._basis.v, self._oracle
+        return {
+            z: Fraction(min(row[y] - vj for y, vj in zip(cols, prices)), oracle.scale)
+            for z, row in enumerate(oracle.table)
+        }
+
 
 def _mass_map(mu) -> dict:
     return mu.mass if hasattr(mu, "mass") else mu
 
 
-def wasserstein(
-    mu,
-    nu,
-    oracle: DistanceOracle,
-    with_potential: bool = False,
-) -> TransportResult:
+def wasserstein(mu, nu, oracle: DistanceOracle) -> TransportResult:
     """Minimum-cost coupling between two equal-mass sparse measures.
 
     ``mu`` and ``nu`` are ProbabilityMeasures or plain ``{vertex: mass}``
     maps with rational masses. The optimum is taken over couplings
     supported on support(mu) x support(nu), which is the whole
     transportation polytope. A zero mass in a plain map stays a row or
-    column with no supply or demand; the value and the coupling are those
-    without it. ``with_potential`` additionally returns a function f on
-    all oracle vertices satisfying f(u) - f(v) <= d(u, v) for every
-    ordered pair.
+    column with no supply or demand; the value, the coupling and the
+    potential are those without it.
     """
     rows = sorted(_mass_map(mu).items())
     cols = sorted(_mass_map(nu).items())
@@ -144,16 +152,13 @@ def wasserstein(
                 oracle.d(u, v)  # raises MissingDistance at the first pair off the table
     family = AffineFamily(row_ids, col_ids, supply, supply, demand, demand, mass_scale)
     basis, pivots, degenerate = solve_family(family, 0, 1, oracle.table)
-    potential = None
-    if with_potential:
-        potential = _dual_potential(oracle, col_ids, basis.v)
     return TransportResult(
         value=Fraction(basis.piece.w0, mass_scale * oracle.scale),
-        dual_potential=potential,
         pivots=pivots,
         degenerate_pivots=degenerate,
         family=family,
         basis=basis,
+        oracle=oracle,
     )
 
 
@@ -448,17 +453,6 @@ def _as_ints(values) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in values]
     scale = math.lcm(*{d for _n, d in ratios})
     return [n * (scale // d) for n, d in ratios], scale
-
-
-def _dual_potential(oracle, col_ids, duals_v):
-    # One-sided transform of the column prices: f(z) = min_j d(z, y_j) - v_j.
-    # The triangle inequality makes f feasible for every ordered pair, and
-    # complementary slackness makes its objective meet the primal value.
-    # ``duals_v`` and the table share the oracle's scale.
-    return {
-        z: Fraction(min(row[y] - vj for y, vj in zip(col_ids, duals_v)), oracle.scale)
-        for z, row in enumerate(oracle.table)
-    }
 
 
 def _least_cost_start(supply, demand, cost) -> list[tuple[int, int]]:

@@ -210,16 +210,16 @@ def measure_set(hg: Hypergraph, edge_index: int, side: str, alpha) -> Probabilit
     return _view(ends, a)
 
 
-def measure_oriented_pair(hg: Hypergraph, u: int, direction: str, alpha) -> ProbabilityMeasure:
+def measure_oriented_pair(hg: Hypergraph, u: int, alpha) -> ProbabilityMeasure:
     """Single-vertex walk measure used for pair curvature on oriented hypergraphs.
 
-    ``direction="in"`` spreads backward over tails of edges heading into u,
-    ``direction="out"`` forward over heads of edges tailing out of u; both
-    keep mass ``alpha`` at u and total exactly 1.
+    It keeps mass ``alpha`` at u and spreads the rest forward over heads of
+    edges tailing out of u; reversal closure makes that the backward spread
+    over tails of edges heading into u too. The total is exactly 1.
     """
     if hg.flavor != ORIENTED:
         raise errors.NotOriented("pair walk measures need the oriented flavor")
-    return _pair_measure(hg, u, direction, alpha)
+    return _pair_measure(hg, u, "out", alpha)
 
 
 def _pair_measure(hg: Hypergraph, u: int, direction: str, alpha) -> ProbabilityMeasure:

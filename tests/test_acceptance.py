@@ -261,7 +261,7 @@ def test_criterion_06_duality(c3_corpus):
                 a = Fraction(rng.randint(0, 8), 8)
                 mu = measure_undirected(hg, u, a)
                 nu = measure_undirected(hg, v, a)
-                res = wasserstein(mu, nu, oracle, with_potential=True)
+                res = wasserstein(mu, nu, oracle)
                 assert lipschitz_check(res.dual_potential, oracle)
                 assert dual_value(res.dual_potential, mu, nu, oracle) == res.value
                 checked += 1
@@ -308,7 +308,7 @@ def test_criterion_08_vertex_count(c3_corpus):
             )
             if floor <= 0:
                 continue
-            verdict = check_vertex_count(Evaluator(hg, oracle), kappa0=floor)
+            verdict = check_vertex_count(Evaluator(hg, oracle))
             assert verdict.holds, (hg.n_vertices, floor, verdict)
             kept += 1
 

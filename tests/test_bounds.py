@@ -23,6 +23,7 @@ from hypercurv import (
     verdict_ledger,
     vertex_count_bound,
 )
+from hypercurv import bounds
 from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS
 
 from conftest import (
@@ -274,8 +275,6 @@ def test_vertex_count_single_pair():
     oracle = all_pairs_distances(hg)
     verdict = check_vertex_count(Evaluator(hg, oracle))
     assert verdict.holds and verdict.lhs == 2
-    with pytest.raises(errors.HypothesisNotMet):
-        check_vertex_count(Evaluator(hg, oracle), kappa0=Fraction(5))
 
 
 def test_vertex_count_not_applicable_when_floor_nonpositive():
@@ -315,12 +314,14 @@ def test_layer_growth_under_curvature_floor():
         checked += 1
 
 
-def test_vertex_count_bound_capped():
+def test_vertex_count_bound_capped(monkeypatch):
     cap = VERTEX_COUNT_MAX_TERMS
     assert vertex_count_bound(2, 2, Fraction(2, cap)) > 0  # exactly at the cap
     with pytest.raises(errors.HypothesisNotMet):
         vertex_count_bound(2, 2, Fraction(2, cap + 1))
     hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
-    verdict = check_vertex_count(Evaluator(hg, all_pairs_distances(hg)), kappa0=Fraction(1, 10**6))
+    # A floor this small would need 2 * 10**6 terms.
+    monkeypatch.setattr(bounds, "_least_limit", lambda ev, pairs: Fraction(1, 10**6))
+    verdict = check_vertex_count(Evaluator(hg, all_pairs_distances(hg)))
     assert verdict.holds is None
     assert f"cap of {cap}" in verdict.witness

@@ -301,15 +301,34 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, command
     """Each of these options changed nothing on its subcommand, so argparse refuses it.
 
     Abbreviations are off too: ``curvature --alpha`` is not read as ``--alpha-grid``.
+    After the path or before it, the error comes under the subcommand's
+    usage line and names the option with the value typed for it, never the
+    path.
     """
     argv = [command, str(H4_FILE), *VALID_RUNS[command]]
     assert _run(capsys, argv)[0] == 0
+    typed = [flag, *REFUSED_VALUES[flag]]
+    for refused in ([*argv, *typed], [command, *typed, str(H4_FILE), *VALID_RUNS[command]]):
+        with pytest.raises(SystemExit) as exc:
+            main(refused)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"usage: hypercurv {command} ")
+        assert out.err.endswith(
+            f"hypercurv {command}: error: unrecognized arguments: {' '.join(typed)}\n"
+        )
+        assert str(H4_FILE) not in out.err
+
+
+def test_a_refused_option_with_its_value_in_one_token(capsys):
+    """``--format=json`` is refused as one token; after ``--`` every token is the path's."""
     with pytest.raises(SystemExit) as exc:
-        main([*argv, flag, *REFUSED_VALUES[flag]])
+        main(["sweep", "--format=json", str(H4_FILE), "--pair", "x2,x3"])
     assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert f"unrecognized arguments: {flag}" in out.err
+    err = capsys.readouterr().err
+    assert err.endswith("hypercurv sweep: error: unrecognized arguments: --format=json\n")
+    assert _run(capsys, ["validate", "--", str(H4_FILE)])[0] == 0
 
 
 @pytest.mark.parametrize("flags", [["--edge", "h1"], ["--index", "0"], ["--side", "head"]])

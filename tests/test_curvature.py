@@ -104,7 +104,7 @@ def test_monotone_and_concave_on_h4(h4, h4_oracle):
     targets += [("edge", 0), ("edge", 1)]
     ev = Evaluator(h4, h4_oracle)
     for target in targets:
-        rep = lly_limit(h4, h4_oracle, target, alpha_grid=GRID)
+        rep = lly_limit(h4, h4_oracle, target)
         gs = [g for _a, g in rep.curve.normalized]
         assert all(g1 <= g2 for g1, g2 in zip(gs, gs[1:]))
         kappas = dict(rep.curve.samples)
@@ -194,14 +194,18 @@ def test_kappa_concave_over_its_merged_lines(flavor):
 
 
 def test_report_reads_an_unsorted_grid(h4, h4_oracle):
-    """The report walks kappa's lines in ascending alpha and puts each
-    sample back in the grid's own order, repeats included."""
+    """``curve_ints`` walks kappa's lines in ascending alpha and puts each
+    value back in the grid's own order, repeats included."""
     grid = [Fraction(9, 10), Fraction(1, 10), Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     ev = Evaluator(h4, h4_oracle)
     for target in (("pair", 1, 2), ("edge", 0), ("edge", 1)):
-        curve = ev.report(target, grid=grid).curve
-        assert curve.samples == tuple((a, ev.kappa(target, a)) for a in grid)
-        assert curve.normalized == tuple((a, ev.kappa(target, a) / (1 - a)) for a in grid if a != 1)
+        values, den = ev.curve_ints(target, "sum", grid)
+        assert [Fraction(v, a.denominator * den) for a, v in zip(grid, values)] == [
+            ev.kappa(target, a) for a in grid
+        ]
+        assert [
+            Fraction(v, (a.denominator - a.numerator) * den) for a, v in zip(grid, values) if a != 1
+        ] == [ev.kappa(target, a) / (1 - a) for a in grid if a != 1]
 
 
 def test_lower_bound_propagation():

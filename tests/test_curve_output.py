@@ -2,7 +2,7 @@
 
 The two int formatters are checked against the ``Fraction`` text they
 replace, and the CLI's curves, in every format and number mode, against
-the values of ``Evaluator.report``.
+``Evaluator.limit`` and ``Evaluator.kappa`` at each alpha of the grid.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _run(argv):
 
 def _expected(hg, names, grid):
     """Per target name: (lly, stabilization_alpha, [(alpha, kappa, normalized)]), from
-    ``Evaluator.report``; None if the limit search gives up."""
+    ``Evaluator.limit`` and a point value per alpha; None if the limit search gives up."""
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
     targets = [(f"edge h{e + 1}", ("edge", e)) for e in range(hg.n_edges)]
@@ -87,12 +87,12 @@ def _expected(hg, names, grid):
     expected = {}
     for name, target in sorted(targets):
         try:
-            rep = ev.report(target, "sum", grid)
+            found = ev.limit(target)
         except errors.NoStabilization:
             return None
-        normalized = dict(rep.curve.normalized)
-        rows = [(a, k, normalized[a] if a != 1 else None) for a, k in rep.curve.samples]
-        expected[name] = (rep.lly, rep.stabilization_alpha, rows)
+        kappas = [(a, ev.kappa(target, a)) for a in grid]
+        rows = [(a, k, k / (1 - a) if a != 1 else None) for a, k in kappas]
+        expected[name] = (found.lly, found.stabilization_alpha, rows)
     return expected
 
 

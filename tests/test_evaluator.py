@@ -33,9 +33,7 @@ from conftest import (
 )
 from oracles import reference_kappa, reference_lly_limit
 
-# Overlaps the dyadic search (3/4) and includes alpha=1, so the curve and the
-# limit share memo entries.
-GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1))
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _divergent():
@@ -60,13 +58,15 @@ def _compare(hg) -> int:
     diverged = 0
     for target, variant in curvature_targets(hg, oracle):
         try:
-            samples, normalized, lly, stab = reference_lly_limit(hg, oracle, target, variant, GRID)
+            samples, normalized, lly, stab = reference_lly_limit(
+                hg, oracle, target, variant, DEFAULT_ALPHA_GRID
+            )
         except errors.NoStabilization:
             with pytest.raises(errors.NoStabilization):
-                ev.report(target, variant, GRID)
+                ev.report(target, variant)
             diverged += 1
             continue
-        rep = ev.report(target, variant, GRID)
+        rep = ev.report(target, variant)
         assert rep.curve.samples == samples, target
         assert rep.curve.normalized == normalized, target
         assert rep.lly == lly, target
@@ -108,14 +108,18 @@ def test_memo_solves_each_transport_once():
     ev = Evaluator(hg, all_pairs_distances(hg))
     targets = list(curvature_targets(hg, ev.oracle))
     for target, variant in targets:
-        ev.report(target, variant, GRID)
+        ev.report(target, variant)
+    # One search per distinct (terms, length): a two-vertex hyperedge under
+    # the sum variant reads what its pair reads.
+    searches = len({ev._target(target, variant) for target, variant in targets})
     first = (ev.stats.solves, ev.stats.measures, ev.stats.limits)
-    assert ev.stats.limits == len(targets) and ev.stats.limit_hits == 0
+    assert ev.stats.limits == searches < len(targets)
+    assert ev.stats.limit_hits == len(targets) - searches
     assert ev.stats.measures <= 2 * ev.stats.solves
     for target, variant in targets:
-        ev.report(target, variant, GRID)
+        ev.report(target, variant)
     assert (ev.stats.solves, ev.stats.measures, ev.stats.limits) == first
-    assert ev.stats.limit_hits == len(targets)
+    assert ev.stats.limit_hits == 2 * len(targets) - searches
 
 
 def test_divergent_edge_raises_again_from_memo():
@@ -130,6 +134,19 @@ def test_divergent_edge_raises_again_from_memo():
         ev.report(("edge", 0))
     assert ev.stats.solves == solves
     assert (ev.stats.limits, ev.stats.limit_hits) == (1, 2)
+
+
+def test_a_shared_failure_names_each_target_as_itself():
+    """An oriented hyperedge and its reversal read one chain over one length,
+    so they share one limit search; h6 diverges, and each target's error
+    names that target."""
+    hg = load_document(str(DATA / "weighted_oriented.json")).hypergraph
+    ev = Evaluator(hg, all_pairs_distances(hg))
+    with pytest.raises(errors.NoStabilization, match=r"target \('edge', 5\) "):
+        ev.limit(("edge", 5))
+    with pytest.raises(errors.NoStabilization, match=r"target \('edge', 11\) "):
+        ev.limit(("edge", 11))
+    assert (ev.stats.limits, ev.stats.limit_hits) == (1, 1)
 
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
@@ -161,7 +178,7 @@ def test_alpha_lo_is_where_kappa_turns_linear(flavor):
         ev = Evaluator(hg, oracle)
         for target, variant in curvature_targets(hg, oracle):
             try:
-                rep = ev.report(target, variant, GRID)
+                rep = ev.report(target, variant)
             except errors.NoStabilization:
                 continue
             lo = rep.alpha_lo
@@ -195,7 +212,7 @@ def test_limit_certified_past_three_quarters():
     hg = load_document(str(LATE_LIMIT_PATH)).hypergraph
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
-    rep = ev.report(("edge", 5), "sum", GRID)
+    rep = ev.report(("edge", 5), "sum")
     assert (rep.lly, rep.stabilization_alpha, rep.alpha_lo) == (
         Fraction(75, 68),
         Fraction(7, 8),
@@ -203,7 +220,7 @@ def test_limit_certified_past_three_quarters():
     )
     assert ev.breakpoints(("edge", 5)) == [Fraction(43, 54)]
     assert (rep.curve.samples, rep.curve.normalized, rep.lly, rep.stabilization_alpha) == (
-        reference_lly_limit(hg, oracle, ("edge", 5), "sum", GRID)
+        reference_lly_limit(hg, oracle, ("edge", 5), "sum", DEFAULT_ALPHA_GRID)
     )
     assert ev.kappa(("edge", 6), 1) == -4
     with pytest.raises(errors.NoStabilization, match="decreases without bound"):
@@ -250,9 +267,9 @@ def test_limit_is_certified_up_to_the_cap_and_no_further(h4, h4_oracle, monkeypa
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_answers_do_not_depend_on_request_order_or_grid(flavor):
-    """A grid that starts above ``alpha_lo``, a point value first, and the
-    default grid all give one limit, certificate and ``alpha_lo``, which is
-    the last breakpoint of kappa. Each order runs on a fresh Evaluator."""
+    """A curve on a grid that starts above ``alpha_lo``, a point value, or
+    nothing, read first, all leave one limit, certificate and ``alpha_lo``,
+    which is the last breakpoint of kappa. Each order runs on a fresh Evaluator."""
     orders = [(None, (Fraction(99, 100),)), (Fraction(1, 10), None), (None, None)]
     for hg in CORPORA[flavor]():
         oracle = all_pairs_distances(hg)
@@ -263,7 +280,9 @@ def test_answers_do_not_depend_on_request_order_or_grid(flavor):
                 try:
                     if point is not None:
                         ev.kappa(target, point, variant)
-                    rep = ev.report(target, variant, grid)
+                    if grid is not None:
+                        ev.curve_ints(target, variant, grid)
+                    rep = ev.report(target, variant)
                 except errors.NoStabilization as exc:
                     answers.append(str(exc))
                     continue
@@ -391,12 +410,10 @@ def test_curve_ints_match_fresh_solves():
 
 
 def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
-    """``report(t, grid=(99/100,))`` gives the ``alpha_lo`` of kappa's lines
-    over [0, 1] on 75 ``random_instances`` documents (three flavors, seeds
-    0-24), tracing a chain down only until the start of kappa's final line
-    is known. That takes 1214 dual pivots, as many as before kappa had one
-    reader; tracing every chain to 0 took 1553."""
-    pivots = 0
+    """``report(t).alpha_lo`` is where kappa's final line over [0, 1] starts,
+    on 75 ``random_instances`` documents (three flavors, seeds 0-24). The
+    report's curve starts at 0, so it already traces every chain that far,
+    and reading ``alpha_lo`` off the breakpoints makes no dual pivot."""
     for make in (random_undirected, random_directed, random_oriented_unit):
         for seed in range(25):
             hg = make(random.Random(seed))
@@ -404,13 +421,15 @@ def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
             ev, full = Evaluator(hg, oracle), Evaluator(hg, oracle)
             for target, variant in curvature_targets(hg, oracle):
                 try:
-                    alpha_lo = ev.report(target, variant, (Fraction(99, 100),)).alpha_lo
+                    ev.curve_ints(target, variant)
+                    pivots = ev.stats.dual_pivots
+                    alpha_lo = ev.report(target, variant).alpha_lo
                 except errors.NoStabilization:
                     continue
+                assert ev.stats.dual_pivots == pivots, target
                 lines, _den = full._merged(*full._target(target, variant), (0, 1))
                 assert alpha_lo == Fraction(lines[-1].lo_num, lines[-1].lo_den), target
-            pivots += ev.stats.dual_pivots
-    assert pivots <= 1214
+                assert alpha_lo == max(ev.breakpoints(target), default=Fraction(0)), target
 
 
 def _bent_terms():
@@ -431,7 +450,8 @@ def test_merged_refuses_lines_that_bend_kappa_up(h4, h4_oracle, monkeypatch):
         ev._merged(terms, length, (0, 1))
     # One line has no neighbour to compare with.
     assert len(ev._merged(terms, length, (7, 8))[0]) == 1
-    monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: _bent_terms())
+    bent = _bent_terms()
+    monkeypatch.setattr(Evaluator, "_target", lambda self, target, variant: bent)
     for _ in range(2):
         # A remembered failure is raised again with its own type.
         with pytest.raises(errors.NotConcave):
@@ -451,7 +471,6 @@ def test_cli_exits_3_on_a_curve_that_is_not_concave(capsys, monkeypatch):
     )
 
 
-DATA = Path(__file__).resolve().parent.parent / "data"
 SYMMETRY_ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1))
 
 

@@ -147,7 +147,7 @@ def test_potential_achieves_value_symmetric():
         vertices = list(range(hg.n_vertices))
         mu = _random_measure(rng, vertices, rng.randint(1, 4))
         nu = _random_measure(rng, vertices, rng.randint(1, 4))
-        res = wasserstein(mu, nu, oracle, with_potential=True)
+        res = wasserstein(mu, nu, oracle)
         f = res.dual_potential
         assert lipschitz_check(f, oracle)
         assert dual_value(f, mu, nu, oracle) == res.value
@@ -161,7 +161,7 @@ def test_dual_never_exceeds_primal_asymmetric():
         e = rng.randrange(hg.n_edges)
         mu = measure_set(hg, e, "tail", Fraction(1, 2))
         nu = measure_set(hg, e, "head", Fraction(1, 2))
-        res = wasserstein(mu, nu, oracle, with_potential=True)
+        res = wasserstein(mu, nu, oracle)
         # the tail-set distance drop is the canonical asymmetric witness
         tail = hg.edges[e].sorted_tail()
         phi = [-oracle.set_distance(tail, z) for z in range(hg.n_vertices)]
@@ -251,7 +251,7 @@ def test_degenerate_ties_fuzz_against_forest_oracle():
         size_b = rng.randint(1, min(4, n))
         mu = {v: Fraction(1, size_a) for v in rng.sample(range(n), size_a)}
         nu = {v: Fraction(1, size_b) for v in rng.sample(range(n), size_b)}
-        res = wasserstein(mu, nu, oracle, with_potential=True)
+        res = wasserstein(mu, nu, oracle)
         assert res.value == brute_wasserstein(mu, nu, oracle.d)
         assert res.coupling.left_marginal() == mu
         assert res.coupling.right_marginal() == nu

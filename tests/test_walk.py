@@ -113,16 +113,14 @@ def test_support_containment_random():
 def test_oriented_pair_measure_single_reversal_pair():
     hg = build("oriented", 2, [([0], [1], 1)], symmetrize=True)
     a = Fraction(2, 5)
-    mu = measure_oriented_pair(hg, 0, "in", a)
+    mu = measure_oriented_pair(hg, 0, a)
     assert mu.mass == {0: a, 1: 1 - a}
-    nu = measure_oriented_pair(hg, 0, "out", a)
-    assert nu.mass == {0: a, 1: 1 - a}
-    assert measure_oriented_pair(hg, 0, "in", 1).mass == {0: Fraction(1)}
+    assert measure_oriented_pair(hg, 0, 1).mass == {0: Fraction(1)}
 
 
 def test_oriented_pair_measure_requires_oriented(h4):
     with pytest.raises(errors.NotOriented):
-        measure_oriented_pair(h4, 0, "in", Fraction(1, 2))
+        measure_oriented_pair(h4, 0, Fraction(1, 2))
 
 
 def test_oriented_pair_total_mass_random():
@@ -130,9 +128,7 @@ def test_oriented_pair_total_mass_random():
     for _ in range(10):
         hg = random_oriented_unit(rng)
         for v in range(hg.n_vertices):
-            for direction in ("in", "out"):
-                mu = measure_oriented_pair(hg, v, direction, Fraction(3, 7))
-                assert mu.total() == 1
+            assert measure_oriented_pair(hg, v, Fraction(3, 7)).total() == 1
 
 
 def _mixture(mu, nu, lam):
