@@ -26,8 +26,8 @@ every check that applies to an instance, on the pairs of
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 # The kappa_alpha_* names stay importable from this module, where
@@ -43,7 +43,6 @@ from .curvature import (  # noqa: F401
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
 from .metric import (
     DistanceOracle,
-    NeighborhoodPartition,
     edge_length,
     partition_neighborhood,
     scaled_edge_length,
@@ -51,41 +50,35 @@ from .metric import (
 from .rational import as_alpha
 
 
-class BoundVerdict(NamedTuple):
+class BoundVerdict(
+    namedtuple("BoundVerdict", "name lhs rhs holds target witness", defaults=("", None))
+):
     """Outcome of one inequality check.
 
-    ``holds`` is True/False for an applicable check (lhs <= rhs compared
-    exactly) and None when the hypothesis fails; ``witness`` names the
-    offending target or the unmet hypothesis.
+    ``lhs`` and ``rhs`` are Fractions, or None when the check does not
+    apply. ``holds`` is True/False for an applicable check (lhs <= rhs
+    compared exactly) and None when the hypothesis fails; ``witness`` names
+    the offending target or the unmet hypothesis.
     """
 
-    name: str
-    lhs: Fraction | None
-    rhs: Fraction | None
-    holds: bool | None
-    target: str = ""
-    witness: str | None = None
+    __slots__ = ()
 
     @property
     def applicable(self) -> bool:
         return self.holds is not None
 
 
-class HeadVertexData(NamedTuple):
-    """Partition data and gap constants of one head vertex."""
+class HeadVertexData(namedtuple("HeadVertexData", "vertex partition c_exact c_estimate")):
+    """Partition data (a NeighborhoodPartition) and gap constants of one head vertex."""
 
-    vertex: int
-    partition: NeighborhoodPartition
-    c_exact: Fraction
-    c_estimate: Fraction
+    __slots__ = ()
 
 
-class DirectedBoundData(NamedTuple):
-    """Everything entering the directed hyperedge upper bound."""
+class DirectedBoundData(namedtuple("DirectedBoundData", "per_head diameter head_size")):
+    """Everything entering the directed hyperedge upper bound: a HeadVertexData
+    per head vertex, the diameter and the head's size."""
 
-    per_head: tuple[HeadVertexData, ...]
-    diameter: Fraction
-    head_size: int
+    __slots__ = ()
 
 
 def _verdict(name, lhs, rhs, target="", witness_on_fail="") -> BoundVerdict:

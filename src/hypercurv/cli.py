@@ -7,7 +7,9 @@ sorted target order, by one Evaluator per run, so each measure, transport
 and limit is computed once. ``curvature --all`` takes the pairs of
 ``curvature.curvature_pairs`` and ``bounds`` prints
 ``bounds.verdict_ledger``. Each subcommand takes only the options it
-reads; any other is a usage error (exit 2). ``curvature --parallel`` is
+reads; any other is a usage error (exit 2). A plain command line is read
+straight from the option tables; argparse, imported only for any other,
+renders help and usage errors. ``curvature --parallel`` is
 accepted and validated but does not change how a run is evaluated. Every
 number is computed exactly; ``--float`` only prints it as a decimal.
 
@@ -21,7 +23,6 @@ result from a fixed text template; every other JSON payload is printed by
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
@@ -30,6 +31,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import errors, walk
@@ -372,8 +374,10 @@ def cmd_sweep(doc: ParsedDocument, args, cfg: RunConfig, ev: Evaluator) -> tuple
 # -- argument parsing ----------------------------------------------------------
 
 
-# Each option that some subcommand reads, declared once. A subcommand takes
-# only the options it reads; argparse refuses any other (exit 2).
+# Each option, declared once with its argparse keywords. Two readers take
+# the options from here: ``_plain_args`` reads a plain command line straight
+# from these tables, and ``build_parser`` builds argparse's parser, which
+# reads every other command line and renders help and usage errors.
 _OPTIONS = {
     "--alpha": {"help": "laziness parameter (rational or decimal)"},
     "--alpha-grid": {"help": "comma-separated alphas for curves"},
@@ -386,82 +390,209 @@ _OPTIONS = {
         "help": "accepted for compatibility (must be >= 1); targets always run serially",
     },
     "--strict": {"action": "store_true", "help": "not-applicable verdicts also fail"},
+    "--stats": {"action": "store_true", "help": "print evaluation counters as JSON on stderr"},
+    "--vertex": {"help": "base vertex (undirected/oriented)"},
+    "--side": {"choices": ["tail", "head"], "help": "side of --edge (default tail)"},
+    "--index": {"type": int, "help": "constituent index within the side of --edge"},
+    "--pair": {"action": "append", "help": "vertex pair 'u,v' (repeatable)"},
+    "--edge": {"action": "append", "help": "hyperedge name (repeatable)"},
+    "--all": {"action": "store_true", "help": "all supported targets"},
 }
 _NUMBERS = ("--exact", "--float")
+# Each subcommand's summary and the options it reads, in the order its help
+# lists them: a flag of _OPTIONS, or a (flag, keywords) pair for an option
+# this subcommand declares its own way. A subcommand takes no other option
+# (exit 2).
 _SUBCOMMANDS = {
-    "validate": ("check a document against all invariants", ()),
-    "distances": ("all-pairs (quasi-)distance table", (*_NUMBERS, "--format")),
-    "measure": ("print one walk measure as JSON", ("--alpha", *_NUMBERS)),
+    "validate": ("check a document against all invariants", ("--stats",)),
+    "distances": ("all-pairs (quasi-)distance table", (*_NUMBERS, "--format", "--stats")),
+    "measure": (
+        "print one walk measure as JSON",
+        (
+            "--alpha",
+            *_NUMBERS,
+            "--stats",
+            "--vertex",
+            ("--edge", {"help": "hyperedge name (directed/oriented)"}),
+            "--side",
+            "--index",
+        ),
+    ),
     "curvature": (
         "alpha curves and limit curvature of targets",
-        ("--alpha-grid", "--variant", *_NUMBERS, "--format", "--parallel"),
+        (
+            "--alpha-grid",
+            "--variant",
+            *_NUMBERS,
+            "--format",
+            "--parallel",
+            "--stats",
+            "--pair",
+            "--edge",
+            "--all",
+        ),
     ),
     "bounds": (
         "verdict ledger of every applicable inequality",
-        ("--alpha", "--variant", *_NUMBERS, "--format", "--strict"),
+        ("--alpha", "--variant", *_NUMBERS, "--format", "--strict", "--stats"),
     ),
     "sweep": (
         "CSV of (alpha, kappa, normalized) for one target",
-        ("--alpha-grid", "--variant", *_NUMBERS),
+        (
+            "--alpha-grid",
+            "--variant",
+            *_NUMBERS,
+            "--stats",
+            ("--pair", {"action": "append", "help": "vertex pair 'u,v'"}),
+            ("--edge", {"action": "append", "help": "hyperedge name"}),
+        ),
     ),
 }
+# Options of which a subcommand takes at most one.
+_EXCLUSIVE = {"measure": ("--vertex", "--edge")}
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """Refuses each ``--`` option its subcommand does not read, under its own
-    usage line and with the value typed for it: the next token where
-    ``_OPTIONS`` says the option takes one, or, for an option it does not
-    know, where that token is no option. So a value is never read as the path.
+def _takes_value(keywords: dict) -> bool:
+    return keywords.get("action") != "store_true"
+
+
+def _declared(command: str) -> dict[str, dict]:
+    """Each option ``command`` reads, flag -> argparse keywords, in help order."""
+    return dict(
+        (entry, _OPTIONS[entry]) if isinstance(entry, str) else entry
+        for entry in _SUBCOMMANDS[command][1]
+    )
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a plain command line; None for
+    any other.
+
+    A plain command line is a subcommand, then its path and options in any
+    order: each option one the subcommand declares, given once (an
+    ``append`` option may repeat) and at most one of its ``_EXCLUSIVE``
+    set, with its value, if it takes one, in the next token. That value
+    does not start with ``-``, a choice is in its list and an int is plain
+    ASCII digits. Help, ``--opt=value``, ``--`` and every usage error are
+    left to argparse, so it alone renders help and errors. The namespace
+    holds exactly argparse's dests and defaults.
     """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    command = argv[0]
+    options = _declared(command)
+    args = {"command": command, "path": None}
+    for flag, keywords in options.items():
+        args[flag[2:].replace("-", "_")] = None if _takes_value(keywords) else False
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if args["path"] is not None:
+                return None
+            args["path"] = token
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        action = keywords.get("action")
+        if token in seen and action != "append":
+            return None
+        seen.add(token)
+        dest = token[2:].replace("-", "_")
+        if not _takes_value(keywords):
+            args[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        if keywords.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        args[dest] = [*(args[dest] or ()), value] if action == "append" else value
+    if args["path"] is None or len(seen.intersection(_EXCLUSIVE.get(command, ()))) > 1:
+        return None
+    return SimpleNamespace(**args)
 
-    def parse_known_args(self, args=None, namespace=None):
-        argv = list(sys.argv[1:] if args is None else args)
-        kept, refused = [], []
-        while argv and argv[0] != "--":
-            token = argv.pop(0)
-            flag, eq, _value = token.partition("=")
-            if not token.startswith("--") or flag in self._option_string_actions:
-                kept.append(token)
-                continue
-            refused.append(token)
-            known = _OPTIONS.get(flag)
-            if argv and not eq and (
-                "action" not in known if known else not argv[0].startswith("-")
-            ):
-                refused.append(argv.pop(0))
-        if refused:
-            self.error("unrecognized arguments: " + " ".join(refused))
-        return super().parse_known_args(kept + argv, namespace)
+
+def _set_aside(argv: list[str], declared) -> tuple[list[str], list[str]]:
+    """``argv`` split into the tokens argparse parses and those it refuses.
+
+    Refused is each ``--`` option not in ``declared``, with its value: the
+    next token where ``_OPTIONS`` says the option takes one; for an option
+    it does not know, the next token when that is no option and the path
+    was already seen or a positional remains after it. A value of an option
+    in ``_OPTIONS`` is no positional, so a value is never read as the path,
+    nor the path as a value. ``--option=value`` is one token, and ``--``
+    ends the scan.
+    """
+    end = argv.index("--") if "--" in argv else len(argv)
+    # Whether each token is a positional: not an option, nor the value of one.
+    positional, value_next = [], False
+    for token in argv[:end]:
+        positional.append(not value_next and not token.startswith("-"))
+        keywords = _OPTIONS.get(token)
+        value_next = not value_next and keywords is not None and _takes_value(keywords)
+    kept, refused = [], []
+    path_seen = False
+    i = 0
+    while i < end:
+        token = argv[i]
+        flag, eq, _value = token.partition("=")
+        if not token.startswith("--") or flag in declared:
+            kept.append(token)
+            path_seen = path_seen or positional[i]
+            i += 1
+            continue
+        refused.append(token)
+        i += 1
+        if eq or i == end:
+            continue
+        known = _OPTIONS.get(flag)
+        if (
+            _takes_value(known)
+            if known
+            else not argv[i].startswith("-") and (path_seen or any(positional[i + 1 : end]))
+        ):
+            refused.append(argv[i])
+            i += 1
+    return kept + argv[end:], refused
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser of every command line, built from ``_SUBCOMMANDS``.
+
+    Each subcommand's parser refuses every ``--`` option it does not
+    declare, under its own usage line and with the value ``_set_aside``
+    gives it.
+    """
+    # Imported here: a plain command line is read without it (_plain_args).
+    import argparse
+
+    class SubcommandParser(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            argv = list(sys.argv[1:] if args is None else args)
+            kept, refused = _set_aside(argv, self._option_string_actions)
+            if refused:
+                self.error("unrecognized arguments: " + " ".join(refused))
+            return super().parse_known_args(kept, namespace)
+
     parser = argparse.ArgumentParser(
         prog="hypercurv",
         description="Curvature toolkit for weighted undirected, directed, and oriented hypergraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    parsers = {}
-    for name, (summary, options) in _SUBCOMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=SubcommandParser)
+    for name, (summary, _options) in _SUBCOMMANDS.items():
         # No abbreviations: on curvature, --alpha would be read as --alpha-grid.
-        p = parsers[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("path", help="hypergraph JSON document")
-        for flag in options:
-            p.add_argument(flag, **_OPTIONS[flag])
-        p.add_argument(
-            "--stats", action="store_true", help="print evaluation counters as JSON on stderr"
-        )
-
-    p = parsers["measure"]
-    origin = p.add_mutually_exclusive_group()
-    origin.add_argument("--vertex", help="base vertex (undirected/oriented)")
-    origin.add_argument("--edge", help="hyperedge name (directed/oriented)")
-    p.add_argument("--side", choices=["tail", "head"], help="side of --edge (default tail)")
-    p.add_argument("--index", type=int, help="constituent index within the side of --edge")
-
-    for name, many in (("curvature", " (repeatable)"), ("sweep", "")):
-        parsers[name].add_argument("--pair", action="append", help=f"vertex pair 'u,v'{many}")
-        parsers[name].add_argument("--edge", action="append", help=f"hyperedge name{many}")
-    parsers["curvature"].add_argument("--all", action="store_true", help="all supported targets")
+        exclusive = _EXCLUSIVE.get(name, ())
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for flag, keywords in _declared(name).items():
+            (group if flag in exclusive else p).add_argument(flag, **keywords)
     return parser
 
 
@@ -469,7 +600,10 @@ def main(argv=None) -> int:
     # CPU spent before main: interpreter, site and imports in a fresh
     # process; when main is called in-process, all of the caller's CPU.
     startup_cpu = time.process_time()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     start = time.perf_counter()
     ev = None
     render_s = 0.0

@@ -47,8 +47,8 @@ module-level functions are one-shot wrappers over a fresh Evaluator.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 from .hypergraph import DIRECTED, ORIENTED, UNDIRECTED, Hypergraph
@@ -89,27 +89,26 @@ def _sampling_grid(grid) -> tuple[tuple, tuple, tuple]:
 _DEFAULT_GRID = _sampling_grid(list(DEFAULT_ALPHA_GRID))
 
 
-class AlphaCurve(NamedTuple):
-    """Sampled (alpha, kappa_alpha) values plus the normalized curve."""
+class AlphaCurve(namedtuple("AlphaCurve", "samples normalized")):
+    """Sampled (alpha, kappa_alpha) values plus the normalized curve, as tuples of pairs."""
 
-    samples: tuple
-    normalized: tuple
+    __slots__ = ()
 
 
-class CurvatureReport(NamedTuple):
-    """LLY limit of one target together with its sampled alpha curve.
+class CurvatureReport(
+    namedtuple(
+        "CurvatureReport", "target variant curve lly stabilization_alpha alpha_lo"
+    )
+):
+    """LLY limit of one target together with its sampled alpha curve (an AlphaCurve).
 
+    ``variant`` is the length variant, or None where the target has none.
     ``alpha_lo`` is the lower end of the final linear region of kappa,
     ``[alpha_lo, 1]``; ``stabilization_alpha`` is the first ``1 - 2**-k``
     (k >= 2) at or past it.
     """
 
-    target: tuple
-    variant: str | None
-    curve: AlphaCurve
-    lly: Fraction
-    stabilization_alpha: Fraction
-    alpha_lo: Fraction
+    __slots__ = ()
 
 
 def _dyadic_index(alpha_lo: Fraction) -> int:
@@ -120,6 +119,51 @@ def _dyadic_index(alpha_lo: Fraction) -> int:
 
 
 _NOT_SETTLED = f"normalized curvature of {{}} did not settle within k <= {DEFAULT_K_MAX}"
+
+
+def _read_limit(lines: list, den: int) -> Limit:
+    """The limit read off kappa's lines over some ``[lo, 1]`` with ``lo <= 3/4``.
+
+    Every boundary between kappa's lines is a breakpoint, so the final line
+    starts at ``max(lo, alpha_lo)``. Its dyadic index is 2 wherever that is
+    at most 3/4, so the limit does not depend on ``lo``.
+    """
+    final = lines[-1]
+    # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
+    # masses at its ends, so it vanishes for pairs and undirected
+    # hyperedges, but not always for a directed hyperedge.
+    if final.w1 < 0:
+        raise errors.NoStabilization(
+            f"target {{}} has curvature {Fraction(final.w1, den)} at alpha=1; "
+            "the normalized curve decreases without bound"
+        )
+    if final.w1:
+        # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
+        # concavity keeps from growing: it rises without bound and takes
+        # no value twice.
+        raise errors.NoStabilization(_NOT_SETTLED)
+    # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
+    # kappa from alpha to 1: by concavity constant, w0 / den, on the
+    # final linear region and strictly smaller before it.
+    k = _dyadic_index(Fraction(final.lo_num, final.lo_den))
+    if k >= DEFAULT_K_MAX:
+        raise errors.NoStabilization(_NOT_SETTLED)
+    return Limit(lly=Fraction(final.w0, den), stabilization_alpha=Fraction(2**k - 1, 2**k))
+
+
+def _sample(lines: list, ints: tuple, ascending: tuple) -> list[int]:
+    """``line.at(p, q)`` of the line covering each ``(p, q)`` of ``ints``, read off
+    ``lines`` (kappa's, over some ``[lo, 1]`` with ``lo`` at most every alpha)
+    in one walk over ``ints`` in the ``ascending`` order of their alphas."""
+    values = [0] * len(ints)
+    walk = iter(lines)
+    line = next(walk)
+    for k in ascending:
+        p, q = ints[k]
+        while line.hi_num * q < p * line.hi_den:
+            line = next(walk)
+        values[k] = line.at(p, q)
+    return values
 
 
 class EvalStats:
@@ -164,11 +208,10 @@ class EvalStats:
         return f"EvalStats({body})"
 
 
-class Limit(NamedTuple):
+class Limit(namedtuple("Limit", "lly stabilization_alpha")):
     """LLY limit of one target and the alpha at which it was certified."""
 
-    lly: Fraction
-    stabilization_alpha: Fraction
+    __slots__ = ()
 
 
 class _Chain:
@@ -422,12 +465,17 @@ class Evaluator:
         diverges.
         """
         target = tuple(target)
-        key = self._target(target, variant)
+        return self._limit(target, self._target(target, variant))
+
+    def _limit(self, target: tuple, key: tuple, merged=None) -> Limit:
+        """The memoised limit of ``key = (terms, length)``, named ``target`` if
+        it fails; searched on ``merged``, kappa's lines over some ``[lo, 1]``
+        with ``lo <= 3/4``, when given, else on its lines over [3/4, 1]."""
         found = self._limits.get(key)
         if found is None:
             self.stats.limits += 1
             try:
-                found = self._search(*key)
+                found = _read_limit(*(merged or self._merged(*key, _LIMIT_LO)))
             except errors.NoStabilization as exc:
                 found = exc
             self._limits[key] = found
@@ -437,49 +485,23 @@ class Evaluator:
             raise found.named(target)
         return found
 
-    def _search(self, terms: tuple, length: int) -> Limit:
-        # Every boundary between kappa's lines is a breakpoint, so the final
-        # line over [3/4, 1] starts at alpha_lo when alpha_lo is past 3/4,
-        # and at 3/4 otherwise.
-        lines, den = self._merged(terms, length, _LIMIT_LO)
-        final = lines[-1]
-        # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
-        # masses at its ends, so it vanishes for pairs and undirected
-        # hyperedges, but not always for a directed hyperedge.
-        if final.w1 < 0:
-            raise errors.NoStabilization(
-                f"target {{}} has curvature {Fraction(final.w1, den)} at alpha=1; "
-                "the normalized curve decreases without bound"
-            )
-        if final.w1:
-            # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
-            # concavity keeps from growing: it rises without bound and takes
-            # no value twice.
-            raise errors.NoStabilization(_NOT_SETTLED)
-        # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
-        # kappa from alpha to 1: by concavity constant, w0 / den, on the
-        # final linear region and strictly smaller before it.
-        k = _dyadic_index(Fraction(final.lo_num, final.lo_den))
-        if k >= DEFAULT_K_MAX:
-            raise errors.NoStabilization(_NOT_SETTLED)
-        return Limit(lly=Fraction(final.w0, den), stabilization_alpha=Fraction(2**k - 1, 2**k))
-
     def report(self, target: tuple, variant: str = "sum") -> CurvatureReport:
         """``limit`` of the target plus its curve sampled on ``DEFAULT_ALPHA_GRID``.
 
-        The samples are the ints of ``curve_ints`` as Fractions. The grid
-        starts at 0, so the curve traces every chain down to 0, and
-        ``alpha_lo``, where kappa's final line starts, is its last
-        breakpoint (0 when it has none). A curve on another grid is
-        ``curve_ints(target, variant, grid)``.
+        The grid starts at 0, so the samples (the ints of ``curve_ints`` as
+        Fractions), the limit, when not yet memoised, and ``alpha_lo``, where
+        kappa's final line starts (its last breakpoint, or 0), are all read
+        off one merge of kappa's lines over [0, 1]. A curve on another grid
+        is ``curve_ints(target, variant, grid)``.
         """
-        alphas, ints, _ascending = _DEFAULT_GRID
+        alphas, ints, ascending = _DEFAULT_GRID
         target = tuple(target)
-        found = self.limit(target, variant)
-        values, den = self.curve_ints(target, variant)
+        key = self._target(target, variant)
+        lines, den = merged = self._merged(*key, (0, 1))
+        found = self._limit(target, key, merged)
         samples = []
         normalized = []
-        for a, (p, q), value in zip(alphas, ints, values):
+        for a, (p, q), value in zip(alphas, ints, _sample(lines, ints, ascending)):
             samples.append((a, Fraction(value, q * den)))
             if p != q:
                 # kappa / (1 - a), and 1 - a is (q - p) / q.
@@ -490,7 +512,7 @@ class Evaluator:
             curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
             lly=found.lly,
             stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=max(self.breakpoints(target), default=Fraction(0)),
+            alpha_lo=Fraction(lines[-1].lo_num, lines[-1].lo_den),
         )
 
     def curve_ints(self, target: tuple, variant: str = "sum", grid=None) -> tuple[list, int]:
@@ -505,15 +527,7 @@ class Evaluator:
         _alphas, ints, ascending = _sampling_grid(grid)
         lo = ints[ascending[0]] if ints else (1, 1)
         lines, den = self._merged(*self._target(tuple(target), variant), lo)
-        values = [0] * len(ints)
-        walk = iter(lines)
-        line = next(walk)
-        for k in ascending:
-            p, q = ints[k]
-            while line.hi_num * q < p * line.hi_den:
-                line = next(walk)
-            values[k] = line.at(p, q)
-        return values, den
+        return _sample(lines, ints, ascending), den
 
     def _merged(self, terms: tuple, length: int, lo: tuple) -> tuple[list, int]:
         """kappa's linear regions over ``[lo, 1]``, summed from its terms' chains.

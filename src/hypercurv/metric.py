@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 from .hypergraph import UNDIRECTED, Hypergraph
@@ -28,31 +28,28 @@ from .hypergraph import UNDIRECTED, Hypergraph
 LENGTH_VARIANTS = ("min", "sum", "max")
 
 
-class EdgeLength(NamedTuple):
-    """One aggregate of the pairwise distances inside a hyperedge."""
+class EdgeLength(namedtuple("EdgeLength", "variant value")):
+    """One aggregate (a Fraction) of the pairwise distances inside a hyperedge."""
 
-    variant: str
-    value: Fraction
+    __slots__ = ()
 
 
-class NeighborhoodPartition(NamedTuple):
+class NeighborhoodPartition(
+    namedtuple(
+        "NeighborhoodPartition", "ref anchor base_distance closer level farther c1 c2"
+    )
+):
     """Out-neighborhood of ``anchor`` split by distance from ``ref``.
 
-    ``closer``/``level``/``farther`` collect neighbors whose distance from
-    the reference set is smaller than / equal to / greater than
-    ``base_distance = d(ref, anchor)``. ``c1`` is the largest drop on the
-    closer side, ``c2`` the smallest excess on the farther side; each is
-    None when its side is empty.
+    ``ref`` is a tuple of vertices. ``closer``/``level``/``farther`` are
+    frozensets of the neighbors whose distance from the reference set is
+    smaller than / equal to / greater than ``base_distance = d(ref,
+    anchor)``. ``c1`` is the largest drop on the closer side, ``c2`` the
+    smallest excess on the farther side; each is None when its side is
+    empty.
     """
 
-    ref: tuple[int, ...]
-    anchor: int
-    base_distance: Fraction
-    closer: frozenset[int]
-    level: frozenset[int]
-    farther: frozenset[int]
-    c1: Fraction | None
-    c2: Fraction | None
+    __slots__ = ()
 
 
 class DistanceOracle:

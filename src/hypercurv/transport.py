@@ -32,9 +32,9 @@ be asymmetric; they are used as-is, no symmetrization ever happens.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 from .metric import DistanceOracle
@@ -166,7 +166,7 @@ def _cost_matrix(table, rows, cols) -> list[list[int]]:
     return [[line[y] for y in cols] for line in (table[x] for x in rows)]
 
 
-class LinearPiece(NamedTuple):
+class LinearPiece(namedtuple("LinearPiece", "lo_num lo_den hi_num hi_den w0 w1")):
     """W on an interval of ``b``, on ints.
 
     For ``b = p/q`` (``q > 0``) with ``lo_num/lo_den <= b <= hi_num/hi_den``,
@@ -174,12 +174,7 @@ class LinearPiece(NamedTuple):
     common scale of the endpoint masses times the oracle's ``scale``.
     """
 
-    lo_num: int
-    lo_den: int
-    hi_num: int
-    hi_den: int
-    w0: int
-    w1: int
+    __slots__ = ()
 
     def at(self, p: int, q: int) -> int:
         """``W(p/q) * q * scale``."""
@@ -190,21 +185,16 @@ class LinearPiece(NamedTuple):
         return self.lo_num * self.hi_den == self.hi_num * self.lo_den
 
 
-class AffineFamily(NamedTuple):
+class AffineFamily(namedtuple("AffineFamily", "rows cols mu0 mu1 nu0 nu1 scale")):
     """``mu(b) = (1-b)*mu0 + b*mu1`` against ``nu(b) = (1-b)*nu0 + b*nu1``.
 
     ``rows`` and ``cols`` are the sorted union supports of the two sides;
     ``mu0``/``mu1`` are the row masses and ``nu0``/``nu1`` the column masses
-    at b = 0 and 1, each times ``scale``, as ints with zeros kept.
+    at b = 0 and 1, each times the int ``scale``, as lists of ints with
+    zeros kept.
     """
 
-    rows: list
-    cols: list
-    mu0: list
-    mu1: list
-    nu0: list
-    nu1: list
-    scale: int
+    __slots__ = ()
 
     def masses(self, p: int, q: int) -> tuple[dict, dict]:
         """Row and column mass maps at ``b = p/q``, times ``q * scale``, zeros kept."""
@@ -215,7 +205,7 @@ class AffineFamily(NamedTuple):
         )
 
 
-class Basis(NamedTuple):
+class Basis(namedtuple("Basis", "piece parent order f0 f1 u v cost")):
     """A basis of an :class:`AffineFamily`, ranged into its piece of W.
 
     The basis is a spanning tree over the nodes, the rows ``0..nr-1`` and
@@ -228,17 +218,11 @@ class Basis(NamedTuple):
     the oracle's scale: ``u[0]`` is 0 and ``u[i] + v[j]`` is the cost of
     every basic cell. ``piece`` is W where the basic flows are nonnegative.
     The bases that :func:`solve_family` and :func:`dual_pivot` return are
-    optimal: no cell costs less than ``u[i] + v[j]``.
+    optimal: no cell costs less than ``u[i] + v[j]``. Every field but
+    ``piece`` (a LinearPiece) is a list.
     """
 
-    piece: LinearPiece
-    parent: list
-    order: list
-    f0: list
-    f1: list
-    u: list
-    v: list
-    cost: list
+    __slots__ = ()
 
 
 def solve_family(family: AffineFamily, p: int, q: int, table) -> tuple[Basis, int, int]:

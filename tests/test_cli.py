@@ -331,6 +331,29 @@ def test_a_refused_option_with_its_value_in_one_token(capsys):
     assert _run(capsys, ["validate", "--", str(H4_FILE)])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "tokens, named",
+    [
+        (["--bogus", "PATH", "--all"], "--bogus"),
+        (["--bogus", "PATH", "--format", "json"], "--bogus"),
+        (["--tol", "0.5", "PATH"], "--tol 0.5"),
+        (["PATH", "--tol", "0.5"], "--tol 0.5"),
+    ],
+    ids=["bogus-all", "bogus-format", "tol-before", "tol-after"],
+)
+def test_an_undeclared_option_takes_no_path_as_its_value(capsys, tokens, named):
+    """An option no subcommand declares takes the next token as its value only
+    when the path came before it or another positional comes after that
+    token; a declared option's value is no positional."""
+    argv = ["curvature", *(str(H4_FILE) if t == "PATH" else t for t in tokens)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"hypercurv curvature: error: unrecognized arguments: {named}\n")
+
+
 @pytest.mark.parametrize("flags", [["--edge", "h1"], ["--index", "0"], ["--side", "head"]])
 def test_measure_takes_one_origin(capsys, flags):
     """``--vertex`` excludes ``--edge``, and ``--side``/``--index`` need ``--edge``."""

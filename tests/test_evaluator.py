@@ -122,6 +122,43 @@ def test_memo_solves_each_transport_once():
     assert ev.stats.limit_hits == 2 * len(targets) - searches
 
 
+def test_a_report_merges_kappa_once(monkeypatch):
+    """``report`` of a target that no answer has read yet reads its samples,
+    its limit and ``alpha_lo`` off one merge of kappa's lines over [0, 1],
+    and they equal what ``curve_ints``, ``limit`` and ``breakpoints`` read."""
+    calls = []
+    merged = Evaluator._merged
+
+    def spy(self, terms, length, lo):
+        calls.append(lo)
+        return merged(self, terms, length, lo)
+
+    for make in (random_undirected, random_directed, random_oriented_unit):
+        for seed in range(8):
+            hg = make(random.Random(seed))
+            oracle = all_pairs_distances(hg)
+            ev, apart = Evaluator(hg, oracle), Evaluator(hg, oracle)
+            for target, variant in curvature_targets(hg, oracle):
+                with monkeypatch.context() as patch:
+                    patch.setattr(Evaluator, "_merged", spy)
+                    calls.clear()
+                    try:
+                        report = ev.report(target, variant)
+                    except errors.NoStabilization:
+                        report = None
+                    assert calls == [(0, 1)], target
+                if report is None:
+                    with pytest.raises(errors.NoStabilization):
+                        apart.limit(target, variant)
+                    continue
+                values, den = apart.curve_ints(target, variant)
+                assert [k for _a, k in report.curve.samples] == [
+                    Fraction(v, a.denominator * den) for a, v in zip(DEFAULT_ALPHA_GRID, values)
+                ]
+                assert (report.lly, report.stabilization_alpha) == apart.limit(target, variant)
+                assert report.alpha_lo == max(apart.breakpoints(target), default=Fraction(0))
+
+
 def test_divergent_edge_raises_again_from_memo():
     hg = _divergent()
     ev = Evaluator(hg, all_pairs_distances(hg))
