@@ -96,9 +96,7 @@ class AlphaCurve(namedtuple("AlphaCurve", "samples normalized")):
 
 
 class CurvatureReport(
-    namedtuple(
-        "CurvatureReport", "target variant curve lly stabilization_alpha alpha_lo"
-    )
+    namedtuple("CurvatureReport", "target variant curve lly stabilization_alpha alpha_lo")
 ):
     """LLY limit of one target together with its sampled alpha curve (an AlphaCurve).
 

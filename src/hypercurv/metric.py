@@ -35,9 +35,7 @@ class EdgeLength(namedtuple("EdgeLength", "variant value")):
 
 
 class NeighborhoodPartition(
-    namedtuple(
-        "NeighborhoodPartition", "ref anchor base_distance closer level farther c1 c2"
-    )
+    namedtuple("NeighborhoodPartition", "ref anchor base_distance closer level farther c1 c2")
 ):
     """Out-neighborhood of ``anchor`` split by distance from ``ref``.
 

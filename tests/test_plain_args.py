@@ -28,7 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # the reader leaves to argparse. An int may be another script's digits, or
 # carry a sign, spaces or "_", all of which int() accepts.
 INTS = (["0", "1", "2", "007"], ["٣", "²", "+3", " 3", "3 ", "1_0", "-1", "", "x"])
-TEXTS = (["x1", "x2,x3", "h1", "1/3", "0.5", "0,1", "", " ", "a=b"], ["-1", "-1/3", "-x", "-", "--all"])
+TEXTS = (
+    ["x1", "x2,x3", "h1", "1/3", "0.5", "0,1", "", " ", "a=b"],
+    ["-1", "-1/3", "-x", "-", "--all"],
+)
 BAD_CHOICES = ["avg", "JSON", "", "-1"]
 PATHS = (["data/h4.json", "doc.json", "", " ", "x=y"], ["-", "-1", "--", "-h"])
 STRANGE = ["-h", "--help", "--", "--bogus", "--tol", "-x", "--form", "--alpha=1/3", "--format=json"]
