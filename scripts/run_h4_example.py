@@ -45,14 +45,14 @@ def main() -> None:
 
     print("\nlimit curvature:")
     for u, v in curvature_pairs(hg):
-        rep = lly_limit(hg, oracle, ("pair", u, v))
+        limit = lly_limit(hg, oracle, ("pair", u, v))
         print(
-            f"  kappa({NAMES[u]},{NAMES[v]}) = {rep.lly}"
-            f"   (constant from alpha = {rep.stabilization_alpha})"
+            f"  kappa({NAMES[u]},{NAMES[v]}) = {limit.lly}"
+            f"   (constant from alpha = {limit.stabilization_alpha})"
         )
     for variant in ("sum", "min"):
-        rep = lly_limit(hg, oracle, ("edge", 0), variant=variant)
-        print(f"  kappa(h1, {variant} length) = {rep.lly}")
+        limit = lly_limit(hg, oracle, ("edge", 0), variant=variant)
+        print(f"  kappa(h1, {variant} length) = {limit.lly}")
 
     print("\nwell-transported pairs:", [
         (NAMES[u], NAMES[v], f"h{e + 1}") for (u, v, e) in well_transported_pairs(hg, oracle)

@@ -20,8 +20,6 @@ from .bounds import (
     vertex_count_bound,
 )
 from .curvature import (
-    AlphaCurve,
-    CurvatureReport,
     EvalStats,
     Evaluator,
     Limit,

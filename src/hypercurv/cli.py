@@ -50,7 +50,12 @@ def _exact_text(num: int, den: int) -> str:
 
 def _float_text(num: int, den: int) -> str:
     """``repr(float(Fraction(num, den)))``: int division rounds the exact quotient once."""
-    return repr(num / den)
+    try:
+        return repr(num / den)
+    except OverflowError:
+        raise errors.FloatRange(
+            "a value is beyond the float range; without --float it prints exactly"
+        ) from None
 
 
 class RunConfig:
@@ -101,8 +106,6 @@ def _config_from_args(args) -> RunConfig:
     if opts.get("variant"):
         cfg.variant = opts["variant"]
     if opts.get("float"):
-        if opts["exact"]:
-            raise errors.ParseError("--exact and --float exclude each other")
         cfg.mode = "float"
         cfg.fmt_ratio = _float_text
     if opts.get("format"):
@@ -382,7 +385,6 @@ _OPTIONS = {
     "--alpha": {"help": "laziness parameter (rational or decimal)"},
     "--alpha-grid": {"help": "comma-separated alphas for curves"},
     "--variant": {"choices": ["min", "sum", "max"], "help": "hyperedge length variant"},
-    "--exact": {"action": "store_true", "help": "print exact rationals p/q (default)"},
     "--float": {"action": "store_true", "help": "print the exactly computed values as decimals"},
     "--format": {"choices": ["json", "csv", "table"], "help": "output format"},
     "--parallel": {
@@ -398,19 +400,18 @@ _OPTIONS = {
     "--edge": {"action": "append", "help": "hyperedge name (repeatable)"},
     "--all": {"action": "store_true", "help": "all supported targets"},
 }
-_NUMBERS = ("--exact", "--float")
 # Each subcommand's summary and the options it reads, in the order its help
 # lists them: a flag of _OPTIONS, or a (flag, keywords) pair for an option
 # this subcommand declares its own way. A subcommand takes no other option
 # (exit 2).
 _SUBCOMMANDS = {
     "validate": ("check a document against all invariants", ("--stats",)),
-    "distances": ("all-pairs (quasi-)distance table", (*_NUMBERS, "--format", "--stats")),
+    "distances": ("all-pairs (quasi-)distance table", ("--float", "--format", "--stats")),
     "measure": (
         "print one walk measure as JSON",
         (
             "--alpha",
-            *_NUMBERS,
+            "--float",
             "--stats",
             "--vertex",
             ("--edge", {"help": "hyperedge name (directed/oriented)"}),
@@ -423,7 +424,7 @@ _SUBCOMMANDS = {
         (
             "--alpha-grid",
             "--variant",
-            *_NUMBERS,
+            "--float",
             "--format",
             "--parallel",
             "--stats",
@@ -434,14 +435,14 @@ _SUBCOMMANDS = {
     ),
     "bounds": (
         "verdict ledger of every applicable inequality",
-        ("--alpha", "--variant", *_NUMBERS, "--format", "--strict", "--stats"),
+        ("--alpha", "--variant", "--float", "--format", "--strict", "--stats"),
     ),
     "sweep": (
         "CSV of (alpha, kappa, normalized) for one target",
         (
             "--alpha-grid",
             "--variant",
-            *_NUMBERS,
+            "--float",
             "--stats",
             ("--pair", {"action": "append", "help": "vertex pair 'u,v'"}),
             ("--edge", {"action": "append", "help": "hyperedge name"}),

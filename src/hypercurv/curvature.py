@@ -28,12 +28,11 @@ pieces gives kappa's own int lines, and every answer reads them over
 some ``[lo, 1]``: a point value is the first line over ``[alpha, 1]``,
 the limit and its certificate come from the final line over ``[3/4, 1]``,
 a curve from the lines over ``[min(grid), 1]`` as one int per grid alpha
-over a common denominator, and the breakpoints from the lines over
-``[0, 1]``. A report samples the default grid, which starts at 0, and its
-``alpha_lo`` is the last breakpoint. Every boundary between kappa's
-lines is checked to bend it down, so a curve that is not concave raises
-rather than certifying a limit. A value becomes a Fraction only when it
-leaves the Evaluator; the CLI prints the curve's ints directly.
+over a common denominator, and the breakpoints, the last of which is
+``alpha_lo``, from the lines over ``[0, 1]``. Every boundary between
+kappa's lines is checked to bend it down, so a curve that is not concave
+raises rather than certifying a limit. A value becomes a Fraction only
+when it leaves the Evaluator; the CLI prints the curve's ints directly.
 
 :class:`Evaluator` does all of this for one hypergraph and remembers every
 measure, transport value and limit it computes. A walk measure is named
@@ -73,40 +72,20 @@ DEFAULT_K_MAX = 24
 _LIMIT_LO = (3, 4)
 
 
-def _sampling_grid(grid) -> tuple[tuple, tuple, tuple]:
+def _sampling_grid(grid) -> tuple[tuple, tuple]:
     """The grid's alphas, each as ``(num, den)``, and their indices in ascending order.
 
     ``None`` is ``DEFAULT_ALPHA_GRID``; any other alpha is checked by ``as_alpha``.
     """
     if grid is None or grid is DEFAULT_ALPHA_GRID:
         return _DEFAULT_GRID
-    alphas = tuple(as_alpha(a) for a in grid)
+    alphas = [as_alpha(a) for a in grid]
     ints = tuple((a.numerator, a.denominator) for a in alphas)
-    return alphas, ints, tuple(sorted(range(len(alphas)), key=alphas.__getitem__))
+    return ints, tuple(sorted(range(len(alphas)), key=alphas.__getitem__))
 
 
 # Checked and sorted once, not per curve.
 _DEFAULT_GRID = _sampling_grid(list(DEFAULT_ALPHA_GRID))
-
-
-class AlphaCurve(namedtuple("AlphaCurve", "samples normalized")):
-    """Sampled (alpha, kappa_alpha) values plus the normalized curve, as tuples of pairs."""
-
-    __slots__ = ()
-
-
-class CurvatureReport(
-    namedtuple("CurvatureReport", "target variant curve lly stabilization_alpha alpha_lo")
-):
-    """LLY limit of one target together with its sampled alpha curve (an AlphaCurve).
-
-    ``variant`` is the length variant, or None where the target has none.
-    ``alpha_lo`` is the lower end of the final linear region of kappa,
-    ``[alpha_lo, 1]``; ``stabilization_alpha`` is the first ``1 - 2**-k``
-    (k >= 2) at or past it.
-    """
-
-    __slots__ = ()
 
 
 def _dyadic_index(alpha_lo: Fraction) -> int:
@@ -120,11 +99,10 @@ _NOT_SETTLED = f"normalized curvature of {{}} did not settle within k <= {DEFAUL
 
 
 def _read_limit(lines: list, den: int) -> Limit:
-    """The limit read off kappa's lines over some ``[lo, 1]`` with ``lo <= 3/4``.
+    """The limit read off kappa's lines over [3/4, 1].
 
     Every boundary between kappa's lines is a breakpoint, so the final line
-    starts at ``max(lo, alpha_lo)``. Its dyadic index is 2 wherever that is
-    at most 3/4, so the limit does not depend on ``lo``.
+    starts at ``max(3/4, alpha_lo)``, and its dyadic index is that of ``alpha_lo``.
     """
     final = lines[-1]
     # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
@@ -350,13 +328,14 @@ class Evaluator:
         ``d`` and L are distances times ``oracle.scale``. ``variant`` is the
         length normalizer of undirected hyperedges and is ignored elsewhere.
         """
-        key = (target, self._variant_key(target, variant))
+        kind = target[0]
+        undirected_edge = kind == "edge" and self.hg.flavor == UNDIRECTED
+        key = (target, variant if undirected_edge else None)
         found = self._targets.get(key)
         if found is not None:
             return found
         hg, oracle = self.hg, self.oracle
         table = oracle.table
-        kind = target[0]
         if kind == "pair":
             u, v = target[1], target[2]
             if u == v:
@@ -373,7 +352,7 @@ class Evaluator:
             terms = ((self._chain((u,), (v,)), length),)
         elif kind != "edge":
             raise ValueError(f"unknown target kind {kind!r}")
-        elif hg.flavor == UNDIRECTED:
+        elif undirected_edge:
             vs = hg.edges[target[1]].sorted_vertices()
             terms = tuple(
                 (self._chain((x,), (y,)), table[x][y])
@@ -449,9 +428,6 @@ class Evaluator:
         lines, den = self._merged(*self._target(tuple(target), variant), (p, q))
         return Fraction(lines[0].at(p, q), q * den)
 
-    def _variant_key(self, target: tuple, variant: str) -> str | None:
-        return variant if target[0] == "edge" and self.hg.flavor == UNDIRECTED else None
-
     def limit(self, target: tuple, variant: str = "sum") -> Limit:
         """Normalized-curvature limit of a target, without sampling any alpha grid.
 
@@ -460,20 +436,16 @@ class Evaluator:
         ``alpha_k = 1 - 2**-k`` (k >= 2) at or past ``alpha_lo``. Raises
         NoStabilization when that k would reach ``DEFAULT_K_MAX``, where the
         dyadic rule would stop, or immediately when the target provably
-        diverges.
+        diverges. The search is memoised by the terms and length the target
+        reads, and a failure is raised again naming the target asked for.
         """
         target = tuple(target)
-        return self._limit(target, self._target(target, variant))
-
-    def _limit(self, target: tuple, key: tuple, merged=None) -> Limit:
-        """The memoised limit of ``key = (terms, length)``, named ``target`` if
-        it fails; searched on ``merged``, kappa's lines over some ``[lo, 1]``
-        with ``lo <= 3/4``, when given, else on its lines over [3/4, 1]."""
+        key = self._target(target, variant)
         found = self._limits.get(key)
         if found is None:
             self.stats.limits += 1
             try:
-                found = _read_limit(*(merged or self._merged(*key, _LIMIT_LO)))
+                found = _read_limit(*self._merged(*key, _LIMIT_LO))
             except errors.NoStabilization as exc:
                 found = exc
             self._limits[key] = found
@@ -482,36 +454,6 @@ class Evaluator:
         if isinstance(found, errors.NoStabilization):
             raise found.named(target)
         return found
-
-    def report(self, target: tuple, variant: str = "sum") -> CurvatureReport:
-        """``limit`` of the target plus its curve sampled on ``DEFAULT_ALPHA_GRID``.
-
-        The grid starts at 0, so the samples (the ints of ``curve_ints`` as
-        Fractions), the limit, when not yet memoised, and ``alpha_lo``, where
-        kappa's final line starts (its last breakpoint, or 0), are all read
-        off one merge of kappa's lines over [0, 1]. A curve on another grid
-        is ``curve_ints(target, variant, grid)``.
-        """
-        alphas, ints, ascending = _DEFAULT_GRID
-        target = tuple(target)
-        key = self._target(target, variant)
-        lines, den = merged = self._merged(*key, (0, 1))
-        found = self._limit(target, key, merged)
-        samples = []
-        normalized = []
-        for a, (p, q), value in zip(alphas, ints, _sample(lines, ints, ascending)):
-            samples.append((a, Fraction(value, q * den)))
-            if p != q:
-                # kappa / (1 - a), and 1 - a is (q - p) / q.
-                normalized.append((a, Fraction(value, (q - p) * den)))
-        return CurvatureReport(
-            target=target,
-            variant=self._variant_key(target, variant),
-            curve=AlphaCurve(samples=tuple(samples), normalized=tuple(normalized)),
-            lly=found.lly,
-            stabilization_alpha=found.stabilization_alpha,
-            alpha_lo=Fraction(lines[-1].lo_num, lines[-1].lo_den),
-        )
 
     def curve_ints(self, target: tuple, variant: str = "sum", grid=None) -> tuple[list, int]:
         """kappa of the target at each alpha of ``grid``, as ints over one denominator.
@@ -522,7 +464,7 @@ class Evaluator:
         ``DEFAULT_ALPHA_GRID``. The values are read off kappa's lines over
         ``[min(grid), 1]`` in one walk over the grid in ascending order.
         """
-        _alphas, ints, ascending = _sampling_grid(grid)
+        ints, ascending = _sampling_grid(grid)
         lo = ints[ascending[0]] if ints else (1, 1)
         lines, den = self._merged(*self._target(tuple(target), variant), lo)
         return _sample(lines, ints, ascending), den
@@ -623,15 +565,12 @@ def kappa_alpha_edge_directed(hg: Hypergraph, oracle: DistanceOracle, edge_index
     return Evaluator(hg, oracle).kappa(("edge", edge_index), alpha)
 
 
-def lly_limit(
-    hg: Hypergraph, oracle: DistanceOracle, target: tuple, variant: str = "sum"
-) -> CurvatureReport:
+def lly_limit(hg: Hypergraph, oracle: DistanceOracle, target: tuple, variant: str = "sum") -> Limit:
     """Normalized-curvature limit of a ``("pair", u, v)`` or ``("edge", h)`` target.
 
-    The limit search is :meth:`Evaluator.limit`; the report adds the curve
-    sampled on ``DEFAULT_ALPHA_GRID``.
+    This is :meth:`Evaluator.limit` on a fresh Evaluator.
     """
-    return Evaluator(hg, oracle).report(target, variant)
+    return Evaluator(hg, oracle).limit(target, variant)
 
 
 def curvature_pairs(hg: Hypergraph) -> list[tuple[int, int]]:

@@ -99,6 +99,8 @@ def parse_document(data) -> ParsedDocument:
         except ValueError:  # an int literal past the interpreter's digit limit
             why = f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
             raise errors.ParseError(f"invalid JSON: {why}") from None
+        except RecursionError:
+            raise errors.ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise errors.ParseError("document root must be a JSON object")
 

@@ -145,3 +145,7 @@ class ParseError(HypercurvError):
 
 class UnknownTarget(HypercurvError):
     """Requested pair/edge target does not exist in the document."""
+
+
+class FloatRange(HypercurvError):
+    """A value is too large in magnitude to print as a float under ``--float``."""

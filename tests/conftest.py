@@ -17,6 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py lives beside the tests
 
 from hypercurv import ParsedDocument, all_pairs_distances, build, curvature_pairs, errors
+from hypercurv.curvature import DEFAULT_ALPHA_GRID
 from hypercurv.hypergraph import DIRECTED, UNDIRECTED
 from hypercurv.random_instances import random_directed, random_oriented_unit, random_undirected
 
@@ -127,3 +128,18 @@ def curvature_targets(hg, oracle):
         pairs = itertools.permutations(range(hg.n_vertices), 2)
     for u, v in pairs:
         yield ("pair", u, v), "sum"
+
+
+def default_curve(ev, target, variant="sum"):
+    """``(samples, normalized)`` of a target on ``DEFAULT_ALPHA_GRID``, read
+    from ``ev.curve_ints`` as tuples of ``(alpha, value)`` pairs, in the
+    shape ``oracles.reference_lly_limit`` gives them.
+
+    A value ``v`` over ``den`` at ``p/q`` is kappa ``v / (q * den)`` and,
+    below alpha = 1, normalized ``v / ((q - p) * den)``.
+    """
+    values, den = ev.curve_ints(target, variant)
+    pairs = [(a, a.numerator, a.denominator, v) for a, v in zip(DEFAULT_ALPHA_GRID, values)]
+    samples = tuple((a, Fraction(v, q * den)) for a, _p, q, v in pairs)
+    normalized = tuple((a, Fraction(v, (q - p) * den)) for a, p, q, v in pairs if p != q)
+    return samples, normalized

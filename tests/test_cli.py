@@ -279,18 +279,19 @@ REFUSED_VALUES = {
     "--strict": [],
     "--direction": ["in"],
 }
-# The options each subcommand does not read: 27 pairs.
+# The options each subcommand does not read: 32 pairs.
 REFUSED = [
     (command, flag)
     for command, flags in {
         "validate": [flag for flag in REFUSED_VALUES if flag != "--direction"],
-        "distances": ["--alpha", "--alpha-grid", "--variant", "--parallel", "--strict"],
+        "distances": ["--alpha", "--alpha-grid", "--variant", "--exact", "--parallel", "--strict"],
         "measure": [
-            "--alpha-grid", "--variant", "--parallel", "--strict", "--format", "--direction"
+            "--alpha-grid", "--variant", "--exact", "--parallel", "--strict", "--format",
+            "--direction",
         ],
-        "curvature": ["--alpha", "--strict"],
-        "bounds": ["--alpha-grid", "--parallel"],
-        "sweep": ["--alpha", "--parallel", "--strict", "--format"],
+        "curvature": ["--alpha", "--exact", "--strict"],
+        "bounds": ["--alpha-grid", "--exact", "--parallel"],
+        "sweep": ["--alpha", "--exact", "--parallel", "--strict", "--format"],
     }.items()
     for flag in flags
 ]
@@ -368,8 +369,8 @@ def test_measure_takes_one_origin(capsys, flags):
 
 # For each option a subcommand declares: a document, a run without the option,
 # and the option with its value. Adding the option must change stdout or the
-# exit code. --exact (the default) and --parallel (validated, never acted on)
-# are the deliberate exceptions, and --stats writes only to stderr.
+# exit code. --parallel (validated, never acted on) is the deliberate
+# exception, and --stats writes only to stderr.
 EFFECTS = {
     ("distances", "--float"): ("h4.json", [], ["--float"]),
     ("distances", "--format"): ("h4.json", [], ["--format", "json"]),
@@ -409,7 +410,7 @@ def test_every_declared_option_acts(capsys):
     for command, sub in subparsers.choices.items():
         for action in sub._actions:
             flags = [f for f in action.option_strings if f.startswith("--")]
-            if flags and flags[0] not in ("--help", "--stats", "--exact", "--parallel"):
+            if flags and flags[0] not in ("--help", "--stats", "--parallel"):
                 declared.add((command, flags[0]))
     assert declared == set(EFFECTS)
     for (command, flag), (name, base, extra) in EFFECTS.items():
@@ -503,7 +504,6 @@ def test_measure_tail_constituent_matches_the_library(capsys):
         (["measure", "{late}", "--vertex", "x1"], "UnsupportedFlavor"),
         (["measure", "{h4}", "--edge", "h1"], "UnsupportedFlavor"),
         (["measure", "{h4}"], "UnknownTarget"),
-        (["distances", "{h4}", "--exact", "--float"], "ParseError"),
     ],
     ids=[
         "parallel-0",
@@ -513,7 +513,6 @@ def test_measure_tail_constituent_matches_the_library(capsys):
         "measure-vertex-directed",
         "measure-edge-undirected",
         "measure-without-target",
-        "exact-and-float",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, error):
@@ -534,6 +533,47 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch, h4_path, argv):
     monkeypatch.setattr("hypercurv.cli.all_pairs_distances", exhausted)
     code, out, err = _run(capsys, [argv[0], h4_path, *argv[1:]])
     assert (code, out, err) == (2, "", "MemoryError: out of memory\n")
+
+
+# A value past the float range: 10**400 as a distance, and its inverse as a ratio.
+FLOAT_RANGE_DOCS = {
+    "edge": {
+        "flavor": "undirected",
+        "vertices": ["a", "b"],
+        "hyperedges": [{"vertices": ["a", "b"], "weight": "1e400"}],
+    },
+    "path": {
+        "flavor": "undirected",
+        "vertices": ["a", "b", "c"],
+        "hyperedges": [
+            {"vertices": ["a", "b"], "weight": "1e-400"},
+            {"vertices": ["b", "c"], "weight": "1e400"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ("edge", ["distances"]),
+        ("edge", ["bounds"]),
+        ("path", ["curvature", "--all"]),
+        ("path", ["sweep", "--pair", "a,b"]),
+    ],
+)
+def test_a_value_beyond_the_float_range_exits_2(capsys, tmp_path, doc, argv):
+    """``--float`` cannot print such a value: exit 2 and one line on stderr,
+    not exit 1 (a violated verdict) with a traceback. The exact run prints it."""
+    path = tmp_path / f"{doc}.json"
+    path.write_text(json.dumps(FLOAT_RANGE_DOCS[doc]))
+    argv = [argv[0], str(path), *argv[1:]]
+    assert _run(capsys, argv)[0] == 0
+    code, out, err = _run(capsys, [*argv, "--float"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "FloatRange: a value is beyond the float range; without --float it prints exactly\n"
+    )
 
 
 def test_distances_json_symmetry_flag(capsys, h4_path):
@@ -616,6 +656,114 @@ def test_undecodable_document_is_a_parse_error(capsys, tmp_path):
     code, _, err = _run(capsys, ["validate", str(path)])
     assert code == 2
     assert err.startswith("ParseError: cannot read ") and len(err.splitlines()) == 1
+
+
+# Arrays nested past the interpreter's recursion limit, as the whole document
+# and as a hyperedge's weight.
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP,
+        '{"flavor": "undirected", "vertices": ["a", "b"], '
+        f'"hyperedges": [{{"vertices": ["a", "b"], "weight": {DEEP}}}]}}',
+    ],
+    ids=["root", "weight"],
+)
+def test_deeply_nested_document_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "ParseError: invalid JSON: arrays or objects nested too deeply\n"
+
+
+# One document that each row below breaks in one place.
+TWO = {"flavor": "undirected", "vertices": ["a", "b"], "hyperedges": [{"vertices": ["a", "b"]}]}
+DOCUMENT_CHECKS = {
+    "pair-index-out-of-range": (
+        None,
+        ["curvature", "--pair", "0,9"],
+        "UnknownTarget: vertex index 9 out of range",
+    ),
+    "pair-unknown-name": (
+        None,
+        ["curvature", "--pair", "x1,nobody"],
+        "UnknownTarget: unknown vertex 'nobody'",
+    ),
+    "edge-index-out-of-range": (
+        None,
+        ["curvature", "--edge", "99"],
+        "UnknownTarget: hyperedge index 99 out of range",
+    ),
+    "root-not-an-object": ([TWO], ["validate"], "ParseError: document root must be a JSON object"),
+    "vertices-empty": (
+        {**TWO, "vertices": []},
+        ["validate"],
+        "ParseError: vertices: expected a nonempty list of names",
+    ),
+    "vertices-not-names": (
+        {**TWO, "vertices": ["a", 2]},
+        ["validate"],
+        "ParseError: vertices: expected a nonempty list of names",
+    ),
+    "vertices-repeated": (
+        {**TWO, "vertices": ["a", "b", "a"]},
+        ["validate"],
+        "ParseError: vertices: names must be unique",
+    ),
+    "n-vertices-0": (
+        {"flavor": "undirected", "n_vertices": 0, "hyperedges": [{"vertices": [0, 1]}]},
+        ["validate"],
+        "ParseError: n_vertices: expected a positive integer",
+    ),
+    "n-vertices-true": (
+        {"flavor": "undirected", "n_vertices": True, "hyperedges": [{"vertices": [0, 1]}]},
+        ["validate"],
+        "ParseError: n_vertices: expected a positive integer",
+    ),
+    "record-not-an-object": (
+        {**TWO, "hyperedges": [["a", "b"]]},
+        ["validate"],
+        "ParseError: hyperedges[0]: expected an object",
+    ),
+    "record-without-members": (
+        {**TWO, "hyperedges": [{"weight": "1"}]},
+        ["validate"],
+        "ParseError: hyperedges[0]: undirected records need 'vertices'",
+    ),
+    "members-empty": (
+        {**TWO, "hyperedges": [{"vertices": []}]},
+        ["validate"],
+        "ParseError: hyperedges[0].vertices: expected a nonempty list of vertices",
+    ),
+    "member-unknown-name": (
+        {**TWO, "hyperedges": [{"vertices": ["a", "c"]}]},
+        ["validate"],
+        "ParseError: hyperedges[0].vertices[1]: unknown vertex name 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("document, argv, line", DOCUMENT_CHECKS.values(), ids=DOCUMENT_CHECKS)
+def test_each_document_check_exits_2_with_one_line(capsys, tmp_path, document, argv, line):
+    """A document, or a target on data/h4.json, that fails one check of
+    ``hypercurv.document``: exit 2, empty stdout, and that check's one line."""
+    path = H4_FILE
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_a_vertex_index_names_the_vertex(capsys):
+    """``--pair 1,2`` reads the indices as vertices x2 and x3 and names them so."""
+    code, out, _ = _run(capsys, ["curvature", str(H4_FILE), "--pair", "1,2"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["pair x2,x3: lly=3/2 stabilization_alpha=3/4"]
 
 
 def _best_parse_seconds(text: str) -> float:

@@ -32,7 +32,8 @@ GENERATORS = (
     lambda rng: random_oriented_dense(rng, n_max=4),
 )
 
-BAD_WEIGHTS = ("0", "-1", "1/0", "abc", "3/7", "1e3", "1e1000000", 2, 0.5, None, True, [])
+# "1e400" is valid, but past the float range under --float.
+BAD_WEIGHTS = ("0", "-1", "1/0", "abc", "3/7", "1e3", "1e400", "1e1000000", 2, 0.5, None, True, [])
 BAD_VERTICES = (-1, 99, "nobody", "x1", 0, 1.5, None)
 
 

@@ -26,6 +26,7 @@ from hypercurv.curvature import DEFAULT_ALPHA_GRID
 
 from conftest import (
     curvature_targets,
+    default_curve,
     directed_corpus,
     graph_as_hypergraph,
     named_document,
@@ -52,8 +53,8 @@ def test_h4_edge_values(h4, h4_oracle):
     assert lly_limit(h4, h4_oracle, ("edge", 0), variant="sum").lly == Fraction(5, 6)
     assert lly_limit(h4, h4_oracle, ("edge", 0), variant="min").lly == Fraction(5, 2)
     # normalized(x1,x2) tends to 1/2: check the curve at large alpha
-    rep = lly_limit(h4, h4_oracle, ("pair", 0, 1))
-    assert rep.curve.normalized[-1][1] == Fraction(1, 2)
+    _samples, normalized = default_curve(Evaluator(h4, h4_oracle), ("pair", 0, 1))
+    assert normalized[-1] == (Fraction(99, 100), Fraction(1, 2))
 
 
 def test_same_pair_rejected(h4, h4_oracle):
@@ -104,10 +105,10 @@ def test_monotone_and_concave_on_h4(h4, h4_oracle):
     targets += [("edge", 0), ("edge", 1)]
     ev = Evaluator(h4, h4_oracle)
     for target in targets:
-        rep = lly_limit(h4, h4_oracle, target)
-        gs = [g for _a, g in rep.curve.normalized]
+        samples, normalized = default_curve(Evaluator(h4, h4_oracle), target)
+        gs = [g for _a, g in normalized]
         assert all(g1 <= g2 for g1, g2 in zip(gs, gs[1:]))
-        kappas = dict(rep.curve.samples)
+        kappas = dict(samples)
         for a in GRID:
             for c in GRID:
                 if a < c:
@@ -365,7 +366,8 @@ def test_idleness_function_invariants_on_graph_edges():
     """Bourne-Cushing-Liu-Münch-Peyerimhoff (SIAM J. Discrete Math. 2018):
     for adjacent x and y of a graph, kappa_alpha(x, y) has at most 3 linear
     parts and is linear on [1/(max(deg x, deg y) + 1), 1]. Both are read off
-    the traced chain of W."""
+    the traced chain of W; the final line starts at the last breakpoint,
+    where g = kappa / (1 - alpha) already equals the limit."""
     parts_seen = set()
     for n, edges, hg in _unit_graphs(4243, 40):
         ev = Evaluator(hg, all_pairs_distances(hg))
@@ -375,7 +377,8 @@ def test_idleness_function_invariants_on_graph_edges():
             kinks = ev.breakpoints(("pair", x, y))
             parts_seen.add(len(kinks) + 1)
             assert len(kinks) + 1 <= 3, (edges, x, y, kinks)
-            alpha_lo = ev.report(("pair", x, y)).alpha_lo
-            assert alpha_lo == max(kinks, default=0)
+            alpha_lo = max(kinks, default=Fraction(0))
+            g = ev.kappa(("pair", x, y), alpha_lo) / (1 - alpha_lo)
+            assert g == ev.limit(("pair", x, y)).lly, (edges, x, y, kinks)
             assert alpha_lo <= Fraction(1, max(degree[x], degree[y]) + 1), (edges, x, y, kinks)
     assert parts_seen == {1, 2, 3}

@@ -52,7 +52,8 @@ def test_int_formatters_match_fraction_text(num, den):
     try:
         expected = repr(float(value))
     except OverflowError:
-        with pytest.raises(OverflowError):
+        # The CLI reports it as invalid input (exit 2), not with a traceback.
+        with pytest.raises(errors.FloatRange):
             _float_text(num, den)
     else:
         assert _float_text(num, den) == expected

@@ -26,6 +26,7 @@ from hypercurv.walk import spread
 
 from conftest import (
     curvature_targets,
+    default_curve,
     directed_corpus,
     oriented_corpus,
     random_oriented_dense,
@@ -63,14 +64,11 @@ def _compare(hg) -> int:
             )
         except errors.NoStabilization:
             with pytest.raises(errors.NoStabilization):
-                ev.report(target, variant)
+                ev.limit(target, variant)
             diverged += 1
             continue
-        rep = ev.report(target, variant)
-        assert rep.curve.samples == samples, target
-        assert rep.curve.normalized == normalized, target
-        assert rep.lly == lly, target
-        assert rep.stabilization_alpha == stab, target
+        assert default_curve(ev, target, variant) == (samples, normalized), target
+        assert ev.limit(target, variant) == (lly, stab), target
     return diverged
 
 
@@ -108,7 +106,8 @@ def test_memo_solves_each_transport_once():
     ev = Evaluator(hg, all_pairs_distances(hg))
     targets = list(curvature_targets(hg, ev.oracle))
     for target, variant in targets:
-        ev.report(target, variant)
+        ev.limit(target, variant)
+        ev.curve_ints(target, variant)
     # One search per distinct (terms, length): a two-vertex hyperedge under
     # the sum variant reads what its pair reads.
     searches = len({ev._target(target, variant) for target, variant in targets})
@@ -117,46 +116,10 @@ def test_memo_solves_each_transport_once():
     assert ev.stats.limit_hits == len(targets) - searches
     assert ev.stats.measures <= 2 * ev.stats.solves
     for target, variant in targets:
-        ev.report(target, variant)
+        ev.limit(target, variant)
+        ev.curve_ints(target, variant)
     assert (ev.stats.solves, ev.stats.measures, ev.stats.limits) == first
     assert ev.stats.limit_hits == 2 * len(targets) - searches
-
-
-def test_a_report_merges_kappa_once(monkeypatch):
-    """``report`` of a target that no answer has read yet reads its samples,
-    its limit and ``alpha_lo`` off one merge of kappa's lines over [0, 1],
-    and they equal what ``curve_ints``, ``limit`` and ``breakpoints`` read."""
-    calls = []
-    merged = Evaluator._merged
-
-    def spy(self, terms, length, lo):
-        calls.append(lo)
-        return merged(self, terms, length, lo)
-
-    for make in (random_undirected, random_directed, random_oriented_unit):
-        for seed in range(8):
-            hg = make(random.Random(seed))
-            oracle = all_pairs_distances(hg)
-            ev, apart = Evaluator(hg, oracle), Evaluator(hg, oracle)
-            for target, variant in curvature_targets(hg, oracle):
-                with monkeypatch.context() as patch:
-                    patch.setattr(Evaluator, "_merged", spy)
-                    calls.clear()
-                    try:
-                        report = ev.report(target, variant)
-                    except errors.NoStabilization:
-                        report = None
-                    assert calls == [(0, 1)], target
-                if report is None:
-                    with pytest.raises(errors.NoStabilization):
-                        apart.limit(target, variant)
-                    continue
-                values, den = apart.curve_ints(target, variant)
-                assert [k for _a, k in report.curve.samples] == [
-                    Fraction(v, a.denominator * den) for a, v in zip(DEFAULT_ALPHA_GRID, values)
-                ]
-                assert (report.lly, report.stabilization_alpha) == apart.limit(target, variant)
-                assert report.alpha_lo == max(apart.breakpoints(target), default=Fraction(0))
 
 
 def test_divergent_edge_raises_again_from_memo():
@@ -167,8 +130,9 @@ def test_divergent_edge_raises_again_from_memo():
     solves = ev.stats.solves
     with pytest.raises(errors.NoStabilization):
         ev.limit(("edge", 0))
+    # A directed hyperedge ignores the length variant, so this reads the same memo.
     with pytest.raises(errors.NoStabilization):
-        ev.report(("edge", 0))
+        ev.limit(("edge", 0), "max")
     assert ev.stats.solves == solves
     assert (ev.stats.limits, ev.stats.limit_hits) == (1, 2)
 
@@ -207,22 +171,24 @@ def test_warm_memo_never_changes_a_verdict(flavor):
 
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_alpha_lo_is_where_kappa_turns_linear(flavor):
-    """Fresh solves put ``alpha_lo`` where the final linear region of kappa
-    starts, and the limit is certified at the first dyadic alpha past it."""
+    """Fresh solves put ``alpha_lo``, the last breakpoint, where the final
+    linear region of kappa starts; the limit is minus its slope, certified
+    at the first dyadic alpha past it."""
     kinked = 0
     for hg in CORPORA[flavor]():
         oracle = all_pairs_distances(hg)
         ev = Evaluator(hg, oracle)
         for target, variant in curvature_targets(hg, oracle):
             try:
-                rep = ev.report(target, variant)
+                found = ev.limit(target, variant)
             except errors.NoStabilization:
                 continue
-            lo = rep.alpha_lo
+            kinks = ev.breakpoints(target)
+            lo = max(kinks, default=Fraction(0))
             k = 2
             while 1 - Fraction(1, 2**k) < lo:
                 k += 1
-            assert rep.stabilization_alpha == 1 - Fraction(1, 2**k)
+            assert found.stabilization_alpha == 1 - Fraction(1, 2**k)
 
             def kappa(a):
                 return reference_kappa(hg, oracle, target, a, variant)
@@ -231,8 +197,7 @@ def test_alpha_lo_is_where_kappa_turns_linear(flavor):
             slope = -kappa(lo) / (1 - lo)
             for a in (lo, (lo + 1) / 2, (lo + 3) / 4):
                 assert kappa(a) == slope * (a - 1), (target, a)
-            kinks = ev.breakpoints(target)
-            assert lo == max(kinks, default=Fraction(0))
+            assert found.lly == -slope, target
             if kinks:
                 below = (lo + (kinks[-2] if len(kinks) > 1 else 0)) / 2
                 assert kappa(below) < slope * (below - 1), (target, below)
@@ -249,14 +214,10 @@ def test_limit_certified_past_three_quarters():
     hg = load_document(str(LATE_LIMIT_PATH)).hypergraph
     oracle = all_pairs_distances(hg)
     ev = Evaluator(hg, oracle)
-    rep = ev.report(("edge", 5), "sum")
-    assert (rep.lly, rep.stabilization_alpha, rep.alpha_lo) == (
-        Fraction(75, 68),
-        Fraction(7, 8),
-        Fraction(43, 54),
-    )
+    found = ev.limit(("edge", 5), "sum")
+    assert found == (Fraction(75, 68), Fraction(7, 8))
     assert ev.breakpoints(("edge", 5)) == [Fraction(43, 54)]
-    assert (rep.curve.samples, rep.curve.normalized, rep.lly, rep.stabilization_alpha) == (
+    assert (*default_curve(ev, ("edge", 5)), *found) == (
         reference_lly_limit(hg, oracle, ("edge", 5), "sum", DEFAULT_ALPHA_GRID)
     )
     assert ev.kappa(("edge", 6), 1) == -4
@@ -305,8 +266,9 @@ def test_limit_is_certified_up_to_the_cap_and_no_further(h4, h4_oracle, monkeypa
 @pytest.mark.parametrize("flavor", sorted(CORPORA))
 def test_answers_do_not_depend_on_request_order_or_grid(flavor):
     """A curve on a grid that starts above ``alpha_lo``, a point value, or
-    nothing, read first, all leave one limit, certificate and ``alpha_lo``,
-    which is the last breakpoint of kappa. Each order runs on a fresh Evaluator."""
+    nothing, read first, all leave one limit, certificate, ``alpha_lo`` (the
+    last breakpoint of kappa) and default curve. Each order runs on a fresh
+    Evaluator."""
     orders = [(None, (Fraction(99, 100),)), (Fraction(1, 10), None), (None, None)]
     for hg in CORPORA[flavor]():
         oracle = all_pairs_distances(hg)
@@ -319,13 +281,12 @@ def test_answers_do_not_depend_on_request_order_or_grid(flavor):
                         ev.kappa(target, point, variant)
                     if grid is not None:
                         ev.curve_ints(target, variant, grid)
-                    rep = ev.report(target, variant)
+                    found = ev.limit(target, variant)
                 except errors.NoStabilization as exc:
                     answers.append(str(exc))
                     continue
-                answers.append((rep.lly, rep.stabilization_alpha, rep.alpha_lo))
-                kinks = ev.breakpoints(target)
-                assert rep.alpha_lo == max(kinks, default=Fraction(0)), target
+                alpha_lo = max(ev.breakpoints(target), default=Fraction(0))
+                answers.append((*found, alpha_lo, default_curve(ev, target, variant)))
             assert len(set(answers)) == 1, (target, answers)
 
 
@@ -447,26 +408,28 @@ def test_curve_ints_match_fresh_solves():
 
 
 def test_alpha_lo_traces_each_chain_only_as_far_as_it_needs():
-    """``report(t).alpha_lo`` is where kappa's final line over [0, 1] starts,
-    on 75 ``random_instances`` documents (three flavors, seeds 0-24). The
-    report's curve starts at 0, so it already traces every chain that far,
-    and reading ``alpha_lo`` off the breakpoints makes no dual pivot."""
+    """``alpha_lo``, the last of ``breakpoints(t)``, is where kappa's final
+    line over [0, 1] starts, on 75 ``random_instances`` documents (three
+    flavors, seeds 0-24). The default curve starts at 0, so it already
+    traces every chain that far, and reading ``alpha_lo`` and the limit
+    after it makes no dual pivot."""
     for make in (random_undirected, random_directed, random_oriented_unit):
         for seed in range(25):
             hg = make(random.Random(seed))
             oracle = all_pairs_distances(hg)
             ev, full = Evaluator(hg, oracle), Evaluator(hg, oracle)
             for target, variant in curvature_targets(hg, oracle):
+                ev.curve_ints(target, variant)
+                pivots = ev.stats.dual_pivots
+                alpha_lo = max(ev.breakpoints(target), default=Fraction(0))
                 try:
-                    ev.curve_ints(target, variant)
-                    pivots = ev.stats.dual_pivots
-                    alpha_lo = ev.report(target, variant).alpha_lo
+                    ev.limit(target, variant)
                 except errors.NoStabilization:
-                    continue
+                    pass  # a divergent limit reads the same lines
                 assert ev.stats.dual_pivots == pivots, target
                 lines, _den = full._merged(*full._target(target, variant), (0, 1))
                 assert alpha_lo == Fraction(lines[-1].lo_num, lines[-1].lo_den), target
-                assert alpha_lo == max(ev.breakpoints(target), default=Fraction(0)), target
+                assert alpha_lo == max(full.breakpoints(target), default=Fraction(0)), target
 
 
 def _bent_terms():

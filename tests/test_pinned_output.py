@@ -337,11 +337,11 @@ PINNED_COUNTERS = {
 PINNED_HELP = {
     '': 'e61e7b1a311811998c71f49df96bbc0dceede20ecd7cc8ea7f4c8dc8dd2e565a',
     'validate': '2c39763cebae8407b1a928f09c02d17569e59484baa1628e2dafcf7d5f850b34',
-    'distances': '2db0c5acf53c428d9072e87bd95941b8c23cc22b062d85d2a359dad23e14140b',
-    'measure': 'e7e17ecb6f6d8440cb6041ad50119c2a3493f4014b1b788f4692fc76a87ef8b8',
-    'curvature': 'a8a8f158485c5d43690bae942056e2a6d3a69f65a1ea815efc52901f40aaff87',
-    'bounds': 'aceea58031743950276bc7359cd71f5704da6096f5d7e5217c610f807be5fc32',
-    'sweep': '32b905312e623310735c8ea376078b9584872300e792be2cf6dc74bb922be357',
+    'distances': '141904a4cfd592447230e2121c8b72cdb06c30751da1d1bb63f6bd6ff5861be9',
+    'measure': '4f121bd19c80dcdef6bf48877480edbe686a1fead276c21743ed34b5fb0e9171',
+    'curvature': 'eb8eb74ea0e4892b5a1a9bfbf13b4859e4202d2957f9427c0841fa7de91cd67b',
+    'bounds': '2578c5ff9f478eacaa91f3e2b0e8b6f953b80f2dce9d9bdc9d19e07c55f95cf0',
+    'sweep': '5c47419f31dbc90a50287285d66cbe11bc04d18dd4346ed46b0828f04fa77ce4',
 }
 
 

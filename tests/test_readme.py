@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 import hypercurv
-from hypercurv import CurvatureReport, lly_limit
+from hypercurv import Limit, lly_limit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,8 +49,8 @@ def test_library_examples_give_the_values_their_comments_state():
                 assert value == eval(stated, {**public, **namespace}), source
                 checked.append(source)
     assert checked == [
-        "report.lly",
-        "report.stabilization_alpha",
+        "limit",
+        "limit.lly",
         'ev.kappa(("pair", 1, 2), Fraction(1, 2))',
         'ev.limit(("pair", 1, 2))',
         'ev.curve_ints(("pair", 1, 2), grid=(Fraction(1, 2), Fraction(1)))',
@@ -58,8 +58,8 @@ def test_library_examples_give_the_values_their_comments_state():
         "curvature_pairs(hg)",
         "[v for v in ledger if v.holds is False]",
     ]
-    # "CurvatureReport, as lly_limit returns it"
+    # "lly_limit returns the same Limit"
     hg, oracle = namespace["hg"], namespace["oracle"]
-    report = namespace["ev"].report(("edge", 0), "sum")
-    assert isinstance(report, CurvatureReport)
-    assert report == lly_limit(hg, oracle, ("edge", 0), "sum")
+    found = namespace["ev"].limit(("edge", 0), "sum")
+    assert isinstance(found, Limit)
+    assert found == lly_limit(hg, oracle, ("edge", 0), "sum")

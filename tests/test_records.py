@@ -5,12 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hypercurv import (
-    CurvatureReport,
     Evaluator,
     EvalStats,
+    Limit,
     all_pairs_distances,
     build,
     edge_length,
+    lly_limit,
 )
 from hypercurv.bounds import BoundVerdict
 from hypercurv.hypergraph import DirectedEdge, UndirectedEdge
@@ -53,13 +54,17 @@ def test_measure_reads_zero_off_its_support():
 
 
 def test_report_alpha_lo_is_zero_without_a_kink():
+    """``lly_limit`` returns the Evaluator's ``Limit`` record, and ``alpha_lo``,
+    the last breakpoint, is 0 where kappa has none."""
     hg = build("undirected", 4, [([0, 1, 2], 1), ([0, 3], 1)])
-    ev = Evaluator(hg, all_pairs_distances(hg))
+    oracle = all_pairs_distances(hg)
+    ev = Evaluator(hg, oracle)
     assert ev.breakpoints(("pair", 1, 3)) == []
-    report = ev.report(("pair", 1, 3), "sum")
-    assert isinstance(report, CurvatureReport)
-    assert report.alpha_lo == 0
-    assert ev.report(("pair", 1, 2), "sum").alpha_lo == Fraction(1, 3)
+    found = lly_limit(hg, oracle, ("pair", 1, 3), "sum")
+    assert isinstance(found, Limit) and found == ev.limit(("pair", 1, 3), "sum")
+    assert found.stabilization_alpha == Fraction(3, 4)
+    assert max(ev.breakpoints(("pair", 1, 3)), default=0) == 0
+    assert max(ev.breakpoints(("pair", 1, 2)), default=0) == Fraction(1, 3)
 
 
 def test_eval_stats_start_at_zero_and_repr_by_field():
