@@ -49,14 +49,7 @@ from .metric import (
     edge_length,
     partition_neighborhood,
 )
-from .transport import (
-    Coupling,
-    TransportResult,
-    dual_value,
-    interpolate_coupling,
-    lipschitz_check,
-    wasserstein,
-)
+from .transport import TransportResult, wasserstein
 from .walk import (
     ProbabilityMeasure,
     measure_directed_in,

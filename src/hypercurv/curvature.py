@@ -245,8 +245,8 @@ class Evaluator:
     resolves, so an oriented pair and its reverse, or a two-vertex
     hyperedge and its pair, share one search. A limit that does not
     stabilize is remembered and raised again, naming the target asked for.
-    Couplings are never built. Build one per hypergraph and oracle and
-    drop it with them: the memo is never shared between runs.
+    Build one per hypergraph and oracle and drop it with them: the memo is
+    never shared between runs.
     """
 
     def __init__(self, hg: Hypergraph, oracle: DistanceOracle):

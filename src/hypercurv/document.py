@@ -27,6 +27,18 @@ from . import errors, hypergraph
 from .hypergraph import FLAVORS, UNDIRECTED, Hypergraph
 from .rational import as_fraction
 
+# The most characters of an offending value's repr that a message echoes.
+EXCERPT_CHARS = 60
+
+
+def _excerpt(value) -> str:
+    """The repr of ``value``, cut to EXCERPT_CHARS and followed by its length
+    when longer, so a message stays one short line whatever the value."""
+    text = repr(value)
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
+
 
 class ParsedDocument:
     """A validated hypergraph plus the naming needed to talk about it."""
@@ -72,7 +84,8 @@ def _vertex_list(raw, ids: dict[str, int], where: str) -> list[int]:
             try:
                 out.append(ids[item])
             except KeyError:
-                raise errors.ParseError(f"{where}[{pos}]: unknown vertex name {item!r}") from None
+                why = f"unknown vertex name {_excerpt(item)}"
+                raise errors.ParseError(f"{where}[{pos}]: {why}") from None
         elif isinstance(item, int) and not isinstance(item, bool):
             out.append(item)
         else:
@@ -86,7 +99,8 @@ def _weight(raw, where: str):
     try:
         return as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise errors.ParseError(f"{where}: cannot read weight {raw!r} as a rational") from None
+        why = f"cannot read weight {_excerpt(raw)} as a rational"
+        raise errors.ParseError(f"{where}: {why}") from None
 
 
 def parse_document(data) -> ParsedDocument:
@@ -106,7 +120,7 @@ def parse_document(data) -> ParsedDocument:
 
     flavor = data.get("flavor")
     if flavor not in FLAVORS:
-        raise errors.ParseError(f"flavor: expected one of {list(FLAVORS)}, got {flavor!r}")
+        raise errors.ParseError(f"flavor: expected one of {list(FLAVORS)}, got {_excerpt(flavor)}")
 
     if "vertices" in data:
         names = data["vertices"]

@@ -81,14 +81,6 @@ class MissingDistance(HypercurvError):
     """The ground-distance oracle does not cover a support vertex."""
 
 
-class NotLipschitz(HypercurvError):
-    """A candidate dual potential violates f(u) - f(v) <= d(u, v)."""
-
-
-class ShapeMismatch(HypercurvError):
-    """Couplings are incompatible for entrywise interpolation."""
-
-
 # -- curvature -------------------------------------------------------------
 
 class SamePair(HypercurvError):

@@ -1,4 +1,4 @@
-"""Exact discrete 1-Wasserstein transport with primal coupling and dual witness.
+"""Exact discrete 1-Wasserstein transport.
 
 The solver is a transportation simplex on the complete bipartite support
 graph: a least-cost start that allocates cells in (cost, row, col) order,
@@ -7,11 +7,10 @@ then Bland's entering rule on lexicographic (row, col) order, leaving arc
 chosen as the lexicographically smallest minimizer. Each solve scales the
 masses to Python ints once, by the lcm of their denominators, reads int
 costs straight from the oracle's table (distances times its ``scale``),
-pivots on ints, and builds Fractions only for the result: the optimum,
-the coupling and the dual potential are exact and reproducible. Scaling
-changes no comparison, so the pivots and the results are those of the
-same simplex run on Fractions. The coupling and the dual potential are
-built from the optimal basis only when they are read.
+pivots on ints, and builds a Fraction only for the optimum, which is
+exact and reproducible. Scaling changes no comparison, so the pivots and
+the optimum are those of the same simplex run on Fractions. An optimal
+coupling and potential are not built: the optimal basis holds both.
 
 For measures affine in a parameter ``b`` (an :class:`AffineFamily`), W is
 convex and piecewise linear in ``b``. :func:`solve_family` solves a family
@@ -33,91 +32,19 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 
 from . import errors
 from .metric import DistanceOracle
-from .rational import as_fraction
 
 
-class Coupling:
-    """Sparse joint mass assignment on vertex pairs."""
+class TransportResult(
+    namedtuple("TransportResult", "value pivots degenerate_pivots family basis")
+):
+    """The optimal value, the primal pivots the solve took and how many of
+    them moved no mass, and the family it solved with its optimal basis."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[int, int], Fraction]):
-        self.entries = entries
-
-    def left_marginal(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (u, _v), m in self.entries.items():
-            out[u] = out.get(u, 0) + m
-        return {u: m for u, m in out.items() if m != 0}
-
-    def right_marginal(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (_u, v), m in self.entries.items():
-            out[v] = out.get(v, 0) + m
-        return {v: m for v, m in out.items() if m != 0}
-
-    def total(self):
-        return sum(self.entries.values())
-
-    def cost(self, oracle: DistanceOracle):
-        return sum(m * oracle.d(u, v) for (u, v), m in self.entries.items())
-
-
-class TransportResult:
-    """Optimal value, an optimal coupling, and a dual potential.
-
-    The coupling and the potential are built from the optimal basis the
-    first time each is read, so a caller that needs only the value never
-    pays for them. No ``__slots__``: ``cached_property`` stores into the
-    instance dict.
-    """
-
-    def __init__(
-        self,
-        value: Fraction,
-        pivots: int,
-        degenerate_pivots: int,
-        family: AffineFamily,
-        basis: Basis,
-        oracle: DistanceOracle,
-    ):
-        self.value = value
-        self.pivots = pivots
-        self.degenerate_pivots = degenerate_pivots
-        # The optimal basis of a family that is constant in b.
-        self._family = family
-        self._basis = basis
-        self._oracle = oracle
-
-    @cached_property
-    def coupling(self) -> Coupling:
-        family, basis = self._family, self._basis
-        rows, cols, nr = family.rows, family.cols, len(family.rows)
-        entries = {}
-        for x in basis.order[1:]:
-            if q := basis.f0[x]:
-                i, j = _cell(x, basis.parent[x], nr)
-                entries[rows[i], cols[j]] = Fraction(q, family.scale)
-        return Coupling(entries=dict(sorted(entries.items())))
-
-    @cached_property
-    def dual_potential(self) -> dict[int, Fraction]:
-        """A function f on all oracle vertices with f(u) - f(v) <= d(u, v) for
-        every ordered pair, whose objective meets the value."""
-        # One-sided transform of the column prices: f(z) = min_j d(z, y_j) - v_j.
-        # The triangle inequality makes f feasible for every ordered pair, and
-        # complementary slackness makes its objective meet the primal value.
-        # The prices and the table share the oracle's scale.
-        cols, prices, oracle = self._family.cols, self._basis.v, self._oracle
-        return {
-            z: Fraction(min(row[y] - vj for y, vj in zip(cols, prices)), oracle.scale)
-            for z, row in enumerate(oracle.table)
-        }
+    __slots__ = ()
 
 
 def _mass_map(mu) -> dict:
@@ -125,14 +52,16 @@ def _mass_map(mu) -> dict:
 
 
 def wasserstein(mu, nu, oracle: DistanceOracle) -> TransportResult:
-    """Minimum-cost coupling between two equal-mass sparse measures.
+    """The 1-Wasserstein distance between two equal-mass sparse measures.
 
     ``mu`` and ``nu`` are ProbabilityMeasures or plain ``{vertex: mass}``
     maps with rational masses. The optimum is taken over couplings
     supported on support(mu) x support(nu), which is the whole
-    transportation polytope. A zero mass in a plain map stays a row or
-    column with no supply or demand; the value, the coupling and the
-    potential are those without it.
+    transportation polytope. The result holds the value, the pivot counts,
+    the family (constant in ``b``) and its optimal basis, whose flows are
+    an optimal coupling and whose column prices give a dual potential. A
+    zero mass in a plain map stays a row or column with no supply or
+    demand; the value is that without it.
     """
     rows = sorted(_mass_map(mu).items())
     cols = sorted(_mass_map(nu).items())
@@ -158,7 +87,6 @@ def wasserstein(mu, nu, oracle: DistanceOracle) -> TransportResult:
         degenerate_pivots=degenerate,
         family=family,
         basis=basis,
-        oracle=oracle,
     )
 
 
@@ -488,57 +416,3 @@ def _bland_entering(cost, u, v):
             if c - ui - vj < 0:
                 return i, j
     return None
-
-
-def lipschitz_check(f, oracle: DistanceOracle) -> bool:
-    """True iff f(u) - f(v) <= d(u, v) for every ordered vertex pair.
-
-    Checking both orders of each pair makes this the two-sided condition
-    whenever the oracle is symmetric.
-    """
-    values = [f[v] for v in range(oracle.n)]
-    for u in range(oracle.n):
-        for v in range(oracle.n):
-            if u != v and values[u] - values[v] > oracle.d(u, v):
-                return False
-    return True
-
-
-def dual_value(f, mu, nu, oracle: DistanceOracle):
-    """Objective sum f * (mu - nu) of a verified dual witness.
-
-    Always a lower bound on the transport value; meets it exactly when the
-    ground distance is symmetric.
-    """
-    if not lipschitz_check(f, oracle):
-        raise errors.NotLipschitz("candidate potential violates a distance constraint")
-    total = Fraction(0)
-    for v, m in _mass_map(mu).items():
-        if m:
-            total += f[v] * m
-    for v, m in _mass_map(nu).items():
-        if m:
-            total -= f[v] * m
-    return total
-
-
-def interpolate_coupling(pi_a, pi_c, lam) -> Coupling:
-    """Entrywise convex combination lam*pi_a + (1-lam)*pi_c.
-
-    The marginals of the result are the same convex combinations of the
-    input marginals, which is what makes interpolated couplings feasible
-    for interpolated walk measures.
-    """
-    lam = as_fraction(lam)
-    if lam < 0 or lam > 1:
-        raise errors.AlphaOutOfRange(f"interpolation weight must be in [0, 1], got {lam}")
-    if pi_a.total() != pi_c.total():
-        raise errors.ShapeMismatch(
-            f"couplings carry different total mass: {pi_a.total()} vs {pi_c.total()}"
-        )
-    entries: dict[tuple[int, int], Fraction] = {}
-    for key, m in pi_a.entries.items():
-        entries[key] = lam * m
-    for key, m in pi_c.entries.items():
-        entries[key] = entries.get(key, Fraction(0)) + (1 - lam) * m
-    return Coupling(entries={k: m for k, m in sorted(entries.items()) if m != 0})

@@ -6,7 +6,7 @@ vertex enumeration or a dense two-phase tableau simplex, and the graph
 curvature limit from a self-contained implementation, or without any limit
 from the Laplacian characterisation of Münch and Wojciechowski.
 
-Three exceptions sit at the end. ``reference_lly_limit`` is the uncached
+Four exceptions sit at the end. ``reference_lly_limit`` is the uncached
 limit search that predates :class:`hypercurv.Evaluator`; it reuses the
 library's walk measures and transport solver, and checks only the
 memoised evaluation layer built on top of them.
@@ -15,7 +15,10 @@ integer transport core replaced, kept to check that core pivot for pivot.
 ``reference_family``, ``reference_partition_neighborhood`` and
 ``reference_head_spread`` are the Fraction walk measures, transport
 families and ledger partitions that the integer ones replaced, kept to
-check them field for field.
+check them field for field. ``coupling``, ``marginals``, ``dual_potential``,
+``lipschitz``, ``dual_value`` and ``interpolate`` read the coupling and the
+Kantorovich potential that certify a transport value off the optimal basis
+that ``hypercurv.wasserstein`` returns, and check them by duality.
 """
 
 from __future__ import annotations
@@ -663,3 +666,74 @@ def reference_head_spread(hg, y, z):
         if y in edge.tail and z in edge.head:
             total += edge.weight / len(edge.head)
     return total
+
+
+# -- transport certificates ----------------------------------------------------
+#
+# ``wasserstein`` returns the value with the family it solved and its optimal
+# basis. The coupling and the Kantorovich potential that certify the value
+# are read off that basis here, and checked with nothing from the library.
+
+
+def coupling(result):
+    """The optimal coupling of a ``wasserstein`` result, as ``{(u, v): mass}``.
+
+    The basic flows of the optimal basis, zero flows dropped, in (u, v) order.
+    """
+    family, basis = result.family, result.basis
+    nr = len(family.rows)
+    pi = {}
+    for x in basis.order[1:]:
+        if q := basis.f0[x]:
+            p = basis.parent[x]
+            i, j = (x, p - nr) if x < nr else (p, x - nr)
+            pi[family.rows[i], family.cols[j]] = Fraction(q, family.scale)
+    return dict(sorted(pi.items()))
+
+
+def marginals(pi):
+    """The left and right marginals of a coupling, zero masses dropped."""
+    left, right = {}, {}
+    for (u, v), m in pi.items():
+        left[u] = left.get(u, 0) + m
+        right[v] = right.get(v, 0) + m
+    return {u: m for u, m in left.items() if m}, {v: m for v, m in right.items() if m}
+
+
+def dual_potential(result, oracle):
+    """A potential on every oracle vertex whose objective meets the value.
+
+    The one-sided transform of the optimal column prices, ``f(z) = min_j
+    d(z, y_j) - v_j``: the triangle inequality makes f 1-Lipschitz for
+    every ordered pair, and complementary slackness makes its objective
+    meet the primal value when the distance is symmetric.
+    """
+    cols, prices = result.family.cols, result.basis.v
+    return {
+        z: Fraction(min(row[y] - vj for y, vj in zip(cols, prices)), oracle.scale)
+        for z, row in enumerate(oracle.table)
+    }
+
+
+def lipschitz(f, oracle):
+    """Whether f(u) - f(v) <= d(u, v) for every ordered vertex pair."""
+    n = oracle.n
+    return all(f[u] - f[v] <= oracle.d(u, v) for u in range(n) for v in range(n) if u != v)
+
+
+def dual_value(f, mu, nu):
+    """The objective ``sum f * (mu - nu)``; a lower bound on the transport
+    value when f is 1-Lipschitz."""
+    mu, nu = getattr(mu, "mass", mu), getattr(nu, "mass", nu)
+    return sum(f[v] * m for v, m in mu.items()) - sum(f[v] * m for v, m in nu.items())
+
+
+def interpolate(pi_a, pi_c, lam):
+    """The entrywise mixture ``lam * pi_a + (1 - lam) * pi_c``, zeros dropped.
+
+    Its marginals are the same mixtures of the input marginals.
+    """
+    mixed = {
+        k: lam * pi_a.get(k, 0) + (1 - lam) * pi_c.get(k, 0) for k in pi_a.keys() | pi_c.keys()
+    }
+    return {k: m for k, m in sorted(mixed.items()) if m}

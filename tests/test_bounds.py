@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,10 @@ from hypercurv import (
     check_pair_bound_oriented,
     check_pair_upper_bound,
     check_vertex_count,
+    curvature_pairs,
     errors,
     lly_limit,
+    load_document,
     verdict_ledger,
     vertex_count_bound,
 )
@@ -134,6 +138,46 @@ def test_bonnet_myers_h4(h4, h4_oracle):
     assert all(v.holds for v in verdicts if v.name == "bm-pair")
 
 
+def _hypercube(d):
+    return [(x, x ^ 1 << i) for x in range(2**d) for i in range(d) if x < x ^ 1 << i]
+
+
+def _cocktail_party(k):
+    """K_2k minus the perfect matching {2i, 2i+1}."""
+    return [(u, v) for u in range(2 * k) for v in range(u + 2 - u % 2, 2 * k)]
+
+
+def _johnson_6_3():
+    triples = list(combinations(range(6), 3))
+    index = {t: i for i, t in enumerate(triples)}
+    return [(index[a], index[b]) for a, b in combinations(triples, 2) if len(set(a) & set(b)) == 2]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [_hypercube(d) for d in range(2, 6)]
+    + [_cocktail_party(k) for k in range(2, 6)]
+    + [_johnson_6_3()],
+    ids=[f"Q{d}" for d in range(2, 6)] + [f"CP{k}" for k in range(2, 6)] + ["J(6,3)"],
+)
+def test_bonnet_myers_sharp_graphs(edges):
+    """Hypercubes, cocktail-party graphs and J(6,3) are Bonnet-Myers sharp
+    (Cushing, Kamtue, Koolen, Liu, Münch and Peyerimhoff, Adv. Math. 2020):
+    the diameter bound holds with equality, and so does the pair bound on
+    exactly the pairs at the diameter."""
+    n = 1 + max(v for _u, v in edges)
+    hg = build("undirected", n, [([u, v], 1) for u, v in edges])
+    oracle = all_pairs_distances(hg)
+    verdicts = check_bonnet_myers(Evaluator(hg, oracle))
+    (diam,) = [v for v in verdicts if v.name == "bm-diameter"]
+    assert diam.lhs == diam.rhs == oracle.diameter()
+    pair_rows = [v for v in verdicts if v.name == "bm-pair"]
+    pairs = curvature_pairs(hg)
+    assert len(pair_rows) == len(pairs)
+    equal = {pair for pair, v in zip(pairs, pair_rows) if v.lhs == v.rhs}
+    assert equal == {(u, v) for u, v in pairs if oracle.d(u, v) == oracle.diameter()}
+
+
 def test_bonnet_myers_skips_nonpositive_pairs():
     hg = build("undirected", 5, [([i, i + 1], 1) for i in range(4)])
     oracle = all_pairs_distances(hg)
@@ -150,6 +194,80 @@ def test_bonnet_myers_random_positive_oriented():
         oracle = all_pairs_distances(hg)
         verdicts = check_bonnet_myers(Evaluator(hg, oracle))
         assert all(v.holds for v in verdicts if v.holds is not None)
+
+
+def _evaluator(flavor, n, edges, symmetrize=False):
+    hg = build(flavor, n, edges, symmetrize=symmetrize)
+    return Evaluator(hg, all_pairs_distances(hg))
+
+
+def _undirected():
+    return _evaluator("undirected", 3, [([0, 1, 2], 1)])
+
+
+def _directed_cycle():
+    """A directed triangle: its quasi-distance is asymmetric."""
+    return _evaluator("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)])
+
+
+def _oriented():
+    return _evaluator("oriented", 2, [([0], [1], 1)], symmetrize=True)
+
+
+def _weighted_oriented():
+    doc = load_document(Path(__file__).resolve().parents[1] / "data" / "weighted_oriented.json")
+    return Evaluator(doc.hypergraph, all_pairs_distances(doc.hypergraph))
+
+
+GUARDS = {
+    "pair-upper-not-undirected": (
+        lambda: check_pair_upper_bound(_oriented(), 0, 1, 0),
+        errors.UnsupportedFlavor,
+        "pair upper bounds here are undirected",
+    ),
+    "edge-upper-asymmetric": (
+        lambda: check_edge_upper_bound(_directed_cycle(), 0, 0, "min"),
+        errors.UnsupportedFlavor,
+        "asymmetric directed hyperedges",
+    ),
+    "edge-upper-oriented-sum": (
+        lambda: check_edge_upper_bound(_oriented(), 0, 0, "sum"),
+        errors.UnsupportedVariant,
+        "min length only",
+    ),
+    "partition-undirected": (
+        lambda: check_directed_edge_bound(_undirected(), 0, 0),
+        errors.UnsupportedFlavor,
+        "applies to directed flavors",
+    ),
+    "pair-oriented-undirected": (
+        lambda: check_pair_bound_oriented(_undirected(), 0, 1, 0),
+        errors.UnsupportedFlavor,
+        "need the oriented flavor",
+    ),
+    "vertex-count-undirected": (
+        lambda: check_vertex_count(_undirected()),
+        errors.UnsupportedFlavor,
+        "needs the oriented flavor",
+    ),
+    "vertex-count-weighted": (
+        lambda: check_vertex_count(_weighted_oriented()),
+        errors.NonUnitWeights,
+        "needs unit weights",
+    ),
+    "kappa-unknown-kind": (
+        lambda: _undirected().kappa(("face", 0), 0),
+        ValueError,
+        "unknown target kind 'face'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_guards_a_library_caller_can_reach(call, error, message):
+    """Each check refuses an instance or a target it does not apply to."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 PATH_BOTH_WAYS = [([0], [1], 1), ([1], [0], 1), ([1], [2], 1), ([2], [1], 1)]

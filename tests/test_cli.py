@@ -744,19 +744,45 @@ DOCUMENT_CHECKS = {
         ["validate"],
         "ParseError: hyperedges[0].vertices[1]: unknown vertex name 'c'",
     ),
+    # A long offending value is echoed as the first 60 characters of its
+    # repr and the repr's length.
+    "weight-long-list": (
+        {**TWO, "hyperedges": [{"vertices": ["a", "b"], "weight": [0] * 200_000}]},
+        ["validate"],
+        "ParseError: hyperedges[0].weight: cannot read weight "
+        + "[0, 0,"
+        + " 0," * 18
+        + "... (600000 characters) as a rational",
+    ),
+    "member-long-name": (
+        {**TWO, "hyperedges": [{"vertices": ["a", "c" * 300_000]}]},
+        ["validate"],
+        "ParseError: hyperedges[0].vertices[1]: unknown vertex name '"
+        + "c" * 59
+        + "... (300002 characters)",
+    ),
+    "flavor-long": (
+        {**TWO, "flavor": "u" * 300_000},
+        ["validate"],
+        "ParseError: flavor: expected one of ['undirected', 'directed', 'oriented'], got '"
+        + "u" * 59
+        + "... (300002 characters)",
+    ),
 }
 
 
 @pytest.mark.parametrize("document, argv, line", DOCUMENT_CHECKS.values(), ids=DOCUMENT_CHECKS)
 def test_each_document_check_exits_2_with_one_line(capsys, tmp_path, document, argv, line):
     """A document, or a target on data/h4.json, that fails one check of
-    ``hypercurv.document``: exit 2, empty stdout, and that check's one line."""
+    ``hypercurv.document``: exit 2, empty stdout, and that check's one line,
+    which stays short however long the offending value is."""
     path = H4_FILE
     if document is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(document))
     code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
     assert (code, out, err) == (2, "", line + "\n")
+    assert len(err) < 200
 
 
 def test_a_vertex_index_names_the_vertex(capsys):
