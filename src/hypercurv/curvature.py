@@ -107,17 +107,13 @@ def _read_limit(lines: list, den: int) -> Limit:
     final = lines[-1]
     # kappa(1) is w1 / den. At alpha=1 the measures of a pair are point
     # masses at its ends, so it vanishes for pairs and undirected
-    # hyperedges, but not always for a directed hyperedge.
+    # hyperedges. A directed hyperedge's is at most 0, since every unit of
+    # mass pays at least L(h), the least tail-to-head distance.
     if final.w1 < 0:
         raise errors.NoStabilization(
             f"target {{}} has curvature {Fraction(final.w1, den)} at alpha=1; "
             "the normalized curve decreases without bound"
         )
-    if final.w1:
-        # g is then kappa(1)/(1-alpha) minus a chord slope of kappa that
-        # concavity keeps from growing: it rises without bound and takes
-        # no value twice.
-        raise errors.NoStabilization(_NOT_SETTLED)
     # With kappa(1) = 0, g(alpha) is minus the slope of the chord of
     # kappa from alpha to 1: by concavity constant, w0 / den, on the
     # final linear region and strictly smaller before it.

@@ -24,20 +24,9 @@ import json
 import sys
 
 from . import errors, hypergraph
+from .errors import excerpt
 from .hypergraph import FLAVORS, UNDIRECTED, Hypergraph
 from .rational import as_fraction
-
-# The most characters of an offending value's repr that a message echoes.
-EXCERPT_CHARS = 60
-
-
-def _excerpt(value) -> str:
-    """The repr of ``value``, cut to EXCERPT_CHARS and followed by its length
-    when longer, so a message stays one short line whatever the value."""
-    text = repr(value)
-    if len(text) <= EXCERPT_CHARS:
-        return text
-    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class ParsedDocument:
@@ -58,10 +47,10 @@ class ParsedDocument:
         try:
             v = int(token)
         except ValueError:
-            raise errors.UnknownTarget(f"unknown vertex {token!r}") from None
+            raise errors.UnknownTarget(f"unknown vertex {excerpt(token)}") from None
         if 0 <= v < self.hypergraph.n_vertices:
             return v
-        raise errors.UnknownTarget(f"vertex index {v} out of range")
+        raise errors.UnknownTarget(f"vertex index {excerpt(v)} out of range")
 
     def edge_id(self, token: str) -> int:
         if token in self._edge_ids:
@@ -69,10 +58,10 @@ class ParsedDocument:
         try:
             e = int(token)
         except ValueError:
-            raise errors.UnknownTarget(f"unknown hyperedge {token!r}") from None
+            raise errors.UnknownTarget(f"unknown hyperedge {excerpt(token)}") from None
         if 0 <= e < self.hypergraph.n_edges:
             return e
-        raise errors.UnknownTarget(f"hyperedge index {e} out of range")
+        raise errors.UnknownTarget(f"hyperedge index {excerpt(e)} out of range")
 
 
 def _vertex_list(raw, ids: dict[str, int], where: str) -> list[int]:
@@ -84,7 +73,7 @@ def _vertex_list(raw, ids: dict[str, int], where: str) -> list[int]:
             try:
                 out.append(ids[item])
             except KeyError:
-                why = f"unknown vertex name {_excerpt(item)}"
+                why = f"unknown vertex name {excerpt(item)}"
                 raise errors.ParseError(f"{where}[{pos}]: {why}") from None
         elif isinstance(item, int) and not isinstance(item, bool):
             out.append(item)
@@ -99,7 +88,7 @@ def _weight(raw, where: str):
     try:
         return as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
-        why = f"cannot read weight {_excerpt(raw)} as a rational"
+        why = f"cannot read weight {excerpt(raw)} as a rational"
         raise errors.ParseError(f"{where}: {why}") from None
 
 
@@ -120,7 +109,7 @@ def parse_document(data) -> ParsedDocument:
 
     flavor = data.get("flavor")
     if flavor not in FLAVORS:
-        raise errors.ParseError(f"flavor: expected one of {list(FLAVORS)}, got {_excerpt(flavor)}")
+        raise errors.ParseError(f"flavor: expected one of {list(FLAVORS)}, got {excerpt(flavor)}")
 
     if "vertices" in data:
         names = data["vertices"]

@@ -1,8 +1,21 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the excerpt their messages
+give of an offending value.
 
 Class names double as machine-readable diagnostics: the CLI prints the
 type name verbatim, so renaming one is a breaking change.
 """
+
+# The most characters of an offending value's repr that a message echoes.
+EXCERPT_CHARS = 60
+
+
+def excerpt(value) -> str:
+    """The repr of ``value``, cut to EXCERPT_CHARS and followed by its length
+    when longer, so a message stays one short line whatever the value."""
+    text = repr(value)
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class HypercurvError(Exception):
@@ -57,18 +70,10 @@ class NotOriented(HypercurvError):
     """Operation requires the oriented flavor."""
 
 
-class DivisionByZeroDegree(HypercurvError):
-    """A spread denominator vanished; impossible on validated inputs."""
-
-
 # -- metric ---------------------------------------------------------------
 
 class UnsupportedVariant(HypercurvError):
     """Requested hyperedge-length variant is not defined for this flavor."""
-
-
-class Unreachable(HypercurvError):
-    """A vertex pair has no connecting hyperpath; impossible after build validation."""
 
 
 # -- transport ------------------------------------------------------------

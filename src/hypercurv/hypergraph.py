@@ -35,6 +35,7 @@ from operator import attrgetter
 from fractions import Fraction
 
 from . import errors
+from .errors import excerpt
 from .rational import as_fraction
 
 UNDIRECTED = "undirected"
@@ -105,12 +106,13 @@ def _as_vertex_part(raw, n: int, what: str) -> frozenset[int]:
     seq = list(raw)
     part = frozenset(seq)
     if len(part) != len(seq):
-        raise errors.DuplicateVertex(f"{what} repeats a vertex: {sorted(seq)}")
+        raise errors.DuplicateVertex(f"{what} repeats a vertex: {excerpt(sorted(seq))}")
     for v in part:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise errors.VertexOutOfRange(f"{what} holds a non-integer vertex id {v!r}")
+            raise errors.VertexOutOfRange(f"{what} holds a non-integer vertex id {excerpt(v)}")
         if v < 0 or v >= n:
-            raise errors.VertexOutOfRange(f"{what} references vertex {v}, valid range is 0..{n - 1}")
+            why = f"references vertex {excerpt(v)}, valid range is 0..{n - 1}"
+            raise errors.VertexOutOfRange(f"{what} {why}")
     return part
 
 
@@ -274,7 +276,7 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
                 raise errors.EmptyEdge(f"hyperedge {k} has an empty tail or head")
             if a & b:
                 raise errors.HyperloopInLooplessModel(
-                    f"hyperedge {k} has overlapping tail and head: {sorted(a & b)}"
+                    f"hyperedge {k} has overlapping tail and head: {excerpt(sorted(a & b))}"
                 )
             w = as_fraction(weight)
             if w <= 0:
@@ -316,8 +318,8 @@ def _check_reversal_closure(edges: list[DirectedEdge]) -> None:
         partner = signature.get((b, a, w), 0)
         if partner != count:
             raise errors.NotClosedUnderReversal(
-                f"edge ({sorted(a)} -> {sorted(b)}, w={w}) occurs {count}x "
-                f"but its reversal occurs {partner}x"
+                f"edge ({excerpt(sorted(a))} -> {excerpt(sorted(b))}, w={w}) "
+                f"occurs {count}x but its reversal occurs {partner}x"
             )
 
 

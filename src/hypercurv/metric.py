@@ -102,41 +102,38 @@ class DistanceOracle:
         return min(self._scaled(u, z) for u in vs)
 
 
-def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> list[int | None]:
+def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> tuple[int, ...]:
     n = hg.n_vertices
-    # node ids: 0..n-1 vertices, n..n+m-1 hyperedges
+    # node ids: 0..n-1 vertices, n..n+m-1 hyperedges. Every arc into a node
+    # has one weight, w(h) into hyperedge h and 0 into a vertex, so a node's
+    # first push is final: no node is pushed twice, and no entry goes stale.
     dist: list[int | None] = [None] * (n + hg.n_edges)
     dist[source] = 0
     heap: list[tuple[int, int]] = [(0, source)]
     while heap:
         d, node = heapq.heappop(heap)
-        if dist[node] is None or d > dist[node]:
-            continue
         if node < n:
             for e in hg.edges_with_tail(node):
-                nd = d + weights[e]
                 t = n + e
-                if dist[t] is None or nd < dist[t]:
-                    dist[t] = nd
-                    heapq.heappush(heap, (nd, t))
+                if dist[t] is None:
+                    dist[t] = d + weights[e]
+                    heapq.heappush(heap, (dist[t], t))
         else:
             for z in hg.edges[node - n].head:
-                if dist[z] is None or d < dist[z]:
+                if dist[z] is None:
                     dist[z] = d
                     heapq.heappush(heap, (d, z))
-    return dist[:n]
+    return tuple(dist[:n])
 
 
 def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
-    """Exact minimum hyperpath costs between all ordered vertex pairs."""
+    """Exact minimum hyperpath costs between all ordered vertex pairs.
+
+    ``build`` refuses a hypergraph that is not (strongly) connected, so
+    every pair is joined.
+    """
     weights, scale = hg.scaled_weights
-    table = []
-    for u in range(hg.n_vertices):
-        row = _dijkstra(hg, weights, u)
-        for v, val in enumerate(row):
-            if val is None:
-                raise errors.Unreachable(f"no hyperpath from {u} to {v}")
-        table.append(tuple(row))
+    table = [_dijkstra(hg, weights, u) for u in range(hg.n_vertices)]
     sym = all(
         table[u][v] == table[v][u]
         for u in range(hg.n_vertices)

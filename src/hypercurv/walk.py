@@ -56,12 +56,6 @@ class ProbabilityMeasure:
         return sum(self.mass.values(), Fraction(0))
 
 
-_NO_EDGE = {
-    "in": "vertex {} heads no hyperedge",
-    "out": "vertex {} tails no hyperedge",
-}
-
-
 def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     """One walk step from x at alpha = 0, as int masses over one denominator.
 
@@ -71,7 +65,8 @@ def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
     so there both walks give ``w(h') / ((|h'|-1) * Deg(x))``. Shares
     accumulate over hyperedges; the masses total 1. The shares are summed
     over the lcm of the size terms times the int degree, and the result is
-    put in lowest terms.
+    put in lowest terms. The degree is positive: ``build`` refuses a
+    hypergraph that is not (strongly) connected, and n >= 2.
     """
     weights = hg.scaled_weights[0]
     if kind == "in":
@@ -84,8 +79,6 @@ def spread(hg: Hypergraph, kind: str, x: int) -> IntMasses:
         # only an undirected hyperedge holds x in the part it steps to
         parts.append((weights[e], part - {x} if x in part else part))
     deg = sum(w for w, _part in parts)
-    if deg == 0:
-        raise errors.DivisionByZeroDegree(_NO_EDGE[kind].format(x))
     size = math.lcm(*{len(part) for _w, part in parts})
     mass: dict[int, int] = {}
     for w, part in parts:
@@ -223,7 +216,4 @@ def measure_oriented_pair(hg: Hypergraph, u: int, alpha) -> ProbabilityMeasure:
 
 
 def _pair_measure(hg: Hypergraph, u: int, direction: str, alpha) -> ProbabilityMeasure:
-    a = as_alpha(alpha)
-    if direction != "in" and direction != "out":
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    return _view(walk_ends(hg, (u,), direction), a)
+    return _view(walk_ends(hg, (u,), direction), as_alpha(alpha))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -176,6 +177,64 @@ def test_bonnet_myers_sharp_graphs(edges):
     assert len(pair_rows) == len(pairs)
     equal = {pair for pair, v in zip(pairs, pair_rows) if v.lhs == v.rhs}
     assert equal == {(u, v) for u, v in pairs if oracle.d(u, v) == oracle.diameter()}
+
+
+# Every hyperedge on 4 labelled vertices: 6 pairs, 4 triples and the whole set.
+FOUR_VERTEX_EDGES = [h for k in (2, 3, 4) for h in combinations(range(4), k)]
+
+
+def _four_vertex_hypergraphs():
+    """Every unit-weight undirected hypergraph on 4 labelled vertices with no
+    repeated hyperedge that ``build`` accepts, which are the connected ones."""
+    for k in range(1, len(FOUR_VERTEX_EDGES) + 1):
+        for chosen in combinations(FOUR_VERTEX_EDGES, k):
+            try:
+                yield build("undirected", 4, [(list(h), 1) for h in chosen])
+            except errors.NotConnected:
+                pass
+
+
+def test_sharp_cases_over_every_four_vertex_hypergraph():
+    """Which checks of the undirected ledger hold with equality, over all
+    1990 connected unit-weight hypergraphs on 4 labelled vertices, at alpha
+    0 and 1/2. Every other test checks lhs <= rhs, which a constant looser
+    than the paper's would pass too; an equality pins the constant.
+
+    Both pair upper bounds, Bonnet-Myers on pairs and on the diameter reach
+    equality (480, 480, 648 and 114 rows over both alphas), and only on
+    pairs at distance >= 2, such as two leaves of a star. The hyperedge
+    upper bound never does: its least slack is 5/4 at alpha 0 and
+    (1 - alpha)/4 = 1/8 at alpha 1/2."""
+    equal = Counter()
+    least_edge_slack = {}
+    documents = 0
+    for hg in _four_vertex_hypergraphs():
+        documents += 1
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        for a in (Fraction(0), Fraction(1, 2)):
+            for verdict in verdict_ledger(ev, a):
+                if verdict.name == "edge-upper":
+                    slack = verdict.rhs - verdict.lhs
+                    least_edge_slack[a] = min(least_edge_slack.get(a, slack), slack)
+                if verdict.holds is None or verdict.lhs != verdict.rhs:
+                    continue
+                equal[verdict.name, a] += 1
+                if verdict.name != "bm-diameter":
+                    u, v = re.match(r"pair \((\d),(\d)\)", verdict.target).groups()
+                    assert ev.oracle.d(int(u), int(v)) >= 2, (hg.edges, verdict)
+    assert documents == 1990
+    half = Fraction(1, 2)
+    assert equal == {
+        ("pair-upper-global", 0): 156,
+        ("pair-upper-local", 0): 156,
+        ("bm-pair", 0): 324,
+        ("bm-diameter", 0): 57,
+        ("pair-upper-global", half): 324,
+        ("pair-upper-local", half): 324,
+        ("bm-pair", half): 324,
+        ("bm-diameter", half): 57,
+    }
+    assert least_edge_slack == {0: Fraction(5, 4), half: (1 - half) / 4}
 
 
 def test_bonnet_myers_skips_nonpositive_pairs():

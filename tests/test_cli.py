@@ -680,8 +680,10 @@ def test_deeply_nested_document_is_a_parse_error(capsys, tmp_path, text):
     assert err == "ParseError: invalid JSON: arrays or objects nested too deeply\n"
 
 
-# One document that each row below breaks in one place.
+# Two documents, naming and indexing their vertices, that each row below
+# breaks in one place.
 TWO = {"flavor": "undirected", "vertices": ["a", "b"], "hyperedges": [{"vertices": ["a", "b"]}]}
+INDEXED = {"flavor": "undirected", "n_vertices": 2, "hyperedges": [{"vertices": [0, 1]}]}
 DOCUMENT_CHECKS = {
     "pair-index-out-of-range": (
         None,
@@ -715,12 +717,12 @@ DOCUMENT_CHECKS = {
         "ParseError: vertices: names must be unique",
     ),
     "n-vertices-0": (
-        {"flavor": "undirected", "n_vertices": 0, "hyperedges": [{"vertices": [0, 1]}]},
+        {**INDEXED, "n_vertices": 0},
         ["validate"],
         "ParseError: n_vertices: expected a positive integer",
     ),
     "n-vertices-true": (
-        {"flavor": "undirected", "n_vertices": True, "hyperedges": [{"vertices": [0, 1]}]},
+        {**INDEXED, "n_vertices": True},
         ["validate"],
         "ParseError: n_vertices: expected a positive integer",
     ),
@@ -768,14 +770,53 @@ DOCUMENT_CHECKS = {
         + "u" * 59
         + "... (300002 characters)",
     ),
+    "member-index-long": (
+        {**INDEXED, "hyperedges": [{"vertices": [0, int("9" * 4000)]}]},
+        ["validate"],
+        "VertexOutOfRange: hyperedge 0 references vertex "
+        + "9" * 60
+        + "... (4000 characters), valid range is 0..1",
+    ),
+    "member-repeated-long": (
+        {**INDEXED, "hyperedges": [{"vertices": [1] + [0] * 100}]},
+        ["validate"],
+        "DuplicateVertex: hyperedge 0 repeats a vertex: [0, 0,"
+        + " 0," * 18
+        + "... (303 characters)",
+    ),
+    "tail-meets-head-long": (
+        {
+            "flavor": "directed",
+            "n_vertices": 30,
+            "hyperedges": [{"tail": list(range(30)), "head": list(range(30))}],
+        },
+        ["validate"],
+        "HyperloopInLooplessModel: hyperedge 0 has overlapping tail and head: "
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1... (110 characters)",
+    ),
+    "edge-unknown-long": (
+        None,
+        ["curvature", "--edge", "z" * 100_000],
+        "UnknownTarget: unknown hyperedge '" + "z" * 59 + "... (100002 characters)",
+    ),
+    "pair-unknown-long": (
+        None,
+        ["curvature", "--pair", "x1," + "z" * 100_000],
+        "UnknownTarget: unknown vertex '" + "z" * 59 + "... (100002 characters)",
+    ),
+    "pair-index-long": (
+        None,
+        ["curvature", "--pair", "x1," + "9" * 4000],
+        "UnknownTarget: vertex index " + "9" * 60 + "... (4000 characters) out of range",
+    ),
 }
 
 
 @pytest.mark.parametrize("document, argv, line", DOCUMENT_CHECKS.values(), ids=DOCUMENT_CHECKS)
 def test_each_document_check_exits_2_with_one_line(capsys, tmp_path, document, argv, line):
     """A document, or a target on data/h4.json, that fails one check of
-    ``hypercurv.document``: exit 2, empty stdout, and that check's one line,
-    which stays short however long the offending value is."""
+    ``hypercurv.document`` or of ``build``: exit 2, empty stdout, and that
+    check's one line, which stays short however long the offending value is."""
     path = H4_FILE
     if document is not None:
         path = tmp_path / "doc.json"

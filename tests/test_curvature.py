@@ -268,9 +268,56 @@ def test_single_edge_well_transported():
 
 
 def test_directed_edge_kappa_one_nonpositive():
+    """At alpha = 1 every unit of mass pays at least L(h), the least
+    tail-to-head distance, so kappa(1) <= 0: a limit diverges only where it
+    is negative, the one case the limit search refuses."""
     hg = build("directed", 3, [([0, 1], [2], 1), ([2], [0], 1), ([2], [1], 1)])
     oracle = all_pairs_distances(hg)
     assert kappa_alpha_edge_directed(hg, oracle, 0, 1) <= 0
+    signs = set()
+    for hg in directed_corpus(31, 40) + oriented_corpus(32, 20):
+        oracle = all_pairs_distances(hg)
+        for e in range(hg.n_edges):
+            kappa_one = kappa_alpha_edge_directed(hg, oracle, e, 1)
+            assert kappa_one <= 0, (hg.edges, e)
+            signs.add(kappa_one < 0)
+    assert signs == {False, True}
+
+
+def _directed_cycle():
+    hg = build("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)])
+    return hg, all_pairs_distances(hg)
+
+
+def _two_vertices():
+    hg = build("undirected", 2, [([0, 1], 1)])
+    return hg, all_pairs_distances(hg)
+
+
+GUARDS = {
+    "edge-undirected-on-directed": (
+        lambda: kappa_alpha_edge_undirected(*_directed_cycle(), 0, 0),
+        errors.UnsupportedFlavor,
+        "use kappa_alpha_edge_directed for directed flavors",
+    ),
+    "edge-directed-on-undirected": (
+        lambda: kappa_alpha_edge_directed(*_two_vertices(), 0, 0),
+        errors.UnsupportedFlavor,
+        "use kappa_alpha_edge_undirected for the undirected flavor",
+    ),
+    "well-transported-on-directed": (
+        lambda: well_transported_pairs(*_directed_cycle()),
+        errors.UnsupportedFlavor,
+        "well-transported pairs are an undirected notion",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_guards_a_library_caller_can_reach(call, error, message):
+    """Each one-shot wrapper refuses a flavor it does not apply to."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_directed_lly_divergence_detected():
@@ -362,14 +409,15 @@ def test_limit_matches_limit_free_oracle_on_graph_edges():
     assert checked > 150
 
 
-def test_idleness_function_invariants_on_graph_edges():
+def _idleness_parts(graphs) -> set[int]:
     """Bourne-Cushing-Liu-Münch-Peyerimhoff (SIAM J. Discrete Math. 2018):
     for adjacent x and y of a graph, kappa_alpha(x, y) has at most 3 linear
     parts and is linear on [1/(max(deg x, deg y) + 1), 1]. Both are read off
     the traced chain of W; the final line starts at the last breakpoint,
-    where g = kappa / (1 - alpha) already equals the limit."""
+    where g = kappa / (1 - alpha) already equals the limit. Returns the part
+    counts seen."""
     parts_seen = set()
-    for n, edges, hg in _unit_graphs(4243, 40):
+    for n, edges, hg in graphs:
         ev = Evaluator(hg, all_pairs_distances(hg))
         degree = [sum(v in pair for pair in edges) for v in range(n)]
         for pair in edges:
@@ -381,4 +429,26 @@ def test_idleness_function_invariants_on_graph_edges():
             g = ev.kappa(("pair", x, y), alpha_lo) / (1 - alpha_lo)
             assert g == ev.limit(("pair", x, y)).lly, (edges, x, y, kinks)
             assert alpha_lo <= Fraction(1, max(degree[x], degree[y]) + 1), (edges, x, y, kinks)
-    assert parts_seen == {1, 2, 3}
+    return parts_seen
+
+
+def test_idleness_function_invariants_on_graph_edges():
+    assert _idleness_parts(_unit_graphs(4243, 40)) == {1, 2, 3}
+
+
+def _cyclic_unit_graphs(seed, count):
+    """Random connected unit-weight graphs of 5-30 vertices, each with a cycle:
+    a random recursive tree plus 1 to n/4 chords."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 30)
+        edges = {frozenset((v, rng.randrange(v))): Fraction(1) for v in range(1, n)}
+        size = n - 1 + rng.randint(1, n // 4)
+        while len(edges) < size:
+            edges[frozenset(rng.sample(range(n), 2))] = Fraction(1)
+        yield n, edges, graph_as_hypergraph(n, edges)
+
+
+def test_idleness_function_invariants_on_larger_graphs():
+    """The same two invariants on 150 graphs of up to 30 vertices with cycles."""
+    assert _idleness_parts(_cyclic_unit_graphs(4244, 150)) == {1, 2, 3}

@@ -82,6 +82,48 @@ def test_rejects_bad_edges():
         build("undirected", 3, [])
 
 
+GUARDS = {
+    "unknown-flavor": (
+        lambda: build("hyper", 2, [([0, 1], 1)]),
+        ValueError,
+        "unknown flavor 'hyper', expected one of",
+    ),
+    "no-vertices": (
+        lambda: build("undirected", 0, [([0, 1], 1)]),
+        ValueError,
+        "vertex count must be a positive integer",
+    ),
+    "vertex-id-not-an-integer": (
+        lambda: build("undirected", 2, [([0, 1.5], 1)]),
+        errors.VertexOutOfRange,
+        "hyperedge 0 holds a non-integer vertex id 1.5",
+    ),
+    "tail-empty": (
+        lambda: build("directed", 2, [([], [1], 1), ([1], [0], 1)]),
+        errors.EmptyEdge,
+        "hyperedge 0 has an empty tail or head",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_guards_a_library_caller_can_reach(call, error, message):
+    """``build`` refuses what no document can say: the document reader
+    checks the flavor, the vertex count, the ids and the sides first."""
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_edges_of_two_kinds_are_never_equal():
+    """Each edge's ``__eq__`` leaves another class to Python, which then
+    compares identities."""
+    undirected = UndirectedEdge(frozenset({0, 1}), Fraction(1))
+    directed = DirectedEdge(frozenset({0}), frozenset({1}), Fraction(1))
+    assert undirected.__eq__(directed) is NotImplemented
+    assert directed.__eq__(undirected) is NotImplemented
+    assert undirected != directed and directed != undirected
+
+
 def test_reversal_closure_enforced():
     with pytest.raises(errors.NotClosedUnderReversal):
         build("oriented", 2, [([0], [1], 1)])

@@ -221,3 +221,28 @@ def test_length_invariants_random():
             assert lmin == min(pairwise) and lsum == sum(pairwise) and lmax == max(pairwise)
             assert lmin <= lmax <= lsum or len(pairwise) == 1
             assert all(lmin <= d for d in pairwise)
+
+
+def _h4():
+    hg = build("undirected", 4, [([0, 1, 2], 1), ([0, 3], 1)])
+    return hg, all_pairs_distances(hg)
+
+
+GUARDS = {
+    "edge-length-unknown-variant": (
+        lambda: edge_length(*_h4(), 0, "mean"),
+        errors.UnsupportedVariant,
+        "unknown length variant 'mean'",
+    ),
+    "set-distance-from-nothing": (
+        lambda: _h4()[1].set_distance([], 0),
+        ValueError,
+        "set distance needs a nonempty source set",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_guards_a_library_caller_can_reach(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -161,3 +161,37 @@ def test_multi_edge_masses_accumulate():
     mu = measure_undirected(hg, 0, a)
     # both parallel edges contribute: (1-a) * (1 + 1/2) / Deg = (1-a)
     assert mu.mass == {0: a, 1: 1 - a}
+
+
+def _directed_cycle():
+    return build("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)])
+
+
+def _two_vertices():
+    return build("undirected", 2, [([0, 1], 1)])
+
+
+GUARDS = {
+    "undirected-measure-on-directed": (
+        lambda: measure_undirected(_directed_cycle(), 0, 0),
+        errors.UnsupportedFlavor,
+        "measure_undirected needs the undirected flavor",
+    ),
+    "directed-measure-on-undirected": (
+        lambda: measure_directed_in(_two_vertices(), 0, 0, 0),
+        errors.UnsupportedFlavor,
+        "directed walk measures need a directed or oriented flavor",
+    ),
+    "set-measure-unknown-side": (
+        lambda: measure_set(_directed_cycle(), 0, "both", 0),
+        ValueError,
+        "side must be 'tail' or 'head', got 'both'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_guards_a_library_caller_can_reach(call, error, message):
+    """Each constructor refuses a flavor or a side it does not apply to."""
+    with pytest.raises(error, match=message):
+        call()
