@@ -237,6 +237,73 @@ def test_sharp_cases_over_every_four_vertex_hypergraph():
     assert least_edge_slack == {0: Fraction(5, 4), half: (1 - half) / 4}
 
 
+# Every hyperedge side on 4 labelled vertices, and every reversal pair of
+# disjoint sides, each listed once with its lexicographically smaller side
+# as the tail.
+FOUR_VERTEX_SIDES = [sorted(c) for k in (1, 2, 3) for c in combinations(range(4), k)]
+REVERSAL_PAIRS = [
+    (t, h) for t in FOUR_VERTEX_SIDES for h in FOUR_VERTEX_SIDES if not set(t) & set(h) and t < h
+]
+
+
+def _oriented_four_vertex_hypergraphs():
+    """Every unit-weight oriented hypergraph on 4 labelled vertices made of 1
+    to 3 distinct reversal pairs that ``build`` accepts, which are the
+    strongly connected ones."""
+    for k in (1, 2, 3):
+        for chosen in combinations(REVERSAL_PAIRS, k):
+            try:
+                yield build("oriented", 4, [(t, h, 1) for t, h in chosen], symmetrize=True)
+            except errors.NotStronglyConnected:
+                pass
+
+
+def test_sharp_cases_over_small_oriented_hypergraphs():
+    """Which checks of the oriented ledger hold with equality, over the 2464
+    strongly connected unit-weight oriented hypergraphs on 4 labelled
+    vertices made of 1 to 3 reversal pairs, at alpha 0 and 1/2; the sibling
+    of the undirected sweep above.
+
+    The directed partition bound is sharp at alpha 1/2 (336 rows) and never
+    at alpha 0, where its least slack is 1/2. The vertex-count bound is
+    never sharp: its least slack is 3 at both alphas, which it does not
+    read. The oriented hyperedge upper bound is sharp 38 times at alpha 1/2
+    only, with least slack 1 at alpha 0."""
+    equal = Counter()
+    least_slack = {}
+    documents = 0
+    for hg in _oriented_four_vertex_hypergraphs():
+        documents += 1
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        for a in (Fraction(0), Fraction(1, 2)):
+            for verdict in verdict_ledger(ev, a):
+                if verdict.holds is None:
+                    continue
+                slack = verdict.rhs - verdict.lhs
+                key = verdict.name, a
+                least_slack[key] = min(least_slack.get(key, slack), slack)
+                equal[key] += slack == 0
+    assert documents == 2464
+    half = Fraction(1, 2)
+    assert +equal == {
+        ("directed-edge-upper", half): 336,
+        ("edge-upper", half): 38,
+        ("oriented-pair-upper-unit", 0): 1716,
+        ("oriented-pair-upper-unit-lly", 0): 3192,
+        ("oriented-pair-upper-weight", 0): 2388,
+        ("oriented-pair-upper-unit", half): 3192,
+        ("oriented-pair-upper-unit-lly", half): 3192,
+        ("oriented-pair-upper-weight", half): 4068,
+        ("bm-edge", 0): 398,
+        ("bm-edge", half): 398,
+        ("bm-diameter", 0): 207,
+        ("bm-diameter", half): 207,
+    }
+    assert least_slack["directed-edge-upper", 0] == half
+    assert least_slack["edge-upper", 0] == 1
+    assert least_slack["vertex-count", 0] == least_slack["vertex-count", half] == 3
+
+
 def test_bonnet_myers_skips_nonpositive_pairs():
     hg = build("undirected", 5, [([i, i + 1], 1) for i in range(4)])
     oracle = all_pairs_distances(hg)
