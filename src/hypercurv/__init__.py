@@ -8,7 +8,6 @@ rational arithmetic.
 from . import errors
 from .bounds import (
     BoundVerdict,
-    DirectedBoundData,
     Labels,
     check_bonnet_myers,
     check_directed_edge_bound,
@@ -41,14 +40,7 @@ from .hypergraph import (
     build,
     is_strongly_connected,
 )
-from .metric import (
-    DistanceOracle,
-    EdgeLength,
-    NeighborhoodPartition,
-    all_pairs_distances,
-    edge_length,
-    partition_neighborhood,
-)
+from .metric import DistanceOracle, all_pairs_distances
 from .transport import TransportResult, wasserstein
 from .walk import (
     ProbabilityMeasure,

@@ -41,12 +41,7 @@ from .curvature import (  # noqa: F401
     well_transported_pairs,
 )
 from .hypergraph import ORIENTED, UNDIRECTED, Hypergraph
-from .metric import (
-    DistanceOracle,
-    edge_length,
-    partition_neighborhood,
-    scaled_edge_length,
-)
+from .metric import DistanceOracle, scaled_edge_length
 from .rational import as_alpha
 
 
@@ -68,19 +63,6 @@ class BoundVerdict(
         return self.holds is not None
 
 
-class HeadVertexData(namedtuple("HeadVertexData", "vertex partition c_exact c_estimate")):
-    """Partition data (a NeighborhoodPartition) and gap constants of one head vertex."""
-
-    __slots__ = ()
-
-
-class DirectedBoundData(namedtuple("DirectedBoundData", "per_head diameter head_size")):
-    """Everything entering the directed hyperedge upper bound: a HeadVertexData
-    per head vertex, the diameter and the head's size."""
-
-    __slots__ = ()
-
-
 def _verdict(name, lhs, rhs, target="", witness_on_fail="") -> BoundVerdict:
     holds = lhs <= rhs
     return BoundVerdict(
@@ -95,11 +77,6 @@ def _verdict(name, lhs, rhs, target="", witness_on_fail="") -> BoundVerdict:
 
 def _skip(name, target, why) -> BoundVerdict:
     return BoundVerdict(name=name, lhs=None, rhs=None, holds=None, target=target, witness=why)
-
-
-def _on_scale(x: Fraction, scale: int) -> int:
-    """``x * scale`` for a rational whose denominator divides ``scale``."""
-    return x.numerator * (scale // x.denominator)
 
 
 def _side(a: Fraction, num: int, den: int) -> Fraction:
@@ -203,63 +180,62 @@ def check_edge_upper_bound(
 # -- directed partition bound ----------------------------------------------
 
 
+def _split(oracle: DistanceOracle, ref, anchor: int, neighbors) -> tuple[dict, dict]:
+    """The ``neighbors`` of ``anchor`` closer to and farther from ``ref`` than it is.
+
+    ``ref`` is a nonempty set of vertices, measured by minimum distance.
+    The first dict maps each closer neighbour to how much closer it is, the
+    second each farther one to how much farther; a neighbour at the
+    anchor's own distance is in neither. The gaps are ints of
+    ``oracle.table``.
+    """
+    rows = [oracle.table[u] for u in ref]
+    base = min(row[anchor] for row in rows)
+    closer, farther = {}, {}
+    for z in neighbors:
+        gap = min(row[z] for row in rows) - base
+        if gap < 0:
+            closer[z] = -gap
+        elif gap > 0:
+            farther[z] = gap
+    return closer, farther
+
+
 def check_directed_edge_bound(
     ev: Evaluator, edge_index: int, alpha, labels: Labels = DEFAULT_LABELS
-) -> tuple[BoundVerdict, DirectedBoundData]:
+) -> BoundVerdict:
     """Partition-based upper bound on directed hyperedge curvature.
 
     For each head vertex the out-neighborhood is split by distance from
     the tail set; the gap constants weight the mass drifting closer or
     farther, and the diameter absorbs the tail-side spread. The verdict
     compares ``kappa_alpha(h) * L(h) <= (1-alpha) * (sum_j C_j / m + diam)``
-    with the exact per-head constants; the looser closed-form estimate of
-    each constant is reported alongside as data.
+    with the exact per-head constants.
 
     The drifting mass of a neighbour z of head vertex y is the weight of
     the hyperedges carrying y to z, each over its head size, divided by
     ``out_weight(y)``: the mass of z in one out-walk step from y. The
-    constants and both sides are computed on ints, and each becomes one
-    Fraction.
+    constants and both sides are computed on ints, and each side becomes
+    one Fraction.
     """
     hg, oracle = ev.hg, ev.oracle
     if hg.flavor == UNDIRECTED:
         raise errors.UnsupportedFlavor("the partition bound applies to directed flavors")
     a = as_alpha(alpha)
     edge = hg.edges[edge_index]
-    heads = edge.sorted_head()
-    m = len(heads)
-    ref = edge.sorted_tail()
-    w_ratio = hg.max_weight() / hg.min_weight()
-    b_max = hg.max_head_size()
-    diam = oracle.diameter()
+    m = len(edge.head)
     scale = oracle.scale
-    estimate_den = scale * w_ratio.denominator * b_max
-
-    per_head = []
     # sum_j C_j, as c_num / (scale * c_den)
     c_num, c_den = 0, 1
-    for y in heads:
+    for y in edge.head:
         # The out-walk's support is y's out-neighborhood.
         walk, den = ev.out_spread(y)
-        part = partition_neighborhood(hg, oracle, ref, y, walk)
+        closer, farther = _split(oracle, edge.tail, y, walk)
         exact = 0  # C_j * scale * den
-        estimate = 0  # the estimate of C_j, times estimate_den
-        if part.closer:
-            c1 = _on_scale(part.c1, scale)
-            exact += c1 * sum(walk[z] for z in part.closer)
-            estimate += c1 * len(part.closer) * w_ratio.numerator * b_max
-        if part.farther:
-            c2 = _on_scale(part.c2, scale)
-            exact -= c2 * sum(walk[z] for z in part.farther)
-            estimate -= c2 * len(part.farther) * w_ratio.denominator
-        per_head.append(
-            HeadVertexData(
-                vertex=y,
-                partition=part,
-                c_exact=Fraction(exact, scale * den),
-                c_estimate=Fraction(estimate, estimate_den),
-            )
-        )
+        if closer:
+            exact += max(closer.values()) * sum(walk[z] for z in closer)
+        if farther:
+            exact -= min(farther.values()) * sum(walk[z] for z in farther)
         grown = math.lcm(c_den, den)
         c_num = c_num * (grown // c_den) + exact * (grown // den)
         c_den = grown
@@ -268,9 +244,8 @@ def check_directed_edge_bound(
     kappa = ev.kappa(("edge", edge_index), a)
     lhs = Fraction(kappa.numerator * length, kappa.denominator * scale)
     # (1 - a) * (c_num / (scale * c_den * m) + diam)
-    rhs = _side(a, c_num + _on_scale(diam, scale) * c_den * m, scale * c_den * m)
-    verdict = _verdict("directed-edge-upper", lhs, rhs, f"{labels.edge(edge_index)} alpha={a}")
-    return verdict, DirectedBoundData(per_head=tuple(per_head), diameter=diam, head_size=m)
+    rhs = _side(a, c_num + oracle._scaled_diameter() * c_den * m, scale * c_den * m)
+    return _verdict("directed-edge-upper", lhs, rhs, f"{labels.edge(edge_index)} alpha={a}")
 
 
 # -- positive curvature: distance and size bounds ---------------------------
@@ -324,7 +299,7 @@ def check_bonnet_myers(ev: Evaluator, labels: Labels = DEFAULT_LABELS) -> list[B
                 verdicts.append(_skip("bm-edge", target, "normalized curvature diverges"))
                 continue
             if kappa > 0:
-                length = edge_length(hg, oracle, e, "min").value
+                length = Fraction(scaled_edge_length(hg, oracle, e, "min"), oracle.scale)
                 verdicts.append(_verdict("bm-edge", length, two_max / kappa, target))
             else:
                 verdicts.append(_skip("bm-edge", target, f"kappa={kappa} not positive"))
@@ -363,7 +338,7 @@ def check_pair_bound_oriented(
         # The out-walk of v is a one-step walk, so its support is the
         # out-neighborhood that the partition splits.
         walk, den = ev.out_spread(v)
-        part = partition_neighborhood(hg, oracle, u, v, walk)
+        closer, farther = _split(oracle, (u,), v, walk)
         # The closer-class count only caps the drifting mass when no
         # closer neighbor is reachable through several hyperedges at
         # once (spread weight above 1); otherwise the inequality has
@@ -372,7 +347,7 @@ def check_pair_bound_oriented(
         # the total of 1/|head| over the hyperedges carrying v to z, is
         # its out-walk mass walk[z] / den times deg_out(v).
         deg = hg.deg_out(v)
-        overloaded = sorted(z for z in part.closer if walk[z] * deg > den)
+        overloaded = sorted(z for z in closer if walk[z] * deg > den)
         if overloaded:
             why = f"closer neighbors {overloaded} multiply covered (spread > 1)"
             verdicts.append(_skip("oriented-pair-upper-unit", target, why))
@@ -380,7 +355,7 @@ def check_pair_bound_oriented(
         else:
             b_h = hg.max_head_size()
             # (1 + gap / deg) / d with gap = |closer| - |farther| / b_h
-            bound_num = (b_h * deg + len(part.closer) * b_h - len(part.farther)) * oracle.scale
+            bound_num = (b_h * deg + len(closer) * b_h - len(farther)) * oracle.scale
             bound_den = b_h * deg * d_u_v
             rhs = _side(a, bound_num, bound_den)
             verdicts.append(_verdict("oriented-pair-upper-unit", kappa_a, rhs, target))
@@ -419,7 +394,7 @@ def verdict_ledger(
             ledger.append(check_edge_upper_bound(ev, e, alpha, variant, labels))
     else:
         for e in range(hg.n_edges):
-            ledger.append(check_directed_edge_bound(ev, e, alpha, labels)[0])
+            ledger.append(check_directed_edge_bound(ev, e, alpha, labels))
             if ev.oracle.symmetric:
                 ledger.append(check_edge_upper_bound(ev, e, alpha, "min", labels))
         if hg.flavor == ORIENTED:

@@ -91,7 +91,7 @@ def _cli_alpha(flag: str, text: str) -> Fraction:
     try:
         return as_alpha(text)
     except (ValueError, ZeroDivisionError):
-        raise errors.ParseError(f"{flag}: cannot read {text!r} as a rational") from None
+        raise errors.ParseError(f"{flag}: cannot read {errors.excerpt(text)} as a rational") from None
 
 
 def _config_from_args(args) -> RunConfig:
@@ -266,10 +266,12 @@ def _resolve_targets(doc: ParsedDocument, args) -> list[tuple[str, tuple]]:
     for token in getattr(args, "pair", None) or []:
         parts = token.split(",")
         if len(parts) != 2:
-            raise errors.UnknownTarget(f"--pair expects 'u,v', got {token!r}")
+            raise errors.UnknownTarget(f"--pair expects 'u,v', got {errors.excerpt(token)}")
         u, v = doc.vertex_id(parts[0].strip()), doc.vertex_id(parts[1].strip())
         if u == v:
-            raise errors.SamePair(f"pair target needs two distinct vertices, got {token!r}")
+            raise errors.SamePair(
+                f"pair target needs two distinct vertices, got {errors.excerpt(token)}"
+            )
         targets.append((pair_name(u, v), ("pair", u, v)))
     for token in getattr(args, "edge", None) or []:
         e = doc.edge_id(token)
@@ -512,7 +514,10 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
         if keywords.get("type") is int:
             if not (value.isascii() and value.isdigit()):
                 return None
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                return None
         args[dest] = [*(args[dest] or ()), value] if action == "append" else value
     if args["path"] is None or len(seen.intersection(_EXCLUSIVE.get(command, ()))) > 1:
         return None

@@ -209,9 +209,6 @@ class Hypergraph:
     def max_weight(self) -> Fraction:
         return self._weight_range[1]
 
-    def min_weight(self) -> Fraction:
-        return self._weight_range[0]
-
     @cached_property
     def _max_head_size(self) -> int:
         return max(len(e.head) for e in self.edges)

@@ -1,4 +1,4 @@
-"""Hyperpath distances, diameters, hyperedge lengths, and distance partitions.
+"""Hyperpath distances, diameters and hyperedge lengths.
 
 Distances are shortest-path costs in a bipartite expansion with node set
 ``V + H``: a step enters a hyperedge at a tail vertex, which costs its
@@ -9,45 +9,20 @@ ever enumerated. All arithmetic is exact: the weights are scaled once to
 ints by the lcm of their denominators (``Hypergraph.scaled_weights``),
 Dijkstra runs on those ints with ties broken by smallest node index, and
 the table keeps that common denominator. Scaling changes no comparison,
-so the search and its tie order are those on Fractions. Set distances,
-hyperedge lengths and neighborhood partitions (of the out-neighborhood,
-reached by the same step) are computed on the table's ints too; each
-value handed to a caller becomes one Fraction at the end.
+so the search and its tie order are those on Fractions. Hyperedge
+lengths are read off the table's ints too.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from . import errors
 from .hypergraph import UNDIRECTED, Hypergraph
 
 LENGTH_VARIANTS = ("min", "sum", "max")
-
-
-class EdgeLength(namedtuple("EdgeLength", "variant value")):
-    """One aggregate (a Fraction) of the pairwise distances inside a hyperedge."""
-
-    __slots__ = ()
-
-
-class NeighborhoodPartition(
-    namedtuple("NeighborhoodPartition", "ref anchor base_distance closer level farther c1 c2")
-):
-    """Out-neighborhood of ``anchor`` split by distance from ``ref``.
-
-    ``ref`` is a tuple of vertices. ``closer``/``level``/``farther`` are
-    frozensets of the neighbors whose distance from the reference set is
-    smaller than / equal to / greater than ``base_distance = d(ref,
-    anchor)``. ``c1`` is the largest drop on the closer side, ``c2`` the
-    smallest excess on the farther side; each is None when its side is
-    empty.
-    """
-
-    __slots__ = ()
 
 
 class DistanceOracle:
@@ -86,20 +61,13 @@ class DistanceOracle:
     def d(self, u: int, v: int) -> Fraction:
         return Fraction(self._scaled(u, v), self.scale)
 
-    def diameter(self) -> Fraction:
+    def _scaled_diameter(self) -> int:
         if self._diameter is None:
-            self._diameter = Fraction(max(map(max, self.table)), self.scale)
+            self._diameter = max(map(max, self.table))
         return self._diameter
 
-    def set_distance(self, vertices, z: int) -> Fraction:
-        """Minimum distance from any member of ``vertices`` to ``z``."""
-        return Fraction(self._set_scaled(vertices, z), self.scale)
-
-    def _set_scaled(self, vertices, z: int) -> int:
-        vs = list(vertices)
-        if not vs:
-            raise ValueError("set distance needs a nonempty source set")
-        return min(self._scaled(u, z) for u in vs)
+    def diameter(self) -> Fraction:
+        return Fraction(self._scaled_diameter(), self.scale)
 
 
 def _dijkstra(hg: Hypergraph, weights: list[int], source: int) -> tuple[int, ...]:
@@ -142,23 +110,16 @@ def all_pairs_distances(hg: Hypergraph) -> DistanceOracle:
     return DistanceOracle._from_table(tuple(table), scale, sym)
 
 
-def edge_length(
-    hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str = "min"
-) -> EdgeLength:
-    """Aggregate pairwise distance inside one hyperedge.
-
-    Undirected edges support min/sum/max over unordered member pairs.
-    Directed edges are measured tail-to-head and only the minimum is
-    defined; other variants are refused rather than guessed.
-    """
-    value = scaled_edge_length(hg, oracle, edge_index, variant)
-    return EdgeLength(variant=variant, value=Fraction(value, oracle.scale))
-
-
 def scaled_edge_length(
     hg: Hypergraph, oracle: DistanceOracle, edge_index: int, variant: str
 ) -> int:
-    """:func:`edge_length` times ``oracle.scale``, an int read off ``oracle.table``."""
+    """Aggregate pairwise distance inside one hyperedge, times ``oracle.scale``.
+
+    The int is read off ``oracle.table``. Undirected edges support
+    min/sum/max over unordered member pairs. Directed edges are measured
+    tail-to-head and only the minimum is defined; other variants are
+    refused rather than guessed.
+    """
     if variant not in LENGTH_VARIANTS:
         raise errors.UnsupportedVariant(f"unknown length variant {variant!r}")
     edge = hg.edges[edge_index]
@@ -181,38 +142,3 @@ def scaled_edge_length(
         return max(pairwise)
     return sum(pairwise)
 
-
-def partition_neighborhood(
-    hg: Hypergraph, oracle: DistanceOracle, ref, anchor: int, neighbors=None
-) -> NeighborhoodPartition:
-    """Split the out-neighborhood of ``anchor`` by distance from ``ref``.
-
-    ``ref`` is a single vertex or a set of vertices (measured by minimum
-    distance). ``neighbors``, when given, is ``hg.neighbors(anchor)`` known
-    beforehand, in any iterable form. The distances are compared as ints of
-    ``oracle.table``; the base distance and the gaps become Fractions at
-    the end.
-    """
-    ref_tuple = (ref,) if isinstance(ref, int) else tuple(sorted(set(ref)))
-    base = oracle._set_scaled(ref_tuple, anchor)
-    rows = [oracle.table[u] for u in ref_tuple]
-    closer, level, farther = {}, [], {}
-    for z in hg.neighbors(anchor) if neighbors is None else neighbors:
-        dz = min(row[z] for row in rows)
-        if dz < base:
-            closer[z] = dz
-        elif dz == base:
-            level.append(z)
-        else:
-            farther[z] = dz
-    scale = oracle.scale
-    return NeighborhoodPartition(
-        ref=ref_tuple,
-        anchor=anchor,
-        base_distance=Fraction(base, scale),
-        closer=frozenset(closer),
-        level=frozenset(level),
-        farther=frozenset(farther),
-        c1=Fraction(base - min(closer.values()), scale) if closer else None,
-        c2=Fraction(min(farther.values()) - base, scale) if farther else None,
-    )

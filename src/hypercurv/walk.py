@@ -152,7 +152,9 @@ def measure_undirected(hg: Hypergraph, x: int, alpha) -> ProbabilityMeasure:
 def _member(members: tuple[int, ...], side: str, i: int) -> tuple[int, int]:
     """The i-th of a hyperedge's sorted ``side`` members, and how many there are."""
     if not (0 <= i < len(members)):
-        raise errors.IndexOutOfRange(f"{side} index {i} out of range for size {len(members)}")
+        raise errors.IndexOutOfRange(
+            f"{side} index {errors.excerpt(i)} out of range for size {len(members)}"
+        )
     return members[i], len(members)
 
 

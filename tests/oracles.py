@@ -12,10 +12,10 @@ library's walk measures and transport solver, and checks only the
 memoised evaluation layer built on top of them.
 ``reference_transportation_simplex`` is the Fraction simplex that the
 integer transport core replaced, kept to check that core pivot for pivot.
-``reference_family``, ``reference_partition_neighborhood`` and
-``reference_head_spread`` are the Fraction walk measures, transport
-families and ledger partitions that the integer ones replaced, kept to
-check them field for field. ``coupling``, ``marginals``, ``dual_potential``,
+``reference_family``, ``reference_partition_neighborhood``,
+``reference_split`` and ``reference_head_spread`` are the Fraction walk
+measures, transport families and ledger partitions that the integer ones
+replaced, kept to check them field for field. ``coupling``, ``marginals``, ``dual_potential``,
 ``lipschitz``, ``dual_value`` and ``interpolate`` read the coupling and the
 Kantorovich potential that certify a transport value off the optimal basis
 that ``hypercurv.wasserstein`` returns, and check them by duality.
@@ -373,7 +373,6 @@ def _reference_pair_transport(hg, oracle, u, v, alpha):
 
 def reference_kappa(hg, oracle, target, alpha, variant):
     """``kappa_alpha`` of a target, every transport solved afresh."""
-    from hypercurv.metric import edge_length
     from hypercurv.transport import wasserstein
     from hypercurv.walk import measure_set
 
@@ -389,11 +388,22 @@ def reference_kappa(hg, oracle, target, alpha, variant):
             for j in range(i + 1, len(vs)):
                 w = _reference_pair_transport(hg, oracle, vs[i], vs[j], alpha)
                 defect += oracle.d(vs[i], vs[j]) - w
-        return defect / edge_length(hg, oracle, e, variant).value
+        return defect / reference_edge_length(hg, oracle, e, variant)
     mu = measure_set(hg, e, "tail", alpha)
     nu = measure_set(hg, e, "head", alpha)
     w = wasserstein(mu, nu, oracle).value
-    return 1 - w / edge_length(hg, oracle, e, "min").value
+    return 1 - w / reference_edge_length(hg, oracle, e, "min")
+
+
+def reference_edge_length(hg, oracle, e, variant):
+    """The min, sum or max of the member pair distances of hyperedge ``e``,
+    tail to head when directed."""
+    edge = hg.edges[e]
+    if hg.flavor == "undirected":
+        pairwise = [oracle.d(u, v) for u, v in combinations(edge.sorted_vertices(), 2)]
+    else:
+        pairwise = [oracle.d(u, v) for u in edge.tail for v in edge.head]
+    return {"min": min, "sum": sum, "max": max}[variant](pairwise)
 
 
 def reference_lly_limit(hg, oracle, target, variant, grid, k_max=24):
@@ -657,6 +667,22 @@ def reference_partition_neighborhood(hg, oracle, ref, anchor):
     c1 = base - min(dist(z) for z in closer) if closer else None
     c2 = min(dist(z) for z in farther) - base if farther else None
     return ref_tuple, anchor, base, closer, level, farther, c1, c2
+
+
+def reference_split(hg, oracle, ref, anchor):
+    """The closer and farther classes of ``reference_partition_neighborhood``,
+    each neighbour mapped to its distance gap from the anchor's distance
+    times ``oracle.scale``: the form of ``bounds._split``."""
+    ref_tuple, _anchor, base, closer, _level, farther, _c1, _c2 = (
+        reference_partition_neighborhood(hg, oracle, ref, anchor)
+    )
+
+    def gap(z):
+        scaled = abs(min(oracle.d(u, z) for u in ref_tuple) - base) * oracle.scale
+        assert scaled.denominator == 1
+        return scaled.numerator
+
+    return {z: gap(z) for z in closer}, {z: gap(z) for z in farther}
 
 
 def reference_head_spread(hg, y, z):

@@ -29,7 +29,7 @@ from hypercurv import (
     vertex_count_bound,
 )
 from hypercurv import bounds
-from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS
+from hypercurv.bounds import VERTEX_COUNT_MAX_TERMS, _split
 
 from conftest import (
     random_directed,
@@ -37,6 +37,7 @@ from conftest import (
     random_oriented_unit,
     random_undirected,
 )
+from oracles import reference_partition_neighborhood, reference_split
 
 ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
@@ -80,55 +81,54 @@ def test_directed_edge_bound_random_sweep():
         oracle = all_pairs_distances(hg)
         for a in ALPHAS:
             for e in range(hg.n_edges):
-                verdict, data = check_directed_edge_bound(Evaluator(hg, oracle), e, a)
-                assert verdict.holds, (e, a)
-                assert data.head_size == len(hg.edges[e].head)
-                assert data.diameter == oracle.diameter()
+                assert check_directed_edge_bound(Evaluator(hg, oracle), e, a).holds, (e, a)
 
 
 def test_directed_edge_bound_alpha_one_trivial():
     hg = build("directed", 3, [([0], [1], 1), ([1], [2], 1), ([2], [0], 1)])
     oracle = all_pairs_distances(hg)
-    verdict, _ = check_directed_edge_bound(Evaluator(hg, oracle), 0, 1)
+    verdict = check_directed_edge_bound(Evaluator(hg, oracle), 0, 1)
     assert verdict.holds and verdict.rhs == 0 and verdict.lhs <= 0
 
 
-def test_directed_bound_data_partition_constants():
-    hg = build("oriented", 3, [([0], [1], 1), ([1], [2], 1)], symmetrize=True)
+@pytest.mark.parametrize(
+    "hg, split, c",
+    [
+        # The two unit gaps cancel exactly.
+        (
+            build("oriented", 3, [([0], [1], 1), ([1], [2], 1)], symmetrize=True),
+            ({0: 1}, {2: 1}),
+            0,
+        ),
+        # Every neighbour of the head is farther, so the constant is negative.
+        (
+            build(
+                "directed",
+                5,
+                [
+                    ([0], [1], 1),
+                    ([1], [2, 3], 1),
+                    ([1], [4], 1),
+                    ([2], [0], 1),
+                    ([3], [0], 1),
+                    ([4], [0], 1),
+                ],
+            ),
+            ({}, {2: 1, 3: 1, 4: 1}),
+            -1,
+        ),
+    ],
+    ids=["gaps-cancel", "all-farther"],
+)
+def test_directed_bound_partition_constants(hg, split, c):
+    """Hyperedge 0 runs from 0 to the single head vertex 1. Its split and
+    head constant C give the right side ``(1 - alpha) * (C + diam)``."""
     oracle = all_pairs_distances(hg)
-    _, data = check_directed_edge_bound(Evaluator(hg, oracle), 0, Fraction(1, 2))
-    (head,) = data.per_head
-    assert head.vertex == 1
-    assert head.partition.closer == frozenset({0})
-    assert head.partition.farther == frozenset({2})
-    assert head.c_exact == 0  # the two unit gaps cancel exactly here
-    assert head.c_estimate == 0
-
-
-def test_directed_estimate_may_undershoot_exact_constant():
-    """The closed-form per-head estimate is not a true upper bound on the
-    exact constant when the farther-side term dominates; the main verdict
-    uses the exact constant and is unaffected."""
-    hg = build(
-        "directed",
-        5,
-        [
-            ([0], [1], 1),
-            ([1], [2, 3], 1),
-            ([1], [4], 1),
-            ([2], [0], 1),
-            ([3], [0], 1),
-            ([4], [0], 1),
-        ],
-    )
-    oracle = all_pairs_distances(hg)
-    verdict, data = check_directed_edge_bound(Evaluator(hg, oracle), 0, Fraction(1, 2))
-    (head,) = data.per_head
-    assert head.partition.farther == frozenset({2, 3, 4})
-    assert head.c_exact == Fraction(-1)
-    assert head.c_estimate == Fraction(-3, 2)
-    assert head.c_exact > head.c_estimate
-    assert verdict.holds
+    walk, _den = Evaluator(hg, oracle).out_spread(1)
+    assert _split(oracle, (0,), 1, walk) == split == reference_split(hg, oracle, 0, 1)
+    a = Fraction(1, 2)
+    verdict = check_directed_edge_bound(Evaluator(hg, oracle), 0, a)
+    assert verdict.holds and verdict.rhs == (1 - a) * (c + oracle.diameter())
 
 
 def test_bonnet_myers_h4(h4, h4_oracle):
@@ -481,10 +481,11 @@ def test_oriented_pair_bound_gated_on_multiple_coverage():
     assert by_name["oriented-pair-upper-weight"].holds
     # the raw closed form indeed fails: kappa exceeds it
     from hypercurv import kappa_alpha_pair
-    from hypercurv.metric import partition_neighborhood
 
-    part = partition_neighborhood(hg, oracle, 1, 3)
-    gap = Fraction(len(part.closer)) - Fraction(len(part.farther), hg.max_head_size())
+    _ref, _anchor, _base, closer, _level, farther, _c1, _c2 = reference_partition_neighborhood(
+        hg, oracle, 1, 3
+    )
+    gap = Fraction(len(closer)) - Fraction(len(farther), hg.max_head_size())
     raw_bound = (1 + gap / hg.deg_out(3)) / oracle.d(1, 3)
     kappa = kappa_alpha_pair(hg, oracle, 1, 3, Fraction(1, 2))
     assert kappa > Fraction(1, 2) * raw_bound

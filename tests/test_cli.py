@@ -809,14 +809,48 @@ DOCUMENT_CHECKS = {
         ["curvature", "--pair", "x1," + "9" * 4000],
         "UnknownTarget: vertex index " + "9" * 60 + "... (4000 characters) out of range",
     ),
+    "pair-shape-long": (
+        None,
+        ["curvature", "--pair", "z" * 100_000],
+        "UnknownTarget: --pair expects 'u,v', got '" + "z" * 59 + "... (100002 characters)",
+    ),
+    "pair-same-long": (
+        None,
+        ["curvature", "--pair", "x1,x1" + " " * 100_000],
+        "SamePair: pair target needs two distinct vertices, got 'x1,x1"
+        + " " * 54
+        + "... (100007 characters)",
+    ),
+    "alpha-long": (
+        None,
+        ["bounds", "--alpha", "z" * 100_000],
+        "ParseError: --alpha: cannot read '" + "z" * 59 + "... (100002 characters) as a rational",
+    ),
+    "alpha-grid-long": (
+        None,
+        ["curvature", "--all", "--alpha-grid", "z" * 100_000],
+        "ParseError: --alpha-grid: cannot read '"
+        + "z" * 59
+        + "... (100002 characters) as a rational",
+    ),
+    "side-index-long": (
+        {
+            "flavor": "directed",
+            "vertices": ["a", "b"],
+            "hyperedges": [{"tail": ["a"], "head": ["b"]}, {"tail": ["b"], "head": ["a"]}],
+        },
+        ["measure", "--edge", "0", "--index", "9" * 4000],
+        "IndexOutOfRange: tail index " + "9" * 60 + "... (4000 characters) out of range for size 1",
+    ),
 }
 
 
 @pytest.mark.parametrize("document, argv, line", DOCUMENT_CHECKS.values(), ids=DOCUMENT_CHECKS)
 def test_each_document_check_exits_2_with_one_line(capsys, tmp_path, document, argv, line):
-    """A document, or a target on data/h4.json, that fails one check of
-    ``hypercurv.document`` or of ``build``: exit 2, empty stdout, and that
-    check's one line, which stays short however long the offending value is."""
+    """A document, or an option value on data/h4.json, that fails one check
+    of ``hypercurv.document``, of ``build`` or of the command line: exit 2,
+    empty stdout, and that check's one line, which stays short however long
+    the offending value is."""
     path = H4_FILE
     if document is not None:
         path = tmp_path / "doc.json"

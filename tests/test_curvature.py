@@ -23,6 +23,7 @@ from hypercurv import (
 )
 from hypercurv.cli import _resolve_targets
 from hypercurv.curvature import DEFAULT_ALPHA_GRID
+from hypercurv.metric import scaled_edge_length
 
 from conftest import (
     curvature_targets,
@@ -363,7 +364,7 @@ def test_size_four_hyperedge_full_pipeline():
     # one 4-vertex hyperedge plus a pendant: 6 internal pairs, L_sum = 6
     hg = build("undirected", 5, [([0, 1, 2, 3], 1), ([3, 4], 2)])
     oracle = all_pairs_distances(hg)
-    assert edge_len_sum(hg, oracle, 0) == 6
+    assert scaled_edge_length(hg, oracle, 0, "sum") == 6 * oracle.scale
     for a in [Fraction(0), Fraction(1, 2), Fraction(9, 10)]:
         vs = hg.edges[0].sorted_vertices()
         pair_vals = [
@@ -379,12 +380,6 @@ def test_size_four_hyperedge_full_pipeline():
         for u in range(4)
         for v in range(u + 1, 4)
     ) / 6
-
-
-def edge_len_sum(hg, oracle, e):
-    from hypercurv import edge_length
-
-    return edge_length(hg, oracle, e, "sum").value
 
 
 def _unit_graphs(seed, count):

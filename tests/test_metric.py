@@ -1,4 +1,4 @@
-"""Distances, lengths, partitions, and their brute-force cross-checks."""
+"""Distances, lengths, the bounds' distance partitions, and their brute-force cross-checks."""
 
 from __future__ import annotations
 
@@ -7,14 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurv import (
-    DistanceOracle,
-    all_pairs_distances,
-    build,
-    edge_length,
-    errors,
-    partition_neighborhood,
-)
+from hypercurv import DistanceOracle, all_pairs_distances, build, errors
+from hypercurv.bounds import _split
+from hypercurv.metric import scaled_edge_length
 
 from conftest import (
     directed_corpus,
@@ -23,7 +18,7 @@ from conftest import (
     random_undirected,
     undirected_corpus,
 )
-from oracles import brute_hyperpath_distances
+from oracles import brute_hyperpath_distances, reference_split
 
 
 def test_h4_distances(h4, h4_oracle):
@@ -48,36 +43,36 @@ def test_directed_cycle_diameter_and_asymmetry():
     assert oracle.d(1, 0) == 2
 
 
+def _length(hg, oracle, e, variant):
+    return Fraction(scaled_edge_length(hg, oracle, e, variant), oracle.scale)
+
+
 def test_edge_lengths_h4(h4, h4_oracle):
-    assert edge_length(h4, h4_oracle, 0, "min").value == 1
-    assert edge_length(h4, h4_oracle, 0, "sum").value == 3
-    assert edge_length(h4, h4_oracle, 0, "max").value == 1
-    two = edge_length(h4, h4_oracle, 1, "min")
-    assert two.value == edge_length(h4, h4_oracle, 1, "sum").value == 1
+    assert _length(h4, h4_oracle, 0, "min") == 1
+    assert _length(h4, h4_oracle, 0, "sum") == 3
+    assert _length(h4, h4_oracle, 0, "max") == 1
+    assert _length(h4, h4_oracle, 1, "min") == _length(h4, h4_oracle, 1, "sum") == 1
 
 
 def test_directed_length_min_only():
     hg = build("directed", 2, [([0], [1], 1), ([1], [0], 1)])
     oracle = all_pairs_distances(hg)
-    assert edge_length(hg, oracle, 0, "min").value == 1
+    assert _length(hg, oracle, 0, "min") == 1
     with pytest.raises(errors.UnsupportedVariant):
-        edge_length(hg, oracle, 0, "sum")
+        scaled_edge_length(hg, oracle, 0, "sum")
 
 
-def test_set_distance(h4, h4_oracle):
-    assert h4_oracle.set_distance([1, 2], 3) == 2
-    assert h4_oracle.set_distance([1], 1) == 0
-    assert h4_oracle.set_distance(range(4), 2) == 0
+def _checked_split(hg, oracle, ref, anchor):
+    """``_split`` of the out-neighbourhood of ``anchor``, checked against the reference."""
+    got = _split(oracle, (ref,), anchor, hg.neighbors(anchor))
+    assert got == reference_split(hg, oracle, ref, anchor)
+    return got
 
 
 def test_partition_oriented_path():
     hg = build("oriented", 3, [([0], [1], 1), ([1], [2], 1)], symmetrize=True)
     oracle = all_pairs_distances(hg)
-    part = partition_neighborhood(hg, oracle, 0, 1)
-    assert part.closer == frozenset({0})
-    assert part.farther == frozenset({2})
-    assert part.level == frozenset()
-    assert part.c1 == 1 and part.c2 == 1
+    assert _checked_split(hg, oracle, 0, 1) == ({0: 1}, {2: 1})
 
 
 def test_partition_all_neighbors_farther():
@@ -87,22 +82,18 @@ def test_partition_all_neighbors_farther():
         [([0], [1], 1), ([1], [2], 1), ([1], [3], 1), ([2], [0], 1), ([3], [0], 1), ([0], [2], 2), ([0], [3], 2)],
     )
     oracle = all_pairs_distances(hg)
-    part = partition_neighborhood(hg, oracle, 0, 1)
-    assert part.base_distance == 1
-    assert part.level == frozenset()  # d(0,2)=d(0,3)=2: both farther
-    assert part.farther == frozenset({2, 3})
-    assert part.c1 is None and part.c2 == 1
+    assert oracle.d(0, 1) == 1
+    # d(0,2)=d(0,3)=2: both farther, none at the anchor's distance
+    assert _checked_split(hg, oracle, 0, 1) == ({}, {2: 1, 3: 1})
 
 
 def test_partition_equidistant_neighbor_lands_in_level_class():
     # the anchor's only out-neighbor sits at the anchor's own distance from ref
     hg = build("directed", 3, [([0], [1], 1), ([0], [2], 1), ([1], [2], 1), ([2], [0], 1)])
     oracle = all_pairs_distances(hg)
-    part = partition_neighborhood(hg, oracle, 0, 1)
-    assert part.base_distance == 1
-    assert part.level == frozenset({2})
-    assert part.closer == part.farther == frozenset()
-    assert part.c1 is None and part.c2 is None
+    assert oracle.d(0, 1) == oracle.d(0, 2) == 1
+    assert hg.neighbors(1) == frozenset({2})
+    assert _checked_split(hg, oracle, 0, 1) == ({}, {})
 
 
 def _check_against_brute(hg):
@@ -215,9 +206,9 @@ def test_length_invariants_random():
                 for i in range(len(vs))
                 for j in range(i + 1, len(vs))
             ]
-            lmin = edge_length(hg, oracle, e, "min").value
-            lsum = edge_length(hg, oracle, e, "sum").value
-            lmax = edge_length(hg, oracle, e, "max").value
+            lmin = _length(hg, oracle, e, "min")
+            lsum = _length(hg, oracle, e, "sum")
+            lmax = _length(hg, oracle, e, "max")
             assert lmin == min(pairwise) and lsum == sum(pairwise) and lmax == max(pairwise)
             assert lmin <= lmax <= lsum or len(pairwise) == 1
             assert all(lmin <= d for d in pairwise)
@@ -230,14 +221,9 @@ def _h4():
 
 GUARDS = {
     "edge-length-unknown-variant": (
-        lambda: edge_length(*_h4(), 0, "mean"),
+        lambda: scaled_edge_length(*_h4(), 0, "mean"),
         errors.UnsupportedVariant,
         "unknown length variant 'mean'",
-    ),
-    "set-distance-from-nothing": (
-        lambda: _h4()[1].set_distance([], 0),
-        ValueError,
-        "set distance needs a nonempty source set",
     ),
 }
 

@@ -26,8 +26,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Values of each kind of option: those a plain line may give, then those
 # the reader leaves to argparse. An int may be another script's digits, or
-# carry a sign, spaces or "_", all of which int() accepts.
-INTS = (["0", "1", "2", "007"], ["٣", "²", "+3", " 3", "3 ", "1_0", "-1", "", "x"])
+# carry a sign, spaces or "_", all of which int() accepts, or have more
+# digits than int() reads, which argparse refuses.
+INTS = (["0", "1", "2", "007"], ["٣", "²", "+3", " 3", "3 ", "1_0", "-1", "", "x", "9" * 5000])
 TEXTS = (
     ["x1", "x2,x3", "h1", "1/3", "0.5", "0,1", "", " ", "a=b"],
     ["-1", "-1/3", "-x", "-", "--all"],

@@ -10,12 +10,10 @@ from hypercurv import (
     Limit,
     all_pairs_distances,
     build,
-    edge_length,
     lly_limit,
 )
 from hypercurv.bounds import BoundVerdict
 from hypercurv.hypergraph import DirectedEdge, UndirectedEdge
-from hypercurv.metric import EdgeLength
 from hypercurv.walk import ProbabilityMeasure, measure_undirected
 
 
@@ -38,11 +36,6 @@ def test_value_records_compare_by_fields():
     assert v == BoundVerdict("n", Fraction(1), Fraction(2), True, "t", None)
     assert v != BoundVerdict("n", Fraction(1), Fraction(2), True, "t", "w")
     assert v.applicable and not BoundVerdict("n", None, None, None).applicable
-
-    hg = build("undirected", 3, [([0, 1, 2], 1)])
-    oracle = all_pairs_distances(hg)
-    assert edge_length(hg, oracle, 0, "sum") == EdgeLength(variant="sum", value=Fraction(3))
-    assert edge_length(hg, oracle, 0, "min") != edge_length(hg, oracle, 0, "max")
 
 
 def test_measure_reads_zero_off_its_support():
