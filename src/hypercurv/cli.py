@@ -91,7 +91,9 @@ def _cli_alpha(flag: str, text: str) -> Fraction:
     try:
         return as_alpha(text)
     except (ValueError, ZeroDivisionError):
-        raise errors.ParseError(f"{flag}: cannot read {errors.excerpt(text)} as a rational") from None
+        raise errors.ParseError(
+            f"{flag}: cannot read {errors.excerpt(text)} as a rational"
+        ) from None
 
 
 def _config_from_args(args) -> RunConfig:

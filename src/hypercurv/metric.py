@@ -141,4 +141,3 @@ def scaled_edge_length(
     if variant == "max":
         return max(pairwise)
     return sum(pairwise)
-

@@ -15,10 +15,11 @@ integer transport core replaced, kept to check that core pivot for pivot.
 ``reference_family``, ``reference_partition_neighborhood``,
 ``reference_split`` and ``reference_head_spread`` are the Fraction walk
 measures, transport families and ledger partitions that the integer ones
-replaced, kept to check them field for field. ``coupling``, ``marginals``, ``dual_potential``,
-``lipschitz``, ``dual_value`` and ``interpolate`` read the coupling and the
-Kantorovich potential that certify a transport value off the optimal basis
-that ``hypercurv.wasserstein`` returns, and check them by duality.
+replaced, kept to check them field for field. ``coupling``, ``marginals``,
+``dual_potential``, ``lipschitz``, ``dual_value`` and ``interpolate`` read
+the coupling and the Kantorovich potential that certify a transport value
+off the optimal basis that ``hypercurv.wasserstein`` returns, and check
+them by duality.
 """
 
 from __future__ import annotations

@@ -154,7 +154,8 @@ def _check_partitions(hg):
         refs += [edge.sorted_head() for edge in hg.edges]
     for ref in refs:
         for anchor in range(hg.n_vertices):
-            got = _split(oracle, (ref,) if isinstance(ref, int) else ref, anchor, hg.neighbors(anchor))
+            ref_set = (ref,) if isinstance(ref, int) else ref
+            got = _split(oracle, ref_set, anchor, hg.neighbors(anchor))
             assert got == reference_split(hg, oracle, ref, anchor)
     if hg.flavor != UNDIRECTED:
         # The ledger reads each head spread of y off its out-walk step,
