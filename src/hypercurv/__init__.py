@@ -34,9 +34,8 @@ from .hypergraph import (
     DIRECTED,
     ORIENTED,
     UNDIRECTED,
-    DirectedEdge,
+    Hyperedge,
     Hypergraph,
-    UndirectedEdge,
     build,
     is_strongly_connected,
 )

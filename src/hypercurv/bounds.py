@@ -129,8 +129,8 @@ def check_pair_upper_bound(
     d_u_v = oracle._scaled(u, v)
     target = f"{labels.pair(u, v)} alpha={a}"
     weights, w_scale = hg.scaled_weights
-    local = max(weights[e] for e in hg.edges_containing(u)) + max(
-        weights[e] for e in hg.edges_containing(v)
+    local = max(weights[e] for e in hg.edges_with_tail(u)) + max(
+        weights[e] for e in hg.edges_with_tail(v)
     )
     return [
         _verdict("pair-upper-global", kappa, _weight_side(hg, oracle, a, d_u_v), target),
@@ -156,14 +156,14 @@ def check_edge_upper_bound(
     if hg.flavor == UNDIRECTED:
         kappa = ev.kappa(("edge", edge_index), a, variant)
         edge = hg.edges[edge_index]
-        k = len(edge)
+        k = len(edge.tail)
         length = scaled_edge_length(hg, oracle, edge_index, variant)
         if variant == "min":
             top = hg.max_weight()
             num, den = (k - 1) * k * top.numerator, top.denominator
         else:
             weights, w_scale = hg.scaled_weights
-            per_member = sum(max(weights[e] for e in hg.edges_containing(x)) for x in edge.vertices)
+            per_member = sum(max(weights[e] for e in hg.edges_with_tail(x)) for x in edge.tail)
             num, den = (k - 1) * per_member, w_scale
         return _verdict("edge-upper", kappa, _side(a, num * oracle.scale, den * length), target)
     if oracle.symmetric:
@@ -214,9 +214,9 @@ def check_directed_edge_bound(
 
     The drifting mass of a neighbour z of head vertex y is the weight of
     the hyperedges carrying y to z, each over its head size, divided by
-    ``out_weight(y)``: the mass of z in one out-walk step from y. The
-    constants and both sides are computed on ints, and each side becomes
-    one Fraction.
+    the total weight of the hyperedges with y in their tail: the mass of z
+    in one out-walk step from y. The constants and both sides are computed
+    on ints, and each side becomes one Fraction.
     """
     hg, oracle = ev.hg, ev.oracle
     if hg.flavor == UNDIRECTED:
@@ -343,10 +343,11 @@ def check_pair_bound_oriented(
         # closer neighbor is reachable through several hyperedges at
         # once (spread weight above 1); otherwise the inequality has
         # no backing and the verdict is reported inapplicable. With unit
-        # weights out_weight(v) is deg_out(v), so the spread weight of z,
-        # the total of 1/|head| over the hyperedges carrying v to z, is
-        # its out-walk mass walk[z] / den times deg_out(v).
-        deg = hg.deg_out(v)
+        # weights the out-weight of v is deg, its count of tail hyperedges,
+        # so the spread weight of z, the total of 1/|head| over the
+        # hyperedges carrying v to z, is its out-walk mass walk[z] / den
+        # times deg.
+        deg = len(hg.edges_with_tail(v))
         overloaded = sorted(z for z in closer if walk[z] * deg > den)
         if overloaded:
             why = f"closer neighbors {overloaded} multiply covered (spread > 1)"

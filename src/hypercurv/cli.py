@@ -580,15 +580,38 @@ def build_parser():
     # Imported here: a plain command line is read without it (_plain_args).
     import argparse
 
-    class SubcommandParser(argparse.ArgumentParser):
+    class Parser(argparse.ArgumentParser):
+        """Renders every usage error, echoing each token it parses that is
+        longer than ``errors.EXCERPT_CHARS`` as its excerpt. A message with
+        such a value leaves out the choices, which the usage line lists."""
+
+        tokens = ()
+
         def parse_known_args(self, args=None, namespace=None):
-            argv = list(sys.argv[1:] if args is None else args)
-            kept, refused = _set_aside(argv, self._option_string_actions)
+            self.tokens = list(sys.argv[1:] if args is None else args)
+            return super().parse_known_args(self.tokens, namespace)
+
+        def error(self, message):
+            cut = message
+            for token in self.tokens:
+                # a value given as --option=value is echoed on its own
+                for value in (token, token.partition("=")[2]):
+                    if len(value) > errors.EXCERPT_CHARS:
+                        short = errors.excerpt(value)
+                        cut = cut.replace(repr(value), short).replace(value, short)
+            if cut != message:
+                cut = cut.partition(" (choose from ")[0]
+            super().error(cut)
+
+    class SubcommandParser(Parser):
+        def parse_known_args(self, args=None, namespace=None):
+            self.tokens = list(sys.argv[1:] if args is None else args)
+            kept, refused = _set_aside(self.tokens, self._option_string_actions)
             if refused:
                 self.error("unrecognized arguments: " + " ".join(refused))
             return super().parse_known_args(kept, namespace)
 
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="hypercurv",
         description="Curvature toolkit for weighted undirected, directed, and oriented hypergraphs.",
     )

@@ -349,7 +349,7 @@ class Evaluator:
         elif kind != "edge":
             raise ValueError(f"unknown target kind {kind!r}")
         elif undirected_edge:
-            vs = hg.edges[target[1]].sorted_vertices()
+            vs = hg.edges[target[1]].sorted_tail()
             terms = tuple(
                 (self._chain((x,), (y,)), table[x][y])
                 for i, x in enumerate(vs)
@@ -587,7 +587,7 @@ def well_transported_pairs(hg: Hypergraph, oracle: DistanceOracle) -> list[tuple
         raise errors.UnsupportedFlavor("well-transported pairs are an undirected notion")
     found = []
     for k, edge in enumerate(hg.edges):
-        vs = edge.sorted_vertices()
+        vs = edge.sorted_tail()
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 if oracle.d(vs[i], vs[j]) == edge.weight:

@@ -195,7 +195,7 @@ def serialize_document(doc: ParsedDocument) -> dict:
     for k, edge in enumerate(hg.edges):
         rec: dict = {"name": doc.edge_names[k]}
         if hg.flavor == UNDIRECTED:
-            rec["vertices"] = [doc.vertex_names[v] for v in edge.sorted_vertices()]
+            rec["vertices"] = [doc.vertex_names[v] for v in edge.sorted_tail()]
         else:
             rec["tail"] = [doc.vertex_names[v] for v in edge.sorted_tail()]
             rec["head"] = [doc.vertex_names[v] for v in edge.sorted_head()]

@@ -1,4 +1,4 @@
-"""Hypergraph data model: three flavors, validation, degrees, neighborhoods.
+"""Hypergraph data model: three flavors, one hyperedge class, validation, incidence.
 
 Flavors
 -------
@@ -18,8 +18,8 @@ a hyperedge at a tail containing v and leaves at a head vertex other than
 v. That is the whole step rule, the same for every flavor: the directed
 flavors never meet v in the head (tail and head are disjoint), and the
 undirected step reaches the co-members of v. The tail and head incidence
-lists, the neighborhoods, the weighted degrees, reachability, distances
-and walks all follow it without looking at the flavor.
+lists, reachability, distances and walks all follow it without looking at
+the flavor.
 
 A :class:`Hypergraph` is immutable after :func:`build`; every query is pure
 and safe to call concurrently. Vertices are dense integer ids ``0..n-1``.
@@ -44,37 +44,11 @@ ORIENTED = "oriented"
 FLAVORS = (UNDIRECTED, DIRECTED, ORIENTED)
 
 
-class UndirectedEdge:
-    """A vertex set of size >= 2 with a positive rational weight.
+class Hyperedge:
+    """A hyperedge: a tail, a head and a positive rational weight.
 
-    ``tail`` and ``head`` are both the vertex set. Equal, and hashed, by value.
-    """
-
-    __slots__ = ("vertices", "tail", "head", "weight")
-
-    def __init__(self, vertices: frozenset[int], weight: Fraction):
-        self.vertices = self.tail = self.head = vertices
-        self.weight = weight
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.weight == other.weight
-
-    def __hash__(self):
-        return hash((self.vertices, self.weight))
-
-    def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-class DirectedEdge:
-    """An ordered pair (tail, head) of disjoint nonempty vertex sets.
-
-    Equal, and hashed, by value.
+    An undirected hyperedge is its own tail and head, both its vertex set
+    of size >= 2. A directed one has disjoint nonempty tail and head.
     """
 
     __slots__ = ("tail", "head", "weight")
@@ -84,22 +58,14 @@ class DirectedEdge:
         self.head = head
         self.weight = weight
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tail == other.tail and self.head == other.head and self.weight == other.weight
-
-    def __hash__(self):
-        return hash((self.tail, self.head, self.weight))
-
     def sorted_tail(self) -> tuple[int, ...]:
         return tuple(sorted(self.tail))
 
     def sorted_head(self) -> tuple[int, ...]:
         return tuple(sorted(self.head))
 
-    def reversed(self) -> "DirectedEdge":
-        return DirectedEdge(tail=self.head, head=self.tail, weight=self.weight)
+    def reversed(self) -> "Hyperedge":
+        return Hyperedge(self.head, self.tail, self.weight)
 
 
 def _as_vertex_part(raw, n: int, what: str) -> frozenset[int]:
@@ -132,58 +98,11 @@ class Hypergraph:
 
     # -- incidence ---------------------------------------------------------
 
-    def edges_containing(self, v: int) -> tuple[int, ...]:
-        """Undirected: ids of the hyperedges containing v."""
-        return self._tail_edges_at[v]
-
     def edges_with_tail(self, v: int) -> tuple[int, ...]:
         return self._tail_edges_at[v]
 
     def edges_with_head(self, v: int) -> tuple[int, ...]:
         return self._head_edges_at[v]
-
-    # -- neighborhoods -------------------------------------------------------
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices z != v lying in the tail of some edge whose head contains v."""
-        out: set[int] = set()
-        for e in self._head_edges_at[v]:
-            out.update(self.edges[e].tail)
-        out.discard(v)
-        return frozenset(out)
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices z != v lying in the head of some edge whose tail contains v."""
-        out: set[int] = set()
-        for e in self._tail_edges_at[v]:
-            out.update(self.edges[e].head)
-        out.discard(v)
-        return frozenset(out)
-
-    # Undirected: co-members of any hyperedge containing v. Oriented: equal
-    # to the predecessor set by reversal closure.
-    neighbors = out_neighbors
-
-    # -- degrees ----------------------------------------------------------
-
-    def out_weight(self, v: int) -> Fraction:
-        """Total weight of edges having v in their tail."""
-        return sum((self.edges[e].weight for e in self._tail_edges_at[v]), Fraction(0))
-
-    # Undirected weighted degree: total weight of edges containing v.
-    degree = out_weight
-
-    def deg_in(self, v: int) -> int:
-        """Count of edges having v in their head."""
-        return len(self._head_edges_at[v])
-
-    def deg_out(self, v: int) -> int:
-        """Count of edges having v in their tail."""
-        return len(self._tail_edges_at[v])
-
-    def deg(self, v: int) -> int:
-        """Count of tail and head occurrences of v (an undirected edge counts twice)."""
-        return self.deg_in(v) + self.deg_out(v)
 
     # -- global quantities -----------------------------------------------
 
@@ -215,7 +134,8 @@ class Hypergraph:
 
     @cached_property
     def _max_degree(self) -> int:
-        return max(self.deg(v) for v in range(self.n_vertices))
+        # an undirected hyperedge counts twice, once as tail and once as head
+        return max(len(t) + len(h) for t, h in zip(self._tail_edges_at, self._head_edges_at))
 
     def max_head_size(self) -> int:
         return self._max_head_size
@@ -262,7 +182,7 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
             w = as_fraction(weight)
             if w <= 0:
                 raise errors.NonPositiveWeight(f"hyperedge {k} has weight {w}")
-            parsed.append(UndirectedEdge(vertices=part, weight=w))
+            parsed.append(Hyperedge(part, part, w))
     else:
         for k, spec in enumerate(edges):
             tail, head, weight = spec
@@ -278,7 +198,7 @@ def build(flavor: str, n: int, edges, symmetrize: bool = False) -> Hypergraph:
             w = as_fraction(weight)
             if w <= 0:
                 raise errors.NonPositiveWeight(f"hyperedge {k} has weight {w}")
-            parsed.append(DirectedEdge(tail=a, head=b, weight=w))
+            parsed.append(Hyperedge(a, b, w))
         if symmetrize:
             parsed.extend(e.reversed() for e in list(parsed))
 
@@ -309,7 +229,7 @@ def _fill_incidence(hg: Hypergraph) -> None:
     hg._head_edges_at = tuple(map(tuple, heads))
 
 
-def _check_reversal_closure(edges: list[DirectedEdge]) -> None:
+def _check_reversal_closure(edges: list[Hyperedge]) -> None:
     signature = Counter((e.tail, e.head, e.weight) for e in edges)
     for (a, b, w), count in signature.items():
         partner = signature.get((b, a, w), 0)

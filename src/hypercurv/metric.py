@@ -124,7 +124,7 @@ def scaled_edge_length(
         raise errors.UnsupportedVariant(f"unknown length variant {variant!r}")
     edge = hg.edges[edge_index]
     if hg.flavor == UNDIRECTED:
-        vs = edge.sorted_vertices()
+        vs = edge.sorted_tail()
         pairwise = [
             oracle._scaled(vs[i], vs[j])
             for i in range(len(vs))

@@ -39,16 +39,13 @@ def brute_hyperpath_distances(hg):
     keep |H| small.
     """
     n, m = hg.n_vertices, hg.n_edges
-    directed = hg.flavor != "undirected"
     best = [[None] * n for _ in range(n)]
     for u in range(n):
         best[u][u] = Fraction(0)
 
     def ends(e):
         edge = hg.edges[e]
-        if directed:
-            return edge.tail, edge.head
-        return edge.vertices, edge.vertices
+        return edge.tail, edge.head
 
     def extend(seq, cost):
         entry, _ = ends(seq[0])
@@ -307,38 +304,48 @@ class BruteGraphCurvature:
 
 
 def limit_free_lly(n: int, edges, x: int, y: int) -> Fraction:
-    """Lin-Lu-Yau curvature of the edge xy of a connected unit-weight graph.
+    """Lin-Lu-Yau curvature of the pair xy of a connected unit-weight
+    hypergraph whose vertices x and y share a hyperedge.
 
     Münch and Wojciechowski (Adv. Math. 2019) give it without a limit: the
     infimum of ``grad_xy Lap f`` over 1-Lipschitz f with ``grad_yx f = 1``,
-    where ``grad_xy g = (g(x) - g(y)) / d(x, y)`` and ``Lap f(z)`` is the mean
-    of ``f(w) - f(z)`` over the neighbours w of z. It reads f only on
-    ``B1(x) ∪ B1(y)``, and every 1-Lipschitz f there extends to the whole
-    graph. With f(x) = 0 the constraints are differences bounded by integer
-    distances, a totally unimodular system, so the infimum is reached at an
-    integer f, and ``|f(z) - f(x)| <= d(x, z)`` and ``|f(z) - f(y)| <= d(y, z)``
-    bound each value. All such f are enumerated. Distances come from
-    breadth-first search; ``edges`` are vertex pairs, their weights ignored.
+    where ``grad_xy g = (g(x) - g(y)) / d(x, y)``. The undirected walk is the
+    walk of a weighted graph on the vertices, the adjacency weight ``w(z, u)``
+    of z != u being the sum of ``1 / (|h| - 1)`` over the hyperedges h holding
+    both, so ``Lap f(z)`` is ``sum_u w(z, u) (f(u) - f(z)) / sum_u w(z, u)``
+    and d is the hop distance of that graph. A graph edge is the 2-vertex
+    case, with weight 1. The infimum reads f only on ``B1(x) ∪ B1(y)``, and
+    every 1-Lipschitz f there extends to the whole hypergraph. With f(x) = 0
+    the constraints are differences bounded by integer distances, a totally
+    unimodular system, so the infimum is reached at an integer f, and
+    ``|f(z) - f(x)| <= d(x, z)`` and ``|f(z) - f(y)| <= d(y, z)`` bound each
+    value. All such f are enumerated. ``edges`` are vertex sets, their
+    weights ignored; a repeated set adds its weight again.
     """
-    nbrs = [set() for _ in range(n)]
-    for pair in edges:
-        u, v = tuple(pair)
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    if y not in nbrs[x]:
-        raise ValueError(f"({x}, {y}) is not an edge")
+    adj = [{} for _ in range(n)]
+    for members in edges:
+        members = set(members)
+        share = Fraction(1, len(members) - 1)
+        for u in members:
+            for v in members - {u}:
+                adj[u][v] = adj[u].get(v, 0) + share
+    if y not in adj[x]:
+        raise ValueError(f"{x} and {y} share no hyperedge")
 
     def hops(source):
         dist = {source: 0}
         queue = [source]
         for z in queue:
-            for w in nbrs[z]:
+            for w in adj[z]:
                 if w not in dist:
                     dist[w] = dist[z] + 1
                     queue.append(w)
         return dist
 
-    ball = sorted({x, y} | nbrs[x] | nbrs[y])
+    def lap(f, z):
+        return sum(w * (f[u] - f[z]) for u, w in adj[z].items()) / sum(adj[z].values())
+
+    ball = sorted({x, y} | adj[x].keys() | adj[y].keys())
     dist = {z: hops(z) for z in ball}
     free = [z for z in ball if z not in (x, y)]
     ranges = [
@@ -349,10 +356,9 @@ def limit_free_lly(n: int, edges, x: int, y: int) -> Fraction:
         f = {x: 0, y: 1, **dict(zip(free, values))}
         if any(f[a] - f[b] > dist[a][b] for a in ball for b in ball):
             continue
-        lap_x = Fraction(sum(f[w] for w in nbrs[x]), len(nbrs[x])) - f[x]
-        lap_y = Fraction(sum(f[w] for w in nbrs[y]), len(nbrs[y])) - f[y]
-        if best is None or lap_x - lap_y < best:
-            best = lap_x - lap_y
+        grad = lap(f, x) - lap(f, y)
+        if best is None or grad < best:
+            best = grad
     return best
 
 
@@ -383,7 +389,7 @@ def reference_kappa(hg, oracle, target, alpha, variant):
         return 1 - w / oracle.d(u, v)
     e = target[1]
     if hg.flavor == "undirected":
-        vs = hg.edges[e].sorted_vertices()
+        vs = sorted(hg.edges[e].tail)
         defect = Fraction(0)
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
@@ -401,7 +407,7 @@ def reference_edge_length(hg, oracle, e, variant):
     tail to head when directed."""
     edge = hg.edges[e]
     if hg.flavor == "undirected":
-        pairwise = [oracle.d(u, v) for u, v in combinations(edge.sorted_vertices(), 2)]
+        pairwise = [oracle.d(u, v) for u, v in combinations(sorted(edge.tail), 2)]
     else:
         pairwise = [oracle.d(u, v) for u in edge.tail for v in edge.head]
     return {"min": min, "sum": sum, "max": max}[variant](pairwise)
@@ -558,8 +564,9 @@ def _pivot_cycle(basis, entering):
 #
 # The Fraction formulas that built the walk measures, the Evaluator's
 # transport families and the bounds ledger's partition data before they
-# moved to int edge weights and ``oracle.table`` ints. They read only public
-# hypergraph and oracle queries, and every mass and distance is a Fraction.
+# moved to int edge weights and ``oracle.table`` ints. They read only the
+# raw tail, head and weight of each hyperedge and public oracle queries, and
+# every mass and distance is a Fraction.
 
 
 def reference_measure(hg, kind, where, side, alpha):
@@ -578,24 +585,22 @@ def reference_measure(hg, kind, where, side, alpha):
     def spread(x, direction, share):
         # Mass ``share`` in all, spread over the one-hop in- or out-neighbourhood of x.
         if direction == "in":
-            incident = [hg.edges[e] for e in hg.edges_with_head(x)]
-            parts = [(e.weight, e.tail) for e in incident]
+            parts = [(e.weight, e.tail) for e in hg.edges if x in e.head]
         else:
-            incident = [hg.edges[e] for e in hg.edges_with_tail(x)]
-            parts = [(e.weight, e.head) for e in incident]
+            parts = [(e.weight, e.head) for e in hg.edges if x in e.tail]
         denom = sum((w for w, _part in parts), Fraction(0))
         for w, part in parts:
             for z in part:
                 add(z, share * w / (len(part) * denom))
 
     if kind == "undirected":
-        deg = sum((hg.edges[e].weight for e in hg.edges_containing(where)), Fraction(0))
+        incident = [edge for edge in hg.edges if where in edge.tail]
+        deg = sum((edge.weight for edge in incident), Fraction(0))
         add(where, a)
-        for e in hg.edges_containing(where):
-            edge = hg.edges[e]
-            for z in edge.vertices:
+        for edge in incident:
+            for z in edge.tail:
                 if z != where:
-                    add(z, (1 - a) * edge.weight / ((len(edge) - 1) * deg))
+                    add(z, (1 - a) * edge.weight / ((len(edge.tail) - 1) * deg))
     elif kind == "pair":
         add(where, a)
         spread(where, side, 1 - a)
@@ -646,6 +651,12 @@ def reference_family(hg, key):
     )
 
 
+def out_neighbourhood(hg, v):
+    """Vertices z != v in the head of a hyperedge whose tail holds v: the
+    co-members of v when undirected, where tail and head are one set."""
+    return frozenset(z for e in hg.edges if v in e.tail for z in e.head) - {v}
+
+
 def reference_partition_neighborhood(hg, oracle, ref, anchor):
     """``(ref, anchor, base, closer, level, farther, c1, c2)`` on Fractions.
 
@@ -657,10 +668,7 @@ def reference_partition_neighborhood(hg, oracle, ref, anchor):
     def dist(z):
         return min(oracle.d(u, z) for u in ref_tuple)
 
-    if hg.flavor == "undirected":
-        neighborhood = hg.neighbors(anchor)
-    else:
-        neighborhood = hg.out_neighbors(anchor)
+    neighborhood = out_neighbourhood(hg, anchor)
     base = dist(anchor)
     closer = frozenset(z for z in neighborhood if dist(z) < base)
     level = frozenset(z for z in neighborhood if dist(z) == base)

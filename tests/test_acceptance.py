@@ -200,7 +200,7 @@ def test_criterion_05_monotone_and_concave(h4, h4_oracle, c5_corpus):
                     key = (min(u, v), max(u, v), a)
                     return 1 - w[key] / oracle.d(u, v)
                 e = target[1]
-                vs = hg.edges[e].sorted_vertices()
+                vs = hg.edges[e].sorted_tail()
                 defect = Fraction(0)
                 for i in range(len(vs)):
                     for j in range(i + 1, len(vs)):

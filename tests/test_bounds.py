@@ -486,7 +486,7 @@ def test_oriented_pair_bound_gated_on_multiple_coverage():
         hg, oracle, 1, 3
     )
     gap = Fraction(len(closer)) - Fraction(len(farther), hg.max_head_size())
-    raw_bound = (1 + gap / hg.deg_out(3)) / oracle.d(1, 3)
+    raw_bound = (1 + gap / len(hg.edges_with_tail(3))) / oracle.d(1, 3)
     kappa = kappa_alpha_pair(hg, oracle, 1, 3, Fraction(1, 2))
     assert kappa > Fraction(1, 2) * raw_bound
 

@@ -229,7 +229,10 @@ def test_document_round_trip():
     doc = parse_document(json.dumps(H4_DOC))
     again = parse_document(json.dumps(serialize_document(doc)))
     assert serialize_document(doc) == serialize_document(again)
-    assert again.hypergraph.edges == doc.hypergraph.edges
+    def triples(hg):
+        return [(e.tail, e.head, e.weight) for e in hg.edges]
+
+    assert triples(again.hypergraph) == triples(doc.hypergraph)
 
 
 def test_document_round_trip_oriented_symmetrize():
@@ -330,6 +333,58 @@ def test_a_refused_option_with_its_value_in_one_token(capsys):
     err = capsys.readouterr().err
     assert err.endswith("hypercurv sweep: error: unrecognized arguments: --format=json\n")
     assert _run(capsys, ["validate", "--", str(H4_FILE)])[0] == 0
+
+
+LONG = "z" * 100_000
+# Usage errors rendered by argparse, each with a value over 60 characters,
+# and the last stderr line each must print.
+USAGE_ECHOES = {
+    "format-long": (
+        ["bounds", "--format", LONG, "{h4}"],
+        "hypercurv bounds: error: argument --format: invalid choice: '"
+        + "z" * 59
+        + "... (100002 characters)",
+    ),
+    "refused-long": (
+        ["sweep", "--pair", "x2,x3", "--format", LONG, "{h4}"],
+        "hypercurv sweep: error: unrecognized arguments: --format '"
+        + "z" * 59
+        + "... (100002 characters)",
+    ),
+    "subcommand-long": (
+        [LONG, "{h4}"],
+        "hypercurv: error: argument command: invalid choice: '" + "z" * 59 + "... (100002 characters)",
+    ),
+    "index-digits-long": (
+        ["measure", "--edge", "h6", "--index", "9" * 5000, "{late}"],
+        "hypercurv measure: error: argument --index: invalid int value: '"
+        + "9" * 59
+        + "... (5002 characters)",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", USAGE_ECHOES.values(), ids=USAGE_ECHOES)
+def test_usage_errors_echo_a_long_value_as_an_excerpt(capsys, argv, line):
+    """argparse's own messages cut a long value as the program's messages do,
+    and then leave out the choices, which the usage line lists."""
+    argv = [a.format(h4=H4_FILE, late=LATE_LIMIT_FILE) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.splitlines()[-1] == line
+    assert len(line.encode()) < 200
+
+
+def test_usage_errors_echo_a_60_character_value_whole(capsys):
+    value = "z" * 60
+    with pytest.raises(SystemExit):
+        main(["bounds", "--format", value, str(H4_FILE)])
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"hypercurv bounds: error: argument --format: invalid choice: '{value}' (")
+    assert "choose from" in last
 
 
 @pytest.mark.parametrize(

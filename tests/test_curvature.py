@@ -90,7 +90,7 @@ def test_sandwich_between_pair_extremes():
         hg = random_undirected(rng, n_max=6, extra_max=1)
         oracle = all_pairs_distances(hg)
         for e, edge in enumerate(hg.edges):
-            vs = edge.sorted_vertices()
+            vs = edge.sorted_tail()
             for a in [Fraction(0), Fraction(2, 5), Fraction(4, 5)]:
                 pair_vals = [
                     kappa_alpha_pair(hg, oracle, vs[i], vs[j], a)
@@ -366,7 +366,7 @@ def test_size_four_hyperedge_full_pipeline():
     oracle = all_pairs_distances(hg)
     assert scaled_edge_length(hg, oracle, 0, "sum") == 6 * oracle.scale
     for a in [Fraction(0), Fraction(1, 2), Fraction(9, 10)]:
-        vs = hg.edges[0].sorted_vertices()
+        vs = hg.edges[0].sorted_tail()
         pair_vals = [
             kappa_alpha_pair(hg, oracle, vs[i], vs[j], a)
             for i in range(4)
@@ -402,6 +402,42 @@ def test_limit_matches_limit_free_oracle_on_graph_edges():
             assert ev.limit(("pair", x, y)).lly == limit_free_lly(n, edges, x, y), (edges, x, y)
             checked += 1
     assert checked > 150
+
+
+def _unit_hypergraphs(seed, count):
+    """Random connected unit-weight undirected hypergraphs on 3-7 vertices,
+    hyperedges of 2-4 vertices, repeated hyperedges allowed: ``(n, edges, hg)``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        order = list(range(n))
+        rng.shuffle(order)
+        covered, fresh, edges = order[:1], order[1:], []
+        while fresh:
+            new = [fresh.pop() for _ in range(min(len(fresh), rng.randint(1, 3)))]
+            old = rng.sample(covered, min(len(covered), rng.randint(1, 4 - len(new))))
+            edges.append(sorted(new + old))
+            covered += new
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.3:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append(sorted(rng.sample(range(n), rng.randint(2, min(4, n)))))
+        yield n, edges, build("undirected", n, [(members, 1) for members in edges])
+
+
+def test_limit_matches_limit_free_oracle_on_hypergraph_pairs():
+    """On unit-weight hypergraphs, every pair sharing a hyperedge has the
+    Münch-Wojciechowski infimum of the clique expansion's weighted walk as
+    its limit."""
+    checked = 0
+    for n, edges, hg in _unit_hypergraphs(2718, 150):
+        ev = Evaluator(hg, all_pairs_distances(hg))
+        pairs = {pair for members in edges for pair in combinations(members, 2)}
+        for x, y in sorted(pairs):
+            assert ev.limit(("pair", x, y)).lly == limit_free_lly(n, edges, x, y), (edges, x, y)
+            checked += 1
+    assert checked > 1000
 
 
 def _idleness_parts(graphs) -> set[int]:

@@ -13,22 +13,7 @@ from hypercurv import (
     lly_limit,
 )
 from hypercurv.bounds import BoundVerdict
-from hypercurv.hypergraph import DirectedEdge, UndirectedEdge
 from hypercurv.walk import ProbabilityMeasure, measure_undirected
-
-
-def test_edges_equal_and_hash_by_value():
-    a = UndirectedEdge(frozenset({0, 1, 2}), Fraction(1))
-    b = UndirectedEdge(frozenset({2, 1, 0}), Fraction(2, 2))
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != UndirectedEdge(frozenset({0, 1, 2}), Fraction(2))
-    assert len(a) == 3
-
-    d = DirectedEdge(frozenset({0}), frozenset({1, 2}), Fraction(1, 2))
-    e = DirectedEdge(frozenset({0}), frozenset({2, 1}), Fraction(1, 2))
-    assert d == e and hash(d) == hash(e) and len({d, e}) == 1
-    assert d != d.reversed() and d.reversed().reversed() == d
-    assert d != DirectedEdge(frozenset({0}), frozenset({1, 2}), Fraction(1))
 
 
 def test_value_records_compare_by_fields():
